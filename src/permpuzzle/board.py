@@ -75,6 +75,12 @@ def move_targets(width: int, height: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+def check_dimensions(width: int, height: int) -> None:
+    """Reject a board shape narrower or shorter than 2 cells."""
+    if width < 2 or height < 2:
+        raise ValueError("board dimensions must be at least 2x2")
+
+
 @dataclass(frozen=True, slots=True)
 class Board:
     """Immutable puzzle state; ``cells`` is row-major, blank stored as label n."""
@@ -85,8 +91,7 @@ class Board:
     blank_index: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.width < 2 or self.height < 2:
-            raise ValueError("board dimensions must be at least 2x2")
+        check_dimensions(self.width, self.height)
         cells = tuple(self.cells)
         object.__setattr__(self, "cells", cells)
         n = self.width * self.height
@@ -94,7 +99,7 @@ class Board:
             raise ValueError(f"expected {n} cells, got {len(cells)}")
         seen = bytearray(n + 1)
         for v in cells:
-            if not isinstance(v, int) or not 1 <= v <= n:
+            if type(v) is not int or not 1 <= v <= n:  # bool is an int subclass
                 raise ValueError(f"tile label {v!r} outside 1..{n}")
             if seen[v]:
                 raise ValueError(f"tile label {v} appears twice")
@@ -117,7 +122,7 @@ class Board:
 
     @classmethod
     def parse(cls, text: str) -> "Board":
-        """Parse rows of whitespace-separated tiles; blank written 0 or _."""
+        """Parse rows of whitespace-separated ASCII-digit tiles; blank 0 or _."""
         rows = [line.split() for line in text.splitlines() if line.strip()]
         if not rows:
             raise ParseError("empty board")
@@ -142,14 +147,13 @@ class Board:
                 blank_seen = True
                 cells.append(n)
                 continue
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(f"invalid tile {tok!r}") from None
+            if not (tok.isascii() and tok.isdigit()):
+                raise ParseError(f"invalid tile {tok!r}")
+            v = int(tok)
             # The blank's internal label n is tolerated here so that a
             # board written without any 0/_ reports the missing blank.
             if not 1 <= v <= n:
-                raise ParseError(f"tile {v} outside 1..{n - 1}")
+                raise ParseError(f"tile {tok} outside 1..{n - 1}")
             if seen[v]:
                 raise ParseError(f"duplicate tile {v}")
             seen[v] = 1

@@ -103,14 +103,8 @@ def solve(board, heuristic, pdb_paths, max_nodes, max_time):
         if not pdb_paths:
             _fail("--heuristic pdb requires at least one --pdb PATH", EXIT_INPUT)
         try:
-            databases = [load_pdb(p) for p in pdb_paths]
-            chosen = PatternHeuristic(databases)
-            if (chosen.width, chosen.height) != (b.width, b.height):
-                raise ValueError(
-                    f"databases are for {chosen.width}x{chosen.height}, "
-                    f"board is {b.width}x{b.height}"
-                )
-        except (OSError, ParseError, ValueError) as exc:
+            chosen = PatternHeuristic([load_pdb(p) for p in pdb_paths])
+        except (OSError, ValueError) as exc:
             _fail(str(exc), EXIT_INPUT)
     else:
         chosen = heuristic
@@ -122,6 +116,8 @@ def solve(board, heuristic, pdb_paths, max_nodes, max_time):
         sys.exit(EXIT_UNSOLVABLE)
     except ResourceLimitError as exc:
         _fail(str(exc), EXIT_RESOURCE)
+    except ValueError as exc:
+        _fail(str(exc), EXIT_INPUT)
     click.echo(format_moves(result.moves))
     click.echo(
         f"length={result.length} nodes={result.nodes_expanded} "

@@ -1,9 +1,12 @@
 """Admissible distance heuristics for sliding-tile boards.
 
 Both functions never exceed the true solution length, so iterative
-deepening on f = g + h stays optimal. The raw-table helpers operate on
-0-based cell lists and are shared with the search core, which updates
-them incrementally.
+deepening on f = g + h stays optimal. This module also owns their
+incremental ``(h0, cost, fix)`` form for IDA* (see :mod:`.solver`):
+Manhattan is the ``goal_tables`` table with no correction; linear
+conflict's correction re-evaluates, with :func:`line_conflicts`, only the
+goal line a move takes a tile out of or into. Pattern databases own
+theirs in :mod:`.pattern_db`.
 """
 
 from __future__ import annotations
@@ -38,52 +41,47 @@ def goal_tables(width: int, height: int):
     return md, goal_row, goal_col
 
 
+@lru_cache(maxsize=None)
+def _goal_lines(width: int, height: int):
+    """Rows, then columns, each as (cell slice, codes): codes[label] is the
+    label's goal column + 1 when the row is its goal row (goal row + 1
+    when the column is its goal column), else 0."""
+    n = width * height
+    _, goal_row, goal_col = goal_tables(width, height)
+    rows = [(slice(r * width, (r + 1) * width), goal_row, goal_col, r) for r in range(height)]
+    cols = [(slice(c, n, width), goal_col, goal_row, c) for c in range(width)]
+    return tuple(
+        (cells, tuple(along[t] + 1 if home[t] == i else 0 for t in range(n + 1)))
+        for cells, home, along, i in rows + cols
+    )
+
+
 def manhattan(board: Board) -> int:
     """Sum of every non-blank tile's taxicab distance to its home cell."""
     md, _, _ = goal_tables(board.width, board.height)
     return sum(md[label][cell] for cell, label in enumerate(board.cells))
 
 
-def _sorted_stay(goal_coords: list[int]) -> int:
-    """Longest subsequence already in increasing goal order."""
-    best = [0] * len(goal_coords)
-    for i, g in enumerate(goal_coords):
+def line_conflicts(codes) -> int:
+    """2 x (tiles that must leave a line so the rest can slide home).
+
+    ``codes`` lists, cell by cell along one row (column), the goal column
+    (row) + 1 of every tile whose goal is this row (column), and 0 for
+    any other tile or the blank. The minimum number of leavers is the
+    line's own population minus its longest already-ordered subsequence,
+    and each leaver costs two extra moves across the line.
+    """
+    coords = [c for c in codes if c]
+    if len(coords) < 2:
+        return 0
+    best = [0] * len(coords)  # longest increasing subsequence ending at i
+    for i, g in enumerate(coords):
         longest = 0
         for j in range(i):
-            if goal_coords[j] < g and best[j] > longest:
+            if coords[j] < g and best[j] > longest:
                 longest = best[j]
         best[i] = longest + 1
-    return max(best, default=0)
-
-
-def row_conflicts(tiles, width: int, row: int, goal_row, goal_col) -> int:
-    """2 x (tiles that must leave ``row`` so the rest can slide home).
-
-    Considers only tiles whose home is in this row; the minimum number of
-    leavers is the row's population minus its longest already-ordered
-    subsequence, and each leaver costs two extra vertical moves.
-    """
-    base = row * width
-    coords = [
-        goal_col[t]
-        for t in tiles[base : base + width]
-        if goal_row[t] == row
-    ]
-    if len(coords) < 2:
-        return 0
-    return 2 * (len(coords) - _sorted_stay(coords))
-
-
-def col_conflicts(tiles, width: int, n: int, col: int, goal_row, goal_col) -> int:
-    """Column counterpart of :func:`row_conflicts`."""
-    coords = [
-        goal_row[t]
-        for t in tiles[col:n:width]
-        if goal_col[t] == col
-    ]
-    if len(coords) < 2:
-        return 0
-    return 2 * (len(coords) - _sorted_stay(coords))
+    return 2 * (len(coords) - max(best))
 
 
 def linear_conflict(board: Board) -> int:
@@ -94,12 +92,47 @@ def linear_conflict(board: Board) -> int:
     must detour adds two moves apiece. Equals :func:`manhattan` when no
     goal line holds two of its own tiles out of order.
     """
-    md, goal_row, goal_col = goal_tables(board.width, board.height)
     tiles = board.cells
-    n = board.size
-    total = sum(md[label][cell] for cell, label in enumerate(tiles))
-    for r in range(board.height):
-        total += row_conflicts(tiles, board.width, r, goal_row, goal_col)
-    for c in range(board.width):
-        total += col_conflicts(tiles, board.width, n, c, goal_row, goal_col)
-    return total
+    return manhattan(board) + sum(
+        line_conflicts([codes[t] for t in tiles[cells]])
+        for cells, codes in _goal_lines(board.width, board.height)
+    )
+
+
+def incremental_manhattan(board: Board):
+    """Manhattan as ``(h0, cost, fix)``: the distance table, no correction."""
+    return manhattan(board), goal_tables(board.width, board.height)[0], None
+
+
+def incremental_linear_conflict(board: Board, tiles):
+    """Linear conflict as ``(h0, cost, fix)`` over the solver's ``tiles``.
+
+    ``cost`` is the Manhattan table. A slide keeps the order of the line
+    it runs along, so ``fix`` adds only the conflict change of the one
+    perpendicular goal line the tile leaves or enters, reading ``tiles``
+    before the move. A per-solve memo keyed by line codes holds at most
+    (w+1)^w entries for lines of w cells.
+    """
+    width, height = board.width, board.height
+    lines = _goal_lines(width, height)
+    conflicts = lru_cache(maxsize=None)(line_conflicts)
+
+    def fix(h: int, t: int, j: int, z: int) -> int:
+        if abs(z - j) == width:  # vertical: the rows of j and z, at column k
+            lj, lz, k = j // width, z // width, j % width
+        else:  # horizontal: the columns of j and z, at row k
+            lj, lz, k = height + j % width, height + z % width, j // width
+        cells, codes = lines[lj]
+        if codes[t]:
+            new = 0  # t leaves its goal line; the blank takes its place
+        else:
+            cells, codes = lines[lz]
+            if not codes[t]:
+                return h
+            new = codes[t]  # t enters its goal line in the blank's place
+        now = [codes[x] for x in tiles[cells]]
+        before = conflicts(tuple(now))
+        now[k] = new
+        return h + conflicts(tuple(now)) - before
+
+    return linear_conflict(board), goal_tables(width, height)[0], fix

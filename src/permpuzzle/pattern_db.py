@@ -11,17 +11,23 @@ height byte, pattern-size byte k, k ascending tile-label bytes, an 8-byte
 unsigned table length L, then L distance bytes indexed by the
 lexicographic rank of the pattern tiles' cell assignment (an ordered
 k-selection out of the n cells).
+
+:func:`rank_of_cells` is the one ranking function: builds, lookups and
+the IDA* update all go through it. This module owns that update
+(:meth:`PatternHeuristic.incremental`), which re-ranks only the database
+holding the moved tile.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
 from collections import deque
 from dataclasses import dataclass
 
-from .board import Board, move_targets
+from .board import Board, check_dimensions, move_targets
 from .errors import ParseError, ResourceLimitError
 
 __all__ = [
@@ -59,6 +65,18 @@ def rank_of_cells(cells, weights) -> int:
     return r
 
 
+def _check_pattern(width: int, height: int, tiles) -> None:
+    """The one validation of a board shape and an ascending tile subset."""
+    check_dimensions(width, height)
+    k = len(tiles)
+    if list(tiles) != sorted(set(tiles)):
+        raise ValueError("pattern tiles must be distinct and ascending")
+    if k < 1 or k > MAX_PATTERN_TILES:
+        raise ValueError(f"pattern size must be 1..{MAX_PATTERN_TILES}, got {k}")
+    if tiles[0] < 1 or tiles[-1] > width * height - 1:
+        raise ValueError("pattern tiles must be non-blank labels 1..n-1")
+
+
 @dataclass(frozen=True)
 class PatternDatabase:
     """Admissible distance table for one tile subset on one board size."""
@@ -69,20 +87,11 @@ class PatternDatabase:
     table: bytes
 
     def __post_init__(self):
-        n = self.width * self.height
-        k = len(self.pattern_tiles)
-        if list(self.pattern_tiles) != sorted(set(self.pattern_tiles)):
-            raise ValueError("pattern tiles must be distinct and ascending")
-        if k < 1 or k > MAX_PATTERN_TILES:
+        _check_pattern(self.width, self.height, self.pattern_tiles)
+        expected = math.perm(self.size, len(self.pattern_tiles))
+        if len(self.table) != expected:
             raise ValueError(
-                f"pattern size must be 1..{MAX_PATTERN_TILES}, got {k}"
-            )
-        if self.pattern_tiles[0] < 1 or self.pattern_tiles[-1] > n - 1:
-            raise ValueError("pattern tiles must be non-blank labels 1..n-1")
-        if len(self.table) != math.perm(n, k):
-            raise ValueError(
-                f"table holds {len(self.table)} entries, "
-                f"expected {math.perm(n, k)}"
+                f"table holds {len(self.table)} entries, expected {expected}"
             )
 
     @property
@@ -119,14 +128,9 @@ def build_pdb(
     reachable from the goal.
     """
     tiles = tuple(sorted(pattern_tiles))
+    _check_pattern(width, height, tiles)
     n = width * height
     k = len(tiles)
-    if len(set(tiles)) != k:
-        raise ValueError("pattern tiles must be distinct")
-    if k < 1 or k > MAX_PATTERN_TILES:
-        raise ValueError(f"pattern size must be 1..{MAX_PATTERN_TILES}, got {k}")
-    if tiles[0] < 1 or tiles[-1] > n - 1:
-        raise ValueError("pattern tiles must be non-blank labels 1..n-1")
 
     table_len = math.perm(n, k)
     state_estimate = table_len * (n - k)
@@ -203,21 +207,36 @@ class PatternHeuristic:
         )
 
     def value_from_positions(self, position) -> int:
-        """Heuristic from a label -> 0-based cell array (solver hot path)."""
-        total = 0
+        """Heuristic from a label -> 0-based cell array."""
+        return sum(
+            table[rank_of_cells([position[t] for t in tiles], weights)]
+            for tiles, weights, table in self._prepared
+        )
+
+    def incremental(self, board: Board, position):
+        """This heuristic as ``(h0, cost, fix)`` over the solver's ``position``.
+
+        ``cost`` is all zeros; ``fix`` re-ranks only the database that owns
+        the moved tile, before and after the move, and adds the change.
+        It reads ``position`` before the move is applied.
+        """
+        n = self.width * self.height
+        owner = [None] * (n + 1)
         for tiles, weights, table in self._prepared:
-            r = 0
-            i = 0
-            cells = [position[t] for t in tiles]
-            for c in cells:
-                smaller = 0
-                for j in range(i):
-                    if cells[j] < c:
-                        smaller += 1
-                r += (c - smaller) * weights[i]
-                i += 1
-            total += table[r]
-        return total
+            for slot, t in enumerate(tiles):
+                owner[t] = (tiles, slot, weights, table)
+
+        def fix(h: int, t: int, j: int, z: int) -> int:
+            entry = owner[t]
+            if entry is None:
+                return h
+            tiles, slot, weights, table = entry
+            cells = [position[x] for x in tiles]
+            before = table[rank_of_cells(cells, weights)]
+            cells[slot] = z
+            return h + table[rank_of_cells(cells, weights)] - before
+
+        return self(board), [[0] * n] * (n + 1), fix
 
     def __call__(self, board: Board) -> int:
         if (board.width, board.height) != (self.width, self.height):
@@ -237,7 +256,7 @@ def pdb_heuristic(board: Board, databases) -> int:
 
 
 def save_pdb(db: PatternDatabase, destination) -> None:
-    """Write the bit-exact on-disk form; ``load_pdb`` inverts it."""
+    """Write the bit-exact on-disk form atomically; ``load_pdb`` inverts it."""
     header = struct.pack(
         "<4sBBBB", MAGIC, VERSION, db.width, db.height, len(db.pattern_tiles)
     )
@@ -247,8 +266,19 @@ def save_pdb(db: PatternDatabase, destination) -> None:
         + struct.pack("<Q", len(db.table))
         + db.table
     )
-    with open(os.fspath(destination), "wb") as fh:
-        fh.write(payload)
+    # Write a sibling temp file, then rename it over the destination, so
+    # a failed write never leaves a partial or clobbered file behind.
+    destination = os.fspath(destination)
+    temp = f"{destination}.{os.urandom(4).hex()}.tmp"
+    fh = open(temp, "xb")
+    try:
+        with fh:
+            fh.write(payload)
+        os.replace(temp, destination)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def load_pdb(source) -> PatternDatabase:

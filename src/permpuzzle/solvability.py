@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .board import Board, Move, move_targets
+from .board import Board, Move, check_dimensions, move_targets
 from .errors import IllegalMoveError, ResourceLimitError
 from .perm import Parity
 
@@ -92,8 +92,10 @@ def reachable_states(
     Returns the component size and the puzzle diameter from the goal
     (eccentricity). States are packed into integers, 4 bits per cell.
     Raises :class:`ResourceLimitError` rather than returning a partial
-    answer when the component would exceed ``max_states``.
+    answer when the component would exceed ``max_states``, and
+    ``ValueError`` for a shape below 2x2.
     """
+    check_dimensions(width, height)
     n = width * height
     if n > 16:
         raise ResourceLimitError(

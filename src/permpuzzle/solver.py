@@ -5,6 +5,14 @@ overflowing value each iteration; with the admissible heuristics offered
 here the first solution found is optimal. Move ordering is fixed (blank
 U, D, L, R) and the inverse of the previous move is pruned, so node
 counts are reproducible.
+
+Every heuristic reaches the search as ``(h0, cost, fix)``, built by its
+own module over the solver's ``tiles`` (cell -> label) and ``position``
+(label -> cell) arrays: the start's value, a per-(tile, cell) table, and
+None or a correction. Sliding tile ``t`` from cell ``j`` into the blank
+at ``z`` gives the child ``fix(h + cost[t][z] - cost[t][j], t, j, z)``,
+called before the arrays change. The goal test is
+``h == 0 and tiles == goal``.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 from .board import MOVE_ORDER, Board, Move, move_targets
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
-from .heuristics import col_conflicts, goal_tables, row_conflicts
+from .heuristics import incremental_linear_conflict, incremental_manhattan
 from .pattern_db import PatternDatabase, PatternHeuristic
 from .solvability import certificate
 
@@ -34,7 +42,6 @@ HEURISTIC_NAMES = ("manhattan", "linear-conflict")
 DEFAULT_BFS_MAX_NODES = 1_000_000
 
 _INF = 1 << 30
-_INVERSE_DIR = (1, 0, 3, 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +51,12 @@ class SearchLimits:
     max_nodes: int | None = None
     max_time: float | None = None
     max_depth: int | None = None
+
+    def __post_init__(self):
+        for name in ("max_nodes", "max_time", "max_depth"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,35 +163,29 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     return SearchResult(moves, nodes, time.perf_counter() - t0)
 
 
-def _resolve_heuristic(heuristic, board: Board):
-    """Map the heuristic argument to (mode, pattern heuristic or None)."""
+def _resolve_heuristic(heuristic, board: Board, tiles, position):
+    """``(h0, cost, fix)`` for the heuristic argument, from the layer that
+    owns it, reading the solver's ``tiles`` and ``position`` arrays."""
     if isinstance(heuristic, str):
         name = heuristic.lower().replace("_", "-")
         if name == "manhattan":
-            return 0, None
+            return incremental_manhattan(board)
         if name == "linear-conflict":
-            return 1, None
+            return incremental_linear_conflict(board, tiles)
         raise ValueError(
             f"unknown heuristic {heuristic!r}; named options: {HEURISTIC_NAMES}"
         )
-    if isinstance(heuristic, PatternHeuristic):
-        ph = heuristic
-    elif isinstance(heuristic, PatternDatabase):
-        ph = PatternHeuristic([heuristic])
-    else:
+    if isinstance(heuristic, PatternDatabase):
+        heuristic = [heuristic]
+    if not isinstance(heuristic, PatternHeuristic):
         try:
-            ph = PatternHeuristic(list(heuristic))
+            heuristic = PatternHeuristic(list(heuristic))
         except TypeError:
             raise ValueError(
                 "heuristic must be a name, a PatternDatabase, a list of them, "
                 "or a PatternHeuristic"
             ) from None
-    if (ph.width, ph.height) != (board.width, board.height):
-        raise ValueError(
-            f"heuristic is for {ph.width}x{ph.height}, "
-            f"board is {board.width}x{board.height}"
-        )
-    return 2, ph
+    return heuristic.incremental(board, position)
 
 
 def ida_star(
@@ -195,65 +202,34 @@ def ida_star(
     """
     limits = limits or SearchLimits()
     t0 = time.perf_counter()
-    mode, pheur = _resolve_heuristic(heuristic, board)
+    n = board.size
+    tiles = list(board.cells)
+    position = [0] * (n + 1)
+    for cell, label in enumerate(tiles):
+        position[label] = cell
+    h0, cost, fix = _resolve_heuristic(heuristic, board, tiles, position)
     _require_solvable(board)
     if board.is_goal():
         return SearchResult((), 0, time.perf_counter() - t0)
 
-    w = board.width
-    n = board.size
-    md, goal_row, goal_col = goal_tables(w, board.height)
-    targets = move_targets(w, board.height)
-    tiles = list(board.cells)
+    targets = move_targets(board.width, board.height)
+    # The blank's legal (direction, destination) pairs, per cell.
+    steps = [
+        [(d, j) for d, j in enumerate(targets[c * 4 : c * 4 + 4]) if j >= 0]
+        for c in range(n)
+    ]
     blank0 = board.blank_index - 1
-    position = [0] * (n + 1)
-    for cell, label in enumerate(tiles):
-        position[label] = cell
     goal_tiles = list(range(1, n + 1))
-
-    if mode == 2:
-        h0 = pheur.value_from_positions(position)
-    else:
-        h0 = sum(md[t][c] for c, t in enumerate(tiles))
-        if mode == 1:
-            for r in range(board.height):
-                h0 += row_conflicts(tiles, w, r, goal_row, goal_col)
-            for c in range(w):
-                h0 += col_conflicts(tiles, w, n, c, goal_row, goal_col)
-
     node_cap = limits.max_nodes
     deadline = t0 + limits.max_time if limits.max_time is not None else None
     max_depth = limits.max_depth
     nodes = 0
     path: list[int] = []
 
-    def lc_affected(t: int, j: int, z: int) -> int:
-        """Conflict total over the lines a move of tile t between cells
-        j and z can change, evaluated on the current ``tiles``."""
-        s = 0
-        rz, cz = divmod(z, w)
-        rj, cj = divmod(j, w)
-        gr = goal_row[t]
-        gc = goal_col[t]
-        if cz == cj:
-            if gr == rj:
-                s += row_conflicts(tiles, w, rj, goal_row, goal_col)
-            if gr == rz:
-                s += row_conflicts(tiles, w, rz, goal_row, goal_col)
-            if gc == cj:
-                s += col_conflicts(tiles, w, n, cj, goal_row, goal_col)
-        else:
-            if gc == cj:
-                s += col_conflicts(tiles, w, n, cj, goal_row, goal_col)
-            if gc == cz:
-                s += col_conflicts(tiles, w, n, cz, goal_row, goal_col)
-            if gr == rj:
-                s += row_conflicts(tiles, w, rj, goal_row, goal_col)
-        return s
-
-    def dfs(blank: int, g: int, bound: int, skip: int, h: int) -> int:
+    def dfs(blank: int, g: int, bound: int, came_from: int, h: int) -> int:
         """Returns -1 when the goal was reached (path holds the moves),
-        else the smallest f that overflowed the bound."""
+        else the smallest f that overflowed the bound. Moving the blank
+        back to ``came_from`` would undo the last move, so it is pruned."""
         nonlocal nodes
         nodes += 1
         if node_cap is not None and nodes > node_cap:
@@ -265,78 +241,34 @@ def ida_star(
                 f"IDA* exceeded {limits.max_time}s", nodes_expanded=nodes
             )
         mn = _INF
-        base = blank * 4
         g1 = g + 1
-        for d in range(4):
-            if d == skip:
-                continue
-            j = targets[base + d]
-            if j < 0:
+        for d, j in steps[blank]:
+            if j == came_from:
                 continue
             t = tiles[j]
-            if mode == 0:
-                child_h = h + md[t][blank] - md[t][j]
-                f = g1 + child_h
-                if f > bound:
-                    if f < mn:
-                        mn = f
-                    continue
-                tiles[blank] = t
-                tiles[j] = n
-                path.append(d)
-                if child_h == 0:
-                    return -1
-                r = dfs(j, g1, bound, _INVERSE_DIR[d], child_h)
-                if r < 0:
-                    return -1
-                if r < mn:
-                    mn = r
-                path.pop()
-                tiles[j] = t
-                tiles[blank] = n
-            elif mode == 1:
-                before = lc_affected(t, j, blank)
-                tiles[blank] = t
-                tiles[j] = n
-                child_h = h + md[t][blank] - md[t][j] + lc_affected(t, j, blank) - before
-                f = g1 + child_h
-                if f > bound:
-                    if f < mn:
-                        mn = f
-                else:
-                    path.append(d)
-                    if child_h == 0:
-                        return -1
-                    r = dfs(j, g1, bound, _INVERSE_DIR[d], child_h)
-                    if r < 0:
-                        return -1
-                    if r < mn:
-                        mn = r
-                    path.pop()
-                tiles[j] = t
-                tiles[blank] = n
-            else:
-                tiles[blank] = t
-                tiles[j] = n
-                position[t] = blank
-                child_h = pheur.value_from_positions(position)
-                f = g1 + child_h
-                if f > bound:
-                    if f < mn:
-                        mn = f
-                else:
-                    path.append(d)
-                    if child_h == 0 and tiles == goal_tiles:
-                        return -1
-                    r = dfs(j, g1, bound, _INVERSE_DIR[d], child_h)
-                    if r < 0:
-                        return -1
-                    if r < mn:
-                        mn = r
-                    path.pop()
-                position[t] = j
-                tiles[j] = t
-                tiles[blank] = n
+            child_h = h + cost[t][blank] - cost[t][j]
+            if fix is not None:
+                child_h = fix(child_h, t, j, blank)
+            f = g1 + child_h
+            if f > bound:
+                if f < mn:
+                    mn = f
+                continue
+            tiles[blank] = t
+            tiles[j] = n
+            position[t] = blank
+            path.append(d)
+            if child_h == 0 and tiles == goal_tiles:
+                return -1
+            r = dfs(j, g1, bound, blank, child_h)
+            if r < 0:
+                return -1
+            if r < mn:
+                mn = r
+            path.pop()
+            position[t] = j
+            tiles[j] = t
+            tiles[blank] = n
         return mn
 
     bound = h0

@@ -95,6 +95,24 @@ class TestParseFormat:
         assert Board.parse(b.format()) == b
 
 
+class TestInputHardening:
+    def test_bool_label_rejected(self):
+        with pytest.raises(ValueError, match="True"):
+            Board(2, 2, (True, 2, 3, 4))
+
+    def test_non_ascii_digit_rejected(self):
+        with pytest.raises(ParseError, match="invalid tile"):
+            Board.parse("1 2\n\u0663 0")
+
+    def test_zero_padded_zero_named_as_written(self):
+        with pytest.raises(ParseError, match="tile 00 outside 1..3"):
+            Board.parse("1 2\n3 00")
+
+    def test_negative_zero_named_as_written(self):
+        with pytest.raises(ParseError, match="invalid tile '-0'"):
+            Board.parse("1 2\n3 -0")
+
+
 class TestPermutationBridge:
     def test_fig3_cycles(self, fig3_board):
         assert str(fig3_board.to_permutation().cycles()) == FIG3_CYCLES

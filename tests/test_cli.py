@@ -113,6 +113,24 @@ class TestSolve:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("option", ["--max-nodes", "--max-time"])
+    def test_negative_limit_exits_two(self, runner, option):
+        result = runner.invoke(main, ["solve", option, "-1", "-"], input=LLOYD_TEXT)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "must be non-negative" in result.stderr
+
+    def test_pdb_for_other_dimensions_exits_two(self, runner, tmp_path):
+        path = tmp_path / "p.spdb"
+        runner.invoke(main, ["pdb-build", "-w", "3", "-h", "2", "--tiles", "1,2", "--out", str(path)])
+        result = runner.invoke(
+            main,
+            ["solve", "--heuristic", "pdb", "--pdb", str(path), "-"],
+            input=Board.goal(3, 3).format(),
+        )
+        assert result.exit_code == 2
+        assert "error: heuristic is for 3x2, board is 3x3" in result.stderr
+
     def test_unknown_heuristic_rejected(self, runner):
         result = runner.invoke(
             main, ["solve", "--heuristic", "euclid", "-"], input=Board.goal(3, 3).format()
@@ -176,6 +194,11 @@ class TestEnumerate:
         assert result.exit_code == 0
         assert result.stdout.strip() == "count=360 max_depth=21"
 
+    def test_one_wide_exits_two(self, runner):
+        result = runner.invoke(main, ["enumerate", "-w", "1", "-h", "5"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
     def test_default_4x4_exits_three(self, runner):
         result = runner.invoke(main, ["enumerate"])
         assert result.exit_code == 3
@@ -213,6 +236,14 @@ class TestPdbBuild:
             main, ["pdb-build", "-w", "3", "-h", "3", "--tiles", "1,x", "--out", str(tmp_path / "o")]
         )
         assert result.exit_code == 2
+
+    def test_one_wide_exits_two(self, runner, tmp_path):
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["pdb-build", "-w", "1", "-h", "5", "--tiles", "1", "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert not out.exists()
 
     def test_oversized_build_exits_three(self, runner, tmp_path):
         result = runner.invoke(

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import errno
+import io
 import math
+import os
 import random
 import struct
 
@@ -17,6 +20,7 @@ from permpuzzle import (
     pdb_heuristic,
     save_pdb,
 )
+from permpuzzle import pattern_db
 
 from oracles import exact_distances
 
@@ -64,6 +68,13 @@ class TestBuild:
             build_pdb(3, 3, [])
         with pytest.raises(ValueError):
             build_pdb(4, 4, list(range(1, 10)))
+
+    def test_rejects_shapes_below_2x2(self):
+        for width, height in ((1, 5), (5, 1)):
+            with pytest.raises(ValueError, match="at least 2x2"):
+                build_pdb(width, height, [1])
+            with pytest.raises(ValueError, match="at least 2x2"):
+                PatternDatabase(width, height, (1,), b"\x00" * 5)
 
     def test_state_guard(self):
         # P(16,6) placements x 10 blank cells is past the default ceiling.
@@ -136,6 +147,26 @@ class TestPersistence:
         (length,) = struct.unpack_from("<Q", raw, 10)
         assert length == math.perm(6, 2)
         assert len(raw) == 18 + length
+
+    def test_save_leaves_no_temp_file(self, tmp_path):
+        save_pdb(build_pdb(3, 2, [1, 2]), tmp_path / "p.spdb")
+        assert os.listdir(tmp_path) == ["p.spdb"]
+
+    def test_failed_write_keeps_destination(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.spdb"
+        save_pdb(build_pdb(3, 2, [1, 2]), path)
+        before = path.read_bytes()
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pattern_db, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_pdb(build_pdb(3, 2, [1, 2, 3]), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["p.spdb"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.spdb"

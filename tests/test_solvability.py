@@ -126,6 +126,11 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             reachable_states(4, 4)
 
+    def test_rejects_shapes_below_2x2(self):
+        for width, height in ((1, 5), (5, 1)):
+            with pytest.raises(ValueError, match="at least 2x2"):
+                reachable_states(width, height)
+
     def test_refuses_when_ceiling_too_small(self):
         with pytest.raises(ResourceLimitError):
             reachable_states(3, 2, max_states=100)

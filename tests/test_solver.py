@@ -148,6 +148,15 @@ class TestIdaStar:
         with pytest.raises(ResourceLimitError):
             ida_star(Board(3, 3, cells), "manhattan", SearchLimits(max_time=0.0))
 
+    @pytest.mark.parametrize("field", ["max_nodes", "max_time", "max_depth"])
+    def test_negative_limits_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            SearchLimits(**{field: -1})
+
+    def test_zero_limits_allowed(self):
+        limits = SearchLimits(max_nodes=0, max_time=0.0, max_depth=0)
+        assert ida_star(Board.goal(3, 3), "manhattan", limits).length == 0
+
     def test_wrong_dimension_pdb_rejected(self, pdb_pair_3x3):
         with pytest.raises(ValueError, match="heuristic is for"):
             ida_star(Board.goal(4, 4), pdb_pair_3x3)
