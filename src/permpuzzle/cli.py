@@ -171,20 +171,26 @@ def enumerate_cmd(width, height):
     click.echo(f"count={report.count} max_depth={report.max_depth}")
 
 
+def _echo_layer(distance: int, placements: int, states: int) -> None:
+    click.echo(f"layer={distance} placements={placements} states={states}", err=True)
+
+
 @main.command("pdb-build")
 @_dim_options
 @click.option("--tiles", required=True, metavar="LIST",
               help="Comma-separated pattern tile labels, e.g. 1,2,3,4.")
 @click.option("--out", "out_path", required=True, metavar="PATH",
               help="Destination file.")
-def pdb_build(width, height, tiles, out_path):
+@click.option("--progress", is_flag=True,
+              help="Print layer=D placements=P states=S on stderr after each BFS layer.")
+def pdb_build(width, height, tiles, out_path, progress):
     """Build a pattern database and write it to disk."""
     try:
         labels = [int(tok) for tok in tiles.replace(",", " ").split()]
     except ValueError:
         _fail(f"invalid tile list {tiles!r}", EXIT_INPUT)
     try:
-        db = build_pdb(width, height, labels)
+        db = build_pdb(width, height, labels, progress=_echo_layer if progress else None)
     except ResourceLimitError as exc:
         _fail(str(exc), EXIT_RESOURCE)
     except ValueError as exc:

@@ -12,6 +12,12 @@ unsigned table length L, then L distance bytes indexed by the
 lexicographic rank of the pattern tiles' cell assignment (an ordered
 k-selection out of the n cells).
 
+:func:`build_pdb` runs a layer-by-layer 0/1 BFS over flat arrays: the
+table (P(n,k) bytes) and a ``seen`` byte per (placement, blank cell)
+(P(n,k)·n bytes), so a build holds P(n,k)·(n+1) bytes plus the lists of
+``rank * n + blank`` ints for the current and next layer; no tuple or
+dict entry is made per state. Width, height and labels must fit a byte.
+
 :func:`rank_of_cells` is the one ranking function: builds, lookups and
 the IDA* update all go through it. This module owns that update
 (:meth:`PatternHeuristic.incremental`), which re-ranks only the database
@@ -24,7 +30,6 @@ import contextlib
 import math
 import os
 import struct
-from collections import deque
 from dataclasses import dataclass
 
 from .board import Board, check_dimensions, move_targets
@@ -75,6 +80,8 @@ def _check_pattern(width: int, height: int, tiles) -> None:
         raise ValueError(f"pattern size must be 1..{MAX_PATTERN_TILES}, got {k}")
     if tiles[0] < 1 or tiles[-1] > width * height - 1:
         raise ValueError("pattern tiles must be non-blank labels 1..n-1")
+    if width > 255 or height > 255 or tiles[-1] > 255:
+        raise ValueError("the SPDB format stores dimensions and tile labels up to 255")
 
 
 @dataclass(frozen=True)
@@ -117,15 +124,17 @@ def build_pdb(
     pattern_tiles,
     *,
     max_states: int = DEFAULT_MAX_STATES,
+    progress=None,
 ) -> PatternDatabase:
     """Exhaustive backward search from the goal over (placement, blank).
 
     Moving the blank across a non-pattern tile costs nothing; moving it
-    across a pattern tile costs one. A 0/1-cost BFS therefore settles
-    states in nondecreasing distance order, and the first time a
-    placement is settled (at any blank position) gives its table entry.
-    Placements never reached keep 0xFF; they cannot occur in a position
-    reachable from the goal.
+    across a pattern tile costs one. The 0/1-cost BFS goes layer by layer,
+    flooding the blank's free region at cost 0; the first layer to settle
+    a placement gives its entry, capped at 0xFE. Placements not settled by
+    layer 255 keep 0xFF (never reached ones cannot occur from the goal).
+    ``progress(distance, placements, states)``, if given, receives the
+    running settled counts after each layer.
     """
     tiles = tuple(sorted(pattern_tiles))
     _check_pattern(width, height, tiles)
@@ -142,40 +151,53 @@ def build_pdb(
 
     weights = rank_weights(n, k)
     targets = move_targets(width, height)
+    neighbours = [[d for d in targets[4 * c : 4 * c + 4] if d >= 0] for c in range(n)]
     table = bytearray([UNREACHED]) * table_len
-
-    goal_cells = tuple(t - 1 for t in tiles)
-    start = (n - 1, goal_cells)
-    best = {start: 0}
-    queue = deque([(0, n - 1, goal_cells)])
-    while queue:
-        dist, blank, cells = queue.popleft()
-        key = (blank, cells)
-        if dist > best[key]:
-            continue
-        r = rank_of_cells(cells, weights)
-        if table[r] == UNREACHED:
-            table[r] = min(dist, 0xFE)
-        base = blank * 4
-        for d in range(4):
-            dest = targets[base + d]
-            if dest < 0:
+    seen = bytearray(table_len * n)  # [rank * n + blank]: 1 queued, 2 settled
+    frontier = [rank_of_cells([t - 1 for t in tiles], weights) * n + n - 1]
+    dist = placements = states = 0
+    while frontier and dist <= 0xFF:
+        layer = []
+        for index in frontier:
+            if seen[index] == 2:
                 continue
-            if dest in cells:
-                # A pattern tile slides into the blank: cost 1.
-                i = cells.index(dest)
-                child_cells = cells[:i] + (blank,) + cells[i + 1 :]
-                child = (dest, child_cells)
-                nd = dist + 1
-                if nd < best.get(child, UNREACHED + 1):
-                    best[child] = nd
-                    queue.append((nd, dest, child_cells))
-            else:
-                # Only the blank (or an anonymous tile) moves: cost 0.
-                child = (dest, cells)
-                if dist < best.get(child, UNREACHED + 1):
-                    best[child] = dist
-                    queue.appendleft((dist, dest, cells))
+            rank, blank = divmod(index, n)
+            if table[rank] == UNREACHED:
+                table[rank] = min(dist, 0xFE)
+                placements += 1
+            free, cells, slot, rest = list(range(n)), [], [None] * n, rank
+            for i, w in enumerate(weights):  # unrank: digit i picks a free cell
+                digit, rest = divmod(rest, w)
+                cells.append(free.pop(digit))
+                slot[cells[i]] = i
+            base = rank * n
+            seen[base + blank] = 2
+            region = [blank]
+            for z in region:
+                for a in neighbours[z]:
+                    i = slot[a]
+                    if i is None:  # the blank moves on at cost 0
+                        if seen[base + a] != 2:
+                            seen[base + a] = 2
+                            region.append(a)
+                        continue
+                    # Tile i slides from a into z at cost 1: its digit moves by z - a;
+                    # each tile j between a and z shifts the digit of the later of i, j.
+                    child = rank + (z - a) * weights[i]
+                    if z - a != 1 and a - z != 1:
+                        for j, c in enumerate(cells):
+                            if a < c < z:
+                                child += weights[j] if j > i else -weights[i]
+                            elif z < c < a:
+                                child -= weights[j] if j > i else -weights[i]
+                    child = child * n + a
+                    if not seen[child]:
+                        seen[child] = 1
+                        layer.append(child)
+            states += len(region)
+        if progress is not None:
+            progress(dist, placements, states)
+        frontier, dist = layer, dist + 1
     return PatternDatabase(width, height, tiles, bytes(table))
 
 

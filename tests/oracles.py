@@ -2,12 +2,15 @@
 
 Nothing here goes through the code paths under test: reachability and
 distances come from a plain tuple-based BFS, signs from inversion
-counting, composition from pointwise evaluation.
+counting, composition from pointwise evaluation, pattern databases from
+Dijkstra over a dict with ``itertools.permutations`` as the ranking.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
+from itertools import permutations
 
 
 def inversion_sign(images) -> int:
@@ -85,3 +88,41 @@ def tile_taxicab(cells, width: int, height: int) -> int:
         gr, gc = divmod(label - 1, width)
         total += abs(r - gr) + abs(c - gc)
     return total
+
+
+def pattern_table(width: int, height: int, tiles) -> bytes:
+    """A pattern database by Dijkstra over a dict of (blank, cells) states.
+
+    Sliding a pattern tile costs 1; every other blank move costs 0. An
+    entry is the least distance over the blank's cells, capped at 0xFE;
+    placements never reached read 0xFF. Entries are ordered as
+    ``itertools.permutations(range(n), k)`` lists the placements, which
+    is lexicographic.
+    """
+    n = width * height
+    start = (n - 1, tuple(t - 1 for t in tiles))
+    dist = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        d, state = heapq.heappop(heap)
+        if d > dist[state]:
+            continue
+        blank, cells = state
+        r, c = divmod(blank, width)
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            nr, nc = r + dr, c + dc
+            if not (0 <= nr < height and 0 <= nc < width):
+                continue
+            j = nr * width + nc
+            moved = tuple(blank if x == j else x for x in cells)
+            child, nd = (j, moved), d + (moved != cells)
+            if nd < dist.get(child, nd + 1):
+                dist[child] = nd
+                heapq.heappush(heap, (nd, child))
+    best: dict[tuple[int, ...], int] = {}
+    for (_, cells), d in dist.items():
+        best[cells] = min(d, best.get(cells, d))
+    return bytes(
+        min(best[p], 0xFE) if p in best else 0xFF
+        for p in permutations(range(n), len(tiles))
+    )

@@ -245,6 +245,34 @@ class TestPdbBuild:
         assert result.exit_code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "width, height, tiles", [("256", "2", "1"), ("20", "20", "300")]
+    )
+    def test_shape_the_format_cannot_store_exits_two(self, runner, tmp_path, width, height, tiles):
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["pdb-build", "-w", width, "-h", height, "--tiles", tiles, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error:")
+        assert not out.exists()
+
+    def test_progress_lines_on_stderr(self, runner, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        args = ["pdb-build", "-w", "3", "-h", "2", "--tiles", "1,2", "--out"]
+        quiet = runner.invoke(main, args + [str(a)])
+        loud = runner.invoke(main, args + [str(b), "--progress"])
+        assert loud.exit_code == quiet.exit_code == 0
+        assert (quiet.stdout, quiet.stderr) == (f"entries=30 out={a}\n", "")
+        assert loud.stdout == f"entries=30 out={b}\n"
+        assert a.read_bytes() == b.read_bytes()
+        lines = loud.stderr.splitlines()
+        assert lines[0] == "layer=0 placements=1 states=4"
+        assert all(
+            line.startswith(f"layer={d} placements=") and " states=" in line
+            for d, line in enumerate(lines)
+        )
+
     def test_oversized_build_exits_three(self, runner, tmp_path):
         result = runner.invoke(
             main,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import io
 import math
 import os
@@ -8,6 +9,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permpuzzle import (
     Board,
@@ -22,7 +24,16 @@ from permpuzzle import (
 )
 from permpuzzle import pattern_db
 
-from oracles import exact_distances
+from oracles import exact_distances, pattern_table
+
+
+@st.composite
+def small_patterns(draw):
+    """A shape and an ascending 1-4 tile pattern on it."""
+    width, height = draw(st.sampled_from([(2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]))
+    labels = range(1, width * height)
+    tiles = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
+    return width, height, tuple(sorted(tiles))
 
 
 class TestBuild:
@@ -75,6 +86,42 @@ class TestBuild:
                 build_pdb(width, height, [1])
             with pytest.raises(ValueError, match="at least 2x2"):
                 PatternDatabase(width, height, (1,), b"\x00" * 5)
+
+    def test_rejects_shapes_the_format_cannot_store(self):
+        # Width, height and tile labels are single bytes in an SPDB file.
+        for width, height, tiles in ((256, 2, [1]), (2, 256, [1]), (20, 20, [300])):
+            with pytest.raises(ValueError, match="up to 255"):
+                build_pdb(width, height, tiles)
+        PatternDatabase(255, 2, (1,), bytes(510))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_patterns())
+    def test_matches_dict_oracle_byte_for_byte(self, pattern):
+        width, height, tiles = pattern
+        assert build_pdb(width, height, tiles).table == pattern_table(width, height, tiles)
+
+    @pytest.mark.parametrize(
+        "tiles, digest",
+        [
+            ((1, 2, 5, 6), "9d9d2304ca726402af2e1dee923e16e04303bbf83b8c264e0e2c82d240895405"),
+            ((11, 12, 15), "44e4fcaa72eeeb6a662c89cca24c3388c9466f15790f1379445f3f05d7293fb0"),
+        ],
+        ids=["1,2,5,6", "11,12,15"],
+    )
+    def test_4x4_table_digest_pinned(self, tiles, digest):
+        # Read from the dict-based builder these tables were first made with.
+        assert hashlib.sha256(build_pdb(4, 4, tiles).table).hexdigest() == digest
+
+    @pytest.mark.parametrize("width, height, tiles", [(3, 3, [1, 2, 3, 4]), (2, 2, [1, 2, 3])])
+    def test_progress_once_per_layer(self, width, height, tiles):
+        calls = []
+        db = build_pdb(width, height, tiles, progress=lambda *layer: calls.append(layer))
+        assert [d for d, _, _ in calls] == list(range(len(calls)))
+        assert calls[-1][0] == max(b for b in db.table if b != 0xFF)
+        assert calls[-1][1] == len(db.table) - db.table.count(0xFF)
+        placements = [p for _, p, _ in calls]
+        states = [s for _, _, s in calls]
+        assert placements == sorted(placements) and states == sorted(states)
 
     def test_state_guard(self):
         # P(16,6) placements x 10 blank cells is past the default ceiling.
