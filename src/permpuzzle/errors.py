@@ -36,8 +36,19 @@ class UnsolvableError(PuzzleError):
 
 
 class ResourceLimitError(PuzzleError, RuntimeError):
-    """A node, time, depth, or memory ceiling was hit before an answer was found."""
+    """A node, time, depth, or memory ceiling was hit before an answer was found.
 
-    def __init__(self, message: str, *, nodes_expanded: int | None = None):
+    A search that was cut short sets ``lower_bound``, a length the optimal
+    solution is proven to reach, so the abort still reports a true fact.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        nodes_expanded: int | None = None,
+        lower_bound: int | None = None,
+    ):
         super().__init__(message)
         self.nodes_expanded = nodes_expanded
+        self.lower_bound = lower_bound

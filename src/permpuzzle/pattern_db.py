@@ -131,8 +131,9 @@ def build_pdb(
     Moving the blank across a non-pattern tile costs nothing; moving it
     across a pattern tile costs one. The 0/1-cost BFS goes layer by layer,
     flooding the blank's free region at cost 0; the first layer to settle
-    a placement gives its entry, capped at 0xFE. Placements not settled by
-    layer 255 keep 0xFF (never reached ones cannot occur from the goal).
+    a placement gives its entry, capped at 0xFE. The search runs until
+    the frontier is empty, so only placements that cannot occur from the
+    goal keep 0xFF.
     ``progress(distance, placements, states)``, if given, receives the
     running settled counts after each layer.
     """
@@ -156,7 +157,7 @@ def build_pdb(
     seen = bytearray(table_len * n)  # [rank * n + blank]: 1 queued, 2 settled
     frontier = [rank_of_cells([t - 1 for t in tiles], weights) * n + n - 1]
     dist = placements = states = 0
-    while frontier and dist <= 0xFF:
+    while frontier:
         layer = []
         for index in frontier:
             if seen[index] == 2:

@@ -73,7 +73,7 @@ def certificate(board: Board) -> SolvabilityCertificate:
 
 def is_solvable(board: Board) -> bool:
     """True iff the goal is reachable from ``board`` by legal moves."""
-    return board.to_permutation().sign() is Parity.of(blank_distance(board))
+    return certificate(board).solvable
 
 
 @dataclass(frozen=True, slots=True)

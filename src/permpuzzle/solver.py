@@ -1,5 +1,11 @@
 """Optimal solvers: an exact BFS oracle for small boards and IDA* search.
 
+The oracle is a bidirectional BFS (Pohl 1971) over states packed 4 bits
+per cell: it grows a ball from the start and one from the goal, a layer
+at a time, and stops at the first state they share. A visited map keeps
+only the blank's last direction per state; the path is rebuilt by
+undoing those moves from the meeting state back to each root.
+
 IDA* runs depth-first with an f = g + h threshold raised to the smallest
 overflowing value each iteration; with the admissible heuristics offered
 here the first solution found is optimal. Move ordering is fixed (blank
@@ -37,8 +43,9 @@ __all__ = [
 # Named heuristics usable without prebuilt tables.
 HEURISTIC_NAMES = ("manhattan", "linear-conflict")
 
-# Expansion ceiling applied to BFS when no explicit limit is given;
-# admits every board with up to 9 cells.
+# Expansion ceiling applied to BFS when no explicit limit is given, counted
+# over both sides: it exceeds the 9!/2 = 181,440 states of a 9-cell
+# component, so every board with up to 9 cells is admitted.
 DEFAULT_BFS_MAX_NODES = 1_000_000
 
 _INF = 1 << 30
@@ -81,10 +88,16 @@ def _require_solvable(board: Board):
 
 
 def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResult:
-    """Minimum-length solution by breadth-first search from ``board``.
+    """Minimum-length solution by bidirectional breadth-first search.
 
-    The exact oracle: feasible only for small boards (default ceiling of
-    one million expansions covers everything up to 9 cells).
+    The exact oracle, feasible only for small boards (default ceiling of
+    one million expansions covers everything up to 9 cells). One ball
+    grows from ``board`` and one from the goal, a whole layer of the side
+    with the smaller frontier at a time (ties go to the start's side);
+    the first child found in the other side's ball closes an optimal
+    path. ``nodes_expanded`` counts the states expanded on both sides. A
+    :class:`ResourceLimitError` carries ``lower_bound``: one more than
+    the two radii, which the optimal length is proven to reach.
     """
     limits = limits or SearchLimits()
     t0 = time.perf_counter()
@@ -107,27 +120,35 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
         goal |= cell << (4 * cell)
     blank_nibble = n - 1
 
-    parents: dict[int, tuple[int, int] | None] = {start: None}
-    frontier = [(start, board.blank_index - 1)]
+    # Each side maps a visited state to the direction its blank travelled
+    # to get there (-1 at the side's root); the two maps stay disjoint
+    # until the meet, so before each layer the optimal length exceeds
+    # radius[0] + radius[1].
+    seen = ({start: -1}, {goal: -1})
+    frontiers = [[(start, board.blank_index - 1)], [(goal, n - 1)]]
+    radius = [0, 0]
     nodes = 0
-    depth = 0
-    found = None
-    while frontier and found is None:
-        if limits.max_depth is not None and depth >= limits.max_depth:
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        own, other = seen[side], seen[1 - side]
+        bound = radius[0] + radius[1] + 1
+        if limits.max_depth is not None and bound > limits.max_depth:
             raise ResourceLimitError(
                 f"no solution within depth {limits.max_depth}",
-                nodes_expanded=nodes,
+                nodes_expanded=nodes, lower_bound=bound,
             )
         next_frontier = []
-        for state, blank in frontier:
+        for state, blank in frontiers[side]:
             nodes += 1
             if nodes > node_cap:
                 raise ResourceLimitError(
-                    f"BFS exceeded {node_cap} expansions", nodes_expanded=nodes
+                    f"BFS exceeded {node_cap} expansions",
+                    nodes_expanded=nodes, lower_bound=bound,
                 )
             if deadline is not None and not nodes & 4095 and time.perf_counter() > deadline:
                 raise ResourceLimitError(
-                    f"BFS exceeded {limits.max_time}s", nodes_expanded=nodes
+                    f"BFS exceeded {limits.max_time}s",
+                    nodes_expanded=nodes, lower_bound=bound,
                 )
             base = blank * 4  # stride-4 into both the move table and the nibbles
             for d in range(4):
@@ -138,29 +159,43 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
                 tile = (state >> tshift) & 15
                 delta = tile ^ blank_nibble
                 child = state ^ (delta << tshift) ^ (delta << base)
-                if child in parents:
+                if child in own:
                     continue
-                parents[child] = (state, d)
-                if child == goal:
-                    found = child
-                    break
+                if child in other:
+                    # Start's ball up to ``near``, one step, goal's ball from ``far``.
+                    if side == 0:
+                        near, step, far = (state, blank), d, (child, target)
+                    else:
+                        near, step, far = (child, target), d ^ 1, (state, blank)
+                    dirs = _unwind(*near, seen[0], targets, blank_nibble)
+                    dirs.reverse()
+                    dirs.append(step)
+                    dirs.extend(e ^ 1 for e in _unwind(*far, seen[1], targets, blank_nibble))
+                    moves = tuple(MOVE_ORDER[e] for e in dirs)
+                    return SearchResult(moves, nodes, time.perf_counter() - t0)
+                own[child] = d
                 next_frontier.append((child, target))
-            if found is not None:
-                break
-        frontier = next_frontier
-        depth += 1
+        frontiers[side] = next_frontier
+        radius[side] += 1
 
-    if found is None:
-        # Unreachable: solvability was checked up front.
-        raise PuzzleError("BFS exhausted the component without finding the goal")
+    # Unreachable: solvability was checked up front.
+    raise PuzzleError("BFS exhausted the component without finding the goal")
+
+
+def _unwind(state: int, blank: int, seen: dict, targets, blank_nibble: int) -> list[int]:
+    """Directions recorded in ``seen`` from ``state`` back to its root,
+    last move first; each step undoes one by moving the blank back."""
     dirs = []
-    state = found
-    while parents[state] is not None:
-        state, d = parents[state]
+    d = seen[state]
+    while d >= 0:
         dirs.append(d)
-    dirs.reverse()
-    moves = tuple(MOVE_ORDER[d] for d in dirs)
-    return SearchResult(moves, nodes, time.perf_counter() - t0)
+        prev = targets[blank * 4 + (d ^ 1)]
+        pshift = prev * 4
+        delta = ((state >> pshift) & 15) ^ blank_nibble
+        state ^= (delta << pshift) ^ (delta << (blank * 4))
+        blank = prev
+        d = seen[state]
+    return dirs
 
 
 def _resolve_heuristic(heuristic, board: Board, tiles, position):
@@ -198,7 +233,10 @@ def ida_star(
     ``heuristic`` is a name from :data:`HEURISTIC_NAMES`, or pattern
     database(s) (pairwise disjoint) for an additive table-driven bound.
     Unsolvable boards are rejected via the O(n) parity certificate before
-    any node is expanded.
+    any node is expanded. A :class:`ResourceLimitError` carries
+    ``lower_bound``, the threshold being searched (h(start), then the
+    least f that overflowed an exhausted iteration); with an admissible
+    heuristic the optimal length is proven to reach it.
     """
     limits = limits or SearchLimits()
     t0 = time.perf_counter()
@@ -234,11 +272,13 @@ def ida_star(
         nodes += 1
         if node_cap is not None and nodes > node_cap:
             raise ResourceLimitError(
-                f"IDA* exceeded {node_cap} expansions", nodes_expanded=nodes
+                f"IDA* exceeded {node_cap} expansions",
+                nodes_expanded=nodes, lower_bound=bound,
             )
         if deadline is not None and not nodes & 2047 and time.perf_counter() > deadline:
             raise ResourceLimitError(
-                f"IDA* exceeded {limits.max_time}s", nodes_expanded=nodes
+                f"IDA* exceeded {limits.max_time}s",
+                nodes_expanded=nodes, lower_bound=bound,
             )
         mn = _INF
         g1 = g + 1
@@ -275,7 +315,8 @@ def ida_star(
     while True:
         if max_depth is not None and bound > max_depth:
             raise ResourceLimitError(
-                f"no solution within depth {max_depth}", nodes_expanded=nodes
+                f"no solution within depth {max_depth}",
+                nodes_expanded=nodes, lower_bound=bound,
             )
         r = dfs(blank0, 0, bound, -1, h0)
         if r < 0:

@@ -123,6 +123,12 @@ class TestBuild:
         states = [s for _, _, s in calls]
         assert placements == sorted(placements) and states == sorted(states)
 
+    def test_runs_past_distance_255(self):
+        # Tile 1's far corner on 255x3 is 256 slides from home.
+        table = build_pdb(255, 3, [1]).table
+        assert table.count(0xFF) == 0
+        assert table[2 * 255 + 254] == 0xFE
+
     def test_state_guard(self):
         # P(16,6) placements x 10 blank cells is past the default ceiling.
         with pytest.raises(ResourceLimitError):

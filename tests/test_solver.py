@@ -18,6 +18,8 @@ from permpuzzle import (
     verify_sequence,
 )
 
+from oracles import exact_distances
+
 
 @pytest.fixture(scope="module")
 def pdb_pair_3x3():
@@ -67,6 +69,49 @@ class TestBfsOptimal:
         if d > 1:
             with pytest.raises(ResourceLimitError):
                 bfs_optimal(b, SearchLimits(max_depth=d - 1))
+
+    @pytest.mark.parametrize("width, height", [(2, 3), (2, 4), (4, 2), (3, 3)])
+    def test_exact_on_sampled_states(self, width, height, dist_3x3):
+        # The 2-wide, 3-high board has 360 states, so all of them are checked.
+        dist = dist_3x3 if (width, height) == (3, 3) else exact_distances(width, height)
+        rng = random.Random(f"bfs/{width}x{height}")
+        for cells in rng.sample(sorted(dist), min(len(dist), 400)):
+            b = Board(width, height, cells)
+            result = bfs_optimal(b)
+            assert result.length == dist[cells]
+            assert verify_sequence(b, result.moves).solved
+
+    @pytest.mark.parametrize("d", [1, 2, 20, 21, 31])
+    def test_depth_limit_is_exact(self, d, dist_3x3, solvable_3x3_states):
+        cells = next(c for c in solvable_3x3_states if dist_3x3[c] == d)
+        b = Board(3, 3, cells)
+        assert bfs_optimal(b, SearchLimits(max_depth=d)).length == d
+        with pytest.raises(ResourceLimitError) as exc:
+            bfs_optimal(b, SearchLimits(max_depth=d - 1))
+        assert exc.value.lower_bound == d
+
+    def test_node_limit_lower_bound_is_proven(self, dist_3x3, solvable_3x3_states):
+        rng = random.Random(9)
+        for cells in rng.sample(solvable_3x3_states, 60):
+            for cap in (0, 7, 60, 400):
+                try:
+                    bfs_optimal(Board(3, 3, cells), SearchLimits(max_nodes=cap))
+                except ResourceLimitError as exc:
+                    assert 1 <= exc.lower_bound <= dist_3x3[cells]
+
+    def test_4x4_short_scramble(self):
+        # The 16th cell's nibble is 15: the blank at home uses all 64 bits.
+        for seed in range(3):
+            b, seq = scramble(4, 4, 14, seed)
+            result = bfs_optimal(b)
+            assert result.length == ida_star(b).length <= len(seq)
+            assert verify_sequence(b, result.moves).solved
+
+    def test_nodes_expanded_pinned(self, solvable_3x3_states):
+        # Read from this implementation; a change is a behaviour change.
+        rng = random.Random(4)
+        boards = [Board(3, 3, c) for c in rng.sample(solvable_3x3_states, 5)]
+        assert [bfs_optimal(b).nodes_expanded for b in boards] == [928, 576, 1875, 1342, 1241]
 
 
 class TestIdaStar:
@@ -142,6 +187,28 @@ class TestIdaStar:
         if d > 1:
             with pytest.raises(ResourceLimitError):
                 ida_star(b, "linear-conflict", SearchLimits(max_depth=d - 1))
+
+    @pytest.mark.parametrize("heuristic", ["manhattan", "linear-conflict", "pdb"])
+    def test_depth_limit_lower_bound(self, heuristic, pdb_pair_3x3, dist_3x3, solvable_3x3_states):
+        h = pdb_pair_3x3 if heuristic == "pdb" else heuristic
+        rng = random.Random(12)
+        for cells in rng.sample(solvable_3x3_states, 20):
+            d = dist_3x3[cells]
+            if d == 0:
+                continue
+            with pytest.raises(ResourceLimitError) as exc:
+                ida_star(Board(3, 3, cells), h, SearchLimits(max_depth=d - 1))
+            assert exc.value.lower_bound == d
+
+    def test_node_limit_lower_bound_is_proven(self, dist_3x3, solvable_3x3_states):
+        rng = random.Random(13)
+        for cells in rng.sample(solvable_3x3_states, 60):
+            b = Board(3, 3, cells)
+            for cap in (0, 10, 100, 1000):
+                try:
+                    ida_star(b, "manhattan", SearchLimits(max_nodes=cap))
+                except ResourceLimitError as exc:
+                    assert manhattan(b) <= exc.lower_bound <= dist_3x3[cells]
 
     def test_time_limit(self, dist_3x3):
         cells = max(dist_3x3, key=dist_3x3.get)
