@@ -84,6 +84,12 @@ def line_conflicts(codes) -> int:
     return 2 * (len(coords) - max(best))
 
 
+# Conflicts keyed by a line's codes, shared by every solve: a line of w
+# cells has at most (w+1)^w codes (625 for 4x4), and the ceiling keeps the
+# memo bounded on large boards.
+_memo_line_conflicts = lru_cache(maxsize=1 << 16)(line_conflicts)
+
+
 def linear_conflict(board: Board) -> int:
     """Manhattan distance plus 2 per tile forced out of its goal row/column.
 
@@ -110,12 +116,11 @@ def incremental_linear_conflict(board: Board, tiles):
     ``cost`` is the Manhattan table. A slide keeps the order of the line
     it runs along, so ``fix`` adds only the conflict change of the one
     perpendicular goal line the tile leaves or enters, reading ``tiles``
-    before the move. A per-solve memo keyed by line codes holds at most
-    (w+1)^w entries for lines of w cells.
+    before the move, through the module's memo of line conflicts.
     """
     width, height = board.width, board.height
     lines = _goal_lines(width, height)
-    conflicts = lru_cache(maxsize=None)(line_conflicts)
+    conflicts = _memo_line_conflicts
 
     def fix(h: int, t: int, j: int, z: int) -> int:
         if abs(z - j) == width:  # vertical: the rows of j and z, at column k

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .board import MOVE_ORDER, Board, Move, move_targets
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
@@ -145,7 +146,8 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
                     f"BFS exceeded {node_cap} expansions",
                     nodes_expanded=nodes, lower_bound=bound,
                 )
-            if deadline is not None and not nodes & 4095 and time.perf_counter() > deadline:
+            # The clock is read on the first expansion, then every 4096th.
+            if deadline is not None and nodes & 4095 == 1 and time.perf_counter() > deadline:
                 raise ResourceLimitError(
                     f"BFS exceeded {limits.max_time}s",
                     nodes_expanded=nodes, lower_bound=bound,
@@ -198,6 +200,13 @@ def _unwind(state: int, blank: int, seen: dict, targets, blank_nibble: int) -> l
     return dirs
 
 
+@lru_cache(maxsize=1)
+def _pattern_heuristic(databases: tuple) -> PatternHeuristic:
+    """The last summed heuristic built from bare databases, so repeated
+    solves with the same list expand its tables once."""
+    return PatternHeuristic(databases)
+
+
 def _resolve_heuristic(heuristic, board: Board, tiles, position):
     """``(h0, cost, fix)`` for the heuristic argument, from the layer that
     owns it, reading the solver's ``tiles`` and ``position`` arrays."""
@@ -214,12 +223,13 @@ def _resolve_heuristic(heuristic, board: Board, tiles, position):
         heuristic = [heuristic]
     if not isinstance(heuristic, PatternHeuristic):
         try:
-            heuristic = PatternHeuristic(list(heuristic))
+            databases = tuple(heuristic)
         except TypeError:
             raise ValueError(
                 "heuristic must be a name, a PatternDatabase, a list of them, "
                 "or a PatternHeuristic"
             ) from None
+        heuristic = _pattern_heuristic(databases)
     return heuristic.incremental(board, position)
 
 
@@ -231,12 +241,14 @@ def ida_star(
     """Optimal solve by iterative-deepening A*.
 
     ``heuristic`` is a name from :data:`HEURISTIC_NAMES`, or pattern
-    database(s) (pairwise disjoint) for an additive table-driven bound.
-    Unsolvable boards are rejected via the O(n) parity certificate before
-    any node is expanded. A :class:`ResourceLimitError` carries
-    ``lower_bound``, the threshold being searched (h(start), then the
-    least f that overflowed an exhausted iteration); with an admissible
-    heuristic the optimal length is proven to reach it.
+    database(s) (pairwise disjoint) for an additive table-driven bound;
+    a :class:`PatternHeuristic` over them is built once and kept for the
+    next solve with the same databases. Unsolvable boards are rejected
+    via the O(n) parity certificate before any node is expanded. A
+    :class:`ResourceLimitError` carries ``lower_bound``, the threshold
+    being searched (h(start), then the least f that overflowed an
+    exhausted iteration); with an admissible heuristic the optimal
+    length is proven to reach it.
     """
     limits = limits or SearchLimits()
     t0 = time.perf_counter()
@@ -275,7 +287,8 @@ def ida_star(
                 f"IDA* exceeded {node_cap} expansions",
                 nodes_expanded=nodes, lower_bound=bound,
             )
-        if deadline is not None and not nodes & 2047 and time.perf_counter() > deadline:
+        # The clock is read on the first expansion, then every 2048th.
+        if deadline is not None and nodes & 2047 == 1 and time.perf_counter() > deadline:
             raise ResourceLimitError(
                 f"IDA* exceeded {limits.max_time}s",
                 nodes_expanded=nodes, lower_bound=bound,

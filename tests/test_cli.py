@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from click.testing import CliRunner
 
@@ -289,6 +291,63 @@ class TestPdbBuild:
             input=Board.goal(3, 3).format(),
         )
         assert result.exit_code == 2
+
+
+class TestCorruptPdbFuzz:
+    """``solve --heuristic pdb`` over damaged copies of a valid 3x2 file.
+
+    Every outcome must be a stated one (exit 0-3, no uncaught exception);
+    a damaged header or a truncated file is always exit 2. A damaged table
+    entry may leave a valid file whose bound is no longer admissible, so a
+    solve may exit 0 with a longer path, which must still solve the board.
+    """
+
+    HEADER = 8 + 3 + 8  # magic, version, w, h, k; 3 tile labels; table length
+
+    @pytest.fixture(scope="class")
+    def good(self, tmp_path_factory):
+        from permpuzzle import build_pdb, save_pdb
+
+        path = tmp_path_factory.mktemp("fuzz") / "good.spdb"
+        save_pdb(build_pdb(3, 2, [1, 2, 3]), path)
+        return path.read_bytes()
+
+    @staticmethod
+    def solve(runner, tmp_path, data, board):
+        path = tmp_path / "damaged.spdb"
+        path.write_bytes(bytes(data))
+        result = runner.invoke(
+            main,
+            ["solve", "--heuristic", "pdb", "--pdb", str(path), "--max-nodes", "20000", "-"],
+            input=board.format(),
+        )
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code in (0, 1, 2, 3)
+        if result.exit_code == 0:
+            moves = parse_moves(result.stdout.splitlines()[0])
+            assert verify_sequence(board, moves).solved
+        return result.exit_code
+
+    def test_every_truncation_exits_two(self, runner, tmp_path, good):
+        from permpuzzle import scramble
+
+        board, _ = scramble(3, 2, 30, 4)
+        assert len(good) == self.HEADER + 120
+        for size in range(len(good)):
+            assert self.solve(runner, tmp_path, good[:size], board) == 2, size
+
+    def test_byte_flips(self, runner, tmp_path, good):
+        from permpuzzle import scramble
+
+        rng = random.Random(5)
+        for i in range(300):
+            board, _ = scramble(3, 2, 30, i)
+            data = bytearray(good)
+            pos = i % self.HEADER if i < 3 * self.HEADER else rng.randrange(len(good))
+            data[pos] = rng.choice([v for v in range(256) if v != good[pos]])
+            code = self.solve(runner, tmp_path, data, board)
+            if pos < self.HEADER:
+                assert code == 2, (pos, data[pos])
 
 
 class TestPipeline:

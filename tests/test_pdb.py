@@ -3,10 +3,12 @@ from __future__ import annotations
 import errno
 import hashlib
 import io
+import itertools
 import math
 import os
 import random
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +176,47 @@ class TestHeuristic:
             assert ph(b) == ph.value_from_positions(position)
 
 
+class TestPositionalIndex:
+    """PatternHeuristic reads its own index, not the rank-ordered table."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_patterns(), st.sampled_from([pattern_db.MAX_INDEX_BYTES, 0]))
+    def test_every_placement_reads_its_table_entry(self, pattern, max_index_bytes):
+        # A zero ceiling reads every database through rank_of_cells instead.
+        width, height, tiles = pattern
+        db = build_pdb(width, height, tiles)
+        with mock.patch.object(pattern_db, "MAX_INDEX_BYTES", max_index_bytes):
+            ph = PatternHeuristic([db])
+        n = width * height
+        weights = pattern_db.rank_weights(n, len(tiles))
+        position = [0] * (n + 1)
+        for cells in itertools.permutations(range(n), len(tiles)):
+            for t, c in zip(tiles, cells):
+                position[t] = c
+            rank = pattern_db.rank_of_cells(cells, weights)
+            assert ph.value_from_positions(position) == db.table[rank]
+
+    @pytest.mark.parametrize("width, height", [(3, 3), (2, 4), (4, 2), (4, 4)])
+    def test_sum_equals_summed_lookups(self, width, height):
+        labels = list(range(1, width * height))
+        dbs = [build_pdb(width, height, labels[i : i + 3]) for i in range(0, len(labels), 3)]
+        ph = PatternHeuristic(dbs)
+        rng = random.Random(width * 10 + height)
+        for _ in range(200):
+            cells = list(range(1, width * height + 1))
+            rng.shuffle(cells)
+            b = Board(width, height, tuple(cells))
+            assert ph(b) == sum(db.lookup(b) for db in dbs)
+
+    def test_index_size(self, monkeypatch):
+        db = build_pdb(4, 4, [1, 2, 5, 6])
+        ((_, index),) = PatternHeuristic([db])._indexes
+        assert len(index) == 16**4 and len(db.table) == 43680
+        monkeypatch.setattr(pattern_db, "MAX_INDEX_BYTES", 16**4 - 1)
+        ((_, index),) = PatternHeuristic([db])._indexes
+        assert not isinstance(index, bytearray)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         db = build_pdb(3, 3, [1, 2, 3, 4])
@@ -267,3 +310,20 @@ class TestPersistence:
     def test_direct_constructor_validates(self):
         with pytest.raises(ValueError):
             PatternDatabase(3, 3, (1, 2), b"\x00" * 5)
+
+    def test_nonzero_goal_entry_rejected(self, tmp_path):
+        # IDA* would never recognise the goal under such a table.
+        db = build_pdb(3, 2, [2, 4])
+        weights = pattern_db.rank_weights(6, 2)
+        goal = pattern_db.rank_of_cells([1, 3], weights)
+        table = bytearray(db.table)
+        table[goal] = 1
+        with pytest.raises(ValueError, match="goal placement"):
+            PatternDatabase(3, 2, (2, 4), bytes(table))
+        path = tmp_path / "g.spdb"
+        save_pdb(db, path)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) - len(table) + goal] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="goal placement"):
+            load_pdb(path)

@@ -63,6 +63,14 @@ class TestBfsOptimal:
             bfs_optimal(Board(3, 3, cells), SearchLimits(max_nodes=100))
         assert exc.value.nodes_expanded is not None
 
+    def test_expired_deadline_stops_a_short_search(self):
+        # Solved in 2,984 expansions, under the 4096 between clock reads.
+        b, _ = scramble(3, 3, 60, 2)
+        with pytest.raises(ResourceLimitError) as exc:
+            bfs_optimal(b, SearchLimits(max_time=0.0))
+        assert exc.value.nodes_expanded == 1
+        assert exc.value.lower_bound == 1
+
     def test_depth_limit(self):
         b, _ = scramble(3, 3, 40, 2)
         d = bfs_optimal(b).length
@@ -214,6 +222,14 @@ class TestIdaStar:
         cells = max(dist_3x3, key=dist_3x3.get)
         with pytest.raises(ResourceLimitError):
             ida_star(Board(3, 3, cells), "manhattan", SearchLimits(max_time=0.0))
+
+    def test_expired_deadline_stops_a_short_search(self):
+        # Solved in 1,978 expansions, under the 2048 between clock reads.
+        b, _ = scramble(3, 3, 60, 2)
+        with pytest.raises(ResourceLimitError) as exc:
+            ida_star(b, "linear-conflict", SearchLimits(max_time=0.0))
+        assert exc.value.nodes_expanded == 1
+        assert exc.value.lower_bound == linear_conflict(b)
 
     @pytest.mark.parametrize("field", ["max_nodes", "max_time", "max_depth"])
     def test_negative_limits_rejected(self, field):
