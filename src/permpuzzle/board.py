@@ -149,7 +149,8 @@ class Board:
                 continue
             if not (tok.isascii() and tok.isdigit()):
                 raise ParseError(f"invalid tile {tok!r}")
-            v = int(tok)
+            # No label has more digits than n, and int() refuses over 4300.
+            v = int(tok) if len(tok.lstrip("0")) <= len(str(n)) else 0
             # The blank's internal label n is tolerated here so that a
             # board written without any 0/_ reports the missing blank.
             if not 1 <= v <= n:

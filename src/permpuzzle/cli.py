@@ -34,8 +34,8 @@ def _read_board(source: str) -> Board:
         if source == "-":
             text = click.get_text_stream("stdin").read()
         else:
-            text = Path(source).read_text()
-    except OSError as exc:
+            text = Path(source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read {source}: {exc}", EXIT_INPUT)
     try:
         return Board.parse(text)
@@ -115,7 +115,10 @@ def solve(board, heuristic, pdb_paths, max_nodes, max_time):
             click.echo(line, err=True)
         sys.exit(EXIT_UNSOLVABLE)
     except ResourceLimitError as exc:
-        _fail(str(exc), EXIT_RESOURCE)
+        click.echo(f"error: {exc}", err=True)
+        if exc.lower_bound is not None:
+            click.echo(f"lower_bound={exc.lower_bound}", err=True)
+        sys.exit(EXIT_RESOURCE)
     except ValueError as exc:
         _fail(str(exc), EXIT_INPUT)
     click.echo(format_moves(result.moves))
@@ -147,10 +150,12 @@ def verify(board, moves_path):
     """Replay a move file against a board; exit 0 iff it reaches the goal."""
     b = _read_board(board)
     try:
-        text = Path(moves_path).read_text()
+        text = Path(moves_path).read_text(encoding="utf-8")
         moves = parse_moves(text)
-    except (OSError, ParseError) as exc:
+    except ParseError as exc:
         _fail(str(exc), EXIT_INPUT)
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail(f"cannot read {moves_path}: {exc}", EXIT_INPUT)
     report = verify_sequence(b, moves)
     click.echo(f"solved={'true' if report.solved else 'false'}")
     if report.failed_index is not None:

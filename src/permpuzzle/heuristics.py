@@ -4,16 +4,24 @@ Both functions never exceed the true solution length, so iterative
 deepening on f = g + h stays optimal. This module also owns their
 incremental ``(h0, cost, fix)`` form for IDA* (see :mod:`.solver`):
 Manhattan is the ``goal_tables`` table with no correction; linear
-conflict's correction re-evaluates, with :func:`line_conflicts`, only the
-goal line a move takes a tile out of or into. Pattern databases own
-theirs in :mod:`.pattern_db`.
+conflict's correction re-evaluates only the goal line a move takes a
+tile out of or into. Pattern databases own theirs in :mod:`.pattern_db`.
+
+Linear conflict reads each goal line as an integer key: the line's
+codes (see :func:`line_conflicts`) as a base ``length + 1`` number, which
+indexes a conflict table shared by every line of that length and filled
+on first read (Korf & Taylor 1996's per-line tables). A per-shape move
+table, built on the shape's first solve, names for each slide the one
+line it can change and how the slide shifts that line's key, so a node
+costs one table read, plus a key and two conflict reads when the tile
+crosses its goal line.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .board import Board
+from .board import Board, move_targets
 
 __all__ = ["manhattan", "linear_conflict"]
 
@@ -43,15 +51,23 @@ def goal_tables(width: int, height: int):
 
 @lru_cache(maxsize=None)
 def _goal_lines(width: int, height: int):
-    """Rows, then columns, each as (cell slice, codes): codes[label] is the
-    label's goal column + 1 when the row is its goal row (goal row + 1
-    when the column is its goal column), else 0."""
+    """Rows, then columns, each as (cells, codes, base, conflicts).
+
+    codes[label] is the label's goal column + 1 when the row is its goal
+    row (goal row + 1 when the column is its goal column), else 0; base is
+    the line's length + 1 and conflicts its :func:`_conflict_table`.
+    """
     n = width * height
     _, goal_row, goal_col = goal_tables(width, height)
-    rows = [(slice(r * width, (r + 1) * width), goal_row, goal_col, r) for r in range(height)]
-    cols = [(slice(c, n, width), goal_col, goal_row, c) for c in range(width)]
+    rows = [(range(r * width, (r + 1) * width), goal_row, goal_col, r) for r in range(height)]
+    cols = [(range(c, n, width), goal_col, goal_row, c) for c in range(width)]
     return tuple(
-        (cells, tuple(along[t] + 1 if home[t] == i else 0 for t in range(n + 1)))
+        (
+            tuple(cells),
+            tuple(along[t] + 1 if home[t] == i else 0 for t in range(n + 1)),
+            len(cells) + 1,
+            _conflict_table(len(cells)),
+        )
         for cells, home, along, i in rows + cols
     )
 
@@ -84,10 +100,72 @@ def line_conflicts(codes) -> int:
     return 2 * (len(coords) - max(best))
 
 
-# Conflicts keyed by a line's codes, shared by every solve: a line of w
-# cells has at most (w+1)^w codes (625 for 4x4), and the ceiling keeps the
-# memo bounded on large boards.
-_memo_line_conflicts = lru_cache(maxsize=1 << 16)(line_conflicts)
+class _LineConflicts(dict):
+    """Line key -> :func:`line_conflicts` of the codes it spells, for lines
+    of ``length`` cells, each entry computed on its first read.
+
+    A key is the line's codes read as a base ``length + 1`` number, first
+    cell most significant. Only keys of real lines are ever read, so the
+    table holds at most one entry per sequence of distinct nonzero codes:
+    209 for 4 cells, 13,327 for 6.
+    """
+
+    __slots__ = ("length",)
+
+    def __init__(self, length: int):
+        super().__init__()
+        self.length = length
+
+    def __missing__(self, key: int) -> int:
+        base = self.length + 1
+        codes = [0] * self.length
+        rest = key
+        for i in range(self.length - 1, -1, -1):
+            rest, codes[i] = divmod(rest, base)
+        value = self[key] = line_conflicts(codes)
+        return value
+
+
+@lru_cache(maxsize=None)
+def _conflict_table(length: int) -> _LineConflicts:
+    """The one conflict table every line of ``length`` cells shares."""
+    return _LineConflicts(length)
+
+
+@lru_cache(maxsize=None)
+def _move_table(width: int, height: int):
+    """``moves[z][j][t]`` for tile ``t`` sliding from cell ``j`` into the
+    blank at the adjacent cell ``z``.
+
+    None when the slide neither takes ``t`` out of its goal line nor into
+    it, which leaves every line conflict as it was. Otherwise the goal
+    line it leaves or enters, as (cells, codes, base, conflicts, delta):
+    ``delta`` is what the slide adds to that line's key, minus (leaving)
+    or plus (entering) ``codes[t]`` at the slot the tile crosses. The
+    table holds 4·n·(n+1) slots at most (0.4 s and ~26 MB for 30x30).
+    """
+    n = width * height
+    lines = _goal_lines(width, height)
+    members = [[t for t, code in enumerate(codes) if code] for _, codes, _, _ in lines]
+    targets = move_targets(width, height)
+    moves = [{} for _ in range(n)]
+    for j in range(n):
+        row, col = divmod(j, width)
+        for z in targets[j * 4 : j * 4 + 4]:
+            if z < 0:
+                continue
+            if abs(z - j) == width:  # vertical: the rows of j and z, at slot col
+                out_line, in_line, slot = j // width, z // width, col
+            else:  # horizontal: the columns of j and z, at slot row
+                out_line, in_line, slot = height + j % width, height + z % width, row
+            per_tile = [None] * (n + 1)
+            for i, sign in ((out_line, -1), (in_line, 1)):
+                cells, codes, base, conflicts = lines[i]
+                weight = sign * base ** (len(cells) - 1 - slot)
+                for t in members[i]:
+                    per_tile[t] = (cells, codes, base, conflicts, codes[t] * weight)
+            moves[z][j] = per_tile
+    return moves
 
 
 def linear_conflict(board: Board) -> int:
@@ -99,10 +177,13 @@ def linear_conflict(board: Board) -> int:
     goal line holds two of its own tiles out of order.
     """
     tiles = board.cells
-    return manhattan(board) + sum(
-        line_conflicts([codes[t] for t in tiles[cells]])
-        for cells, codes in _goal_lines(board.width, board.height)
-    )
+    total = manhattan(board)
+    for cells, codes, base, conflicts in _goal_lines(board.width, board.height):
+        key = 0
+        for c in cells:
+            key = key * base + codes[tiles[c]]
+        total += conflicts[key]
+    return total
 
 
 def incremental_manhattan(board: Board):
@@ -114,30 +195,23 @@ def incremental_linear_conflict(board: Board, tiles):
     """Linear conflict as ``(h0, cost, fix)`` over the solver's ``tiles``.
 
     ``cost`` is the Manhattan table. A slide keeps the order of the line
-    it runs along, so ``fix`` adds only the conflict change of the one
-    perpendicular goal line the tile leaves or enters, reading ``tiles``
-    before the move, through the module's memo of line conflicts.
+    it runs along, so only the one perpendicular goal line the tile
+    leaves or enters can change its conflicts. ``fix`` reads that line
+    from the shape's move table (built on the first solve of the shape,
+    then shared): most slides touch no goal line and return ``h``; the
+    rest compute the line's integer key from ``tiles`` before the move
+    and return ``h + conflicts[key + delta] - conflicts[key]``.
     """
-    width, height = board.width, board.height
-    lines = _goal_lines(width, height)
-    conflicts = _memo_line_conflicts
+    moves = _move_table(board.width, board.height)
 
     def fix(h: int, t: int, j: int, z: int) -> int:
-        if abs(z - j) == width:  # vertical: the rows of j and z, at column k
-            lj, lz, k = j // width, z // width, j % width
-        else:  # horizontal: the columns of j and z, at row k
-            lj, lz, k = height + j % width, height + z % width, j // width
-        cells, codes = lines[lj]
-        if codes[t]:
-            new = 0  # t leaves its goal line; the blank takes its place
-        else:
-            cells, codes = lines[lz]
-            if not codes[t]:
-                return h
-            new = codes[t]  # t enters its goal line in the blank's place
-        now = [codes[x] for x in tiles[cells]]
-        before = conflicts(tuple(now))
-        now[k] = new
-        return h + conflicts(tuple(now)) - before
+        move = moves[z][j][t]
+        if move is None:
+            return h
+        cells, codes, base, conflicts, delta = move
+        key = 0
+        for c in cells:
+            key = key * base + codes[tiles[c]]
+        return h + conflicts[key + delta] - conflicts[key]
 
-    return linear_conflict(board), goal_tables(width, height)[0], fix
+    return linear_conflict(board), goal_tables(board.width, board.height)[0], fix

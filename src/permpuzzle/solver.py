@@ -63,7 +63,9 @@ class SearchLimits:
     def __post_init__(self):
         for name in ("max_nodes", "max_time", "max_depth"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            # ``not value >= 0`` also refuses NaN, which every deadline
+            # comparison would otherwise pass as "no limit".
+            if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
 
 

@@ -112,6 +112,14 @@ class TestInputHardening:
         with pytest.raises(ParseError, match="invalid tile '-0'"):
             Board.parse("1 2\n3 -0")
 
+    def test_overlong_tile_is_a_parse_error(self):
+        # int() itself refuses strings of more than 4300 digits.
+        with pytest.raises(ParseError, match="outside 1..3"):
+            Board.parse("1 2\n0 " + "9" * 5000)
+
+    def test_zero_padded_tile_accepted(self):
+        assert Board.parse("1 2\n0003 0") == Board(2, 2, (1, 2, 3, 4))
+
 
 class TestPermutationBridge:
     def test_fig3_cycles(self, fig3_board):

@@ -122,6 +122,28 @@ class TestSolve:
         assert result.stdout == ""
         assert "must be non-negative" in result.stderr
 
+    def test_nan_time_limit_exits_two(self, runner):
+        from permpuzzle import scramble
+
+        b, _ = scramble(4, 4, 60, 3)
+        result = runner.invoke(main, ["solve", "--max-time", "nan", "-"], input=b.format())
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "max_time must be non-negative" in result.stderr
+
+    def test_limit_exit_prints_lower_bound(self, runner):
+        from permpuzzle import linear_conflict, scramble
+
+        b, _ = scramble(4, 4, 60, 3)
+        result = runner.invoke(main, ["solve", "--max-nodes", "3", "-"], input=b.format())
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        # The first iteration's bound: h(start), proven to be reached.
+        assert result.stderr.splitlines() == [
+            "error: IDA* exceeded 3 expansions",
+            f"lower_bound={linear_conflict(b)}",
+        ]
+
     def test_pdb_for_other_dimensions_exits_two(self, runner, tmp_path):
         path = tmp_path / "p.spdb"
         runner.invoke(main, ["pdb-build", "-w", "3", "-h", "2", "--tiles", "1,2", "--out", str(path)])
@@ -348,6 +370,120 @@ class TestCorruptPdbFuzz:
             code = self.solve(runner, tmp_path, data, board)
             if pos < self.HEADER:
                 assert code == 2, (pos, data[pos])
+
+
+class TestNonUtf8Input:
+    """Bytes that are not UTF-8 are an input error (exit 2), not a traceback."""
+
+    BAD = b"\xff\xfe\x00"
+
+    @pytest.mark.parametrize("command", [["solvable"], ["cycles"], ["solve"]])
+    def test_board_file(self, runner, tmp_path, command):
+        path = tmp_path / "board.txt"
+        path.write_bytes(self.BAD)
+        result = runner.invoke(main, [*command, str(path)])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: cannot read {path}")
+
+    @pytest.mark.parametrize("command", [["solvable"], ["cycles"], ["solve"]])
+    def test_board_on_stdin(self, runner, command):
+        result = runner.invoke(main, [*command, "-"], input=self.BAD)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: cannot read -")
+
+    def test_verify_board(self, runner, tmp_path):
+        board, moves = tmp_path / "board.txt", tmp_path / "moves.txt"
+        board.write_bytes(self.BAD)
+        moves.write_text("U")
+        result = runner.invoke(main, ["verify", "--moves", str(moves), str(board)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
+    def test_verify_move_file(self, runner, tmp_path):
+        moves = tmp_path / "moves.txt"
+        moves.write_bytes(b"U L " + self.BAD)
+        result = runner.invoke(
+            main, ["verify", "--moves", str(moves), "-"], input=Board.goal(3, 3).format()
+        )
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot read {moves}")
+
+
+class TestMalformedInputFuzz:
+    """Damaged boards and move files through every command that reads them.
+
+    Starting from a valid 3x3 board and move file, each case is a
+    truncation, a random byte string, a ragged copy (a token dropped or
+    added) or a copy with one token replaced by a bad one. Every outcome
+    must be a stated one: exit 0-3 and no uncaught exception; a board
+    that parses and solves prints moves that solve it.
+    """
+
+    BAD_TOKENS = ["x", "-1", "+3", "1.5", "99", "1_0", "\u0663", "0x1", "__",
+                  "\x00", "9" * 5000, "UU", "u", "\ufeff", "\u00a0"]
+
+    @staticmethod
+    def mutants(text: str, rng: random.Random):
+        for size in range(len(text)):
+            yield text[:size].encode()
+        for _ in range(40):
+            yield bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
+        # Ragged rows (a token dropped or added), then each bad token three
+        # times in place of one token.
+        edits = ["drop", "add"] * 10 + TestMalformedInputFuzz.BAD_TOKENS * 3
+        for edit in edits:
+            rows = [line.split() for line in text.splitlines()]
+            row = rng.choice(rows)
+            if edit == "drop":
+                row.pop(rng.randrange(len(row)))
+            elif edit == "add":
+                row.insert(rng.randrange(len(row) + 1), rng.choice(["1", "5", "0", "_"]))
+            else:
+                row[rng.randrange(len(row))] = edit
+            yield "\n".join(" ".join(r) for r in rows).encode()
+
+    @staticmethod
+    def run(runner, args, stdin=None):
+        result = runner.invoke(main, args, input=stdin)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            args, stdin, result.exception)
+        assert result.exit_code in (0, 1, 2, 3), (args, stdin)
+        return result
+
+    def test_boards(self, runner, tmp_path):
+        from permpuzzle import scramble
+
+        board, moves = scramble(3, 3, 30, 7)
+        good_moves = tmp_path / "moves.txt"
+        good_moves.write_text(" ".join(m.value for m in moves))
+        text = board.format() + "\n"
+        path = tmp_path / "board.txt"
+        rng = random.Random(11)
+        for i, data in enumerate(self.mutants(text, rng)):
+            path.write_bytes(data)
+            source, stdin = (str(path), None) if i % 2 else ("-", data)
+            for command in (["solvable"], ["cycles"], ["verify", "--moves", str(good_moves)]):
+                self.run(runner, [*command, source], stdin)
+            result = self.run(runner, ["solve", "--max-nodes", "20000", source], stdin)
+            if result.exit_code == 0:
+                parsed = Board.parse(data.decode())
+                solution = parse_moves(result.stdout.splitlines()[0])
+                assert verify_sequence(parsed, solution).solved
+
+    def test_move_files(self, runner, tmp_path):
+        from permpuzzle import scramble
+
+        board, _ = scramble(3, 3, 30, 7)
+        moves = bfs_optimal(board).moves
+        text = " ".join(m.value for m in moves) + "\n"
+        path = tmp_path / "moves.txt"
+        rng = random.Random(13)
+        for data in self.mutants(text, rng):
+            path.write_bytes(data)
+            self.run(runner, ["verify", "--moves", str(path), "-"], board.format())
 
 
 class TestPipeline:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
+
+import pytest
 
 from permpuzzle import Board, Move, linear_conflict, manhattan
-from permpuzzle.heuristics import goal_tables
+from permpuzzle.heuristics import _conflict_table, goal_tables, line_conflicts
 
 from oracles import tile_taxicab
 
@@ -77,3 +79,41 @@ class TestLinearConflict:
         cells = (7, 8, 9, 6, 5, 4, 1, 2, 3)
         b = Board(3, 3, cells)
         assert linear_conflict(b) <= dist_3x3[cells]
+
+
+def line_codes(length: int):
+    """Every code sequence a line of ``length`` cells can hold: distinct
+    goal coordinates 1..length at some cells, 0 at the others."""
+    for k in range(length + 1):
+        for cells in combinations(range(length), k):
+            for coords in permutations(range(1, length + 1), k):
+                codes = [0] * length
+                for cell, coord in zip(cells, coords):
+                    codes[cell] = coord
+                yield codes
+
+
+def fewest_leavers(codes) -> int:
+    """Brute force: the fewest tiles to take out so the rest are in order."""
+    coords = [c for c in codes if c]
+    for keep in range(len(coords), 0, -1):
+        if any(list(s) == sorted(s) for s in combinations(coords, keep)):
+            return len(coords) - keep
+    return 0
+
+
+class TestConflictTable:
+    COUNTS = {2: 7, 3: 34, 4: 209, 5: 1546, 6: 13327}
+
+    @pytest.mark.parametrize("length", sorted(COUNTS))
+    def test_every_line_key_reads_its_conflicts(self, length):
+        table = _conflict_table(length)
+        keys = set()
+        for codes in line_codes(length):
+            key = 0
+            for code in codes:
+                key = key * (length + 1) + code
+            keys.add(key)
+            assert table[key] == line_conflicts(codes) == 2 * fewest_leavers(codes), codes
+        assert len(keys) == self.COUNTS[length]
+        assert len(table) <= self.COUNTS[length]

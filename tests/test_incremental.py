@@ -79,6 +79,23 @@ def test_incremental_value_equals_from_scratch(walk):
         assert values == [scratch(now) for _, scratch in checks]
 
 
+# 3x5 and 5x3: rows and columns have different lengths, so their line keys
+# use different bases, neither of them the 4x4 base 5.
+unequal_walks = st.sampled_from([(3, 5), (5, 3)]).flatmap(
+    lambda wh: st.tuples(
+        st.just(wh),
+        st.permutations(tuple(range(1, wh[0] * wh[1] + 1))),
+        st.lists(st.integers(0, 3), max_size=60),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unequal_walks)
+def test_incremental_value_equals_from_scratch_unequal_bases(walk):
+    test_incremental_value_equals_from_scratch.hypothesis.inner_test(walk)
+
+
 # Summed IDA* expansions over scramble(4, 4, 20, i), i < 200, recorded with
 # the earlier search that kept one copied loop per heuristic. Any change
 # means the move order, the pruning or a heuristic's values changed.

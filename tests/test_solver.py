@@ -236,6 +236,17 @@ class TestIdaStar:
         with pytest.raises(ValueError, match=f"{field} must be non-negative"):
             SearchLimits(**{field: -1})
 
+    @pytest.mark.parametrize("search", [bfs_optimal, ida_star])
+    def test_nan_time_limit_rejected(self, search):
+        b, _ = scramble(3, 3, 60, 3)
+        with pytest.raises(ValueError, match="max_time must be non-negative"):
+            search(b, limits=SearchLimits(max_time=float("nan")))
+
+    def test_infinite_time_limit_allowed(self):
+        b, _ = scramble(3, 3, 60, 3)
+        limits = SearchLimits(max_time=float("inf"))
+        assert ida_star(b, "manhattan", limits).length == bfs_optimal(b, limits).length
+
     def test_zero_limits_allowed(self):
         limits = SearchLimits(max_nodes=0, max_time=0.0, max_depth=0)
         assert ida_star(Board.goal(3, 3), "manhattan", limits).length == 0
