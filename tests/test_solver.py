@@ -236,11 +236,10 @@ class TestIdaStar:
         with pytest.raises(ValueError, match=f"{field} must be non-negative"):
             SearchLimits(**{field: -1})
 
-    @pytest.mark.parametrize("search", [bfs_optimal, ida_star])
-    def test_nan_time_limit_rejected(self, search):
-        b, _ = scramble(3, 3, 60, 3)
+    def test_nan_time_limit_rejected(self):
+        # A NaN deadline compares false, which would mean "no limit".
         with pytest.raises(ValueError, match="max_time must be non-negative"):
-            search(b, limits=SearchLimits(max_time=float("nan")))
+            SearchLimits(max_time=float("nan"))
 
     def test_infinite_time_limit_allowed(self):
         b, _ = scramble(3, 3, 60, 3)
