@@ -199,9 +199,16 @@ class Board:
         return self.cells == tuple(range(1, self.size + 1))
 
     def _target(self, move: Move) -> int:
-        """0-based destination cell of the blank, or -1 if illegal."""
+        """0-based destination cell of the blank; raises
+        :class:`IllegalMoveError` when ``move`` leaves the board."""
         d = MOVE_ORDER.index(move)
-        return move_targets(self.width, self.height)[(self.blank_index - 1) * 4 + d]
+        target = move_targets(self.width, self.height)[(self.blank_index - 1) * 4 + d]
+        if target < 0:
+            raise IllegalMoveError(
+                f"blank cannot travel {move.name}: already at that edge",
+                move=move,
+            )
+        return target
 
     def legal_moves(self) -> set[Move]:
         """The 2-4 directions the blank may travel from here."""
@@ -212,11 +219,6 @@ class Board:
     def apply_move(self, move: Move) -> "Board":
         """Slide the adjacent tile into the blank; blank travels ``move``."""
         target = self._target(move)
-        if target < 0:
-            raise IllegalMoveError(
-                f"blank cannot travel {move.name}: already at that edge",
-                move=move,
-            )
         cells = list(self.cells)
         blank = self.blank_index - 1
         cells[blank], cells[target] = cells[target], cells[blank]
@@ -229,11 +231,6 @@ class Board:
         permutation.
         """
         target = self._target(move)
-        if target < 0:
-            raise IllegalMoveError(
-                f"blank cannot travel {move.name}: already at that edge",
-                move=move,
-            )
         n = self.size
         return Permutation.transposition(n, n, self.cells[target])
 

@@ -136,9 +136,10 @@ def solve(board, heuristic, pdb_paths, max_nodes, max_time):
               help="RNG seed (fixed default keeps runs reproducible).")
 def scramble_cmd(width, height, steps, seed):
     """Print a board scrambled by random moves; always solvable."""
-    if width < 2 or height < 2 or steps < 0:
-        _fail("width and height must be >= 2 and steps >= 0", EXIT_INPUT)
-    b, _ = scramble(width, height, steps, seed)
+    try:
+        b, _ = scramble(width, height, steps, seed)
+    except ValueError as exc:
+        _fail(str(exc), EXIT_INPUT)
     click.echo(b.format())
 
 

@@ -56,8 +56,9 @@ UNREACHED = 0xFF
 # Ceiling on (placements x blank positions) explored during a build.
 DEFAULT_MAX_STATES = 20_000_000
 
-# Ceiling on one database's in-memory positional index (n^k bytes); a
-# database past it (4x4 with k >= 7, say) is read through rank_of_cells.
+# Ceiling on one database's in-memory positional index (n^k bytes); a database
+# past it is read through rank_of_cells: 8 tiles on 2x5 or 5x2 (10^8 bytes),
+# which the default build admits, or 4x4 with k >= 7.
 MAX_INDEX_BYTES = 1 << 26
 
 
@@ -261,8 +262,9 @@ class PatternHeuristic:
     O(k) index sum and two byte reads instead of two rankings. The index
     costs n^k bytes per database: 65,536 for k=4 on 4x4 (the table holds
     43,680), 16.7 MB for k=6. A database whose index would pass
-    ``MAX_INDEX_BYTES`` keeps only its table and is read through
-    :func:`rank_of_cells`, as slowly as a ranking update.
+    ``MAX_INDEX_BYTES`` (an 8-tile 2x5 or 5x2 table, which the default
+    build ceiling admits, or 4x4 with k >= 7) keeps only its table and is
+    read through :func:`rank_of_cells`, as slowly as a ranking update.
     """
 
     def __init__(self, databases):

@@ -4,15 +4,20 @@ Every move is a single transposition of tile labels, so it flips the
 configuration's sign; it also moves the blank one step, flipping the
 parity of the blank's taxicab distance to its home cell. The goal is
 Even/Even, so a board can reach it only if the two parities agree. BFS
-enumeration over small boards certifies the converse.
+enumeration over small boards certifies the converse. It runs the search
+over boards packed 4 bits per cell that the solver's exact oracle runs
+too (``_PackedBFS``), from the goal to exhaustion. Every move flips the
+blank's cell parity, so a child of layer r lies in layer r-1 or r+1, and
+the enumeration keeps only the live layers in its visited map.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
-from .board import Board, Move, check_dimensions, move_targets
+from .board import Board, check_dimensions, move_targets
 from .errors import IllegalMoveError, ResourceLimitError
 from .perm import Parity
 
@@ -26,8 +31,9 @@ __all__ = [
     "verify_sequence",
 ]
 
-# Ceiling on visited states for reachable_states; admits every board with
-# up to 9 cells (9!/2 = 181440) and refuses anything larger by default.
+# Ceiling on packed-state BFS expansions (the enumeration's, or the oracle's
+# over both sides): above the 9!/2 = 181,440 states of a 9-cell component,
+# so every board with up to 9 cells is admitted and larger ones are refused.
 DEFAULT_MAX_STATES = 1_000_000
 
 
@@ -84,64 +90,124 @@ class EnumerationReport:
     max_depth: int
 
 
+class _PackedBFS:
+    """Breadth-first layers over boards packed 4 bits per cell (label-1,
+    so the goal packs as 0, 1, ..., n-1). A visited map sends each state
+    to the direction its blank travelled to reach it (-1 at a root).
+    ``nodes`` counts expansions over every layer; :meth:`expand` raises
+    :class:`ResourceLimitError` past ``node_cap`` expansions (None for
+    the default) or ``max_time`` seconds from ``t0``."""
+
+    def __init__(self, width: int, height: int, node_cap: int | None,
+                 max_time: float | None = None, t0: float = 0.0):
+        n = width * height
+        if n > 16:
+            raise ResourceLimitError(
+                f"packed-state BFS supports at most 16 cells, got {n}"
+            )
+        self.targets = move_targets(width, height)
+        self.blank_nibble = n - 1
+        self.goal = self.pack(range(1, n + 1))
+        self.node_cap = DEFAULT_MAX_STATES if node_cap is None else node_cap
+        self.max_time, self.nodes = max_time, 0
+        self.deadline = t0 + max_time if max_time is not None else None
+
+    @staticmethod
+    def pack(cells) -> int:
+        state = 0
+        for cell, label in enumerate(cells):
+            state |= (label - 1) << (4 * cell)
+        return state
+
+    def expand(self, frontier, seen: dict, other=(), bound: int | None = None):
+        """Expand one layer of ``(state, blank cell)`` pairs into ``seen``.
+
+        Returns ``(next layer, meet)``. ``meet`` is None, or the first
+        ``(child, child's blank)`` found in ``other``, which stops the
+        layer; it is recorded in ``seen`` too, so :meth:`unwind` walks
+        from it in either map. A limit error carries ``bound`` as its
+        ``lower_bound``.
+        """
+        targets, blank_nibble = self.targets, self.blank_nibble
+        node_cap, deadline, nodes = self.node_cap, self.deadline, self.nodes
+        next_frontier = []
+        for state, blank in frontier:
+            nodes += 1
+            # The clock is read on the first expansion, then every 4096th.
+            if nodes > node_cap or (
+                deadline is not None and nodes & 4095 == 1 and time.perf_counter() > deadline
+            ):
+                limit = f"{node_cap} expansions" if nodes > node_cap else f"{self.max_time}s"
+                raise ResourceLimitError(
+                    f"BFS exceeded {limit}", nodes_expanded=nodes, lower_bound=bound
+                )
+            base = blank * 4  # stride-4 into both the move table and the nibbles
+            for d in range(4):
+                target = targets[base + d]
+                if target < 0:
+                    continue
+                tshift = target * 4
+                # Swap the blank nibble with the tile nibble.
+                delta = ((state >> tshift) & 15) ^ blank_nibble
+                child = state ^ (delta << tshift) ^ (delta << base)
+                if child in seen:
+                    continue
+                seen[child] = d
+                if child in other:
+                    self.nodes = nodes
+                    return next_frontier, (child, target)
+                next_frontier.append((child, target))
+        self.nodes = nodes
+        return next_frontier, None
+
+    def unwind(self, state: int, blank: int, seen: dict) -> list[int]:
+        """Directions recorded in ``seen`` from ``state`` back to its root,
+        last move first; each step undoes one by moving the blank back."""
+        dirs = []
+        d = seen[state]
+        while d >= 0:
+            dirs.append(d)
+            prev = self.targets[blank * 4 + (d ^ 1)]
+            pshift = prev * 4
+            delta = ((state >> pshift) & 15) ^ self.blank_nibble
+            state ^= (delta << pshift) ^ (delta << (blank * 4))
+            blank = prev
+            d = seen[state]
+        return dirs
+
+
 def reachable_states(
     width: int, height: int, *, max_states: int = DEFAULT_MAX_STATES
 ) -> EnumerationReport:
     """Breadth-first enumeration of every board reachable from the goal.
 
     Returns the component size and the puzzle diameter from the goal
-    (eccentricity). States are packed into integers, 4 bits per cell.
-    Raises :class:`ResourceLimitError` rather than returning a partial
-    answer when the component would exceed ``max_states``, and
-    ``ValueError`` for a shape below 2x2.
+    (eccentricity). States are packed into integers, 4 bits per cell,
+    and only the live layers are kept. Raises
+    :class:`ResourceLimitError` rather than returning a partial answer
+    when the component would exceed ``max_states``, and ``ValueError``
+    for a shape below 2x2.
     """
     check_dimensions(width, height)
+    bfs = _PackedBFS(width, height, max_states)
     n = width * height
-    if n > 16:
+    size = math.factorial(n) // 2
+    if size > max_states:
         raise ResourceLimitError(
-            f"enumeration supports at most 16 cells, got {n}"
-        )
-    if math.factorial(n) // 2 > max_states:
-        raise ResourceLimitError(
-            f"{width}x{height} has {math.factorial(n) // 2} reachable states, "
-            f"over the {max_states} ceiling"
+            f"{width}x{height} has {size} reachable states, over the {max_states} ceiling"
         )
 
-    targets = move_targets(width, height)
-    # Pack cells as 4-bit fields holding label-1; the goal is 0,1,...,n-1.
-    goal = 0
-    for cell in range(n):
-        goal |= cell << (4 * cell)
-    blank0 = n - 1
-
-    visited = {goal}
-    frontier = [(goal, blank0)]
-    count = 1
-    depth = 0
+    seen = {bfs.goal: -1}
+    previous, frontier = [], [(bfs.goal, n - 1)]
+    count, depth = 0, -1
     while frontier:
-        if count > max_states:
-            raise ResourceLimitError(
-                f"state count exceeded the {max_states} ceiling at depth {depth}"
-            )
-        next_frontier = []
-        for state, blank in frontier:
-            base = blank * 4
-            for d in range(4):
-                target = targets[base + d]
-                if target < 0:
-                    continue
-                shift = target * 4
-                tile = (state >> shift) & 15
-                # Swap the blank nibble with the tile nibble.
-                delta = tile ^ blank0
-                child = state ^ (delta << shift) ^ (delta << (blank * 4))
-                if child not in visited:
-                    visited.add(child)
-                    next_frontier.append((child, target))
-        if next_frontier:
-            depth += 1
-            count += len(next_frontier)
-        frontier = next_frontier
+        count += len(frontier)
+        depth += 1
+        next_frontier, _ = bfs.expand(frontier, seen)
+        # The next layer's children lie in this layer or the one after it.
+        for state, _ in previous:
+            del seen[state]
+        previous, frontier = frontier, next_frontier
     return EnumerationReport(count=count, max_depth=depth)
 
 

@@ -1,10 +1,11 @@
 """Optimal solvers: an exact BFS oracle for small boards and IDA* search.
 
-The oracle is a bidirectional BFS (Pohl 1971) over states packed 4 bits
-per cell: it grows a ball from the start and one from the goal, a layer
-at a time, and stops at the first state they share. A visited map keeps
-only the blank's last direction per state; the path is rebuilt by
-undoing those moves from the meeting state back to each root.
+The oracle is a bidirectional BFS (Pohl 1971) on the packed-state
+search that ``reachable_states`` also runs (``solvability._PackedBFS``):
+it grows a ball from the start and one from the goal, a layer at a time,
+and stops at the first state they share. A visited map keeps only the
+blank's last direction per state; the path is rebuilt by undoing those
+moves from the meeting state back to each root.
 
 IDA* runs depth-first with an f = g + h threshold raised to the smallest
 overflowing value each iteration; with the admissible heuristics offered
@@ -31,7 +32,7 @@ from .board import MOVE_ORDER, Board, Move, move_targets
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
 from .heuristics import incremental_linear_conflict, incremental_manhattan
 from .pattern_db import PatternDatabase, PatternHeuristic
-from .solvability import certificate
+from .solvability import _PackedBFS, certificate
 
 __all__ = [
     "SearchLimits",
@@ -43,11 +44,6 @@ __all__ = [
 
 # Named heuristics usable without prebuilt tables.
 HEURISTIC_NAMES = ("manhattan", "linear-conflict")
-
-# Expansion ceiling applied to BFS when no explicit limit is given, counted
-# over both sides: it exceeds the 9!/2 = 181,440 states of a 9-cell
-# component, so every board with up to 9 cells is admitted.
-DEFAULT_BFS_MAX_NODES = 1_000_000
 
 _INF = 1 << 30
 
@@ -107,99 +103,34 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     _require_solvable(board)
     if board.is_goal():
         return SearchResult((), 0, time.perf_counter() - t0)
+    bfs = _PackedBFS(board.width, board.height, limits.max_nodes, limits.max_time, t0)
 
-    n = board.size
-    if n > 16:
-        raise ResourceLimitError(f"BFS oracle supports at most 16 cells, got {n}")
-    node_cap = limits.max_nodes if limits.max_nodes is not None else DEFAULT_BFS_MAX_NODES
-    deadline = t0 + limits.max_time if limits.max_time is not None else None
-
-    targets = move_targets(board.width, board.height)
-    start = 0
-    for cell, label in enumerate(board.cells):
-        start |= (label - 1) << (4 * cell)
-    goal = 0
-    for cell in range(n):
-        goal |= cell << (4 * cell)
-    blank_nibble = n - 1
-
-    # Each side maps a visited state to the direction its blank travelled
-    # to get there (-1 at the side's root); the two maps stay disjoint
-    # until the meet, so before each layer the optimal length exceeds
-    # radius[0] + radius[1].
-    seen = ({start: -1}, {goal: -1})
-    frontiers = [[(start, board.blank_index - 1)], [(goal, n - 1)]]
+    # The two visited maps stay disjoint until the meet, so before each
+    # layer the optimal length exceeds radius[0] + radius[1].
+    start = bfs.pack(board.cells)
+    seen = ({start: -1}, {bfs.goal: -1})
+    frontiers = [[(start, board.blank_index - 1)], [(bfs.goal, board.size - 1)]]
     radius = [0, 0]
-    nodes = 0
     while frontiers[0] and frontiers[1]:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        own, other = seen[side], seen[1 - side]
         bound = radius[0] + radius[1] + 1
         if limits.max_depth is not None and bound > limits.max_depth:
             raise ResourceLimitError(
                 f"no solution within depth {limits.max_depth}",
-                nodes_expanded=nodes, lower_bound=bound,
+                nodes_expanded=bfs.nodes, lower_bound=bound,
             )
-        next_frontier = []
-        for state, blank in frontiers[side]:
-            nodes += 1
-            if nodes > node_cap:
-                raise ResourceLimitError(
-                    f"BFS exceeded {node_cap} expansions",
-                    nodes_expanded=nodes, lower_bound=bound,
-                )
-            # The clock is read on the first expansion, then every 4096th.
-            if deadline is not None and nodes & 4095 == 1 and time.perf_counter() > deadline:
-                raise ResourceLimitError(
-                    f"BFS exceeded {limits.max_time}s",
-                    nodes_expanded=nodes, lower_bound=bound,
-                )
-            base = blank * 4  # stride-4 into both the move table and the nibbles
-            for d in range(4):
-                target = targets[base + d]
-                if target < 0:
-                    continue
-                tshift = target * 4
-                tile = (state >> tshift) & 15
-                delta = tile ^ blank_nibble
-                child = state ^ (delta << tshift) ^ (delta << base)
-                if child in own:
-                    continue
-                if child in other:
-                    # Start's ball up to ``near``, one step, goal's ball from ``far``.
-                    if side == 0:
-                        near, step, far = (state, blank), d, (child, target)
-                    else:
-                        near, step, far = (child, target), d ^ 1, (state, blank)
-                    dirs = _unwind(*near, seen[0], targets, blank_nibble)
-                    dirs.reverse()
-                    dirs.append(step)
-                    dirs.extend(e ^ 1 for e in _unwind(*far, seen[1], targets, blank_nibble))
-                    moves = tuple(MOVE_ORDER[e] for e in dirs)
-                    return SearchResult(moves, nodes, time.perf_counter() - t0)
-                own[child] = d
-                next_frontier.append((child, target))
-        frontiers[side] = next_frontier
+        frontiers[side], meet = bfs.expand(frontiers[side], seen[side], seen[1 - side], bound)
+        if meet is not None:
+            # The start's ball up to the meeting state, then the goal's
+            # ball from it, undoing each of the goal side's moves.
+            dirs = bfs.unwind(*meet, seen[0])[::-1]
+            dirs.extend(e ^ 1 for e in bfs.unwind(*meet, seen[1]))
+            moves = tuple(MOVE_ORDER[e] for e in dirs)
+            return SearchResult(moves, bfs.nodes, time.perf_counter() - t0)
         radius[side] += 1
 
     # Unreachable: solvability was checked up front.
     raise PuzzleError("BFS exhausted the component without finding the goal")
-
-
-def _unwind(state: int, blank: int, seen: dict, targets, blank_nibble: int) -> list[int]:
-    """Directions recorded in ``seen`` from ``state`` back to its root,
-    last move first; each step undoes one by moving the blank back."""
-    dirs = []
-    d = seen[state]
-    while d >= 0:
-        dirs.append(d)
-        prev = targets[blank * 4 + (d ^ 1)]
-        pshift = prev * 4
-        delta = ((state >> pshift) & 15) ^ blank_nibble
-        state ^= (delta << pshift) ^ (delta << (blank * 4))
-        blank = prev
-        d = seen[state]
-    return dirs
 
 
 @lru_cache(maxsize=1)

@@ -173,8 +173,10 @@ class TestScramble:
         assert runner.invoke(main, args).stdout == runner.invoke(main, args).stdout
 
     def test_bad_dimensions(self, runner):
-        result = runner.invoke(main, ["scramble", "-w", "1", "-h", "4"])
-        assert result.exit_code == 2
+        for args in (["-w", "1", "-h", "4"], ["--steps", "-1"]):
+            result = runner.invoke(main, ["scramble", *args])
+            assert result.exit_code == 2, args
+            assert result.stdout == ""
 
 
 class TestVerify:
@@ -214,9 +216,13 @@ class TestVerify:
 
 class TestEnumerate:
     def test_2x3(self, runner):
-        result = runner.invoke(main, ["enumerate", "-w", "3", "-h", "2"])
-        assert result.exit_code == 0
-        assert result.stdout.strip() == "count=360 max_depth=21"
+        for width, height, expected in (
+            ("3", "2", "count=360 max_depth=21"),
+            ("3", "3", "count=181440 max_depth=31"),
+        ):
+            result = runner.invoke(main, ["enumerate", "-w", width, "-h", height])
+            assert result.exit_code == 0
+            assert result.stdout.strip() == expected
 
     def test_one_wide_exits_two(self, runner):
         result = runner.invoke(main, ["enumerate", "-w", "1", "-h", "5"])

@@ -11,6 +11,7 @@ from permpuzzle import (
     MOVE_ORDER,
     Parity,
     ResourceLimitError,
+    bfs_optimal,
     certificate,
     is_solvable,
     reachable_states,
@@ -122,9 +123,25 @@ class TestEnumeration:
         assert report.count == 360
         assert report.max_depth == 21
 
+    @pytest.mark.parametrize("width, height", [(2, 2), (3, 2), (2, 3), (2, 4), (4, 2)])
+    def test_matches_exhaustive_oracle(self, width, height):
+        # Non-square shapes check the two-layer dedupe where rows and
+        # columns differ; the oracle keeps every state.
+        dist = exact_distances(width, height)
+        report = reachable_states(width, height)
+        assert report.count == len(dist)
+        assert report.max_depth == max(dist.values())
+
     def test_refuses_4x4_by_default(self):
         with pytest.raises(ResourceLimitError):
             reachable_states(4, 4)
+
+    def test_refuses_more_than_16_cells(self):
+        # The enumeration and the exact oracle share the 4-bit packed format.
+        with pytest.raises(ResourceLimitError, match="at most 16 cells"):
+            reachable_states(5, 4)
+        with pytest.raises(ResourceLimitError, match="at most 16 cells"):
+            bfs_optimal(scramble(5, 4, 3, 0)[0])
 
     def test_rejects_shapes_below_2x2(self):
         for width, height in ((1, 5), (5, 1)):
@@ -172,8 +189,6 @@ class TestVerifySequence:
         assert report.reached == Board.goal(4, 4).apply_move(Move.UP)
 
     def test_scramble_then_solver_output(self):
-        from permpuzzle import bfs_optimal
-
         b, _ = scramble(3, 3, 30, 4)
         result = bfs_optimal(b)
         report = verify_sequence(b, result.moves)
