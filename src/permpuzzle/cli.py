@@ -13,6 +13,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .board import Board, format_moves, parse_moves, scramble
 from .errors import ParseError, ResourceLimitError, UnsolvableError
 from .pattern_db import PatternHeuristic, build_pdb, load_pdb, save_pdb
@@ -52,7 +53,7 @@ def _dim_options(f):
 
 
 @click.group()
-@click.version_option(package_name="permpuzzle")
+@click.version_option(__version__)
 def main():
     """Sliding-tile puzzle toolkit: parity solvability, cycle notation,
     optimal solving, and pattern databases.
@@ -104,6 +105,8 @@ def solve(board, heuristic, pdb_paths, max_nodes, max_time):
             _fail("--heuristic pdb requires at least one --pdb PATH", EXIT_INPUT)
         try:
             chosen = PatternHeuristic([load_pdb(p) for p in pdb_paths])
+        except ResourceLimitError as exc:
+            _fail(str(exc), EXIT_RESOURCE)
         except (OSError, ValueError) as exc:
             _fail(str(exc), EXIT_INPUT)
     else:

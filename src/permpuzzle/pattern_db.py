@@ -12,11 +12,11 @@ unsigned table length L, then L distance bytes indexed by the
 lexicographic rank of the pattern tiles' cell assignment (an ordered
 k-selection out of the n cells).
 
-:func:`build_pdb` runs a layer-by-layer 0/1 BFS over flat arrays: the
-table (P(n,k) bytes) and a ``seen`` byte per (placement, blank cell)
-(P(n,k)·n bytes), so a build holds P(n,k)·(n+1) bytes plus the lists of
-``rank * n + blank`` ints for the current and next layer; no tuple or
-dict entry is made per state. Width, height and labels must fit a byte.
+:func:`build_pdb` runs a layer-by-layer 0/1 BFS over flat arrays and
+nothing else: the table (P(n,k) bytes), a ``seen`` byte per (placement,
+blank cell) (P(n,k)·n bytes) that also marks each layer's queue, and
+the returned copy of the table, so a build holds exactly P(n,k)·(n+2)
+bytes. Width, height and labels must fit a byte.
 
 :func:`rank_of_cells` is the one ranking function: builds and
 :meth:`PatternDatabase.lookup` go through it. This module also owns the
@@ -24,7 +24,9 @@ IDA* update (:meth:`PatternHeuristic.incremental`). It ranks nothing:
 :class:`PatternHeuristic` expands each table once into an in-memory
 positional index of n^k bytes, keyed by the pattern tiles' cells as
 base-n digits, so a move reads two bytes of the database holding the
-moved tile, one fixed stride apart. Files keep the rank-ordered table.
+moved tile, one fixed stride apart. Files keep the rank-ordered table;
+there is no rank-order read. One byte ceiling, ``DEFAULT_MAX_BYTES``,
+covers both the build and the summed indexes.
 """
 
 from __future__ import annotations
@@ -53,13 +55,14 @@ VERSION = 1
 MAX_PATTERN_TILES = 8
 UNREACHED = 0xFF
 
-# Ceiling on (placements x blank positions) explored during a build.
-DEFAULT_MAX_STATES = 20_000_000
+# The one memory ceiling for pattern databases, in bytes: a build's
+# P(n,k)·(n+2) bytes, and the summed n^k bytes of PatternHeuristic's indexes.
+DEFAULT_MAX_BYTES = 1 << 27
 
-# Ceiling on one database's in-memory positional index (n^k bytes); a database
-# past it is read through rank_of_cells: 8 tiles on 2x5 or 5x2 (10^8 bytes),
-# which the default build admits, or 4x4 with k >= 7.
-MAX_INDEX_BYTES = 1 << 26
+NOT_A_HEURISTIC = (
+    "heuristic must be a name, a PatternDatabase, a list of them, "
+    "or a PatternHeuristic"
+)
 
 
 def rank_weights(n: int, k: int) -> tuple[int, ...]:
@@ -93,6 +96,11 @@ def _check_pattern(width: int, height: int, tiles) -> None:
         raise ValueError("the SPDB format stores dimensions and tile labels up to 255")
 
 
+def _check_bytes(what: str, need: int, ceiling: int) -> None:
+    if need > ceiling:
+        raise ResourceLimitError(f"{what} {need} bytes, over the {ceiling}-byte ceiling")
+
+
 @dataclass(frozen=True)
 class PatternDatabase:
     """Admissible distance table for one tile subset on one board size."""
@@ -104,6 +112,8 @@ class PatternDatabase:
 
     def __post_init__(self):
         _check_pattern(self.width, self.height, self.pattern_tiles)
+        if not isinstance(self.table, bytes):  # hashable; bytes(int) would be zeros
+            object.__setattr__(self, "table", bytes(memoryview(self.table)))
         expected = math.perm(self.size, len(self.pattern_tiles))
         if len(self.table) != expected:
             raise ValueError(
@@ -136,7 +146,7 @@ def build_pdb(
     height: int,
     pattern_tiles,
     *,
-    max_states: int = DEFAULT_MAX_STATES,
+    max_bytes: int = DEFAULT_MAX_BYTES,
     progress=None,
 ) -> PatternDatabase:
     """Exhaustive backward search from the goal over (placement, blank).
@@ -145,10 +155,14 @@ def build_pdb(
     across a pattern tile costs one. The 0/1-cost BFS goes layer by layer,
     flooding the blank's free region at cost 0; the first layer to settle
     a placement gives its entry, capped at 0xFE. The search runs until
-    the frontier is empty, so only placements that cannot occur from the
-    goal keep 0xFF.
-    ``progress(distance, placements, states)``, if given, receives the
-    running settled counts after each layer.
+    no layer queues a state, so only placements that cannot occur from
+    the goal keep 0xFF.
+
+    The build holds exactly P(n,k)·(n+2) bytes: the table, one ``seen``
+    byte per (placement, blank cell) and the returned copy of the table.
+    ``ResourceLimitError`` is raised before allocating when that passes
+    ``max_bytes``. ``progress(distance, placements, states)``, if given,
+    receives the running settled counts after each layer.
     """
     tiles = tuple(sorted(pattern_tiles))
     _check_pattern(width, height, tiles)
@@ -156,25 +170,20 @@ def build_pdb(
     k = len(tiles)
 
     table_len = math.perm(n, k)
-    state_estimate = table_len * (n - k)
-    if state_estimate > max_states:
-        raise ResourceLimitError(
-            f"pattern build needs ~{state_estimate} states, "
-            f"over the {max_states} ceiling"
-        )
+    _check_bytes("pattern build needs", table_len * (n + 2), max_bytes)
 
     weights = rank_weights(n, k)
     targets = move_targets(width, height)
     neighbours = [[d for d in targets[4 * c : 4 * c + 4] if d >= 0] for c in range(n)]
     table = bytearray([UNREACHED]) * table_len
-    seen = bytearray(table_len * n)  # [rank * n + blank]: 1 queued, 2 settled
-    frontier = [rank_of_cells([t - 1 for t in tiles], weights) * n + n - 1]
-    dist = placements = states = 0
-    while frontier:
-        layer = []
-        for index in frontier:
-            if seen[index] == 2:
-                continue
+    # seen[rank * n + blank]: 2 settled; 1 or 3 queued, by the layer's parity.
+    seen = bytearray(table_len * n)
+    seen[rank_of_cells([t - 1 for t in tiles], weights) * n + n - 1] = 1
+    mark, dist, placements, states, queued = 1, 0, 0, 0, True
+    while queued:
+        queued = False
+        index = seen.find(mark)
+        while index >= 0:
             rank, blank = divmod(index, n)
             if table[rank] == UNREACHED:
                 table[rank] = min(dist, 0xFE)
@@ -185,7 +194,7 @@ def build_pdb(
                 cells.append(free.pop(digit))
                 slot[cells[i]] = i
             base = rank * n
-            seen[base + blank] = 2
+            seen[index] = 2
             region = [blank]
             for z in region:
                 for a in neighbours[z]:
@@ -206,12 +215,13 @@ def build_pdb(
                                 child -= weights[j] if j > i else -weights[i]
                     child = child * n + a
                     if not seen[child]:
-                        seen[child] = 1
-                        layer.append(child)
+                        seen[child] = mark ^ 2
+                        queued = True
             states += len(region)
+            index = seen.find(mark, index + 1)
         if progress is not None:
             progress(dist, placements, states)
-        frontier, dist = layer, dist + 1
+        mark, dist = mark ^ 2, dist + 1
     return PatternDatabase(width, height, tiles, bytes(table))
 
 
@@ -237,20 +247,6 @@ def _positional_index(table: bytes, n: int, k: int) -> bytearray:
     return index
 
 
-class _RankOrder:
-    """A table read by positional index: unrank the cells, then rank them."""
-
-    def __init__(self, table: bytes, n: int, k: int):
-        self.table, self.n, self.k = table, n, k
-        self.weights = rank_weights(n, k)
-
-    def __getitem__(self, i: int) -> int:
-        cells = [0] * self.k
-        for slot in range(self.k - 1, -1, -1):
-            i, cells[slot] = divmod(i, self.n)
-        return self.table[rank_of_cells(cells, self.weights)]
-
-
 class PatternHeuristic:
     """Sum of disjoint pattern databases, reusable across solves.
 
@@ -261,16 +257,17 @@ class PatternHeuristic:
     shifts the index by a fixed stride, so the IDA* update costs one
     O(k) index sum and two byte reads instead of two rankings. The index
     costs n^k bytes per database: 65,536 for k=4 on 4x4 (the table holds
-    43,680), 16.7 MB for k=6. A database whose index would pass
-    ``MAX_INDEX_BYTES`` (an 8-tile 2x5 or 5x2 table, which the default
-    build ceiling admits, or 4x4 with k >= 7) keeps only its table and is
-    read through :func:`rank_of_cells`, as slowly as a ranking update.
+    43,680), 16.7 MB for k=6. Every table is indexed; there is no
+    rank-order read. ``ResourceLimitError`` is raised when the indexes
+    together would pass ``DEFAULT_MAX_BYTES``, the build's ceiling.
     """
 
     def __init__(self, databases):
         databases = list(databases)
         if not databases:
             raise ValueError("at least one pattern database required")
+        if not all(isinstance(db, PatternDatabase) for db in databases):
+            raise ValueError(NOT_A_HEURISTIC)
         dims = {(db.width, db.height) for db in databases}
         if len(dims) != 1:
             raise ValueError(f"databases built for mixed dimensions {sorted(dims)}")
@@ -286,15 +283,14 @@ class PatternHeuristic:
         self.databases = tuple(databases)
         self.width, self.height = dims.pop()
         n = self.width * self.height
+        index_bytes = sum(n ** len(db.pattern_tiles) for db in databases)
+        _check_bytes("pattern indexes need", index_bytes, DEFAULT_MAX_BYTES)
         self._indexes = []
         # owner[label]: (pattern tiles, the label's stride, index), None off-pattern.
         self._owner = [None] * (n + 1)
         for db in databases:
             k = len(db.pattern_tiles)
-            if n**k > MAX_INDEX_BYTES:
-                index = _RankOrder(db.table, n, k)
-            else:
-                index = _positional_index(db.table, n, k)
+            index = _positional_index(db.table, n, k)
             self._indexes.append((db.pattern_tiles, index))
             for slot, t in enumerate(db.pattern_tiles):
                 self._owner[t] = (db.pattern_tiles, n ** (k - 1 - slot), index)

@@ -31,7 +31,7 @@ from functools import lru_cache
 from .board import MOVE_ORDER, Board, Move, move_targets
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
 from .heuristics import incremental_linear_conflict, incremental_manhattan
-from .pattern_db import PatternDatabase, PatternHeuristic
+from .pattern_db import NOT_A_HEURISTIC, PatternDatabase, PatternHeuristic
 from .solvability import _PackedBFS, certificate
 
 __all__ = [
@@ -155,14 +155,10 @@ def _resolve_heuristic(heuristic, board: Board, tiles, position):
     if isinstance(heuristic, PatternDatabase):
         heuristic = [heuristic]
     if not isinstance(heuristic, PatternHeuristic):
-        try:
-            databases = tuple(heuristic)
+        try:  # not iterable, or an item the cache cannot hash
+            heuristic = _pattern_heuristic(tuple(heuristic))
         except TypeError:
-            raise ValueError(
-                "heuristic must be a name, a PatternDatabase, a list of them, "
-                "or a PatternHeuristic"
-            ) from None
-        heuristic = _pattern_heuristic(databases)
+            raise ValueError(NOT_A_HEURISTIC) from None
     return heuristic.incremental(board, position)
 
 

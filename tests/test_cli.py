@@ -5,7 +5,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from permpuzzle import Board, bfs_optimal, parse_moves, verify_sequence
+from permpuzzle import Board, bfs_optimal, parse_moves, pattern_db, verify_sequence
 from permpuzzle.cli import main
 
 from conftest import FIG3_CYCLES, FIG3_TEXT, LLOYD_TEXT
@@ -14,6 +14,12 @@ from conftest import FIG3_CYCLES, FIG3_TEXT, LLOYD_TEXT
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def test_version_without_package_metadata(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0
+    assert "0.1.0" in result.stdout
 
 
 class TestSolvable:
@@ -306,9 +312,21 @@ class TestPdbBuild:
     def test_oversized_build_exits_three(self, runner, tmp_path):
         result = runner.invoke(
             main,
-            ["pdb-build", "-w", "4", "-h", "4", "--tiles", "1,2,3,4,5,6", "--out", str(tmp_path / "o")],
+            ["pdb-build", "-w", "4", "-h", "4", "--tiles", "1,2,3,4,5,6,7", "--out", str(tmp_path / "o")],
         )
         assert result.exit_code == 3
+
+    def test_indexes_over_the_byte_ceiling_exit_three(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "a.spdb"
+        args = ["pdb-build", "-w", "3", "-h", "2", "--tiles", "1,2,3", "--out", str(out)]
+        assert runner.invoke(main, args).exit_code == 0
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 6**3 - 1)
+        result = runner.invoke(
+            main, ["solve", "--heuristic", "pdb", "--pdb", str(out), "-"],
+            input=Board.goal(3, 2).format(),
+        )
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: pattern indexes need 216 bytes")
 
     def test_corrupt_pdb_exits_two(self, runner, tmp_path):
         bad = tmp_path / "bad.spdb"

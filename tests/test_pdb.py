@@ -8,7 +8,7 @@ import math
 import os
 import random
 import struct
-from unittest import mock
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +19,9 @@ from permpuzzle import (
     PatternDatabase,
     PatternHeuristic,
     ResourceLimitError,
+    bfs_optimal,
     build_pdb,
+    ida_star,
     load_pdb,
     pdb_heuristic,
     save_pdb,
@@ -132,9 +134,31 @@ class TestBuild:
         assert table[2 * 255 + 254] == 0xFE
 
     def test_state_guard(self):
-        # P(16,6) placements x 10 blank cells is past the default ceiling.
+        # P(16,7)·18 bytes is 1.04 GB, past the default ceiling.
         with pytest.raises(ResourceLimitError):
-            build_pdb(4, 4, [1, 2, 3, 4, 5, 6])
+            build_pdb(4, 4, [1, 2, 3, 4, 5, 6, 7])
+
+    def test_byte_ceiling_is_exact_and_checked_before_allocating(self):
+        need = math.perm(16, 4) * 18
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"needs {need} bytes"):
+                build_pdb(4, 4, [1, 2, 5, 6], max_bytes=need - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < math.perm(16, 4)
+        assert len(build_pdb(4, 4, [1, 2, 5, 6], max_bytes=need).table) == math.perm(16, 4)
+
+    def test_build_holds_only_its_byte_arrays(self):
+        # The table, the seen array and the returned copy: P(16,4)·(16+2) bytes.
+        tracemalloc.start()
+        try:
+            build_pdb(4, 4, [1, 2, 5, 6])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= math.perm(16, 4) * 18 + 8192
 
 
 class TestHeuristic:
@@ -163,6 +187,14 @@ class TestHeuristic:
         with pytest.raises(ValueError):
             PatternHeuristic([])
 
+    def test_items_that_are_not_databases_rejected(self):
+        db = build_pdb(3, 3, [1, 2])
+        for items in (["manhattan"], [db, 7], [[db]]):
+            with pytest.raises(ValueError, match="heuristic must be"):
+                PatternHeuristic(items)
+            with pytest.raises(ValueError, match="heuristic must be"):
+                ida_star(Board.goal(3, 3), items)
+
     def test_positions_path_matches_board_path(self):
         ph = PatternHeuristic([build_pdb(3, 3, [2, 5, 7])])
         rng = random.Random(3)
@@ -180,13 +212,11 @@ class TestPositionalIndex:
     """PatternHeuristic reads its own index, not the rank-ordered table."""
 
     @settings(max_examples=60, deadline=None)
-    @given(small_patterns(), st.sampled_from([pattern_db.MAX_INDEX_BYTES, 0]))
-    def test_every_placement_reads_its_table_entry(self, pattern, max_index_bytes):
-        # A zero ceiling reads every database through rank_of_cells instead.
+    @given(small_patterns())
+    def test_every_placement_reads_its_table_entry(self, pattern):
         width, height, tiles = pattern
         db = build_pdb(width, height, tiles)
-        with mock.patch.object(pattern_db, "MAX_INDEX_BYTES", max_index_bytes):
-            ph = PatternHeuristic([db])
+        ph = PatternHeuristic([db])
         n = width * height
         weights = pattern_db.rank_weights(n, len(tiles))
         position = [0] * (n + 1)
@@ -208,13 +238,18 @@ class TestPositionalIndex:
             b = Board(width, height, tuple(cells))
             assert ph(b) == sum(db.lookup(b) for db in dbs)
 
-    def test_index_size(self, monkeypatch):
+    def test_index_size(self):
         db = build_pdb(4, 4, [1, 2, 5, 6])
         ((_, index),) = PatternHeuristic([db])._indexes
         assert len(index) == 16**4 and len(db.table) == 43680
-        monkeypatch.setattr(pattern_db, "MAX_INDEX_BYTES", 16**4 - 1)
-        ((_, index),) = PatternHeuristic([db])._indexes
-        assert not isinstance(index, bytearray)
+
+    def test_indexes_over_the_byte_ceiling_refused(self, monkeypatch):
+        dbs = [build_pdb(3, 3, [1, 2, 3]), build_pdb(3, 3, [4, 5])]
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 9**3 + 9**2)
+        PatternHeuristic(dbs)
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 9**3 + 9**2 - 1)
+        with pytest.raises(ResourceLimitError, match="ceiling"):
+            PatternHeuristic(dbs)
 
 
 class TestPersistence:
@@ -306,6 +341,14 @@ class TestPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(ParseError, match="length"):
             load_pdb(path)
+
+    def test_bytearray_table_stored_as_bytes(self):
+        table = build_pdb(3, 2, [1, 2, 3]).table
+        db = PatternDatabase(3, 2, (1, 2, 3), bytearray(table))
+        assert type(db.table) is bytes and db.table == table
+        assert PatternDatabase(3, 2, (1, 2, 3), table).table is table
+        b = Board(3, 2, (4, 1, 3, 6, 2, 5))
+        assert ida_star(b, [db]).length == bfs_optimal(b).length
 
     def test_direct_constructor_validates(self):
         with pytest.raises(ValueError):
