@@ -15,15 +15,51 @@ table, built on the shape's first solve, names for each slide the one
 line it can change and how the slide shifts that line's key, so a node
 costs one table read, plus a key and two conflict reads when the tile
 crosses its goal line.
+
+The Manhattan table and the move table both grow with n², so each is
+refused with :class:`ResourceLimitError` before it is built when an
+upper bound on its bytes passes ``pattern_db.DEFAULT_MAX_BYTES``, the
+package's one memory ceiling. Every shape up to 37x37 passes it with
+either heuristic.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
+from . import pattern_db
 from .board import Board, move_targets
 
 __all__ = ["manhattan", "linear_conflict"]
+
+
+def _goal_table_bytes(width: int, height: int) -> int:
+    """Upper bound on the bytes :func:`goal_tables` allocates: n+1 lists of
+    n slots with their 56-byte headers, three lists of n+1 slots, and a
+    32-byte int per slot once a distance can pass 256, the largest int
+    CPython shares."""
+    n = width * height
+    slot = 8 if width + height - 2 <= 256 else 8 + 32
+    return (n + 1) * (56 + n * slot + 3 * 8)
+
+
+def _move_table_bytes(width: int, height: int) -> int:
+    """Upper bound on the bytes :func:`_move_table` allocates, the Manhattan
+    table and goal lines it is built on included: a 224-byte dict per cell,
+    a list of n+1 slots per ordered pair of adjacent cells, n+1 slots per
+    goal line, and for each tile of the two goal lines a slide crosses, a
+    5-tuple (80 bytes) and its key delta, an int below (L+1)^L for a line
+    of L cells."""
+    n = width * height
+    pairs = 2 * ((width - 1) * height + width * (height - 1))
+    total = _goal_table_bytes(width, height) + n * 224
+    total += pairs * (56 + (n + 1) * 8) + (width + height) * (n + 1) * 8
+    # A vertical slide crosses two rows of ``width`` cells, a horizontal one two columns.
+    for length, slides in ((width, 2 * width * (height - 1)), (height, 2 * height * (width - 1))):
+        digits = math.ceil(length * math.log2(length + 1) / 30)
+        total += slides * 2 * length * (80 + 32 + 4 * digits)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -32,8 +68,10 @@ def goal_tables(width: int, height: int):
 
     Returns (md, goal_row, goal_col) where md[label][cell] is the taxicab
     distance from ``cell`` to the label's home. The blank's rows are zero
-    / -1 sentinels so it never contributes.
+    / -1 sentinels so it never contributes. The table holds (n+1)·n slots.
     """
+    need = _goal_table_bytes(width, height)
+    pattern_db._check_bytes("Manhattan table needs", need, pattern_db.DEFAULT_MAX_BYTES)
     n = width * height
     md = [[0] * n for _ in range(n + 1)]
     goal_row = [-1] * (n + 1)
@@ -142,8 +180,11 @@ def _move_table(width: int, height: int):
     line it leaves or enters, as (cells, codes, base, conflicts, delta):
     ``delta`` is what the slide adds to that line's key, minus (leaving)
     or plus (entering) ``codes[t]`` at the slot the tile crosses. The
-    table holds 4·n·(n+1) slots at most (0.4 s and ~26 MB for 30x30).
+    table holds n+1 slots per ordered pair of adjacent cells (30x30: 0.2 s,
+    57 MB with the Manhattan table, by ``tracemalloc``).
     """
+    need = _move_table_bytes(width, height)
+    pattern_db._check_bytes("linear-conflict move table needs", need, pattern_db.DEFAULT_MAX_BYTES)
     n = width * height
     lines = _goal_lines(width, height)
     members = [[t for t, code in enumerate(codes) if code] for _, codes, _, _ in lines]

@@ -55,8 +55,9 @@ VERSION = 1
 MAX_PATTERN_TILES = 8
 UNREACHED = 0xFF
 
-# The one memory ceiling for pattern databases, in bytes: a build's
-# P(n,k)·(n+2) bytes, and the summed n^k bytes of PatternHeuristic's indexes.
+# The one memory ceiling, in bytes: a build's P(n,k)·(n+2) bytes, the
+# summed n^k bytes of PatternHeuristic's indexes, and upper bounds on the
+# per-shape Manhattan and linear-conflict tables of :mod:`.heuristics`.
 DEFAULT_MAX_BYTES = 1 << 27
 
 NOT_A_HEURISTIC = (
@@ -310,10 +311,12 @@ class PatternHeuristic:
     def incremental(self, board: Board, position):
         """This heuristic as ``(h0, cost, fix)`` over the solver's ``position``.
 
+        ``h0`` is read from ``position``, which must describe ``board``.
         ``cost`` is all zeros; ``fix`` reads the index of the database that
         owns the moved tile before the move and one stride away after it,
         and adds the change. It reads ``position`` before the move is applied.
         """
+        self._check_shape(board)
         n = self.width * self.height
         owner = self._owner
 
@@ -327,14 +330,17 @@ class PatternHeuristic:
                 i = i * n + position[x]
             return h + index[i + (z - j) * stride] - index[i]
 
-        return self(board), self._cost, fix
+        return self.value_from_positions(position), self._cost, fix
 
-    def __call__(self, board: Board) -> int:
+    def _check_shape(self, board: Board) -> None:
         if (board.width, board.height) != (self.width, self.height):
             raise ValueError(
                 f"heuristic is for {self.width}x{self.height}, "
                 f"board is {board.width}x{board.height}"
             )
+
+    def __call__(self, board: Board) -> int:
+        self._check_shape(board)
         position = [0] * (board.size + 1)
         for cell, label in enumerate(board.cells):
             position[label] = cell

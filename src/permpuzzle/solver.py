@@ -10,8 +10,9 @@ moves from the meeting state back to each root.
 IDA* runs depth-first with an f = g + h threshold raised to the smallest
 overflowing value each iteration; with the admissible heuristics offered
 here the first solution found is optimal. Move ordering is fixed (blank
-U, D, L, R) and the inverse of the previous move is pruned, so node
-counts are reproducible.
+U, D, L, R) and the move that undoes the previous one is pruned by its
+direction, through a per-shape table (:func:`_blank_steps`) built on the
+shape's first solve, so node counts are reproducible.
 
 Every heuristic reaches the search as ``(h0, cost, fix)``, built by its
 own module over the solver's ``tiles`` (cell -> label) and ``position``
@@ -76,6 +77,26 @@ class SearchResult:
         return len(self.moves)
 
 
+_NO_LIMITS = SearchLimits()
+
+
+@lru_cache(maxsize=None)
+def _blank_steps(width: int, height: int):
+    """``steps[blank][last]``: the blank's legal (direction, destination)
+    pairs from ``blank``, in U, D, L, R order, without ``last ^ 1``, the
+    direction that undoes a last move ``last`` (:data:`MOVE_ORDER` pairs
+    U/D and L/R). The fifth entry, ``steps[blank][-1]``, serves the root
+    and keeps every legal pair. The table holds 5·n tuples.
+    """
+    targets = move_targets(width, height)
+    steps = []
+    for c in range(width * height):
+        legal = [(d, j) for d, j in enumerate(targets[c * 4 : c * 4 + 4]) if j >= 0]
+        per_last = [tuple(s for s in legal if s[0] != last ^ 1) for last in range(4)]
+        steps.append((*per_last, tuple(legal)))
+    return tuple(steps)
+
+
 def _require_solvable(board: Board):
     cert = certificate(board)
     if not cert.solvable:
@@ -98,7 +119,8 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     :class:`ResourceLimitError` carries ``lower_bound``: one more than
     the two radii, which the optimal length is proven to reach.
     """
-    limits = limits or SearchLimits()
+    if limits is None:
+        limits = _NO_LIMITS
     t0 = time.perf_counter()
     _require_solvable(board)
     if board.is_goal():
@@ -179,7 +201,8 @@ def ida_star(
     exhausted iteration); with an admissible heuristic the optimal
     length is proven to reach it.
     """
-    limits = limits or SearchLimits()
+    if limits is None:
+        limits = _NO_LIMITS
     t0 = time.perf_counter()
     n = board.size
     tiles = list(board.cells)
@@ -191,12 +214,7 @@ def ida_star(
     if board.is_goal():
         return SearchResult((), 0, time.perf_counter() - t0)
 
-    targets = move_targets(board.width, board.height)
-    # The blank's legal (direction, destination) pairs, per cell.
-    steps = [
-        [(d, j) for d, j in enumerate(targets[c * 4 : c * 4 + 4]) if j >= 0]
-        for c in range(n)
-    ]
+    steps = _blank_steps(board.width, board.height)
     blank0 = board.blank_index - 1
     goal_tiles = list(range(1, n + 1))
     node_cap = limits.max_nodes
@@ -205,10 +223,12 @@ def ida_star(
     nodes = 0
     path: list[int] = []
 
-    def dfs(blank: int, g: int, bound: int, came_from: int, h: int) -> int:
+    def dfs(blank: int, g: int, bound: int, last: int, h: int) -> int:
         """Returns -1 when the goal was reached (path holds the moves),
-        else the smallest f that overflowed the bound. Moving the blank
-        back to ``came_from`` would undo the last move, so it is pruned."""
+        else the smallest f that overflowed the bound. ``last`` is the
+        direction the blank moved to reach ``blank`` (-1 at the root). The
+        undo move is pruned by direction: ``steps[blank][last]``, from the
+        per-shape table, leaves it out."""
         nonlocal nodes
         nodes += 1
         if node_cap is not None and nodes > node_cap:
@@ -224,9 +244,7 @@ def ida_star(
             )
         mn = _INF
         g1 = g + 1
-        for d, j in steps[blank]:
-            if j == came_from:
-                continue
+        for d, j in steps[blank][last]:
             t = tiles[j]
             child_h = h + cost[t][blank] - cost[t][j]
             if fix is not None:
@@ -242,7 +260,7 @@ def ida_star(
             path.append(d)
             if child_h == 0 and tiles == goal_tiles:
                 return -1
-            r = dfs(j, g1, bound, blank, child_h)
+            r = dfs(j, g1, bound, d, child_h)
             if r < 0:
                 return -1
             if r < mn:

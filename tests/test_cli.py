@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from permpuzzle import Board, bfs_optimal, parse_moves, pattern_db, verify_sequence
 from permpuzzle.cli import main
+from permpuzzle.heuristics import goal_tables
 
 from conftest import FIG3_CYCLES, FIG3_TEXT, LLOYD_TEXT
 
@@ -327,6 +328,16 @@ class TestPdbBuild:
         )
         assert result.exit_code == 3
         assert result.stderr.startswith("error: pattern indexes need 216 bytes")
+
+    def test_heuristic_table_over_the_byte_ceiling_exits_three(self, runner, monkeypatch):
+        goal_tables.cache_clear()
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 559)
+        result = runner.invoke(
+            main, ["solve", "--heuristic", "manhattan", "-"], input=Board.goal(2, 2).format()
+        )
+        goal_tables.cache_clear()
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: Manhattan table needs 560 bytes")
 
     def test_corrupt_pdb_exits_two(self, runner, tmp_path):
         bad = tmp_path / "bad.spdb"

@@ -1,12 +1,29 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
 
-from permpuzzle import Board, Move, linear_conflict, manhattan
-from permpuzzle.heuristics import _conflict_table, goal_tables, line_conflicts
+from permpuzzle import (
+    Board,
+    Move,
+    ResourceLimitError,
+    ida_star,
+    linear_conflict,
+    manhattan,
+    pattern_db,
+)
+from permpuzzle.heuristics import (
+    _conflict_table,
+    _goal_lines,
+    _goal_table_bytes,
+    _move_table,
+    _move_table_bytes,
+    goal_tables,
+    line_conflicts,
+)
 
 from oracles import tile_taxicab
 
@@ -117,3 +134,66 @@ class TestConflictTable:
             assert table[key] == line_conflicts(codes) == 2 * fewest_leavers(codes), codes
         assert len(keys) == self.COUNTS[length]
         assert len(table) <= self.COUNTS[length]
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty per-shape caches, so a ceiling is checked again on the next read."""
+
+    def clear():
+        for cache in (goal_tables, _goal_lines, _move_table):
+            cache.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+class TestTableCeiling:
+    """A 3x3 Manhattan table is bounded by 1520 bytes, and the
+    linear-conflict move table, built on it, by 23,984."""
+
+    def test_manhattan_table_at_the_ceiling(self, monkeypatch, fresh_tables):
+        board = Board.goal(3, 3).apply_move(Move.UP)
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 1520)
+        assert ida_star(board, "manhattan").length == 1
+        fresh_tables()
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 1519)
+        with pytest.raises(ResourceLimitError, match="Manhattan table needs 1520 bytes"):
+            ida_star(board, "manhattan")
+        with pytest.raises(ResourceLimitError):
+            manhattan(board)
+
+    def test_move_table_at_the_ceiling(self, monkeypatch, fresh_tables):
+        board = Board.goal(3, 3).apply_move(Move.UP)
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 23984)
+        assert ida_star(board, "linear-conflict").length == 1
+        fresh_tables()
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 23983)
+        with pytest.raises(ResourceLimitError, match="move table needs 23984 bytes"):
+            ida_star(board, "linear-conflict")
+        # Manhattan's smaller table still fits.
+        assert ida_star(board, "manhattan").length == 1
+
+    @pytest.mark.parametrize("width, height", [(2, 2), (5, 3), (3, 5), (2, 7), (10, 10), (2, 60)])
+    def test_bounds_cover_what_is_allocated(self, width, height, fresh_tables):
+        tracemalloc.start()
+        try:
+            goal_tables(width, height)
+            goal = tracemalloc.get_traced_memory()[0]
+            _move_table(width, height)
+            total = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert goal <= _goal_table_bytes(width, height)
+        assert total <= _move_table_bytes(width, height)
+
+    def test_goal_bound_covers_unshared_distances(self, fresh_tables):
+        """On 2x300 most distances pass 256, so each is an int of its own."""
+        tracemalloc.start()
+        try:
+            goal_tables(2, 300)
+            goal = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert goal <= _goal_table_bytes(2, 300)

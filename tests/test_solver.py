@@ -6,17 +6,21 @@ import pytest
 
 from permpuzzle import (
     Board,
+    PatternHeuristic,
     ResourceLimitError,
     SearchLimits,
     UnsolvableError,
     bfs_optimal,
     build_pdb,
+    format_moves,
     ida_star,
     linear_conflict,
     manhattan,
     scramble,
     verify_sequence,
 )
+from permpuzzle.board import move_targets
+from permpuzzle.solver import _blank_steps
 
 from oracles import exact_distances
 
@@ -260,3 +264,52 @@ class TestIdaStar:
             b = Board(3, 2, cells)
             for h in ("manhattan", "linear-conflict", pdbs):
                 assert ida_star(b, h).length == d
+
+
+class TestBlankSteps:
+    SHAPES = [(w, h) for w in range(2, 7) for h in range(2, 7)]
+
+    @pytest.mark.parametrize("width, height", SHAPES)
+    def test_matches_brute_force(self, width, height):
+        undo = {0: 1, 1: 0, 2: 3, 3: 2}  # U <-> D, L <-> R
+        targets = move_targets(width, height)
+        steps = _blank_steps(width, height)
+        assert len(steps) == width * height
+        for blank, per_last in enumerate(steps):
+            legal = [(d, targets[blank * 4 + d]) for d in range(4) if targets[blank * 4 + d] >= 0]
+            expected = [[(d, j) for d, j in legal if d != undo[last]] for last in range(4)]
+            assert [list(entry) for entry in per_last] == expected + [legal]
+        assert sum(len(per_last) for per_last in steps) == 5 * width * height
+
+    # Moves and expansions read from the search that pruned the undo move
+    # by the blank's previous cell, before the per-shape step table.
+    PINNED = {
+        (3, 5): ("U R R U L U L U R R D D D D L L U R U L U U R D D D D R U L D R",
+                 {"manhattan": 9185, "linear-conflict": 3755, "pdb": 776}),
+        (5, 3): ("D R R R U L U R D L D R U L L L L U R R D D L L U R R U R R D D",
+                 {"manhattan": 23969, "linear-conflict": 4842, "pdb": 12560}),
+    }
+
+    @pytest.mark.parametrize("width, height", sorted(PINNED))
+    def test_unequal_shapes_pinned(self, width, height):
+        board = scramble(width, height, 40, 0)[0]
+        labels = range(1, width * height)
+        pdbs = PatternHeuristic(
+            [build_pdb(width, height, labels[i : i + 3]) for i in range(0, len(labels), 3)]
+        )
+        moves, nodes = self.PINNED[width, height]
+        for name, expected in nodes.items():
+            result = ida_star(board, pdbs if name == "pdb" else name)
+            assert (format_moves(result.moves), result.nodes_expanded) == (moves, expected)
+
+    def test_2x2_farthest_board_pinned(self):
+        board = Board(2, 2, (4, 3, 2, 1))
+        for heuristic in ("manhattan", "linear-conflict", [build_pdb(2, 2, [1, 2, 3])]):
+            result = ida_star(board, heuristic)
+            assert (format_moves(result.moves), result.nodes_expanded) == ("D R U L D R", 6)
+
+    def test_other_shape_pdb_refused_by_incremental(self, pdb_pair_3x3):
+        heuristic = PatternHeuristic(pdb_pair_3x3)
+        board = Board.goal(4, 4)
+        with pytest.raises(ValueError, match="heuristic is for 3x3, board is 4x4"):
+            heuristic.incremental(board, [0] * (board.size + 1))
