@@ -20,11 +20,11 @@ from .heuristics import linear_conflict, manhattan
 from .pattern_db import (
     PatternDatabase,
     PatternHeuristic,
-    build_pdb,
     load_pdb,
     pdb_heuristic,
     save_pdb,
 )
+from .pdb_build import build_pdb
 from .perm import CycleDecomposition, Parity, Permutation
 from .solvability import (
     EnumerationReport,

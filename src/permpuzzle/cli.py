@@ -16,7 +16,8 @@ import click
 from . import __version__
 from .board import Board, format_moves, parse_moves, scramble
 from .errors import ParseError, ResourceLimitError, UnsolvableError
-from .pattern_db import PatternHeuristic, build_pdb, load_pdb, save_pdb
+from .pattern_db import PatternHeuristic, load_pdb, save_pdb
+from .pdb_build import build_pdb
 from .solvability import certificate, reachable_states, verify_sequence
 from .solver import SearchLimits, ida_star
 

@@ -12,15 +12,11 @@ unsigned table length L, then L distance bytes indexed by the
 lexicographic rank of the pattern tiles' cell assignment (an ordered
 k-selection out of the n cells).
 
-:func:`build_pdb` runs a layer-by-layer 0/1 BFS over flat arrays and
-nothing else: the table (P(n,k) bytes), a ``seen`` byte per (placement,
-blank cell) (P(n,k)·n bytes) that also marks each layer's queue, and
-the returned copy of the table, so a build holds exactly P(n,k)·(n+2)
-bytes. Width, height and labels must fit a byte.
-
-:func:`rank_of_cells` is the one ranking function: builds and
-:meth:`PatternDatabase.lookup` go through it. This module also owns the
-IDA* update (:meth:`PatternHeuristic.incremental`). It ranks nothing:
+:func:`.pdb_build.build_pdb` builds the tables. :func:`rank_of_cells`
+ranks one placement for :meth:`PatternDatabase.lookup`; the builder
+places its entries by the same :func:`rank_weights`, a set's k! ranks
+at once. This module also owns the IDA* update
+(:meth:`PatternHeuristic.incremental`). It ranks nothing:
 :class:`PatternHeuristic` expands each table once into an in-memory
 positional index of n^k bytes, keyed by the pattern tiles' cells as
 base-n digits, so a move reads two bytes of the database holding the
@@ -38,13 +34,12 @@ import os
 import struct
 from dataclasses import dataclass
 
-from .board import Board, check_dimensions, move_targets
+from .board import Board, check_dimensions
 from .errors import ParseError, ResourceLimitError
 
 __all__ = [
     "PatternDatabase",
     "PatternHeuristic",
-    "build_pdb",
     "pdb_heuristic",
     "save_pdb",
     "load_pdb",
@@ -142,90 +137,6 @@ class PatternDatabase:
         return self.table[rank_of_cells(cells, weights)]
 
 
-def build_pdb(
-    width: int,
-    height: int,
-    pattern_tiles,
-    *,
-    max_bytes: int = DEFAULT_MAX_BYTES,
-    progress=None,
-) -> PatternDatabase:
-    """Exhaustive backward search from the goal over (placement, blank).
-
-    Moving the blank across a non-pattern tile costs nothing; moving it
-    across a pattern tile costs one. The 0/1-cost BFS goes layer by layer,
-    flooding the blank's free region at cost 0; the first layer to settle
-    a placement gives its entry, capped at 0xFE. The search runs until
-    no layer queues a state, so only placements that cannot occur from
-    the goal keep 0xFF.
-
-    The build holds exactly P(n,k)·(n+2) bytes: the table, one ``seen``
-    byte per (placement, blank cell) and the returned copy of the table.
-    ``ResourceLimitError`` is raised before allocating when that passes
-    ``max_bytes``. ``progress(distance, placements, states)``, if given,
-    receives the running settled counts after each layer.
-    """
-    tiles = tuple(sorted(pattern_tiles))
-    _check_pattern(width, height, tiles)
-    n = width * height
-    k = len(tiles)
-
-    table_len = math.perm(n, k)
-    _check_bytes("pattern build needs", table_len * (n + 2), max_bytes)
-
-    weights = rank_weights(n, k)
-    targets = move_targets(width, height)
-    neighbours = [[d for d in targets[4 * c : 4 * c + 4] if d >= 0] for c in range(n)]
-    table = bytearray([UNREACHED]) * table_len
-    # seen[rank * n + blank]: 2 settled; 1 or 3 queued, by the layer's parity.
-    seen = bytearray(table_len * n)
-    seen[rank_of_cells([t - 1 for t in tiles], weights) * n + n - 1] = 1
-    mark, dist, placements, states, queued = 1, 0, 0, 0, True
-    while queued:
-        queued = False
-        index = seen.find(mark)
-        while index >= 0:
-            rank, blank = divmod(index, n)
-            if table[rank] == UNREACHED:
-                table[rank] = min(dist, 0xFE)
-                placements += 1
-            free, cells, slot, rest = list(range(n)), [], [None] * n, rank
-            for i, w in enumerate(weights):  # unrank: digit i picks a free cell
-                digit, rest = divmod(rest, w)
-                cells.append(free.pop(digit))
-                slot[cells[i]] = i
-            base = rank * n
-            seen[index] = 2
-            region = [blank]
-            for z in region:
-                for a in neighbours[z]:
-                    i = slot[a]
-                    if i is None:  # the blank moves on at cost 0
-                        if seen[base + a] != 2:
-                            seen[base + a] = 2
-                            region.append(a)
-                        continue
-                    # Tile i slides from a into z at cost 1: its digit moves by z - a;
-                    # each tile j between a and z shifts the digit of the later of i, j.
-                    child = rank + (z - a) * weights[i]
-                    if z - a != 1 and a - z != 1:
-                        for j, c in enumerate(cells):
-                            if a < c < z:
-                                child += weights[j] if j > i else -weights[i]
-                            elif z < c < a:
-                                child -= weights[j] if j > i else -weights[i]
-                    child = child * n + a
-                    if not seen[child]:
-                        seen[child] = mark ^ 2
-                        queued = True
-            states += len(region)
-            index = seen.find(mark, index + 1)
-        if progress is not None:
-            progress(dist, placements, states)
-        mark, dist = mark ^ 2, dist + 1
-    return PatternDatabase(width, height, tiles, bytes(table))
-
-
 def _positional_index(table: bytes, n: int, k: int) -> bytearray:
     """``table`` re-keyed by the cells as base-n digits, UNREACHED elsewhere.
 
@@ -316,7 +227,7 @@ class PatternHeuristic:
         owns the moved tile before the move and one stride away after it,
         and adds the change. It reads ``position`` before the move is applied.
         """
-        self._check_shape(board)
+        self.check_shape(board)
         n = self.width * self.height
         owner = self._owner
 
@@ -332,7 +243,8 @@ class PatternHeuristic:
 
         return self.value_from_positions(position), self._cost, fix
 
-    def _check_shape(self, board: Board) -> None:
+    def check_shape(self, board: Board) -> None:
+        """Raise ``ValueError`` unless ``board`` has this heuristic's shape."""
         if (board.width, board.height) != (self.width, self.height):
             raise ValueError(
                 f"heuristic is for {self.width}x{self.height}, "
@@ -340,7 +252,7 @@ class PatternHeuristic:
             )
 
     def __call__(self, board: Board) -> int:
-        self._check_shape(board)
+        self.check_shape(board)
         position = [0] * (board.size + 1)
         for cell, label in enumerate(board.cells):
             position[label] = cell

@@ -162,18 +162,17 @@ def _pattern_heuristic(databases: tuple) -> PatternHeuristic:
     return PatternHeuristic(databases)
 
 
-def _resolve_heuristic(heuristic, board: Board, tiles, position):
-    """``(h0, cost, fix)`` for the heuristic argument, from the layer that
-    owns it, reading the solver's ``tiles`` and ``position`` arrays."""
+def _check_heuristic(heuristic, board: Board):
+    """The heuristic argument checked against ``board`` and normalised to
+    a name from :data:`HEURISTIC_NAMES` or a :class:`PatternHeuristic`.
+    Builds no per-shape table."""
     if isinstance(heuristic, str):
         name = heuristic.lower().replace("_", "-")
-        if name == "manhattan":
-            return incremental_manhattan(board)
-        if name == "linear-conflict":
-            return incremental_linear_conflict(board, tiles)
-        raise ValueError(
-            f"unknown heuristic {heuristic!r}; named options: {HEURISTIC_NAMES}"
-        )
+        if name not in HEURISTIC_NAMES:
+            raise ValueError(
+                f"unknown heuristic {heuristic!r}; named options: {HEURISTIC_NAMES}"
+            )
+        return name
     if isinstance(heuristic, PatternDatabase):
         heuristic = [heuristic]
     if not isinstance(heuristic, PatternHeuristic):
@@ -181,6 +180,18 @@ def _resolve_heuristic(heuristic, board: Board, tiles, position):
             heuristic = _pattern_heuristic(tuple(heuristic))
         except TypeError:
             raise ValueError(NOT_A_HEURISTIC) from None
+    heuristic.check_shape(board)
+    return heuristic
+
+
+def _resolve_heuristic(heuristic, board: Board, tiles, position):
+    """``(h0, cost, fix)`` for the heuristic argument, from the layer that
+    owns it, reading the solver's ``tiles`` and ``position`` arrays."""
+    heuristic = _check_heuristic(heuristic, board)
+    if heuristic == "manhattan":
+        return incremental_manhattan(board)
+    if heuristic == "linear-conflict":
+        return incremental_linear_conflict(board, tiles)
     return heuristic.incremental(board, position)
 
 
@@ -194,8 +205,10 @@ def ida_star(
     ``heuristic`` is a name from :data:`HEURISTIC_NAMES`, or pattern
     database(s) (pairwise disjoint) for an additive table-driven bound;
     a :class:`PatternHeuristic` over them is built once and kept for the
-    next solve with the same databases. Unsolvable boards are rejected
-    via the O(n) parity certificate before any node is expanded. A
+    next solve with the same databases. The heuristic argument is checked
+    first; then unsolvable boards are rejected via the O(n) parity
+    certificate and a goal board returns at once, both before any
+    per-shape heuristic table is built or refused. A
     :class:`ResourceLimitError` carries ``lower_bound``, the threshold
     being searched (h(start), then the least f that overflowed an
     exhausted iteration); with an admissible heuristic the optimal
@@ -204,15 +217,18 @@ def ida_star(
     if limits is None:
         limits = _NO_LIMITS
     t0 = time.perf_counter()
+    # The argument first, then the board; the per-shape tables last, so a
+    # goal or unsolvable board never waits for them or hits their ceiling.
+    heuristic = _check_heuristic(heuristic, board)
+    _require_solvable(board)
+    if board.is_goal():
+        return SearchResult((), 0, time.perf_counter() - t0)
     n = board.size
     tiles = list(board.cells)
     position = [0] * (n + 1)
     for cell, label in enumerate(tiles):
         position[label] = cell
     h0, cost, fix = _resolve_heuristic(heuristic, board, tiles, position)
-    _require_solvable(board)
-    if board.is_goal():
-        return SearchResult((), 0, time.perf_counter() - t0)
 
     steps = _blank_steps(board.width, board.height)
     blank0 = board.blank_index - 1

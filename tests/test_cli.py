@@ -5,7 +5,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from permpuzzle import Board, bfs_optimal, parse_moves, pattern_db, verify_sequence
+from permpuzzle import Board, Move, bfs_optimal, parse_moves, pattern_db, verify_sequence
 from permpuzzle.cli import main
 from permpuzzle.heuristics import goal_tables
 
@@ -167,6 +167,23 @@ class TestSolve:
             main, ["solve", "--heuristic", "euclid", "-"], input=Board.goal(3, 3).format()
         )
         assert result.exit_code == 2
+
+    def test_goal_board_past_the_table_ceiling_solves(self, runner):
+        # Its Manhattan table would pass the byte ceiling, but a goal board needs none.
+        result = runner.invoke(
+            main, ["solve", "--heuristic", "manhattan", "-"], input=Board.goal(100, 100).format()
+        )
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[1].startswith("length=0 nodes=0 ")
+
+    def test_unsolvable_board_past_the_table_ceiling_exits_one(self, runner):
+        cells = list(Board.goal(100, 100).cells)
+        cells[0], cells[1] = cells[1], cells[0]
+        result = runner.invoke(main, ["solve", "-"], input=Board(100, 100, tuple(cells)).format())
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "config_parity=Odd" in result.stderr
+        assert "solvable=false" in result.stderr
 
 
 class TestScramble:
@@ -332,8 +349,10 @@ class TestPdbBuild:
     def test_heuristic_table_over_the_byte_ceiling_exits_three(self, runner, monkeypatch):
         goal_tables.cache_clear()
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 559)
+        # One move from the goal: a goal board returns before any table is built.
+        board = Board.goal(2, 2).apply_move(Move.UP)
         result = runner.invoke(
-            main, ["solve", "--heuristic", "manhattan", "-"], input=Board.goal(2, 2).format()
+            main, ["solve", "--heuristic", "manhattan", "-"], input=board.format()
         )
         goal_tables.cache_clear()
         assert result.exit_code == 3
