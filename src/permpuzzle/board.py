@@ -48,6 +48,7 @@ class Move(Enum):
 
 # Canonical move ordering used everywhere search determinism matters.
 MOVE_ORDER: tuple[Move, ...] = (Move.UP, Move.DOWN, Move.LEFT, Move.RIGHT)
+_DIRECTION = {m: d for d, m in enumerate(MOVE_ORDER)}
 
 _INVERSE = {
     Move.UP: Move.DOWN,
@@ -73,6 +74,24 @@ def move_targets(width: int, height: int) -> tuple[int, ...]:
         table.append(cell - 1 if col > 0 else -1)
         table.append(cell + 1 if col < width - 1 else -1)
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _blank_steps(width: int, height: int):
+    """``steps[blank][last]``: the blank's legal (direction, destination)
+    pairs from ``blank``, in U, D, L, R order, without ``last ^ 1``, the
+    direction that undoes a last move ``last`` (:data:`MOVE_ORDER` pairs
+    U/D and L/R). The fifth entry, ``steps[blank][-1]``, serves a root
+    and keeps every legal pair. The table holds 5·n tuples; IDA*, the
+    packed-state BFS and :func:`scramble` all read it.
+    """
+    targets = move_targets(width, height)
+    steps = []
+    for c in range(width * height):
+        legal = [(d, j) for d, j in enumerate(targets[c * 4 : c * 4 + 4]) if j >= 0]
+        per_last = [tuple(s for s in legal if s[0] != last ^ 1) for last in range(4)]
+        steps.append((*per_last, tuple(legal)))
+    return tuple(steps)
 
 
 def check_dimensions(width: int, height: int) -> None:
@@ -200,21 +219,22 @@ class Board:
 
     def _target(self, move: Move) -> int:
         """0-based destination cell of the blank; raises
-        :class:`IllegalMoveError` when ``move`` leaves the board."""
-        d = MOVE_ORDER.index(move)
-        target = move_targets(self.width, self.height)[(self.blank_index - 1) * 4 + d]
+        :class:`IllegalMoveError` when ``move`` is not a :class:`Move` or
+        leaves the board."""
+        if not isinstance(move, Move):
+            raise IllegalMoveError(f"not a Move: {move!r}", move=move)
+        base = (self.blank_index - 1) * 4
+        target = move_targets(self.width, self.height)[base + _DIRECTION[move]]
         if target < 0:
             raise IllegalMoveError(
-                f"blank cannot travel {move.name}: already at that edge",
-                move=move,
+                f"blank cannot travel {move.name}: already at that edge", move=move
             )
         return target
 
     def legal_moves(self) -> set[Move]:
         """The 2-4 directions the blank may travel from here."""
-        targets = move_targets(self.width, self.height)
-        base = (self.blank_index - 1) * 4
-        return {m for d, m in enumerate(MOVE_ORDER) if targets[base + d] >= 0}
+        steps = _blank_steps(self.width, self.height)[self.blank_index - 1][-1]
+        return {MOVE_ORDER[d] for d, _ in steps}
 
     def apply_move(self, move: Move) -> "Board":
         """Slide the adjacent tile into the blank; blank travels ``move``."""
@@ -257,21 +277,13 @@ def scramble(
         raise ValueError("steps must be non-negative")
     rng = random.Random(rng_seed)
     board = Board.goal(width, height)
-    targets = move_targets(width, height)
+    table = _blank_steps(width, height)
     moves: list[Move] = []
-    previous: Move | None = None
+    last = -1  # the root's entry keeps every legal move
     for _ in range(steps):
-        base = (board.blank_index - 1) * 4
-        candidates = [
-            m
-            for d, m in enumerate(MOVE_ORDER)
-            if targets[base + d] >= 0
-            and (previous is None or m is not previous.inverse)
-        ]
-        move = rng.choice(candidates)
-        board = board.apply_move(move)
-        moves.append(move)
-        previous = move
+        last = rng.choice(table[board.blank_index - 1][last])[0]
+        moves.append(MOVE_ORDER[last])
+        board = board.apply_move(moves[-1])
     return board, moves
 
 

@@ -12,9 +12,9 @@ class ParseError(PuzzleError, ValueError):
 
 
 class IllegalMoveError(PuzzleError, ValueError):
-    """A move was applied with the blank already at the corresponding edge.
+    """A move would take the blank off the board, or an item is not a Move.
 
-    ``move`` names the offending direction; ``index`` is set when the move
+    ``move`` names the offending item; ``index`` is set when the move
     came from a sequence (0-based position of the first illegal move).
     """
 

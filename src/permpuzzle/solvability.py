@@ -6,9 +6,10 @@ parity of the blank's taxicab distance to its home cell. The goal is
 Even/Even, so a board can reach it only if the two parities agree. BFS
 enumeration over small boards certifies the converse. It runs the search
 over boards packed 4 bits per cell that the solver's exact oracle runs
-too (``_PackedBFS``), from the goal to exhaustion. Every move flips the
-blank's cell parity, so a child of layer r lies in layer r-1 or r+1, and
-the enumeration keeps only the live layers in its visited map.
+too (``_PackedBFS``), from the goal to exhaustion, through the step
+table IDA* uses. Every move flips the blank's cell parity, so a child of
+layer r lies in layer r-1 or r+1, and the enumeration keeps only the
+live layers in the visited map the oracle shares between its two balls.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .board import Board, check_dimensions, move_targets
+from .board import Board, _blank_steps, check_dimensions
 from .errors import IllegalMoveError, ResourceLimitError
 from .perm import Parity
 
@@ -92,11 +93,14 @@ class EnumerationReport:
 
 class _PackedBFS:
     """Breadth-first layers over boards packed 4 bits per cell (label-1,
-    so the goal packs as 0, 1, ..., n-1). A visited map sends each state
-    to the direction its blank travelled to reach it (-1 at a root).
-    ``nodes`` counts expansions over every layer; :meth:`expand` raises
-    :class:`ResourceLimitError` past ``node_cap`` expansions (None for
-    the default) or ``max_time`` seconds from ``t0``."""
+    so the goal packs as 0, 1, ..., n-1), expanded through the per-shape
+    step table, which leaves out the move back to a state's parent. One
+    visited map serves both balls of a bidirectional search: it sends a
+    state to ``2·d + side``, ``d`` being its blank's last direction (-1
+    at a root) and ``side`` the ball that reached it first. ``nodes``
+    counts expansions; :meth:`expand` raises :class:`ResourceLimitError`
+    past ``node_cap`` expansions (None for the default) or ``max_time``
+    seconds from ``t0``."""
 
     def __init__(self, width: int, height: int, node_cap: int | None,
                  max_time: float | None = None, t0: float = 0.0):
@@ -105,7 +109,7 @@ class _PackedBFS:
             raise ResourceLimitError(
                 f"packed-state BFS supports at most 16 cells, got {n}"
             )
-        self.targets = move_targets(width, height)
+        self.steps = _blank_steps(width, height)
         self.blank_nibble = n - 1
         self.goal = self.pack(range(1, n + 1))
         self.node_cap = DEFAULT_MAX_STATES if node_cap is None else node_cap
@@ -119,19 +123,19 @@ class _PackedBFS:
             state |= (label - 1) << (4 * cell)
         return state
 
-    def expand(self, frontier, seen: dict, other=(), bound: int | None = None):
-        """Expand one layer of ``(state, blank cell)`` pairs into ``seen``.
+    def expand(self, frontier, seen: dict, side: int = 0, bound: int | None = None):
+        """Grow ball ``side`` by one layer of ``(state, blank, last)``.
 
         Returns ``(next layer, meet)``. ``meet`` is None, or the first
-        ``(child, child's blank)`` found in ``other``, which stops the
-        layer; it is recorded in ``seen`` too, so :meth:`unwind` walks
-        from it in either map. A limit error carries ``bound`` as its
-        ``lower_bound``.
+        ``(child, child's blank, d, e)`` whose child the other ball holds,
+        which stops the layer: ``d`` is this ball's direction into it and
+        ``e`` the other's, for :meth:`unwind`. A limit error carries
+        ``bound`` as its ``lower_bound``.
         """
-        targets, blank_nibble = self.targets, self.blank_nibble
+        steps, blank_nibble = self.steps, self.blank_nibble
         node_cap, deadline, nodes = self.node_cap, self.deadline, self.nodes
         next_frontier = []
-        for state, blank in frontier:
+        for state, blank, last in frontier:
             nodes += 1
             # The clock is read on the first expansion, then every 4096th.
             if nodes > node_cap or (
@@ -141,38 +145,34 @@ class _PackedBFS:
                 raise ResourceLimitError(
                     f"BFS exceeded {limit}", nodes_expanded=nodes, lower_bound=bound
                 )
-            base = blank * 4  # stride-4 into both the move table and the nibbles
-            for d in range(4):
-                target = targets[base + d]
-                if target < 0:
-                    continue
+            base = blank * 4
+            for d, target in steps[blank][last]:
                 tshift = target * 4
                 # Swap the blank nibble with the tile nibble.
                 delta = ((state >> tshift) & 15) ^ blank_nibble
                 child = state ^ (delta << tshift) ^ (delta << base)
-                if child in seen:
-                    continue
-                seen[child] = d
-                if child in other:
+                mark = seen.get(child)
+                if mark is None:
+                    seen[child] = 2 * d + side
+                    next_frontier.append((child, target, d))
+                elif mark & 1 != side:
                     self.nodes = nodes
-                    return next_frontier, (child, target)
-                next_frontier.append((child, target))
+                    return next_frontier, (child, target, d, mark >> 1)
         self.nodes = nodes
         return next_frontier, None
 
-    def unwind(self, state: int, blank: int, seen: dict) -> list[int]:
-        """Directions recorded in ``seen`` from ``state`` back to its root,
-        last move first; each step undoes one by moving the blank back."""
+    def unwind(self, state: int, blank: int, d: int, seen: dict) -> list[int]:
+        """Directions from ``state`` back to its root, last move first:
+        ``d``, then those in ``seen``; each step moves the blank back."""
         dirs = []
-        d = seen[state]
         while d >= 0:
             dirs.append(d)
-            prev = self.targets[blank * 4 + (d ^ 1)]
+            prev = dict(self.steps[blank][-1])[d ^ 1]
             pshift = prev * 4
             delta = ((state >> pshift) & 15) ^ self.blank_nibble
             state ^= (delta << pshift) ^ (delta << (blank * 4))
             blank = prev
-            d = seen[state]
+            d = seen[state] >> 1
         return dirs
 
 
@@ -197,15 +197,15 @@ def reachable_states(
             f"{width}x{height} has {size} reachable states, over the {max_states} ceiling"
         )
 
-    seen = {bfs.goal: -1}
-    previous, frontier = [], [(bfs.goal, n - 1)]
+    seen = {bfs.goal: -2}  # direction -1 (a root), side 0
+    previous, frontier = [], [(bfs.goal, n - 1, -1)]
     count, depth = 0, -1
     while frontier:
         count += len(frontier)
         depth += 1
         next_frontier, _ = bfs.expand(frontier, seen)
         # The next layer's children lie in this layer or the one after it.
-        for state, _ in previous:
+        for state, _, _ in previous:
             del seen[state]
         previous, frontier = frontier, next_frontier
     return EnumerationReport(count=count, max_depth=depth)

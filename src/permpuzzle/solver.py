@@ -3,16 +3,19 @@
 The oracle is a bidirectional BFS (Pohl 1971) on the packed-state
 search that ``reachable_states`` also runs (``solvability._PackedBFS``):
 it grows a ball from the start and one from the goal, a layer at a time,
-and stops at the first state they share. A visited map keeps only the
-blank's last direction per state; the path is rebuilt by undoing those
-moves from the meeting state back to each root.
+and stops at the first state they share. Both balls expand through the
+per-shape step table IDA* uses, which never makes the move back to a
+parent, into one visited map holding per state the blank's last
+direction and a side bit; a child found with the other side's bit is
+the meet. The path is rebuilt by undoing the recorded moves from the
+meeting state back to each root.
 
 IDA* runs depth-first with an f = g + h threshold raised to the smallest
 overflowing value each iteration; with the admissible heuristics offered
 here the first solution found is optimal. Move ordering is fixed (blank
 U, D, L, R) and the move that undoes the previous one is pruned by its
-direction, through a per-shape table (:func:`_blank_steps`) built on the
-shape's first solve, so node counts are reproducible.
+direction, through a per-shape table (``board._blank_steps``) built
+on the shape's first solve, so node counts are reproducible.
 
 Every heuristic reaches the search as ``(h0, cost, fix)``, built by its
 own module over the solver's ``tiles`` (cell -> label) and ``position``
@@ -29,7 +32,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .board import MOVE_ORDER, Board, Move, move_targets
+from .board import MOVE_ORDER, Board, Move, _blank_steps
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
 from .heuristics import incremental_linear_conflict, incremental_manhattan
 from .pattern_db import NOT_A_HEURISTIC, PatternDatabase, PatternHeuristic
@@ -80,23 +83,6 @@ class SearchResult:
 _NO_LIMITS = SearchLimits()
 
 
-@lru_cache(maxsize=None)
-def _blank_steps(width: int, height: int):
-    """``steps[blank][last]``: the blank's legal (direction, destination)
-    pairs from ``blank``, in U, D, L, R order, without ``last ^ 1``, the
-    direction that undoes a last move ``last`` (:data:`MOVE_ORDER` pairs
-    U/D and L/R). The fifth entry, ``steps[blank][-1]``, serves the root
-    and keeps every legal pair. The table holds 5·n tuples.
-    """
-    targets = move_targets(width, height)
-    steps = []
-    for c in range(width * height):
-        legal = [(d, j) for d, j in enumerate(targets[c * 4 : c * 4 + 4]) if j >= 0]
-        per_last = [tuple(s for s in legal if s[0] != last ^ 1) for last in range(4)]
-        steps.append((*per_last, tuple(legal)))
-    return tuple(steps)
-
-
 def _require_solvable(board: Board):
     cert = certificate(board)
     if not cert.solvable:
@@ -127,11 +113,11 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
         return SearchResult((), 0, time.perf_counter() - t0)
     bfs = _PackedBFS(board.width, board.height, limits.max_nodes, limits.max_time, t0)
 
-    # The two visited maps stay disjoint until the meet, so before each
+    # Each state is marked by the first ball to reach it, so before each
     # layer the optimal length exceeds radius[0] + radius[1].
     start = bfs.pack(board.cells)
-    seen = ({start: -1}, {bfs.goal: -1})
-    frontiers = [[(start, board.blank_index - 1)], [(bfs.goal, board.size - 1)]]
+    seen = {start: -2, bfs.goal: -1}  # roots: direction -1, sides 0 and 1
+    frontiers = [[(start, board.blank_index - 1, -1)], [(bfs.goal, board.size - 1, -1)]]
     radius = [0, 0]
     while frontiers[0] and frontiers[1]:
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
@@ -141,12 +127,14 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
                 f"no solution within depth {limits.max_depth}",
                 nodes_expanded=bfs.nodes, lower_bound=bound,
             )
-        frontiers[side], meet = bfs.expand(frontiers[side], seen[side], seen[1 - side], bound)
+        frontiers[side], meet = bfs.expand(frontiers[side], seen, side, bound)
         if meet is not None:
             # The start's ball up to the meeting state, then the goal's
             # ball from it, undoing each of the goal side's moves.
-            dirs = bfs.unwind(*meet, seen[0])[::-1]
-            dirs.extend(e ^ 1 for e in bfs.unwind(*meet, seen[1]))
+            child, blank, mine, theirs = meet
+            d0, d1 = (mine, theirs) if side == 0 else (theirs, mine)
+            dirs = bfs.unwind(child, blank, d0, seen)[::-1]
+            dirs.extend(e ^ 1 for e in bfs.unwind(child, blank, d1, seen))
             moves = tuple(MOVE_ORDER[e] for e in dirs)
             return SearchResult(moves, bfs.nodes, time.perf_counter() - t0)
         radius[side] += 1

@@ -173,6 +173,13 @@ class TestMoves:
         with pytest.raises(IllegalMoveError, match="DOWN"):
             Board.goal(4, 4).apply_move(Move.DOWN)
 
+    @pytest.mark.parametrize("item", ["U", "UL", 0, None, ["U"]])
+    def test_non_move_names_the_item(self, item):
+        with pytest.raises(IllegalMoveError, match="not a Move") as exc:
+            Board.goal(3, 3).apply_move(item)
+        assert repr(item) in str(exc.value)
+        assert exc.value.move == item
+
     @given(boards)
     def test_moves_invert(self, b):
         for m in b.legal_moves():
@@ -226,6 +233,14 @@ class TestSequences:
         with pytest.raises(IllegalMoveError) as exc:
             g.apply_sequence([Move.UP, Move.UP, Move.UP, Move.UP])
         assert exc.value.index == 3
+
+    def test_non_move_index_reported(self):
+        g = Board.goal(3, 3)
+        message = "illegal move at index 1: not a Move: 'L'"
+        with pytest.raises(IllegalMoveError, match=message) as exc:
+            g.apply_sequence([Move.UP, "L"])
+        assert exc.value.index == 1
+        assert exc.value.move == "L"
 
     def test_matches_transposition_chain(self, fig3_board):
         # Replaying moves on cells equals the chained left-multiplication

@@ -188,6 +188,16 @@ class TestVerifySequence:
         assert report.failed_index == 1
         assert report.reached == Board.goal(4, 4).apply_move(Move.UP)
 
+    def test_non_move_reports_index(self):
+        # A string is iterated item by item; "U" is text, not a Move.
+        report = verify_sequence(Board.goal(3, 3), "UL")
+        assert not report.solved
+        assert report.failed_index == 0
+        assert report.reached == Board.goal(3, 3)
+        report = verify_sequence(Board.goal(3, 3), [Move.UP, ("L",)])
+        assert report.failed_index == 1
+        assert report.reached == Board.goal(3, 3).apply_move(Move.UP)
+
     def test_scramble_then_solver_output(self):
         b, _ = scramble(3, 3, 30, 4)
         result = bfs_optimal(b)

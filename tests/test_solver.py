@@ -19,8 +19,7 @@ from permpuzzle import (
     scramble,
     verify_sequence,
 )
-from permpuzzle.board import move_targets
-from permpuzzle.solver import _blank_steps
+from permpuzzle.board import _blank_steps, move_targets
 
 from oracles import exact_distances
 
@@ -124,6 +123,48 @@ class TestBfsOptimal:
         rng = random.Random(4)
         boards = [Board(3, 3, c) for c in rng.sample(solvable_3x3_states, 5)]
         assert [bfs_optimal(b).nodes_expanded for b in boards] == [928, 576, 1875, 1342, 1241]
+
+    # Read from the search with two visited maps, before the shared map
+    # and step table: which optimal path the meet picks is pinned too.
+    PINNED_MOVES = {
+        (3, 3): [
+            "U R D D R U L D L U R D R U U L D L D R R",
+            "D D R U L L D R U L U R R D L U R D D",
+            "R U U L D R R U L L D D R U R D L U L U R R D D",
+            "L L U R R D L L U R R U L L D R U R D L D R",
+            "L L U U R D D L U R R U L L D R R D L U R D",
+        ],
+        (2, 4): ["D D L U U R D L U R U L D D D R U U L D D R"],
+        (4, 2): ["R D L U R R D L U R R D L L L U R R D L U R R D"],
+        (4, 4): [
+            "U U R D D D L L L U R D R R",
+            "L D D R U U R R U L D R D D",
+            "R R D L D R R U L U R D D D",
+        ],
+    }
+
+    def test_moves_pinned(self, solvable_3x3_states):
+        rng = random.Random(4)
+        boards = {
+            (3, 3): [Board(3, 3, c) for c in rng.sample(solvable_3x3_states, 5)],
+            (2, 4): [scramble(2, 4, 60, 0)[0]],
+            (4, 2): [scramble(4, 2, 60, 0)[0]],
+            # The three boards of test_4x4_short_scramble.
+            (4, 4): [scramble(4, 4, 14, seed)[0] for seed in range(3)],
+        }
+        for shape, expected in self.PINNED_MOVES.items():
+            assert [format_moves(bfs_optimal(b).moves) for b in boards[shape]] == expected
+
+    def test_node_cap_pinned(self, solvable_3x3_states):
+        # The first pinned board (928 nodes, length 21): the cap is checked
+        # on every expansion, and the bound is the two radii plus one.
+        board = Board(3, 3, random.Random(4).sample(solvable_3x3_states, 1)[0])
+        pins = []
+        for cap in (0, 7, 60, 400):
+            with pytest.raises(ResourceLimitError, match=f"BFS exceeded {cap} expansions") as exc:
+                bfs_optimal(board, SearchLimits(max_nodes=cap))
+            pins.append((exc.value.nodes_expanded, exc.value.lower_bound))
+        assert pins == [(1, 1), (8, 5), (61, 10), (401, 17)]
 
 
 class TestIdaStar:
