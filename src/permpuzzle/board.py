@@ -100,9 +100,67 @@ def check_dimensions(width: int, height: int) -> None:
         raise ValueError("board dimensions must be at least 2x2")
 
 
+@lru_cache(maxsize=None)
+def _goal_cells(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _token_labels(n: int) -> dict[str, int]:
+    """The canonical spelling of each of 1..n-1, plus ``0`` and ``_`` for
+    the blank, mapped to its label: :meth:`Board.parse`'s fast path."""
+    labels = {str(v): v for v in range(1, n)}
+    for tok in _BLANK_TOKENS:
+        labels[tok] = n
+    return labels
+
+
+def _parse_cells(rows, n: int) -> list[int]:
+    """The labels of a board's tokens, read one at a time: raises
+    :class:`ParseError` naming the first bad token, and accepts the
+    non-canonical spellings (leading zeros) :meth:`Board.parse`'s fast
+    path leaves to it."""
+    digits = len(str(n))
+    cells = []
+    seen = bytearray(n + 1)
+    blank_seen = False
+    for tok in (tok for row in rows for tok in row):
+        if tok in _BLANK_TOKENS:
+            if seen[n]:
+                raise ParseError("more than one blank")
+            seen[n] = 1
+            blank_seen = True
+            cells.append(n)
+            continue
+        if not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"invalid tile {tok!r}")
+        # No label has more digits than n, and int() refuses over 4300.
+        v = int(tok) if len(tok.lstrip("0")) <= digits else 0
+        # The blank's internal label n is tolerated here so that a
+        # board written without any 0/_ reports the missing blank.
+        if not 1 <= v <= n:
+            raise ParseError(f"tile {tok} outside 1..{n - 1}")
+        if seen[v]:
+            raise ParseError(f"duplicate tile {v}")
+        seen[v] = 1
+        cells.append(v)
+    if not blank_seen:
+        raise ParseError("missing blank (0 or _)")
+    return cells
+
+
 @dataclass(frozen=True, slots=True)
 class Board:
-    """Immutable puzzle state; ``cells`` is row-major, blank stored as label n."""
+    """Immutable puzzle state; ``cells`` is row-major, blank stored as label n.
+
+    A board is validated once, when it is made: ``cells`` is then a
+    permutation of 1..n and ``blank_index`` the 1-based cell of label n,
+    which every reader (the solvability certificate included) trusts.
+    The public constructor and :meth:`from_permutation` check their
+    input in full. :meth:`parse` proves the same while reading the text,
+    and :meth:`apply_move` only swaps the blank with a neighbour, so both
+    build their result without checking it again.
+    """
 
     width: int
     height: int
@@ -142,7 +200,7 @@ class Board:
     @classmethod
     def parse(cls, text: str) -> "Board":
         """Parse rows of whitespace-separated ASCII-digit tiles; blank 0 or _."""
-        rows = [line.split() for line in text.splitlines() if line.strip()]
+        rows = [row for row in map(str.split, text.splitlines()) if row]
         if not rows:
             raise ParseError("empty board")
         width = len(rows[0])
@@ -155,32 +213,13 @@ class Board:
         if width < 2 or height < 2:
             raise ParseError("board must be at least 2x2")
         n = width * height
-        cells = []
-        seen = bytearray(n + 1)
-        blank_seen = False
-        for tok in (tok for row in rows for tok in row):
-            if tok in _BLANK_TOKENS:
-                if seen[n]:
-                    raise ParseError("more than one blank")
-                seen[n] = 1
-                blank_seen = True
-                cells.append(n)
-                continue
-            if not (tok.isascii() and tok.isdigit()):
-                raise ParseError(f"invalid tile {tok!r}")
-            # No label has more digits than n, and int() refuses over 4300.
-            v = int(tok) if len(tok.lstrip("0")) <= len(str(n)) else 0
-            # The blank's internal label n is tolerated here so that a
-            # board written without any 0/_ reports the missing blank.
-            if not 1 <= v <= n:
-                raise ParseError(f"tile {tok} outside 1..{n - 1}")
-            if seen[v]:
-                raise ParseError(f"duplicate tile {v}")
-            seen[v] = 1
-            cells.append(v)
-        if not blank_seen:
-            raise ParseError("missing blank (0 or _)")
-        return cls(width, height, tuple(cells))
+        # Canonical tokens, each label once, are a valid board; anything
+        # else (a leading zero, or an error to name) takes the full loop.
+        labels = _token_labels(n)
+        cells = [labels.get(tok, 0) for row in rows for tok in row]
+        if 0 in cells or len(set(cells)) != n:
+            cells = _parse_cells(rows, n)
+        return _trusted_board(width, height, tuple(cells), cells.index(n) + 1)
 
     def format(self) -> str:
         """Inverse of :meth:`parse`; the blank is emitted as ``0``."""
@@ -215,7 +254,7 @@ class Board:
     # ------------------------------------------------------------------
 
     def is_goal(self) -> bool:
-        return self.cells == tuple(range(1, self.size + 1))
+        return self.cells == _goal_cells(self.width * self.height)
 
     def _target(self, move: Move) -> int:
         """0-based destination cell of the blank; raises
@@ -242,7 +281,7 @@ class Board:
         cells = list(self.cells)
         blank = self.blank_index - 1
         cells[blank], cells[target] = cells[target], cells[blank]
-        return Board(self.width, self.height, tuple(cells))
+        return _trusted_board(self.width, self.height, tuple(cells), target + 1)
 
     def move_transposition(self, move: Move) -> Permutation:
         """The 2-cycle of tile labels (blank, slid tile) realizing ``move``.
@@ -265,6 +304,26 @@ class Board:
                     f"illegal move at index {k}: {exc}", move=move, index=k
                 ) from None
         return board
+
+
+_new_board = object.__new__
+# The slots' own setters, which the frozen dataclass's __setattr__ refuses.
+_set_width, _set_height, _set_cells, _set_blank = (
+    Board.__dict__[name].__set__ for name in ("width", "height", "cells", "blank_index")
+)
+
+
+def _trusted_board(
+    width: int, height: int, cells: tuple[int, ...], blank_index: int
+) -> Board:
+    """A board from parts already proven valid (``cells`` a tuple holding
+    1..n once, label n at ``blank_index``), without ``__post_init__``."""
+    board = _new_board(Board)
+    _set_width(board, width)
+    _set_height(board, height)
+    _set_cells(board, cells)
+    _set_blank(board, blank_index)
+    return board
 
 
 def scramble(

@@ -24,7 +24,7 @@ class Parity(Enum):
     @classmethod
     def of(cls, count: int) -> "Parity":
         """Parity of an integer count of transpositions (or moves)."""
-        return cls(count & 1)
+        return _PARITIES[count & 1]
 
     def __mul__(self, other: "Parity") -> "Parity":
         # Parity composition: Even is the identity, Odd*Odd = Even.
@@ -32,6 +32,24 @@ class Parity(Enum):
 
     def __str__(self) -> str:
         return "Even" if self is Parity.EVEN else "Odd"
+
+
+_PARITIES = (Parity.EVEN, Parity.ODD)
+
+
+def cycle_parity(images) -> Parity:
+    """Sign of the permutation sending point i to ``images[i-1]``: the
+    parity of (n - number of cycles, fixed points included). ``images``
+    must hold 1..n once each, as a :class:`Permutation`'s or a board's
+    cells do; nothing here checks it."""
+    step = [0, *images]  # step[p] is p's image, or 0 once p is visited
+    cycles = 0
+    for p in range(1, len(step)):
+        if step[p]:
+            cycles += 1
+            while step[p]:
+                step[p], p = 0, step[p]
+    return Parity.of(len(images) - cycles)
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +67,7 @@ class Permutation:
             raise ValueError("degree must be at least 1")
         seen = bytearray(n + 1)
         for v in images:
-            if not isinstance(v, int) or not 1 <= v <= n:
+            if type(v) is not int or not 1 <= v <= n:  # bool is an int subclass
                 raise ValueError(f"image {v!r} outside 1..{n}")
             if seen[v]:
                 raise ValueError(f"value {v} appears twice; not a bijection")
@@ -199,23 +217,11 @@ class Permutation:
     def sign(self) -> Parity:
         """Even iff the permutation factors into an even number of transpositions.
 
-        Computed as the parity of (degree - number of cycles, fixed points
-        included); an independent inversion-count oracle cross-checks this
-        in the test suite.
+        Computed by :func:`cycle_parity`, which the solvability
+        certificate also calls on a board's cells; an independent
+        inversion-count oracle cross-checks it in the test suite.
         """
-        images = self.images
-        n = len(images)
-        seen = bytearray(n + 1)
-        cycles = 0
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            cycles += 1
-            p = start
-            while not seen[p]:
-                seen[p] = 1
-                p = images[p - 1]
-        return Parity.of(n - cycles)
+        return cycle_parity(self.images)
 
     def cycles(self) -> "CycleDecomposition":
         """Canonical disjoint-cycle decomposition, fixed points included."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .board import Board, _blank_steps, check_dimensions
 from .errors import IllegalMoveError, ResourceLimitError
-from .perm import Parity
+from .perm import Parity, cycle_parity
 
 __all__ = [
     "SolvabilityCertificate",
@@ -67,7 +67,15 @@ def blank_distance(board: Board) -> int:
 
 
 def certificate(board: Board) -> SolvabilityCertificate:
-    config_parity = board.to_permutation().sign()
+    """The parity certificate of ``board``, in O(n).
+
+    It reads ``board.cells`` as the permutation's images, with no
+    :class:`~permpuzzle.perm.Permutation` built or checked in between.
+    That relies on :class:`Board`'s invariant: every board holds 1..n
+    exactly once, proven when it was made (by the public constructor,
+    :meth:`Board.parse` or :meth:`Board.apply_move`).
+    """
+    config_parity = cycle_parity(board.cells)
     distance = blank_distance(board)
     blank_parity = Parity.of(distance)
     return SolvabilityCertificate(
@@ -79,8 +87,9 @@ def certificate(board: Board) -> SolvabilityCertificate:
 
 
 def is_solvable(board: Board) -> bool:
-    """True iff the goal is reachable from ``board`` by legal moves."""
-    return certificate(board).solvable
+    """True iff the goal is reachable from ``board`` by legal moves: the
+    certificate's verdict, without building the certificate."""
+    return cycle_parity(board.cells) is Parity.of(blank_distance(board))
 
 
 @dataclass(frozen=True, slots=True)

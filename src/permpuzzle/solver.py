@@ -28,6 +28,7 @@ called before the arrays change. The goal test is
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +37,7 @@ from .board import MOVE_ORDER, Board, Move, _blank_steps
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
 from .heuristics import incremental_linear_conflict, incremental_manhattan
 from .pattern_db import NOT_A_HEURISTIC, PatternDatabase, PatternHeuristic
-from .solvability import _PackedBFS, certificate
+from .solvability import _PackedBFS, certificate, is_solvable
 
 __all__ = [
     "SearchLimits",
@@ -84,8 +85,9 @@ _NO_LIMITS = SearchLimits()
 
 
 def _require_solvable(board: Board):
-    cert = certificate(board)
-    if not cert.solvable:
+    """Raise :class:`UnsolvableError` with the certificate, built only then."""
+    if not is_solvable(board):
+        cert = certificate(board)
         raise UnsolvableError(
             "goal unreachable: configuration parity "
             f"{cert.config_parity} vs blank parity {cert.blank_parity}",
@@ -173,9 +175,9 @@ def _check_heuristic(heuristic, board: Board):
 
 
 def _resolve_heuristic(heuristic, board: Board, tiles, position):
-    """``(h0, cost, fix)`` for the heuristic argument, from the layer that
-    owns it, reading the solver's ``tiles`` and ``position`` arrays."""
-    heuristic = _check_heuristic(heuristic, board)
+    """``(h0, cost, fix)`` for a heuristic :func:`_check_heuristic` has
+    normalised, from the layer that owns it, reading the solver's
+    ``tiles`` and ``position`` arrays."""
     if heuristic == "manhattan":
         return incremental_manhattan(board)
     if heuristic == "linear-conflict":
@@ -200,7 +202,9 @@ def ida_star(
     :class:`ResourceLimitError` carries ``lower_bound``, the threshold
     being searched (h(start), then the least f that overflowed an
     exhausted iteration); with an admissible heuristic the optimal
-    length is proven to reach it.
+    length is proven to reach it. The search recurses once per move, so
+    a path deeper than Python's recursion limit (about 1000 moves) ends
+    in that error too.
     """
     if limits is None:
         limits = _NO_LIMITS
@@ -282,7 +286,13 @@ def ida_star(
                 f"no solution within depth {max_depth}",
                 nodes_expanded=nodes, lower_bound=bound,
             )
-        r = dfs(blank0, 0, bound, -1, h0)
+        try:
+            r = dfs(blank0, 0, bound, -1, h0)
+        except RecursionError:
+            raise ResourceLimitError(
+                f"IDA* search deeper than the recursion limit ({sys.getrecursionlimit()})",
+                nodes_expanded=nodes, lower_bound=bound,
+            ) from None
         if r < 0:
             moves = tuple(MOVE_ORDER[d] for d in path)
             return SearchResult(moves, nodes, time.perf_counter() - t0)

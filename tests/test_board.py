@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from permpuzzle import (
     Board,
@@ -119,6 +119,113 @@ class TestInputHardening:
 
     def test_zero_padded_tile_accepted(self):
         assert Board.parse("1 2\n0003 0") == Board(2, 2, (1, 2, 3, 4))
+
+
+def token_loop_parse(text: str) -> Board:
+    """Board.parse as it read every token one at a time, before its fast
+    path: the reference for its messages. The board comes from the
+    validated public constructor."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise ParseError("empty board")
+    width = len(rows[0])
+    for row in rows:
+        if len(row) != width:
+            raise ParseError(f"ragged rows: expected {width} columns, got {len(row)}")
+    height = len(rows)
+    if width < 2 or height < 2:
+        raise ParseError("board must be at least 2x2")
+    n = width * height
+    cells = []
+    seen = bytearray(n + 1)
+    blank_seen = False
+    for tok in (tok for row in rows for tok in row):
+        if tok in ("0", "_"):
+            if seen[n]:
+                raise ParseError("more than one blank")
+            seen[n] = 1
+            blank_seen = True
+            cells.append(n)
+            continue
+        if not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"invalid tile {tok!r}")
+        v = int(tok) if len(tok.lstrip("0")) <= len(str(n)) else 0
+        if not 1 <= v <= n:
+            raise ParseError(f"tile {tok} outside 1..{n - 1}")
+        if seen[v]:
+            raise ParseError(f"duplicate tile {v}")
+        seen[v] = 1
+        cells.append(v)
+    if not blank_seen:
+        raise ParseError("missing blank (0 or _)")
+    return Board(width, height, tuple(cells))
+
+
+@st.composite
+def board_texts(draw):
+    """A valid board's text with up to four token edits: leading zeros, a
+    duplicate, a second blank or a missing one, a stray token, and ragged
+    rows; rows are joined by assorted whitespace and blank lines."""
+    width, height = draw(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3), (4, 4), (5, 2)]))
+    n = width * height
+    cells = draw(st.permutations(range(1, n + 1)))
+    tokens = [draw(st.sampled_from(["0", "_"])) if v == n else str(v) for v in cells]
+    for _ in range(draw(st.integers(0, 4))):
+        index = st.integers(0, len(tokens) - 1)
+        i = draw(index)
+        edit = draw(st.sampled_from(["pad", "copy", "blank", "label n", "stray", "drop", "add"]))
+        if edit == "pad":
+            tokens[i] = "0" * draw(st.integers(1, 3)) + tokens[i]
+        elif edit == "copy":
+            tokens[i] = tokens[draw(index)]
+        elif edit == "blank":
+            tokens[i] = draw(st.sampled_from(["0", "_"]))
+        elif edit == "label n":
+            tokens[i] = str(n)
+        elif edit == "stray":
+            stray = ["x", "-1", "+3", "1_0", "\u0663", str(n + 1), "9" * 30]
+            tokens[i] = draw(st.sampled_from(stray))
+        elif edit == "drop" and len(tokens) > 1:
+            del tokens[i]
+        elif edit == "add":
+            tokens.insert(i, draw(st.sampled_from(["1", "0", "_", "01"])))
+    rows = [tokens[k : k + width] for k in range(0, len(tokens), width)]
+    sep = st.sampled_from([" ", "  ", "\t"])
+    lines = [draw(sep).join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  "])))
+    return "\n".join(lines)
+
+
+class TestTrustedConstruction:
+    """``parse`` and ``apply_move`` build boards without re-validating them."""
+
+    @settings(max_examples=400)
+    @given(board_texts())
+    def test_parse_matches_the_token_loop(self, text):
+        try:
+            expected = token_loop_parse(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                Board.parse(text)
+            assert str(got.value) == str(exc)
+            return
+        board = Board.parse(text)
+        assert board == expected
+        assert board.blank_index == expected.blank_index
+        assert type(board.cells) is tuple
+
+    @given(boards, st.lists(st.sampled_from(MOVE_ORDER), max_size=40))
+    def test_apply_move_chain_matches_validated_construction(self, b, moves):
+        for move in moves:
+            if move not in b.legal_moves():
+                continue
+            b = b.apply_move(move)
+            fresh = Board(b.width, b.height, b.cells)
+            assert b == fresh
+            assert b.blank_index == fresh.blank_index
+            assert type(b.cells) is tuple
+        assert b.is_goal() == (b.cells == tuple(range(1, b.size + 1)))
 
 
 class TestPermutationBridge:

@@ -151,6 +151,16 @@ class TestSolve:
             f"lower_bound={linear_conflict(b)}",
         ]
 
+    def test_path_past_the_recursion_limit_exits_three(self, runner, deep_board):
+        result = runner.invoke(
+            main, ["solve", "--heuristic", "manhattan", "-"], input=deep_board.format()
+        )
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        error, bound = result.stderr.splitlines()
+        assert error.startswith("error: IDA* search deeper than the recursion limit")
+        assert bound == "lower_bound=1039"
+
     def test_pdb_for_other_dimensions_exits_two(self, runner, tmp_path):
         path = tmp_path / "p.spdb"
         runner.invoke(main, ["pdb-build", "-w", "3", "-h", "2", "--tiles", "1,2", "--out", str(path)])

@@ -46,6 +46,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="outside"):
             Permutation((1, 3))
 
+    def test_rejects_bool_images(self):
+        # bool is an int subclass: True would otherwise pass as the point 1.
+        with pytest.raises(ValueError, match="image True outside 1..2"):
+            Permutation((2, True))
+        with pytest.raises(ValueError, match="image False outside 1..2"):
+            Permutation((False, 1))
+
     def test_transposition_paper_target(self):
         t = Permutation.transposition(16, 14, 15)
         assert t.apply(14) == 15

@@ -19,7 +19,7 @@ from permpuzzle import (
     verify_sequence,
 )
 
-from oracles import exact_distances
+from oracles import exact_distances, inversion_sign
 
 
 class TestParityRule:
@@ -102,6 +102,27 @@ class TestCertificate:
             rng.shuffle(cells)
             b = Board(4, 3, tuple(cells))
             assert 0 <= certificate(b).blank_distance <= (4 - 1) + (3 - 1)
+
+    @staticmethod
+    def check_parity_path(b):
+        # certificate reads board.cells directly; the Permutation's sign,
+        # an inversion count and is_solvable must all agree with it.
+        cert = certificate(b)
+        assert cert.config_parity is b.to_permutation().sign()
+        assert cert.config_parity.value == inversion_sign(b.cells)
+        assert is_solvable(b) is cert.solvable
+
+    def test_parity_path_on_every_2x3_board(self):
+        for cells in permutations(range(1, 7)):
+            self.check_parity_path(Board(2, 3, cells))
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_parity_path_on_sampled_boards(self, size):
+        rng = random.Random(size)
+        cells = list(range(1, size * size + 1))
+        for _ in range(300):
+            rng.shuffle(cells)
+            self.check_parity_path(Board(size, size, tuple(cells)))
 
     def test_lines_rendering(self, lloyd_board):
         assert certificate(lloyd_board).lines() == [

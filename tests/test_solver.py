@@ -276,6 +276,14 @@ class TestIdaStar:
         assert exc.value.nodes_expanded == 1
         assert exc.value.lower_bound == linear_conflict(b)
 
+    def test_path_past_the_recursion_limit_is_a_resource_limit(self, deep_board):
+        # IDA* recurses once per move; the first bound, h(start) = 1039,
+        # already passes the limit, so it is the bound reported.
+        with pytest.raises(ResourceLimitError, match="recursion limit") as exc:
+            ida_star(deep_board, "manhattan")
+        assert exc.value.lower_bound == manhattan(deep_board) == 1039
+        assert 0 < exc.value.nodes_expanded < 1039
+
     @pytest.mark.parametrize("field", ["max_nodes", "max_time", "max_depth"])
     def test_negative_limits_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be non-negative"):
