@@ -94,6 +94,22 @@ def _blank_steps(width: int, height: int):
     return tuple(steps)
 
 
+def _row_steps(width: int, height: int, rows):
+    """:func:`_blank_steps` with ``rows[4 * blank + d]`` attached to each
+    pair, as (d, j, row): a heuristic's step table for IDA*."""
+    steps = []
+    for z, per_last in enumerate(_blank_steps(width, height)):
+        triples = {d: (d, j, rows[4 * z + d]) for d, j in per_last[-1]}
+        steps.append(tuple(tuple(triples[d] for d, _ in entry) for entry in per_last))
+    return tuple(steps)
+
+
+def _row_steps_bytes(n: int) -> int:
+    """Upper bound on the bytes :func:`_row_steps` keeps for n cells, and a
+    cache entry: per cell a 5-tuple, a 4-tuple and eight 3-tuples at most."""
+    return n * (80 + 4 * 64 + 72 + 4 * 64 + 8) + 256
+
+
 def check_dimensions(width: int, height: int) -> None:
     """Reject a board shape narrower or shorter than 2 cells."""
     if width < 2 or height < 2:

@@ -2,25 +2,22 @@
 
 Both functions never exceed the true solution length, so iterative
 deepening on f = g + h stays optimal. This module also owns their
-incremental ``(h0, cost, fix)`` form for IDA* (see :mod:`.solver`):
-Manhattan is the ``goal_tables`` table with no correction; linear
-conflict's correction re-evaluates only the goal line a move takes a
-tile out of or into. Pattern databases own theirs in :mod:`.pattern_db`.
+``(h0, steps, regs)`` form for IDA* (see :mod:`.solver`), over a step
+table built on the shape's first solve; Manhattan's rows hold only ints.
+Pattern databases own theirs in :mod:`.pattern_db`.
 
 Linear conflict reads each goal line as an integer key: the line's
 codes (see :func:`line_conflicts`) as a base ``length + 1`` number, which
 indexes a conflict table shared by every line of that length and filled
-on first read (Korf & Taylor 1996's per-line tables). A per-shape move
-table, built on the shape's first solve, names for each slide the one
-line it can change and how the slide shifts that line's key, so a node
-costs one table read, plus a key and two conflict reads when the tile
-crosses its goal line.
+on first read (Korf & Taylor 1996's per-line tables). The search carries
+the keys in its registers, one per goal row and column, and a slide
+shifts them by constants from the step table, so a node computes no key.
 
-The Manhattan table and the move table both grow with n², so each is
+The Manhattan table and each step table grow with n², so each is
 refused with :class:`ResourceLimitError` before it is built when an
 upper bound on its bytes passes ``pattern_db.DEFAULT_MAX_BYTES``, the
-package's one memory ceiling. Every shape up to 37x37 passes it with
-either heuristic.
+package's one memory ceiling. Manhattan passes it on every shape up to
+63x63, linear conflict up to 36x36.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import math
 from functools import lru_cache
 
 from . import pattern_db
-from .board import Board, move_targets
+from .board import Board, _row_steps, _row_steps_bytes, move_targets
 
 __all__ = ["manhattan", "linear_conflict"]
 
@@ -42,24 +39,6 @@ def _goal_table_bytes(width: int, height: int) -> int:
     n = width * height
     slot = 8 if width + height - 2 <= 256 else 8 + 32
     return (n + 1) * (56 + n * slot + 3 * 8)
-
-
-def _move_table_bytes(width: int, height: int) -> int:
-    """Upper bound on the bytes :func:`_move_table` allocates, the Manhattan
-    table and goal lines it is built on included: a 224-byte dict per cell,
-    a list of n+1 slots per ordered pair of adjacent cells, n+1 slots per
-    goal line, and for each tile of the two goal lines a slide crosses, a
-    5-tuple (80 bytes) and its key delta, an int below (L+1)^L for a line
-    of L cells."""
-    n = width * height
-    pairs = 2 * ((width - 1) * height + width * (height - 1))
-    total = _goal_table_bytes(width, height) + n * 224
-    total += pairs * (56 + (n + 1) * 8) + (width + height) * (n + 1) * 8
-    # A vertical slide crosses two rows of ``width`` cells, a horizontal one two columns.
-    for length, slides in ((width, 2 * width * (height - 1)), (height, 2 * height * (width - 1))):
-        digits = math.ceil(length * math.log2(length + 1) / 30)
-        total += slides * 2 * length * (80 + 32 + 4 * digits)
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -170,45 +149,6 @@ def _conflict_table(length: int) -> _LineConflicts:
     return _LineConflicts(length)
 
 
-@lru_cache(maxsize=None)
-def _move_table(width: int, height: int):
-    """``moves[z][j][t]`` for tile ``t`` sliding from cell ``j`` into the
-    blank at the adjacent cell ``z``.
-
-    None when the slide neither takes ``t`` out of its goal line nor into
-    it, which leaves every line conflict as it was. Otherwise the goal
-    line it leaves or enters, as (cells, codes, base, conflicts, delta):
-    ``delta`` is what the slide adds to that line's key, minus (leaving)
-    or plus (entering) ``codes[t]`` at the slot the tile crosses. The
-    table holds n+1 slots per ordered pair of adjacent cells (30x30: 0.2 s,
-    57 MB with the Manhattan table, by ``tracemalloc``).
-    """
-    need = _move_table_bytes(width, height)
-    pattern_db._check_bytes("linear-conflict move table needs", need, pattern_db.DEFAULT_MAX_BYTES)
-    n = width * height
-    lines = _goal_lines(width, height)
-    members = [[t for t, code in enumerate(codes) if code] for _, codes, _, _ in lines]
-    targets = move_targets(width, height)
-    moves = [{} for _ in range(n)]
-    for j in range(n):
-        row, col = divmod(j, width)
-        for z in targets[j * 4 : j * 4 + 4]:
-            if z < 0:
-                continue
-            if abs(z - j) == width:  # vertical: the rows of j and z, at slot col
-                out_line, in_line, slot = j // width, z // width, col
-            else:  # horizontal: the columns of j and z, at slot row
-                out_line, in_line, slot = height + j % width, height + z % width, row
-            per_tile = [None] * (n + 1)
-            for i, sign in ((out_line, -1), (in_line, 1)):
-                cells, codes, base, conflicts = lines[i]
-                weight = sign * base ** (len(cells) - 1 - slot)
-                for t in members[i]:
-                    per_tile[t] = (cells, codes, base, conflicts, codes[t] * weight)
-            moves[z][j] = per_tile
-    return moves
-
-
 def linear_conflict(board: Board) -> int:
     """Manhattan distance plus 2 per tile forced out of its goal row/column.
 
@@ -217,42 +157,100 @@ def linear_conflict(board: Board) -> int:
     must detour adds two moves apiece. Equals :func:`manhattan` when no
     goal line holds two of its own tiles out of order.
     """
+    return _linear_conflict(board)[0]
+
+
+def _linear_conflict(board: Board):
+    """:func:`linear_conflict` and the list of goal line keys, rows then columns."""
     tiles = board.cells
     total = manhattan(board)
+    keys = []
     for cells, codes, base, conflicts in _goal_lines(board.width, board.height):
         key = 0
         for c in cells:
             key = key * base + codes[tiles[c]]
         total += conflicts[key]
+        keys.append(key)
+    return total, keys
+
+
+def _steps_bytes(width: int, height: int, conflicts: bool) -> int:
+    """Upper bound on the bytes :func:`_step_table` keeps: the step table,
+    Manhattan rows of n+1 slots (every change is a shared small int) and,
+    for linear conflict, the goal lines and per slide a row, and per tile of
+    a line it crosses or runs along a 5-tuple and an int below (L+1)^L."""
+    n = width * height
+    total = 2 * (width + height - 2) * (40 + 8 * (n + 1)) + _row_steps_bytes(n)
+    key = {k: 32 + 4 * math.ceil(k * math.log2(k + 1) / 30) for k in (width, height)}
+    # A vertical slide crosses two of the ``height`` rows of ``width`` cells
+    # and runs along a column; a horizontal one the other way round.
+    for cross, along, slides in ((width, height, 2 * width * (height - 1)),
+                                 (height, width, 2 * height * (width - 1))):
+        if conflicts:
+            total += along * (288 + 8 * (cross + n + 1) + (32 * cross if cross > 256 else 0))
+            entries = 2 * cross * (80 + key[cross]) + along * (80 + key[along])
+            total += slides * (56 + 8 * (n + 1) + entries + 2 * (48 + 56))
     return total
 
 
-def incremental_manhattan(board: Board):
-    """Manhattan as ``(h0, cost, fix)``: the distance table, no correction."""
-    return manhattan(board), goal_tables(board.width, board.height)[0], None
+@lru_cache(maxsize=None)
+def _step_table(width: int, height: int, conflicts: bool):
+    """Manhattan's per-shape step table, or with ``conflicts`` linear conflict's.
 
-
-def incremental_linear_conflict(board: Board, tiles):
-    """Linear conflict as ``(h0, cost, fix)`` over the solver's ``tiles``.
-
-    ``cost`` is the Manhattan table. A slide keeps the order of the line
-    it runs along, so only the one perpendicular goal line the tile
-    leaves or enters can change its conflicts. ``fix`` reads that line
-    from the shape's move table (built on the first solve of the shape,
-    then shared): most slides touch no goal line and return ``h``; the
-    rest compute the line's integer key from ``tiles`` before the move
-    and return ``h + conflicts[key + delta] - conflicts[key]``.
+    A Manhattan row depends only on the two rows (columns) a vertical
+    (horizontal) slide joins, so one tuple serves each such pair. A slide
+    keeps the order of every goal line but the one it takes the tile out
+    of or into, and moves the key of the one it takes the tile along by
+    the tile's code times a change of place value. Such a tile's entry
+    names the crossed line (else the along one) as ``s``, with ``T`` its
+    conflict table, and the along line in ``more`` when it is both.
     """
-    moves = _move_table(board.width, board.height)
+    what = "linear-conflict" if conflicts else "Manhattan"
+    need = _steps_bytes(width, height, conflicts)
+    pattern_db._check_bytes(f"{what} step table needs", need, pattern_db.DEFAULT_MAX_BYTES)
+    _, goal_row, goal_col = goal_tables(width, height)
+    shared = {  # (vertical, a, b): the row of a slide from row (column) a to b
+        (v, a, b): tuple(abs(b - g) - abs(a - g) if g >= 0 else 0 for g in goal)
+        for v, goal, size in ((True, goal_row, height), (False, goal_col, width))
+        for a in range(size) for b in (a - 1, a + 1) if 0 <= b < size
+    }
+    if conflicts:
+        lines = _goal_lines(width, height)
+        # place[i][slot]: the weight of a slot of line i in its key.
+        place = [[base ** (len(cells) - 1 - s) for s in range(len(cells))]
+                 for cells, _, base, _ in lines]
+        members = [[t for t, code in enumerate(codes) if code] for _, codes, _, _ in lines]
+    rows = []  # rows[4 * z + d]: the blank at z moves d, the tile at j slides into z
+    for i, j in enumerate(move_targets(width, height)):
+        if j < 0:
+            rows.append(None)
+            continue
+        (rz, cz), (rj, cj) = divmod(i >> 2, width), divmod(j, width)
+        if cz == cj:  # vertical: out of row rj, into row rz, along column cz
+            out, into, slot, along, a, b = rj, rz, cz, height + cz, rj, rz
+        else:  # horizontal: out of column cj, into column cz, along row rz
+            out, into, slot, along, a, b = height + cj, height + cz, rz, rz, cj, cz
+        md_row = shared[cz == cj, a, b]
+        if not conflicts:
+            rows.append(md_row)
+            continue
+        row = list(md_row)
+        shift = place[along][b] - place[along][a]
+        for line, weight in ((out, -place[out][slot]), (into, place[into][slot]), (along, shift)):
+            _, codes, _, table = lines[line]
+            for t in members[line]:
+                reg = (line, codes[t] * weight)
+                e = row[t]
+                row[t] = (e, *reg, table, ()) if e.__class__ is int else (*e[:4], (reg,))
+        rows.append(row)
+    return _row_steps(width, height, rows)
 
-    def fix(h: int, t: int, j: int, z: int) -> int:
-        move = moves[z][j][t]
-        if move is None:
-            return h
-        cells, codes, base, conflicts, delta = move
-        key = 0
-        for c in cells:
-            key = key * base + codes[tiles[c]]
-        return h + conflicts[key + delta] - conflicts[key]
 
-    return linear_conflict(board), goal_tables(board.width, board.height)[0], fix
+def incremental(board: Board, name: str):
+    """``name``'s ``(h0, steps, regs)``; linear conflict's regs are line keys."""
+    if name == "manhattan":
+        h0 = manhattan(board)  # the distance table's ceiling first
+        return h0, _step_table(board.width, board.height, False), []
+    steps = _step_table(board.width, board.height, True)
+    h0, keys = _linear_conflict(board)
+    return h0, steps, keys

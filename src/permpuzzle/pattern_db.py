@@ -15,14 +15,14 @@ k-selection out of the n cells).
 :func:`.pdb_build.build_pdb` builds the tables. :func:`rank_of_cells`
 ranks one placement for :meth:`PatternDatabase.lookup`; the builder
 places its entries by the same :func:`rank_weights`, a set's k! ranks
-at once. This module also owns the IDA* update
+at once. This module also owns the IDA* form
 (:meth:`PatternHeuristic.incremental`). It ranks nothing:
 :class:`PatternHeuristic` expands each table once into an in-memory
 positional index of n^k bytes, keyed by the pattern tiles' cells as
-base-n digits, so a move reads two bytes of the database holding the
-moved tile, one fixed stride apart. Files keep the rank-ordered table;
-there is no rank-order read. One byte ceiling, ``DEFAULT_MAX_BYTES``,
-covers both the build and the summed indexes.
+base-n digits, which IDA* carries in a register per database and a move
+shifts by a fixed stride. Files keep the rank-ordered table; there is
+no rank-order read. One byte ceiling, ``DEFAULT_MAX_BYTES``, covers the
+build, the summed indexes and the step table each.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .board import Board, check_dimensions
+from .board import Board, _row_steps, _row_steps_bytes, check_dimensions
 from .errors import ParseError, ResourceLimitError
 
 __all__ = [
@@ -51,8 +52,8 @@ MAX_PATTERN_TILES = 8
 UNREACHED = 0xFF
 
 # The one memory ceiling, in bytes: a build's P(n,k)·(n+2) bytes, the
-# summed n^k bytes of PatternHeuristic's indexes, and upper bounds on the
-# per-shape Manhattan and linear-conflict tables of :mod:`.heuristics`.
+# summed n^k bytes of PatternHeuristic's indexes, and upper bounds on its
+# step table and on the per-shape tables of :mod:`.heuristics`.
 DEFAULT_MAX_BYTES = 1 << 27
 
 NOT_A_HEURISTIC = (
@@ -166,8 +167,8 @@ class PatternHeuristic:
     n^k bytes: ``index[c_0·n^(k-1) + c_1·n^(k-2) + ... + c_(k-1)]`` holds
     the table entry of the placement that puts pattern tile i on cell
     c_i (entries for repeated cells are never read). Moving one tile then
-    shifts the index by a fixed stride, so the IDA* update costs one
-    O(k) index sum and two byte reads instead of two rankings. The index
+    shifts the key by a fixed stride, so the IDA* update costs one
+    register update and two byte reads instead of two rankings. The index
     costs n^k bytes per database: 65,536 for k=4 on 4x4 (the table holds
     43,680), 16.7 MB for k=6. Every table is indexed; there is no
     rank-order read. ``ResourceLimitError`` is raised when the indexes
@@ -197,51 +198,56 @@ class PatternHeuristic:
         n = self.width * self.height
         index_bytes = sum(n ** len(db.pattern_tiles) for db in databases)
         _check_bytes("pattern indexes need", index_bytes, DEFAULT_MAX_BYTES)
-        self._indexes = []
-        # owner[label]: (pattern tiles, the label's stride, index), None off-pattern.
-        self._owner = [None] * (n + 1)
-        for db in databases:
-            k = len(db.pattern_tiles)
-            index = _positional_index(db.table, n, k)
-            self._indexes.append((db.pattern_tiles, index))
-            for slot, t in enumerate(db.pattern_tiles):
-                self._owner[t] = (db.pattern_tiles, n ** (k - 1 - slot), index)
-        self._cost = [[0] * n] * (n + 1)
+        self._indexes = [
+            (db.pattern_tiles, _positional_index(db.table, n, len(db.pattern_tiles)))
+            for db in databases
+        ]
+        self._steps = None
 
-    def value_from_positions(self, position) -> int:
-        """Heuristic from a label -> 0-based cell array."""
+    def _value_and_keys(self, position):
+        """The heuristic and each database's key for a label -> cell array."""
         n = self.width * self.height
-        h = 0
+        h, keys = 0, []
         for tiles, index in self._indexes:
             i = 0
             for x in tiles:
                 i = i * n + position[x]
             h += index[i]
-        return h
+            keys.append(i)
+        return h, keys
 
-    def incremental(self, board: Board, position):
-        """This heuristic as ``(h0, cost, fix)`` over the solver's ``position``.
+    def value_from_positions(self, position) -> int:
+        """Heuristic from a label -> 0-based cell array."""
+        return self._value_and_keys(position)[0]
 
-        ``h0`` is read from ``position``, which must describe ``board``.
-        ``cost`` is all zeros; ``fix`` reads the index of the database that
-        owns the moved tile before the move and one stride away after it,
-        and adds the change. It reads ``position`` before the move is applied.
-        """
-        self.check_shape(board)
+    def _steps_bytes(self) -> int:
+        """Upper bound on the bytes :meth:`_step_table` keeps: four rows, per
+        pattern tile and row a 5-tuple and an int, and the step table."""
         n = self.width * self.height
-        owner = self._owner
+        tiles = sum(len(t) for t, _ in self._indexes)
+        digits = max(len(index) for _, index in self._indexes).bit_length() // 30 + 1
+        return 4 * (56 + 8 * (n + 1) + tiles * (112 + 4 * digits)) + _row_steps_bytes(n)
 
-        def fix(h: int, t: int, j: int, z: int) -> int:
-            entry = owner[t]
-            if entry is None:
-                return h
-            tiles, stride, index = entry
-            i = 0
-            for x in tiles:
-                i = i * n + position[x]
-            return h + index[i + (z - j) * stride] - index[i]
+    def _step_table(self):
+        """The step table, built on the first solve. A slide from ``j`` into
+        ``z`` moves the key of the database holding the tile by ``z - j``
+        times the tile's stride, so four rows, one per direction, serve."""
+        if self._steps is None:
+            _check_bytes("pattern step table needs", self._steps_bytes(), DEFAULT_MAX_BYTES)
+            n = self.width * self.height
+            rows = [[0] * (n + 1) for _ in range(4)]
+            for row, shift in zip(rows, (self.width, -self.width, 1, -1)):  # z - j for U, D, L, R
+                for s, (tiles, index) in enumerate(self._indexes):
+                    for slot, t in enumerate(tiles):
+                        row[t] = (0, s, shift * n ** (len(tiles) - 1 - slot), index, ())
+            self._steps = _row_steps(self.width, self.height, rows * n)
+        return self._steps
 
-        return self.value_from_positions(position), self._cost, fix
+    def incremental(self, board: Board):
+        """This heuristic as ``(h0, steps, regs)``, a key per database in ``regs``."""
+        self.check_shape(board)
+        h0, keys = self._value_and_keys(_positions(board))
+        return h0, self._step_table(), keys
 
     def check_shape(self, board: Board) -> None:
         """Raise ``ValueError`` unless ``board`` has this heuristic's shape."""
@@ -253,15 +259,26 @@ class PatternHeuristic:
 
     def __call__(self, board: Board) -> int:
         self.check_shape(board)
-        position = [0] * (board.size + 1)
-        for cell, label in enumerate(board.cells):
-            position[label] = cell
-        return self.value_from_positions(position)
+        return self.value_from_positions(_positions(board))
+
+
+def _positions(board: Board) -> list[int]:
+    """The board's label -> 0-based cell array."""
+    position = [0] * (board.size + 1)
+    for cell, label in enumerate(board.cells):
+        position[label] = cell
+    return position
+
+
+@lru_cache(maxsize=1)
+def _pattern_heuristic(databases: tuple) -> PatternHeuristic:
+    """The last summed heuristic built from bare databases, kept."""
+    return PatternHeuristic(databases)
 
 
 def pdb_heuristic(board: Board, databases) -> int:
     """Summed lookup across pairwise-disjoint databases; admissible."""
-    return PatternHeuristic(databases)(board)
+    return _pattern_heuristic(tuple(databases))(board)
 
 
 def save_pdb(db: PatternDatabase, destination) -> None:

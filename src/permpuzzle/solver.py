@@ -17,13 +17,14 @@ U, D, L, R) and the move that undoes the previous one is pruned by its
 direction, through a per-shape table (``board._blank_steps``) built
 on the shape's first solve, so node counts are reproducible.
 
-Every heuristic reaches the search as ``(h0, cost, fix)``, built by its
-own module over the solver's ``tiles`` (cell -> label) and ``position``
-(label -> cell) arrays: the start's value, a per-(tile, cell) table, and
-None or a correction. Sliding tile ``t`` from cell ``j`` into the blank
-at ``z`` gives the child ``fix(h + cost[t][z] - cost[t][j], t, j, z)``,
-called before the arrays change. The goal test is
-``h == 0 and tiles == goal``.
+Every heuristic reaches the search as ``(h0, steps, regs)`` from its own
+module: the start's value, ``board._blank_steps`` with a row attached to
+each pair as ``(d, j, row)``, and a fresh list of integer registers. The
+tile ``t`` sliding into the blank reads ``row[t]``: an int is the change
+of h; ``(dh, s, off, T, more)`` gives ``h + dh + T[regs[s] + off] -
+T[regs[s]]`` and adds ``off`` to ``regs[s]`` and ``o2`` to ``regs[s2]``
+for each ``(s2, o2)`` in ``more`` until the search backs out. The goal
+test is ``h == 0 and tiles == goal``.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .board import MOVE_ORDER, Board, Move, _blank_steps
+from .board import MOVE_ORDER, Board, Move
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
-from .heuristics import incremental_linear_conflict, incremental_manhattan
-from .pattern_db import NOT_A_HEURISTIC, PatternDatabase, PatternHeuristic
+from .heuristics import incremental
+from .pattern_db import NOT_A_HEURISTIC, PatternDatabase, PatternHeuristic, _pattern_heuristic
 from .solvability import _PackedBFS, certificate, is_solvable
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
 HEURISTIC_NAMES = ("manhattan", "linear-conflict")
 
 _INF = 1 << 30
+_NEVER = 1 << 62  # a node count no search reaches
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,13 +146,6 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     raise PuzzleError("BFS exhausted the component without finding the goal")
 
 
-@lru_cache(maxsize=1)
-def _pattern_heuristic(databases: tuple) -> PatternHeuristic:
-    """The last summed heuristic built from bare databases, so repeated
-    solves with the same list expand its tables once."""
-    return PatternHeuristic(databases)
-
-
 def _check_heuristic(heuristic, board: Board):
     """The heuristic argument checked against ``board`` and normalised to
     a name from :data:`HEURISTIC_NAMES` or a :class:`PatternHeuristic`.
@@ -174,15 +168,12 @@ def _check_heuristic(heuristic, board: Board):
     return heuristic
 
 
-def _resolve_heuristic(heuristic, board: Board, tiles, position):
-    """``(h0, cost, fix)`` for a heuristic :func:`_check_heuristic` has
-    normalised, from the layer that owns it, reading the solver's
-    ``tiles`` and ``position`` arrays."""
-    if heuristic == "manhattan":
-        return incremental_manhattan(board)
-    if heuristic == "linear-conflict":
-        return incremental_linear_conflict(board, tiles)
-    return heuristic.incremental(board, position)
+def _resolve_heuristic(heuristic, board: Board):
+    """``(h0, steps, regs)`` for a heuristic :func:`_check_heuristic` has
+    normalised, from the layer that owns it."""
+    if isinstance(heuristic, str):
+        return incremental(board, heuristic)
+    return heuristic.incremental(board)
 
 
 def ida_star(
@@ -216,20 +207,17 @@ def ida_star(
     if board.is_goal():
         return SearchResult((), 0, time.perf_counter() - t0)
     n = board.size
+    h0, steps, regs = _resolve_heuristic(heuristic, board)
     tiles = list(board.cells)
-    position = [0] * (n + 1)
-    for cell, label in enumerate(tiles):
-        position[label] = cell
-    h0, cost, fix = _resolve_heuristic(heuristic, board, tiles, position)
-
-    steps = _blank_steps(board.width, board.height)
     blank0 = board.blank_index - 1
     goal_tiles = list(range(1, n + 1))
-    node_cap = limits.max_nodes
     deadline = t0 + limits.max_time if limits.max_time is not None else None
-    max_depth = limits.max_depth
     nodes = 0
-    path: list[int] = []
+    # The expansion at which the cap or the clock (1, then every 2048th) is due.
+    cap = limits.max_nodes + 1 if limits.max_nodes is not None else _NEVER
+    tick = 1 if deadline is not None else _NEVER
+    due = min(cap, tick)
+    path: list[int] = []  # the moves, last first, written on the way out
 
     def dfs(blank: int, g: int, bound: int, last: int, h: int) -> int:
         """Returns -1 when the goal was reached (path holds the moves),
@@ -237,53 +225,64 @@ def ida_star(
         direction the blank moved to reach ``blank`` (-1 at the root). The
         undo move is pruned by direction: ``steps[blank][last]``, from the
         per-shape table, leaves it out."""
-        nonlocal nodes
+        nonlocal nodes, tick, due
         nodes += 1
-        if node_cap is not None and nodes > node_cap:
-            raise ResourceLimitError(
-                f"IDA* exceeded {node_cap} expansions",
-                nodes_expanded=nodes, lower_bound=bound,
-            )
-        # The clock is read on the first expansion, then every 2048th.
-        if deadline is not None and nodes & 2047 == 1 and time.perf_counter() > deadline:
-            raise ResourceLimitError(
-                f"IDA* exceeded {limits.max_time}s",
-                nodes_expanded=nodes, lower_bound=bound,
-            )
+        if nodes >= due:
+            if nodes >= cap:
+                raise ResourceLimitError(
+                    f"IDA* exceeded {limits.max_nodes} expansions",
+                    nodes_expanded=nodes, lower_bound=bound,
+                )
+            if time.perf_counter() > deadline:
+                raise ResourceLimitError(
+                    f"IDA* exceeded {limits.max_time}s",
+                    nodes_expanded=nodes, lower_bound=bound,
+                )
+            tick += 2048
+            due = min(cap, tick)
         mn = _INF
         g1 = g + 1
-        for d, j in steps[blank][last]:
+        for d, j, row in steps[blank][last]:
             t = tiles[j]
-            child_h = h + cost[t][blank] - cost[t][j]
-            if fix is not None:
-                child_h = fix(child_h, t, j, blank)
+            e = row[t]
+            if e.__class__ is int:
+                child_h = h + e
+                off = 0
+            else:
+                dh, s, off, table, more = e
+                key = regs[s]
+                child_h = h + dh + table[key + off] - table[key]
             f = g1 + child_h
             if f > bound:
                 if f < mn:
                     mn = f
                 continue
-            tiles[blank] = t
-            tiles[j] = n
-            position[t] = blank
-            path.append(d)
+            tiles[blank], tiles[j] = t, n
             if child_h == 0 and tiles == goal_tiles:
+                path.append(d)
                 return -1
+            if off:
+                regs[s] = key + off
+                for s2, o2 in more:
+                    regs[s2] += o2
             r = dfs(j, g1, bound, d, child_h)
             if r < 0:
+                path.append(d)
                 return -1
             if r < mn:
                 mn = r
-            path.pop()
-            position[t] = j
-            tiles[j] = t
-            tiles[blank] = n
+            if off:
+                regs[s] = key
+                for s2, o2 in more:
+                    regs[s2] -= o2
+            tiles[blank], tiles[j] = n, t
         return mn
 
     bound = h0
     while True:
-        if max_depth is not None and bound > max_depth:
+        if limits.max_depth is not None and bound > limits.max_depth:
             raise ResourceLimitError(
-                f"no solution within depth {max_depth}",
+                f"no solution within depth {limits.max_depth}",
                 nodes_expanded=nodes, lower_bound=bound,
             )
         try:
@@ -294,7 +293,7 @@ def ida_star(
                 nodes_expanded=nodes, lower_bound=bound,
             ) from None
         if r < 0:
-            moves = tuple(MOVE_ORDER[d] for d in path)
+            moves = tuple(MOVE_ORDER[d] for d in reversed(path))
             return SearchResult(moves, nodes, time.perf_counter() - t0)
         if r >= _INF:
             raise PuzzleError("IDA* exhausted the space without a solution")

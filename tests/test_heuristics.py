@@ -15,12 +15,13 @@ from permpuzzle import (
     manhattan,
     pattern_db,
 )
+from permpuzzle.board import _blank_steps
 from permpuzzle.heuristics import (
     _conflict_table,
     _goal_lines,
     _goal_table_bytes,
-    _move_table,
-    _move_table_bytes,
+    _step_table,
+    _steps_bytes,
     goal_tables,
     line_conflicts,
 )
@@ -141,7 +142,7 @@ def fresh_tables():
     """Empty per-shape caches, so a ceiling is checked again on the next read."""
 
     def clear():
-        for cache in (goal_tables, _goal_lines, _move_table):
+        for cache in (goal_tables, _goal_lines, _step_table):
             cache.cache_clear()
 
     clear()
@@ -150,13 +151,14 @@ def fresh_tables():
 
 
 class TestTableCeiling:
-    """A 3x3 Manhattan table is bounded by 1520 bytes, and the
-    linear-conflict move table, built on it, by 23,984."""
+    """A 3x3 Manhattan table is bounded by 1520 bytes, its Manhattan step
+    table by 7264, and its linear-conflict step table, with the goal lines
+    it reads, by 42,928."""
 
     def test_manhattan_table_at_the_ceiling(self, monkeypatch, fresh_tables):
         board = Board.goal(3, 3).apply_move(Move.UP)
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 1520)
-        assert ida_star(board, "manhattan").length == 1
+        assert manhattan(board) == 1
         fresh_tables()
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 1519)
         with pytest.raises(ResourceLimitError, match="Manhattan table needs 1520 bytes"):
@@ -164,29 +166,44 @@ class TestTableCeiling:
         with pytest.raises(ResourceLimitError):
             manhattan(board)
 
+    def test_manhattan_steps_at_the_ceiling(self, monkeypatch, fresh_tables):
+        board = Board.goal(3, 3).apply_move(Move.UP)
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 7264)
+        assert ida_star(board, "manhattan").length == 1
+        fresh_tables()
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 7263)
+        with pytest.raises(ResourceLimitError, match="Manhattan step table needs 7264 bytes"):
+            ida_star(board, "manhattan")
+        # The distance table alone still fits.
+        assert manhattan(board) == 1
+
     def test_move_table_at_the_ceiling(self, monkeypatch, fresh_tables):
         board = Board.goal(3, 3).apply_move(Move.UP)
-        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 23984)
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 42928)
         assert ida_star(board, "linear-conflict").length == 1
         fresh_tables()
-        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 23983)
-        with pytest.raises(ResourceLimitError, match="move table needs 23984 bytes"):
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 42927)
+        with pytest.raises(ResourceLimitError, match="step table needs 42928 bytes"):
             ida_star(board, "linear-conflict")
-        # Manhattan's smaller table still fits.
+        # Manhattan's smaller tables still fit.
         assert ida_star(board, "manhattan").length == 1
 
     @pytest.mark.parametrize("width, height", [(2, 2), (5, 3), (3, 5), (2, 7), (10, 10), (2, 60)])
     def test_bounds_cover_what_is_allocated(self, width, height, fresh_tables):
+        _blank_steps(width, height)  # shared by every search, charged to none
         tracemalloc.start()
         try:
             goal_tables(width, height)
             goal = tracemalloc.get_traced_memory()[0]
-            _move_table(width, height)
+            _step_table(width, height, False)
+            steps = tracemalloc.get_traced_memory()[0]
+            _step_table(width, height, True)
             total = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert goal <= _goal_table_bytes(width, height)
-        assert total <= _move_table_bytes(width, height)
+        assert steps - goal <= _steps_bytes(width, height, False)
+        assert total - steps <= _steps_bytes(width, height, True)
 
     def test_goal_bound_covers_unshared_distances(self, fresh_tables):
         """On 2x300 most distances pass 256, so each is an int of its own."""

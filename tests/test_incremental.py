@@ -1,9 +1,13 @@
 """The incremental heuristic IDA* runs on, checked against from-scratch values.
 
-Each heuristic reaches the search as ``(h0, cost, fix)``; a child's value
-is ``fix(h + cost[t][z] - cost[t][j], t, j, z)`` (``h + ...`` alone when
-``fix`` is None). Random walks compare that running value with the
-heuristic recomputed on the whole board at every step.
+Each heuristic reaches the search as ``(h0, steps, regs)``. Sliding the
+tile at ``j`` into the blank at ``z`` reads ``row[t]`` from
+``steps[z][-1]``'s ``(d, j, row)``: an int is the change of h; an entry
+``(dh, s, off, T, more)`` adds ``dh + T[regs[s] + off] - T[regs[s]]``
+and shifts ``regs[s]`` by ``off`` and each ``regs[s2]`` by ``o2``.
+Random walks compare that running value, and the registers, with the
+heuristic rebuilt on the whole board at every step; then they walk back
+to the start and find the registers as they were.
 """
 
 from __future__ import annotations
@@ -47,36 +51,61 @@ walks = st.sampled_from(SHAPES).flatmap(
 )
 
 
+def slide(terms, state, blank: int, j: int, t: int) -> None:
+    """Move tile ``t`` from ``j`` into ``blank`` in every ``(h, regs)`` of
+    ``state``, reading each heuristic's own step table."""
+    for i, (_, steps, _) in enumerate(terms):
+        (entry,) = [row[t] for _, cell, row in steps[blank][-1] if cell == j]
+        h, regs = state[i]
+        if not isinstance(entry, int):
+            dh, s, off, table, more = entry
+            entry = dh + table[regs[s] + off] - table[regs[s]]
+            regs[s] += off
+            for s2, o2 in more:
+                regs[s2] += o2
+        state[i] = (h + entry, regs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(walks)
 def test_incremental_value_equals_from_scratch(walk):
-    (width, height), cells, steps = walk
+    (width, height), cells, choices = walk
     n = width * height
-    board = Board(width, height, tuple(cells))
     ph = three_tile_patterns(width, height)
     checks = [("manhattan", manhattan), ("linear-conflict", linear_conflict), (ph, ph)]
 
-    tiles = list(cells)
-    position = [0] * (n + 1)
-    for cell, label in enumerate(tiles):
-        position[label] = cell
-    terms = [_resolve_heuristic(h, board, tiles, position) for h, _ in checks]
-    values = [h0 for h0, _, _ in terms]
-    assert values == [scratch(board) for _, scratch in checks]
-
-    targets = move_targets(width, height)
-    for step in steps:
-        blank = position[n]
-        legal = [j for j in targets[blank * 4 : blank * 4 + 4] if j >= 0]
-        j = legal[step % len(legal)]
-        t = tiles[j]
-        for i, (_, cost, fix) in enumerate(terms):
-            h = values[i] + cost[t][blank] - cost[t][j]
-            values[i] = h if fix is None else fix(h, t, j, blank)
-        tiles[blank], tiles[j] = t, n
-        position[t], position[n] = blank, j
+    def scratch(tiles):
+        """Each heuristic's ``(h, regs)`` rebuilt from the whole board."""
         now = Board(width, height, tuple(tiles))
-        assert values == [scratch(now) for _, scratch in checks]
+        terms = [_resolve_heuristic(h, now) for h, _ in checks]
+        assert [h0 for h0, _, _ in terms] == [value(now) for _, value in checks]
+        return [(h0, regs) for h0, _, regs in terms]
+
+    terms = [_resolve_heuristic(h, Board(width, height, tuple(cells))) for h, _ in checks]
+    state = [(h0, list(regs)) for h0, _, regs in terms]
+    start = scratch(cells)
+    assert state == start
+
+    tiles = list(cells)
+    blank = tiles.index(n)
+    targets = move_targets(width, height)
+    walked = []
+    for choice in choices:
+        legal = [j for j in targets[blank * 4 : blank * 4 + 4] if j >= 0]
+        j = legal[choice % len(legal)]
+        slide(terms, state, blank, j, tiles[j])
+        tiles[blank], tiles[j] = tiles[j], n
+        walked.append(blank)
+        blank = j
+        assert state == scratch(tiles)
+
+    # Back through the same cells: every register returns to its start.
+    for z in reversed(walked):
+        slide(terms, state, blank, z, tiles[z])
+        tiles[blank], tiles[z] = tiles[z], n
+        blank = z
+        assert state == scratch(tiles)
+    assert state == start
 
 
 # 3x5 and 5x3: rows and columns have different lengths, so their line keys

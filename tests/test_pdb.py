@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from permpuzzle import (
     Board,
+    Move,
     ParseError,
     PatternDatabase,
     PatternHeuristic,
@@ -302,6 +303,56 @@ class TestPositionalIndex:
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 9**3 + 9**2 - 1)
         with pytest.raises(ResourceLimitError, match="ceiling"):
             PatternHeuristic(dbs)
+
+
+    def test_pdb_heuristic_expands_each_table_once(self, monkeypatch):
+        dbs = [build_pdb(3, 3, [1, 2, 3]), build_pdb(3, 3, [4, 5])]
+        expanded = []
+        real = pattern_db._positional_index
+
+        def counting(table, n, k):
+            expanded.append(k)
+            return real(table, n, k)
+
+        monkeypatch.setattr(pattern_db, "_positional_index", counting)
+        pattern_db._pattern_heuristic.cache_clear()
+        try:
+            board = Board(3, 3, (4, 1, 3, 7, 2, 6, 5, 8, 9))
+            assert pdb_heuristic(board, dbs) == pdb_heuristic(board, list(dbs))
+            assert pdb_heuristic(board, dbs) == sum(db.lookup(board) for db in dbs)
+            assert expanded == [3, 2]
+        finally:
+            pattern_db._pattern_heuristic.cache_clear()
+
+    STEP_PATTERNS = [
+        (3, 3, [[1, 2, 3], [4, 5]]),
+        (4, 4, [[1, 2, 5, 6], [3, 4, 7, 8], [9, 10, 13, 14], [11, 12, 15]]),
+        (5, 2, [[1, 2, 3, 4], [5, 6, 7, 8, 9]]),
+    ]
+
+    @pytest.mark.parametrize("width, height, patterns", STEP_PATTERNS)
+    def test_step_table_bound_covers_what_is_allocated(self, width, height, patterns):
+        ph = PatternHeuristic([build_pdb(width, height, p) for p in patterns])
+        ida_star(Board.goal(width, height), ph)  # builds the shared blank steps, not this
+        tracemalloc.start()
+        try:
+            ph._step_table()
+            used = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert used <= ph._steps_bytes()
+
+    def test_step_table_over_the_byte_ceiling_refused(self, monkeypatch):
+        """The 3x3 table over {1,2,3} and {4,5} is bounded by 9168 bytes,
+        charged on the first solve, apart from the indexes' 810."""
+        dbs = [build_pdb(3, 3, [1, 2, 3]), build_pdb(3, 3, [4, 5])]
+        board = Board.goal(3, 3).apply_move(Move.UP)
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 9167)
+        ph = PatternHeuristic(dbs)
+        with pytest.raises(ResourceLimitError, match="pattern step table needs 9168 bytes"):
+            ida_star(board, ph)
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 9168)
+        assert ida_star(board, ph).length == 1
 
 
 class TestPersistence:

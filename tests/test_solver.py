@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +21,7 @@ from permpuzzle import (
     scramble,
     verify_sequence,
 )
+from permpuzzle import solver
 from permpuzzle.board import _blank_steps, move_targets
 
 from oracles import exact_distances
@@ -276,6 +279,58 @@ class TestIdaStar:
         assert exc.value.nodes_expanded == 1
         assert exc.value.lower_bound == linear_conflict(b)
 
+    # Read at the search that called a correction function per child: the
+    # cap is checked on every expansion, and the bound is the threshold.
+    CAP_PINS = {
+        "3x3": {
+            "manhattan": [(1, 21), (2, 21), (8, 23), (61, 25), (401, 27)],
+            "linear-conflict": [(1, 23), (2, 23), (8, 23), (61, 25), (401, 27)],
+            "pdb": [(1, 29), (2, 29), (8, 29), (61, 29), None],  # solved in 180
+        },
+        "4x4": {
+            "manhattan": [(1, 22), (2, 22), (8, 22), (61, 24), (401, 28)],
+            "linear-conflict": [(1, 24), (2, 24), (8, 24), (61, 26), (401, 28)],
+            "pdb": [(1, 26), (2, 26), (8, 26), (61, 28), (401, 30)],
+        },
+    }
+
+    @pytest.mark.parametrize("shape", sorted(CAP_PINS))
+    def test_node_cap_pinned(self, shape, pdb_pair_3x3):
+        if shape == "3x3":  # a 31-move board
+            board, pdbs = Board.parse("8 6 7\n2 5 4\n3 0 1"), pdb_pair_3x3
+        else:  # the 34-move board of scramble -w 4 -h 4 --steps 40 --seed 7
+            labels = range(1, 16)
+            board = scramble(4, 4, 40, 7)[0]
+            pdbs = [build_pdb(4, 4, labels[i : i + 3]) for i in range(0, 15, 3)]
+        for name, expected in self.CAP_PINS[shape].items():
+            pins = []
+            for cap in (0, 1, 7, 60, 400):
+                limits = SearchLimits(max_nodes=cap)
+                try:
+                    ida_star(board, pdbs if name == "pdb" else name, limits)
+                    pins.append(None)
+                except ResourceLimitError as exc:
+                    assert str(exc) == f"IDA* exceeded {cap} expansions"
+                    pins.append((exc.nodes_expanded, exc.lower_bound))
+            assert pins == expected, name
+
+    def test_clock_read_on_the_first_expansion_then_every_2048th(self, monkeypatch):
+        reads = []
+
+        def perf_counter():
+            reads.append(None)
+            return time.perf_counter()
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=perf_counter))
+        board = scramble(4, 4, 40, 7)[0]
+        result = ida_star(board, "manhattan", SearchLimits(max_time=float("inf")))
+        # The start and the end, plus expansions 1, 2049, ..., 30721.
+        assert result.nodes_expanded == 32549
+        assert len(reads) == 2 + 16
+        reads.clear()
+        assert ida_star(board, "manhattan").nodes_expanded == 32549
+        assert len(reads) == 2
+
     def test_path_past_the_recursion_limit_is_a_resource_limit(self, deep_board):
         # IDA* recurses once per move; the first bound, h(start) = 1039,
         # already passes the limit, so it is the bound reported.
@@ -361,4 +416,4 @@ class TestBlankSteps:
         heuristic = PatternHeuristic(pdb_pair_3x3)
         board = Board.goal(4, 4)
         with pytest.raises(ValueError, match="heuristic is for 3x3, board is 4x4"):
-            heuristic.incremental(board, [0] * (board.size + 1))
+            heuristic.incremental(board)
