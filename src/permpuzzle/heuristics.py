@@ -22,6 +22,7 @@ package's one memory ceiling. Manhattan passes it on every shape up to
 
 from __future__ import annotations
 
+import gc
 import math
 from functools import lru_cache
 
@@ -208,42 +209,48 @@ def _step_table(width: int, height: int, conflicts: bool):
     what = "linear-conflict" if conflicts else "Manhattan"
     need = _steps_bytes(width, height, conflicts)
     pattern_db._check_bytes(f"{what} step table needs", need, pattern_db.DEFAULT_MAX_BYTES)
-    _, goal_row, goal_col = goal_tables(width, height)
-    shared = {  # (vertical, a, b): the row of a slide from row (column) a to b
-        (v, a, b): tuple(abs(b - g) - abs(a - g) if g >= 0 else 0 for g in goal)
-        for v, goal, size in ((True, goal_row, height), (False, goal_col, width))
-        for a in range(size) for b in (a - 1, a + 1) if 0 <= b < size
-    }
-    if conflicts:
-        lines = _goal_lines(width, height)
-        # place[i][slot]: the weight of a slot of line i in its key.
-        place = [[base ** (len(cells) - 1 - s) for s in range(len(cells))]
-                 for cells, _, base, _ in lines]
-        members = [[t for t, code in enumerate(codes) if code] for _, codes, _, _ in lines]
-    rows = []  # rows[4 * z + d]: the blank at z moves d, the tile at j slides into z
-    for i, j in enumerate(move_targets(width, height)):
-        if j < 0:
-            rows.append(None)
-            continue
-        (rz, cz), (rj, cj) = divmod(i >> 2, width), divmod(j, width)
-        if cz == cj:  # vertical: out of row rj, into row rz, along column cz
-            out, into, slot, along, a, b = rj, rz, cz, height + cz, rj, rz
-        else:  # horizontal: out of column cj, into column cz, along row rz
-            out, into, slot, along, a, b = height + cj, height + cz, rz, rz, cj, cz
-        md_row = shared[cz == cj, a, b]
-        if not conflicts:
-            rows.append(md_row)
-            continue
-        row = list(md_row)
-        shift = place[along][b] - place[along][a]
-        for line, weight in ((out, -place[out][slot]), (into, place[into][slot]), (along, shift)):
-            _, codes, _, table = lines[line]
-            for t in members[line]:
-                reg = (line, codes[t] * weight)
-                e = row[t]
-                row[t] = (e, *reg, table, ()) if e.__class__ is int else (*e[:4], (reg,))
-        rows.append(row)
-    return _row_steps(width, height, rows)
+    enabled = gc.isenabled()  # entries hold dicts, so stay tracked: pause the collector
+    gc.disable()
+    try:
+        _, goal_row, goal_col = goal_tables(width, height)
+        shared = {  # (vertical, a, b): the row of a slide from row (column) a to b
+            (v, a, b): tuple(abs(b - g) - abs(a - g) if g >= 0 else 0 for g in goal)
+            for v, goal, size in ((True, goal_row, height), (False, goal_col, width))
+            for a in range(size) for b in (a - 1, a + 1) if 0 <= b < size
+        }
+        if conflicts:
+            lines = _goal_lines(width, height)
+            # place[i][slot]: the weight of a slot of line i in its key.
+            place = [[base ** (len(cells) - 1 - s) for s in range(len(cells))]
+                     for cells, _, base, _ in lines]
+            members = [[t for t, code in enumerate(codes) if code] for _, codes, _, _ in lines]
+        rows = []  # rows[4 * z + d]: the blank at z moves d, the tile at j slides into z
+        for i, j in enumerate(move_targets(width, height)):
+            if j < 0:
+                rows.append(None)
+                continue
+            (rz, cz), (rj, cj) = divmod(i >> 2, width), divmod(j, width)
+            if cz == cj:  # vertical: out of row rj, into row rz, along column cz
+                out, into, slot, along, a, b = rj, rz, cz, height + cz, rj, rz
+            else:  # horizontal: out of column cj, into column cz, along row rz
+                out, into, slot, along, a, b = height + cj, height + cz, rz, rz, cj, cz
+            md_row = shared[cz == cj, a, b]
+            if not conflicts:
+                rows.append(md_row)
+                continue
+            row = list(md_row)
+            shift = place[along][b] - place[along][a]
+            for line, weight in ((out, -place[out][slot]), (into, place[into][slot]), (along, shift)):
+                _, codes, _, table = lines[line]
+                for t in members[line]:
+                    reg = (line, codes[t] * weight)
+                    e = row[t]
+                    row[t] = (e, *reg, table, ()) if e.__class__ is int else (*e[:4], (reg,))
+            rows.append(row)
+        return _row_steps(width, height, rows)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def incremental(board: Board, name: str):

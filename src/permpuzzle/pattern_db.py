@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -141,22 +142,35 @@ class PatternDatabase:
 def _positional_index(table: bytes, n: int, k: int) -> bytearray:
     """``table`` re-keyed by the cells as base-n digits, UNREACHED elsewhere.
 
-    Rank order is lexicographic, so each placement of the first k - 1
-    tiles (from permutations(), in rank order) owns the next n - k + 1
-    entries, one per free cell in ascending order: one block of n bytes
-    once the used cells are filled in. Only one block is held at a time.
+    Rank order is lexicographic, so each placement of the first k - 2
+    tiles (from permutations(), in rank order) owns the next f(f - 1)
+    entries, the last two tiles over the f = n - k + 2 free cells in
+    lexicographic order: one block of n² bytes once the used cells are
+    filled in. One ``operator.itemgetter`` per set of used cells lays a
+    block out, reading a trailing UNREACHED where a cell is used or
+    repeated. A 1-tile table is its own index.
     """
+    if k == 1:
+        return bytearray(table)
     index = bytearray([UNREACHED]) * n**k
-    rank, free = 0, n - k + 1
-    for prefix in itertools.permutations(range(n), k - 1):
-        base = 0
-        for c in prefix:
-            base = base * n + c
-        block = bytearray(table[rank : rank + free])
-        rank += free
-        for c in sorted(prefix):
-            block.insert(c, UNREACHED)
-        index[base * n : base * n + n] = block
+    f, rank, getters, pad = n - k + 2, 0, {}, bytes([UNREACHED])
+    entries, strides = f * (f - 1), [n ** (k - 1 - j) for j in range(k - 2)]
+    # spot[i][j]: the offset in a block's entries of the i-th free cell's
+    # tile, then the j-th's; ``entries``, the trailing ``pad``, where i = j
+    # or either is f, which stands for a used cell.
+    spot = [[i * (f - 1) + j - (j > i) if i != j and i < f > j else entries
+             for j in range(f + 1)] for i in range(f + 1)]
+    for prefix in itertools.permutations(range(n), k - 2):
+        used = frozenset(prefix)
+        get = getters.get(used)
+        if get is None:
+            ranks = {c: i for i, c in enumerate(c for c in range(n) if c not in used)}
+            by_cell = operator.itemgetter(*(ranks.get(c, f) for c in range(n)))
+            rows = by_cell(list(map(by_cell, spot)))
+            get = getters[used] = operator.itemgetter(*itertools.chain.from_iterable(rows))
+        at = sum(map(operator.mul, prefix, strides))
+        index[at : at + n * n] = bytes(get(table[rank : rank + entries] + pad))
+        rank += entries
     return index
 
 

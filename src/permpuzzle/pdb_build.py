@@ -1,16 +1,16 @@
-"""Pattern database construction: a BFS over blank regions.
+"""Pattern database construction: a BFS over blank regions, a region at a time.
 
 :func:`build_pdb` runs a layer-by-layer BFS over (tile set, tile order,
 blank region) states. The blank's cost-0 region is a component of the
 cells the pattern leaves free, which depends only on the set of pattern
-cells: C(n,k) sets, against P(n,k) placements. One pass over the sets
-records each region's size and its cost-1 slides as flat arrays; the
-search then moves only between regions, indexing a placement as
-``set * k! + order`` (``order`` ranks the tiles' order over the sorted
-cells). The build holds at most P(n,k)·(n+2) bytes: the table, one
-``seen`` byte per (placement, region) (at most n - k regions per set),
-the per-set arrays, and the returned copy of the table, which is
-written in rank order after the last layer.
+cells: C(n,k) sets, against P(n,k) placements. One pass over the sets,
+kept for the last shape and k, records each region's size and its cost-1
+slides. A layer maps each region to one int whose bit ``o`` is tile
+order ``o``, so a slide carries all k! orders at once: an OR when it
+keeps the order, else a few mask-and-shift ops per adjacent swap first.
+The build holds the table, indexed ``set * k! + order``, one visited int
+per region and one placed int per set, and then writes the table in rank
+order. Nothing holds a byte per state.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ import math
 import operator
 import sys
 from array import array
+from collections import defaultdict
+from functools import lru_cache
+from itertools import compress, repeat
+from operator import and_, rshift
 
 from .board import move_targets
 from .pattern_db import (
@@ -40,56 +44,50 @@ def _uint_code(limit: int) -> str:
     return "I" if limit <= 1 << 32 else "Q"
 
 
-def _slide_shift(k: int, pa: int, pz: int):
-    """``(low, span, delta)``: how a slide moves a set's order id.
+def _swap_moves(k: int, p: int):
+    """``(shift, masks, amounts)``: swapping the tiles at positions ``p``
+    and ``p + 1`` of the sorted cells, as big-int ops on a set of orders.
 
-    The slid tile leaves position ``pa`` of the sorted cells and lands at
-    ``pz`` of the child's, so sigma loses its element at ``pa`` and gains
-    it at ``pz``. Only the Lehmer digits from ``min(pa, pz)`` through
-    ``max(pa, pz)`` change, and their new values depend on those digits
-    alone: the new order id is ``order + delta[order // low % span]``.
+    Order o is bit o. Only o's Lehmer digits x at p and y at p + 1
+    change: to (y + 1, x) when y >= x, else to (y, x - 1). They form a
+    window of place value ``low`` inside blocks of (k - p)! orders, so
+    the bits that move by the same amount are one periodic mask, and
+    there are 2(k - 1 - p) amounts. With the masks pre-shifted left by
+    ``shift``, the moved set is the sum over the pairs of
+    ``((orders << shift) & mask) >> amount``.
     """
-    m, top = min(pa, pz), max(pa, pz)
-    length = k - m
-    low = math.factorial(k - 1 - top)
-    span = math.perm(length, top - m + 1)
-    delta = array("q", bytes(8 * span))
-    for window in range(span):
-        rest, digits = window, []
-        for radix in range(length - top + m, length + 1):
-            rest, digit = divmod(rest, radix)
-            digits.append(digit)
-        free, suffix = list(range(length)), []
-        for digit in reversed(digits):
-            suffix.append(free.pop(digit))
-        suffix += free
-        suffix.insert(pz - m, suffix.pop(pa - m))
-        moved = 0
-        for j in range(top - m + 1):
-            x = suffix[j]
-            moved = moved * (length - j) + sum(1 for y in suffix[j + 1 :] if y < x)
-        delta[window] = (moved - window) * low
-    return low, span, delta
+    fact, radix = math.factorial(k), k - 1 - p
+    low = math.factorial(radix - 1)
+    block = (radix + 1) * radix * low
+    ones, every = (1 << low) - 1, ((1 << fact) - 1) // ((1 << block) - 1)
+    moves = defaultdict(int)
+    for x in range(radix + 1):
+        for y in range(radix):
+            to = (y + 1) * radix + x if y >= x else y * radix + x - 1
+            moves[(to - x * radix - y) * low] |= ones << (x * radix + y) * low
+    shift = max(moves)
+    return shift, [m * every << shift for m in moves.values()], [shift - d for d in moves]
 
 
-def _regions(width: int, height: int, home):
-    """Per-set tables for :func:`build_pdb`, for the pattern whose home
-    cells are ``home``.
+@lru_cache(maxsize=1)
+def _regions(width: int, height: int, k: int):
+    """Per-set tables for every k-tile :func:`build_pdb` on the shape.
 
     Sets are numbered in ``itertools.combinations`` order. A set's free
     cells split into components, the blank's cost-0 regions, numbered by
     their smallest cell; ``cmax`` is the most any set has. Region
     ``x = set * cmax + component`` owns ``size[x]`` cells and the cost-1
     slides out of it, ``plain[plain_at[x]:plain_at[x + 1]]`` and likewise
-    ``shifted``: each is the child region times k!, to which the order id
-    is added; a shifted slide also adds the :func:`_slide_shift` delta
-    ``shifts[shift_ids[e]]``. Returns ``(start, cmax, size, plain,
-    plain_at, shifted, shift_ids, shifted_at, shifts)``; ``start`` is the
-    goal's state: the tiles home, sigma the identity, the blank on the
-    last cell.
+    ``shifted``, each the child region. A shifted slide moves the tile
+    from position ``pa`` of the sorted cells to ``pz``, a run of
+    adjacent swaps: its orders go through the :func:`_swap_moves` of
+    each, listed in ``kinds[shift_ids[e]]``. Returns ``(start, cmax,
+    size, plain, plain_at, shifted, shift_ids, shifted_at, kinds)``;
+    only ``start`` depends on the tiles: ``start(home)`` is the goal's
+    region for the pattern whose home cells are ``home``, the blank on
+    the last cell.
     """
-    n, k = width * height, len(home)
-    fact = math.factorial(k)
+    n = width * height
     sets = math.comb(n, k)
     targets = move_targets(width, height)
     neighbours = [[d for d in targets[4 * c : 4 * c + 4] if d >= 0] for c in range(n)]
@@ -126,18 +124,19 @@ def _regions(width: int, height: int, home):
             split[s] = found
             cmax = max(cmax, len(found))
 
-    def component_of(s, cell):
+    def region_of(s, cell):
         comp = 0
         if s in split:
             while not split[s][comp] >> cell & 1:
                 comp += 1
-        return comp
+        return s * cmax + comp
 
-    code = _uint_code(math.perm(n, k) * cmax)
+    code = _uint_code(sets * cmax)
     size = array("H", bytes(2 * sets * cmax))
     plain, shifted, shift_ids = array(code), array(code), array("B")
     plain_at, shifted_at = array(code, [0]), array(code, [0])
-    shift_of, shifts = {}, []
+    swaps = [_swap_moves(k, p) for p in range(k - 1)]
+    shift_of, kinds = {}, []
     for s, cells in enumerate(itertools.combinations(range(n), k)):
         found = split.get(s) or [full ^ sum(1 << c for c in cells)]
         for comp, region in enumerate(found):
@@ -149,29 +148,27 @@ def _regions(width: int, height: int, home):
                     # The tile on a slides to z: its place among the sorted cells.
                     pz = bisect.bisect_left(cells, z) - (z > a)
                     if pz == pa:
-                        child = s + at[pa][a] - at[pa][z]
-                    else:
-                        moved = list(cells)
-                        del moved[pa]
-                        moved.insert(pz, z)
-                        child = set_of(moved)
-                    base = (child * cmax + component_of(child, a)) * fact
-                    if pz == pa:
-                        plain.append(base)
+                        plain.append(region_of(s + at[pa][a] - at[pa][z], a))
                         continue
+                    moved = list(cells)
+                    del moved[pa]
+                    moved.insert(pz, z)
                     if (pa, pz) not in shift_of:
-                        shift_of[pa, pz] = len(shifts)
-                        shifts.append(_slide_shift(k, pa, pz))
-                    shifted.append(base)
+                        shift_of[pa, pz] = len(kinds)
+                        run = range(pa, pz) if pa < pz else range(pa - 1, pz - 1, -1)
+                        kinds.append([swaps[p] for p in run])
+                    shifted.append(region_of(set_of(moved), a))
                     shift_ids.append(shift_of[pa, pz])
             plain_at.append(len(plain))
             shifted_at.append(len(shifted))
         for _ in range(len(found), cmax):
             plain_at.append(len(plain))
             shifted_at.append(len(shifted))
-    s = set_of(home)
-    start = (s * cmax + component_of(s, n - 1)) * fact
-    return start, cmax, size, plain, plain_at, shifted, shift_ids, shifted_at, shifts
+
+    def start(home):
+        return region_of(set_of(home), n - 1)
+
+    return start, cmax, size, plain, plain_at, shifted, shift_ids, shifted_at, kinds
 
 
 def build_pdb(
@@ -211,38 +208,45 @@ def build_pdb(
     _check_bytes("pattern build needs", table_len * (n + 2), max_bytes)
 
     fact = math.factorial(k)
-    (index, cmax, size, plain, plain_at, shifted, shift_ids, shifted_at,
-     shifts) = _regions(width, height, [t - 1 for t in tiles])
+    (start, cmax, size, plain, plain_at, shifted, shift_ids, shifted_at,
+     kinds) = _regions(width, height, k)
     dist = bytearray([UNREACHED]) * table_len
-    # seen[region * k! + order]: 2 settled; 1 or 3 queued, by the layer's parity.
-    seen = bytearray(table_len * cmax)
-    seen[index] = 1
-    mark, d, placements, states = 1, 0, 0, 0
-    while index >= 0:
-        level, queue = min(d, 0xFE), mark ^ 2
-        while index >= 0:
-            seen[index] = 2
-            x, order = divmod(index, fact)
-            placement = x // cmax * fact + order
-            if dist[placement] == UNREACHED:
-                dist[placement] = level
-                placements += 1
-            states += size[x]
-            for base in plain[plain_at[x] : plain_at[x + 1]]:
-                child = base + order
-                if not seen[child]:
-                    seen[child] = queue
+    bits = f"0{fact}b"
+    regions = len(size)
+    seen, placed, frontier = [0] * regions, [0] * (regions // cmax), [0] * regions
+    goal = start([t - 1 for t in tiles])
+    frontier[goal] = seen[goal] = 1  # the goal's order, the identity, is 0
+    d = placements = states = 0
+    while any(frontier):
+        # A new placement's 0xFF byte ANDed with the level becomes the level;
+        # the bit string puts order o at byte k! - 1 - o, read big-endian.
+        levels = bytes.maketrans(b"01", bytes([UNREACHED, min(d, 0xFE)]))
+        reached = [0] * regions
+        for x in compress(range(regions), frontier):
+            orders, s = frontier[x], x // cmax
+            states += size[x] * orders.bit_count()
+            new = orders & ~placed[s]
+            if new:
+                placed[s] |= new
+                placements += new.bit_count()
+                mask = format(new, bits).encode().translate(levels)
+                old = dist[s * fact : s * fact + fact]
+                entries = int.from_bytes(old, "little") & int.from_bytes(mask, "big")
+                dist[s * fact : s * fact + fact] = entries.to_bytes(fact, "little")
+            for y in plain[plain_at[x] : plain_at[x + 1]]:
+                reached[y] |= orders
             for e in range(shifted_at[x], shifted_at[x + 1]):
-                low, span, delta = shifts[shift_ids[e]]
-                child = shifted[e] + order + delta[order // low % span]
-                if not seen[child]:
-                    seen[child] = queue
-            index = seen.find(mark, index + 1)
+                moved = orders
+                for shift, masks, amounts in kinds[shift_ids[e]]:
+                    moved = sum(map(rshift, map(and_, repeat(moved << shift), masks), amounts))
+                reached[shifted[e]] |= moved
         if progress is not None:
             progress(d, placements, states)
-        mark, d = queue, d + 1
-        index = seen.find(mark)
-    del seen, size, plain, plain_at, shifted, shift_ids, shifted_at, shifts
+        for y in compress(range(regions), reached):
+            reached[y] &= ~seen[y]
+            seen[y] |= reached[y]
+        frontier, d = reached, d + 1
+    del seen, placed, frontier, reached
 
     table = _rank_order(dist, n, k)
     del dist

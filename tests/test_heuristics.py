@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import tracemalloc
 from itertools import combinations, permutations
@@ -15,6 +16,7 @@ from permpuzzle import (
     manhattan,
     pattern_db,
 )
+from permpuzzle import heuristics
 from permpuzzle.board import _blank_steps
 from permpuzzle.heuristics import (
     _conflict_table,
@@ -187,6 +189,34 @@ class TestTableCeiling:
             ida_star(board, "linear-conflict")
         # Manhattan's smaller tables still fit.
         assert ida_star(board, "manhattan").length == 1
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+    def test_step_table_leaves_the_collector_as_it_was(self, monkeypatch, fresh_tables, collecting):
+        """The build pauses the cyclic collector and restores the caller's
+        state after a build, a refusal at the ceiling and a failed build."""
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            _step_table(4, 4, True)
+            assert gc.isenabled() is collecting
+            fresh_tables()
+            monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 42927)
+            with pytest.raises(ResourceLimitError):
+                _step_table(3, 3, True)
+            assert gc.isenabled() is collecting
+            monkeypatch.undo()
+            during = []
+
+            def failing(*args):
+                during.append(gc.isenabled())
+                raise MemoryError
+
+            monkeypatch.setattr(heuristics, "_row_steps", failing)
+            with pytest.raises(MemoryError):
+                _step_table(3, 3, True)
+            assert during == [False] and gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("width, height", [(2, 2), (5, 3), (3, 5), (2, 7), (10, 10), (2, 60)])
     def test_bounds_cover_what_is_allocated(self, width, height, fresh_tables):

@@ -27,7 +27,7 @@ from permpuzzle import (
     pdb_heuristic,
     save_pdb,
 )
-from permpuzzle import pattern_db
+from permpuzzle import pattern_db, pdb_build
 
 from oracles import exact_distances, pattern_table
 
@@ -169,6 +169,76 @@ class TestBuild:
             (18, 43680, 524160),
         ]
 
+    # Non-square shapes where tile sets split the free cells into several
+    # blank regions and slides move a tile past one to four others. Read from
+    # the builder that kept a byte per (placement, blank region) state.
+    @pytest.mark.parametrize(
+        "width, height, digest, layers",
+        [
+            (
+                3, 4, "5538c53ae8c3383b935bbe5ea7d92ec8acb0c8afa044b283c7bdccd01b390ed8",
+                [
+                    (0, 1, 7), (1, 5, 23), (2, 18, 84), (3, 55, 217), (4, 143, 590),
+                    (5, 328, 1344), (6, 727, 3295), (7, 1606, 7543), (8, 3448, 17184),
+                    (9, 6848, 35638), (10, 12714, 70313), (11, 21680, 126456), (12, 34337, 209821),
+                    (13, 49555, 315134), (14, 65040, 427130), (15, 77966, 525641),
+                    (16, 86861, 596162), (17, 92013, 638436), (18, 94151, 657143),
+                    (19, 94887, 663788), (20, 95023, 665130), (21, 95040, 665279),
+                    (22, 95040, 665280),
+                ],
+            ),
+            (
+                5, 2, "f4982f0e0805fd3fbb53d71b434a59144c454cbf6f6d4678ff98b3a115162da3",
+                [
+                    (0, 1, 5), (1, 6, 10), (2, 14, 38), (3, 40, 106), (4, 96, 243), (5, 189, 516),
+                    (6, 365, 1081), (7, 697, 2109), (8, 1228, 3904), (9, 1961, 6640),
+                    (10, 3019, 10744), (11, 4461, 16971), (12, 6339, 25284), (13, 8653, 36078),
+                    (14, 11190, 48802), (15, 14072, 63678), (16, 17044, 79287), (17, 19955, 94535),
+                    (18, 22639, 108826), (19, 24922, 121176), (20, 26817, 131591),
+                    (21, 28207, 139395), (22, 29207, 145007), (23, 29782, 148396),
+                    (24, 30066, 150148), (25, 30195, 150915), (26, 30234, 151160),
+                    (27, 30239, 151195), (28, 30240, 151200),
+                ],
+            ),
+        ],
+        ids=["3x4", "5x2"],
+    )
+    def test_5_tile_digest_and_progress_pinned(self, width, height, digest, layers):
+        calls = []
+        db = build_pdb(width, height, [1, 2, 3, 4, 5], progress=lambda *layer: calls.append(layer))
+        assert hashlib.sha256(db.table).hexdigest() == digest
+        assert calls == layers
+
+    def test_patterns_of_one_shape_share_its_tables(self):
+        """The last shape's tables are kept for every pattern of its size:
+        each table matches its pin whatever shape was built before it."""
+        pinned = [
+            (4, 4, (1, 2, 5, 6), "9d9d2304ca726402af2e1dee923e16e04303bbf83b8c264e0e2c82d240895405"),
+            (4, 4, (3, 4, 7, 8), "53a02d9b1b39bfbc0be0d9037b58c338617dfe889610502a7990c91f980071bc"),
+            (4, 4, (11, 12, 15), "44e4fcaa72eeeb6a662c89cca24c3388c9466f15790f1379445f3f05d7293fb0"),
+            (3, 3, (1, 2, 3, 4), "db61ecd81e24c2d962f386e6005db03558ad0e8edc3f9f1326be5bcbdac400aa"),
+            (4, 4, (1, 2, 5, 6), "9d9d2304ca726402af2e1dee923e16e04303bbf83b8c264e0e2c82d240895405"),
+        ]
+        pdb_build._regions.cache_clear()
+        for width, height, tiles, digest in pinned:
+            assert hashlib.sha256(build_pdb(width, height, tiles).table).hexdigest() == digest
+        # Only {3,4,7,8} follows a table of its own shape and size.
+        assert pdb_build._regions.cache_info()[:2] == (1, 4)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_swap_moves_exchange_adjacent_tiles(self, k):
+        """Bit o, sigma's lexicographic rank, moves to the rank of sigma with
+        positions p and p + 1 exchanged."""
+        orders = list(itertools.permutations(range(k)))
+        rank = {sigma: o for o, sigma in enumerate(orders)}
+        for p in range(k - 1):
+            shift, masks, amounts = pdb_build._swap_moves(k, p)
+            for o, sigma in enumerate(orders):
+                swapped = list(sigma)
+                swapped[p : p + 2] = sigma[p + 1], sigma[p]
+                moved = sum(((1 << o << shift) & m) >> a for m, a in zip(masks, amounts))
+                assert moved == 1 << rank[tuple(swapped)]
+
     @pytest.mark.parametrize("width, height, tiles", [(3, 3, [1, 2, 3, 4]), (2, 2, [1, 2, 3])])
     def test_progress_once_per_layer(self, width, height, tiles):
         calls = []
@@ -204,7 +274,8 @@ class TestBuild:
         assert len(build_pdb(4, 4, [1, 2, 5, 6], max_bytes=need).table) == math.perm(16, 4)
 
     def test_build_holds_only_its_byte_arrays(self):
-        # The table, the seen array and the returned copy: P(16,4)·(16+2) bytes.
+        # The build's own charge, P(16,4)·(16+2) bytes: the table, one int of
+        # tile orders per blank region and per set, and the returned copy.
         tracemalloc.start()
         try:
             build_pdb(4, 4, [1, 2, 5, 6])
