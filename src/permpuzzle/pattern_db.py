@@ -12,17 +12,16 @@ unsigned table length L, then L distance bytes indexed by the
 lexicographic rank of the pattern tiles' cell assignment (an ordered
 k-selection out of the n cells).
 
-:func:`.pdb_build.build_pdb` builds the tables. :func:`rank_of_cells`
-ranks one placement for :meth:`PatternDatabase.lookup`; the builder
-places its entries by the same :func:`rank_weights`, a set's k! ranks
-at once. This module also owns the IDA* form
-(:meth:`PatternHeuristic.incremental`). It ranks nothing:
-:class:`PatternHeuristic` expands each table once into an in-memory
-positional index of n^k bytes, keyed by the pattern tiles' cells as
-base-n digits, which IDA* carries in a register per database and a move
-shifts by a fixed stride. Files keep the rank-ordered table; there is
-no rank-order read. One byte ceiling, ``DEFAULT_MAX_BYTES``, covers the
-build, the summed indexes and the step table each.
+:func:`.pdb_build.build_pdb` builds the tables, placing a set's k!
+entries at once by :func:`rank_weights`. This module owns the one
+reader, :class:`PatternHeuristic`, and its IDA* form
+(:meth:`PatternHeuristic.incremental`). It ranks nothing: it expands
+each table once into an in-memory positional index of n^k bytes, keyed
+by the pattern tiles' cells as base-n digits, which IDA* carries in a
+register per database and a move shifts by a fixed stride. Files keep
+the rank-ordered table; there is no rank-order read, and one table is
+read as ``pdb_heuristic(board, [db])``. One byte ceiling,
+``DEFAULT_MAX_BYTES``, covers the build and the summed indexes each.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .board import Board, _row_steps, _row_steps_bytes, check_dimensions
+from .board import Board, _row_steps, check_dimensions
 from .errors import ParseError, ResourceLimitError
 
 __all__ = [
@@ -53,8 +52,8 @@ MAX_PATTERN_TILES = 8
 UNREACHED = 0xFF
 
 # The one memory ceiling, in bytes: a build's P(n,k)·(n+2) bytes, the
-# summed n^k bytes of PatternHeuristic's indexes, and upper bounds on its
-# step table and on the per-shape tables of :mod:`.heuristics`.
+# summed n^k bytes of PatternHeuristic's indexes, and upper bounds on the
+# per-shape tables of :mod:`.heuristics`.
 DEFAULT_MAX_BYTES = 1 << 27
 
 NOT_A_HEURISTIC = (
@@ -66,18 +65,6 @@ NOT_A_HEURISTIC = (
 def rank_weights(n: int, k: int) -> tuple[int, ...]:
     """Mixed-radix weights for ranking ordered k-selections of n cells."""
     return tuple(math.perm(n - 1 - i, k - 1 - i) for i in range(k))
-
-
-def rank_of_cells(cells, weights) -> int:
-    """Lexicographic rank of a sequence of distinct cells."""
-    r = 0
-    for i, c in enumerate(cells):
-        smaller = 0
-        for j in range(i):
-            if cells[j] < c:
-                smaller += 1
-        r += (c - smaller) * weights[i]
-    return r
 
 
 def _check_pattern(width: int, height: int, tiles) -> None:
@@ -109,6 +96,7 @@ class PatternDatabase:
     table: bytes
 
     def __post_init__(self):
+        object.__setattr__(self, "pattern_tiles", tuple(self.pattern_tiles))
         _check_pattern(self.width, self.height, self.pattern_tiles)
         if not isinstance(self.table, bytes):  # hashable; bytes(int) would be zeros
             object.__setattr__(self, "table", bytes(memoryview(self.table)))
@@ -117,26 +105,15 @@ class PatternDatabase:
             raise ValueError(
                 f"table holds {len(self.table)} entries, expected {expected}"
             )
-        # IDA* stops only where h is 0, so a nonzero goal entry would hide the goal.
-        home = [t - 1 for t in self.pattern_tiles]
-        if self.table[rank_of_cells(home, rank_weights(self.size, len(home)))]:
+        # IDA* stops only where h is 0, so a nonzero goal entry would hide the
+        # goal. The home cells ascend: the i-th has i smaller cells before it.
+        w = rank_weights(self.size, len(self.pattern_tiles))
+        if self.table[sum((t - 1 - i) * w[i] for i, t in enumerate(self.pattern_tiles))]:
             raise ValueError("table gives the goal placement a nonzero distance")
 
     @property
     def size(self) -> int:
         return self.width * self.height
-
-    def lookup(self, board: Board) -> int:
-        """Lower bound on moves of this pattern's tiles for ``board``."""
-        if (board.width, board.height) != (self.width, self.height):
-            raise ValueError(
-                f"database is for {self.width}x{self.height}, "
-                f"board is {board.width}x{board.height}"
-            )
-        position = {label: cell for cell, label in enumerate(board.cells)}
-        weights = rank_weights(self.size, len(self.pattern_tiles))
-        cells = [position[t] for t in self.pattern_tiles]
-        return self.table[rank_of_cells(cells, weights)]
 
 
 def _positional_index(table: bytes, n: int, k: int) -> bytearray:
@@ -218,9 +195,13 @@ class PatternHeuristic:
         ]
         self._steps = None
 
-    def _value_and_keys(self, position):
-        """The heuristic and each database's key for a label -> cell array."""
-        n = self.width * self.height
+    def _value_and_keys(self, board: Board):
+        """The heuristic and each database's key for ``board``."""
+        self.check_shape(board)
+        n = board.size
+        position = [0] * (n + 1)
+        for cell, label in enumerate(board.cells):
+            position[label] = cell
         h, keys = 0, []
         for tiles, index in self._indexes:
             i = 0
@@ -230,24 +211,12 @@ class PatternHeuristic:
             keys.append(i)
         return h, keys
 
-    def value_from_positions(self, position) -> int:
-        """Heuristic from a label -> 0-based cell array."""
-        return self._value_and_keys(position)[0]
-
-    def _steps_bytes(self) -> int:
-        """Upper bound on the bytes :meth:`_step_table` keeps: four rows, per
-        pattern tile and row a 5-tuple and an int, and the step table."""
-        n = self.width * self.height
-        tiles = sum(len(t) for t, _ in self._indexes)
-        digits = max(len(index) for _, index in self._indexes).bit_length() // 30 + 1
-        return 4 * (56 + 8 * (n + 1) + tiles * (112 + 4 * digits)) + _row_steps_bytes(n)
-
     def _step_table(self):
         """The step table, built on the first solve. A slide from ``j`` into
         ``z`` moves the key of the database holding the tile by ``z - j``
         times the tile's stride, so four rows, one per direction, serve."""
         if self._steps is None:
-            _check_bytes("pattern step table needs", self._steps_bytes(), DEFAULT_MAX_BYTES)
+            # Unchecked: 1-byte shapes and labels cap it near 46 MB, under the ceiling.
             n = self.width * self.height
             rows = [[0] * (n + 1) for _ in range(4)]
             for row, shift in zip(rows, (self.width, -self.width, 1, -1)):  # z - j for U, D, L, R
@@ -259,8 +228,7 @@ class PatternHeuristic:
 
     def incremental(self, board: Board):
         """This heuristic as ``(h0, steps, regs)``, a key per database in ``regs``."""
-        self.check_shape(board)
-        h0, keys = self._value_and_keys(_positions(board))
+        h0, keys = self._value_and_keys(board)
         return h0, self._step_table(), keys
 
     def check_shape(self, board: Board) -> None:
@@ -272,16 +240,7 @@ class PatternHeuristic:
             )
 
     def __call__(self, board: Board) -> int:
-        self.check_shape(board)
-        return self.value_from_positions(_positions(board))
-
-
-def _positions(board: Board) -> list[int]:
-    """The board's label -> 0-based cell array."""
-    position = [0] * (board.size + 1)
-    for cell, label in enumerate(board.cells):
-        position[label] = cell
-    return position
+        return self._value_and_keys(board)[0]
 
 
 @lru_cache(maxsize=1)
@@ -290,9 +249,17 @@ def _pattern_heuristic(databases: tuple) -> PatternHeuristic:
     return PatternHeuristic(databases)
 
 
+def _summed_heuristic(databases) -> PatternHeuristic:
+    """The kept heuristic over bare databases; ValueError for anything else."""
+    try:  # not iterable, or an item the cache cannot hash
+        return _pattern_heuristic(tuple(databases))
+    except TypeError:
+        raise ValueError(NOT_A_HEURISTIC) from None
+
+
 def pdb_heuristic(board: Board, databases) -> int:
     """Summed lookup across pairwise-disjoint databases; admissible."""
-    return _pattern_heuristic(tuple(databases))(board)
+    return _summed_heuristic(databases)(board)
 
 
 def save_pdb(db: PatternDatabase, destination) -> None:

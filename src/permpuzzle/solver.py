@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .board import MOVE_ORDER, Board, Move
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
 from .heuristics import incremental
-from .pattern_db import NOT_A_HEURISTIC, PatternDatabase, PatternHeuristic, _pattern_heuristic
+from .pattern_db import PatternDatabase, PatternHeuristic, _summed_heuristic
 from .solvability import _PackedBFS, certificate, is_solvable
 
 __all__ = [
@@ -160,10 +160,7 @@ def _check_heuristic(heuristic, board: Board):
     if isinstance(heuristic, PatternDatabase):
         heuristic = [heuristic]
     if not isinstance(heuristic, PatternHeuristic):
-        try:  # not iterable, or an item the cache cannot hash
-            heuristic = _pattern_heuristic(tuple(heuristic))
-        except TypeError:
-            raise ValueError(NOT_A_HEURISTIC) from None
+        heuristic = _summed_heuristic(heuristic)
     heuristic.check_shape(board)
     return heuristic
 

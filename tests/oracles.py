@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import lru_cache
 from itertools import permutations
 
 
@@ -126,3 +127,19 @@ def pattern_table(width: int, height: int, tiles) -> bytes:
         min(best[p], 0xFE) if p in best else 0xFF
         for p in permutations(range(n), len(tiles))
     )
+
+
+@lru_cache(maxsize=None)
+def _placement_ranks(n: int, k: int) -> dict[tuple[int, ...], int]:
+    return {p: r for r, p in enumerate(permutations(range(n), k))}
+
+
+def placement_rank(n: int, cells) -> int:
+    """Where ``itertools.permutations(range(n), k)`` lists the placement
+    ``cells``: the order :func:`pattern_table` stores entries in."""
+    return _placement_ranks(n, len(cells))[tuple(cells)]
+
+
+def pattern_entry(table, tiles, cells) -> int:
+    """The entry of ``table`` for the cells ``tiles`` occupy on a board."""
+    return table[placement_rank(len(cells), [cells.index(t) for t in tiles])]

@@ -11,7 +11,7 @@ import struct
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permpuzzle import (
     Board,
@@ -29,7 +29,7 @@ from permpuzzle import (
 )
 from permpuzzle import pattern_db, pdb_build
 
-from oracles import exact_distances, pattern_table
+from oracles import exact_distances, pattern_entry, pattern_table, placement_rank
 
 
 @st.composite
@@ -46,15 +46,29 @@ class TestBuild:
         db = build_pdb(2, 2, [1, 2, 3])
         assert len(db.table) == math.perm(4, 3) == 24
 
-    def test_goal_entry_is_zero(self):
-        db = build_pdb(2, 2, [1, 2, 3])
-        assert db.lookup(Board.goal(2, 2)) == 0
+    @settings(max_examples=60, deadline=None)
+    @given(small_patterns())
+    @example((2, 2, (1, 2, 3)))
+    def test_goal_entry_is_zero(self, pattern):
+        """The built goal entry is 0, and the constructor's goal check reads
+        exactly the entry the oracle ranks as the goal placement."""
+        width, height, tiles = pattern
+        table = build_pdb(width, height, tiles).table
+        goal = placement_rank(width * height, [t - 1 for t in tiles])
+        assert table[goal] == 0
+        others = bytearray([1]) * len(table)
+        others[goal] = 0
+        PatternDatabase(width, height, tiles, others)
+        only_goal = bytearray(len(table))
+        only_goal[goal] = 1
+        with pytest.raises(ValueError, match="goal placement"):
+            PatternDatabase(width, height, tiles, only_goal)
 
     def test_full_complement_2x2_is_exact(self):
         # All tiles in one pattern means every move is a counted move.
         db = build_pdb(2, 2, [1, 2, 3])
         for cells, d in exact_distances(2, 2).items():
-            assert db.lookup(Board(2, 2, cells)) == d
+            assert pattern_entry(db.table, db.pattern_tiles, cells) == d
 
     def test_3x3_entries_bounded_by_diameter(self):
         db = build_pdb(3, 3, [1, 2, 3])
@@ -276,6 +290,8 @@ class TestBuild:
     def test_build_holds_only_its_byte_arrays(self):
         # The build's own charge, P(16,4)·(16+2) bytes: the table, one int of
         # tile orders per blank region and per set, and the returned copy.
+        # The shape pass is built inside the trace, whatever ran before.
+        pdb_build._regions.cache_clear()
         tracemalloc.start()
         try:
             build_pdb(4, 4, [1, 2, 5, 6])
@@ -320,16 +336,24 @@ class TestHeuristic:
                 ida_star(Board.goal(3, 3), items)
 
     def test_positions_path_matches_board_path(self):
-        ph = PatternHeuristic([build_pdb(3, 3, [2, 5, 7])])
+        """The oracle's positions, ranked by permutations(), against ph(board)."""
+        db = build_pdb(3, 3, [2, 5, 7])
+        ph = PatternHeuristic([db])
         rng = random.Random(3)
         for _ in range(50):
             cells = list(range(1, 10))
             rng.shuffle(cells)
             b = Board(3, 3, tuple(cells))
-            position = [0] * 10
-            for cell, label in enumerate(cells):
-                position[label] = cell
-            assert ph(b) == ph.value_from_positions(position)
+            assert ph(b) == pattern_entry(db.table, db.pattern_tiles, b.cells)
+
+    def test_bare_database_arguments_checked_alike(self):
+        db = build_pdb(3, 3, [1, 2])
+        board = Board.goal(3, 3).apply_move(Move.UP)
+        for databases in ([[db]], [{"tiles": db}], 5):
+            with pytest.raises(ValueError, match="heuristic must be"):
+                pdb_heuristic(board, databases)
+            with pytest.raises(ValueError, match="heuristic must be"):
+                ida_star(board, databases)
 
 
 class TestPositionalIndex:
@@ -342,13 +366,13 @@ class TestPositionalIndex:
         db = build_pdb(width, height, tiles)
         ph = PatternHeuristic([db])
         n = width * height
-        weights = pattern_db.rank_weights(n, len(tiles))
-        position = [0] * (n + 1)
+        others = [x for x in range(1, n + 1) if x not in tiles]
         for cells in itertools.permutations(range(n), len(tiles)):
-            for t, c in zip(tiles, cells):
-                position[t] = c
-            rank = pattern_db.rank_of_cells(cells, weights)
-            assert ph.value_from_positions(position) == db.table[rank]
+            labels = others[:]
+            for c, t in sorted(zip(cells, tiles)):
+                labels.insert(c, t)
+            b = Board(width, height, tuple(labels))
+            assert ph(b) == pattern_entry(db.table, tiles, b.cells)
 
     @pytest.mark.parametrize("width, height", [(3, 3), (2, 4), (4, 2), (4, 4)])
     def test_sum_equals_summed_lookups(self, width, height):
@@ -360,7 +384,7 @@ class TestPositionalIndex:
             cells = list(range(1, width * height + 1))
             rng.shuffle(cells)
             b = Board(width, height, tuple(cells))
-            assert ph(b) == sum(db.lookup(b) for db in dbs)
+            assert ph(b) == sum(pattern_entry(db.table, db.pattern_tiles, b.cells) for db in dbs)
 
     def test_index_size(self):
         db = build_pdb(4, 4, [1, 2, 5, 6])
@@ -390,40 +414,12 @@ class TestPositionalIndex:
         try:
             board = Board(3, 3, (4, 1, 3, 7, 2, 6, 5, 8, 9))
             assert pdb_heuristic(board, dbs) == pdb_heuristic(board, list(dbs))
-            assert pdb_heuristic(board, dbs) == sum(db.lookup(board) for db in dbs)
+            assert pdb_heuristic(board, dbs) == sum(
+                pattern_entry(db.table, db.pattern_tiles, board.cells) for db in dbs
+            )
             assert expanded == [3, 2]
         finally:
             pattern_db._pattern_heuristic.cache_clear()
-
-    STEP_PATTERNS = [
-        (3, 3, [[1, 2, 3], [4, 5]]),
-        (4, 4, [[1, 2, 5, 6], [3, 4, 7, 8], [9, 10, 13, 14], [11, 12, 15]]),
-        (5, 2, [[1, 2, 3, 4], [5, 6, 7, 8, 9]]),
-    ]
-
-    @pytest.mark.parametrize("width, height, patterns", STEP_PATTERNS)
-    def test_step_table_bound_covers_what_is_allocated(self, width, height, patterns):
-        ph = PatternHeuristic([build_pdb(width, height, p) for p in patterns])
-        ida_star(Board.goal(width, height), ph)  # builds the shared blank steps, not this
-        tracemalloc.start()
-        try:
-            ph._step_table()
-            used = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert used <= ph._steps_bytes()
-
-    def test_step_table_over_the_byte_ceiling_refused(self, monkeypatch):
-        """The 3x3 table over {1,2,3} and {4,5} is bounded by 9168 bytes,
-        charged on the first solve, apart from the indexes' 810."""
-        dbs = [build_pdb(3, 3, [1, 2, 3]), build_pdb(3, 3, [4, 5])]
-        board = Board.goal(3, 3).apply_move(Move.UP)
-        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 9167)
-        ph = PatternHeuristic(dbs)
-        with pytest.raises(ResourceLimitError, match="pattern step table needs 9168 bytes"):
-            ida_star(board, ph)
-        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 9168)
-        assert ida_star(board, ph).length == 1
 
 
 class TestPersistence:
@@ -524,6 +520,14 @@ class TestPersistence:
         b = Board(3, 2, (4, 1, 3, 6, 2, 5))
         assert ida_star(b, [db]).length == bfs_optimal(b).length
 
+    def test_list_of_tiles_stored_as_tuple(self):
+        built = build_pdb(3, 2, [1, 2, 3])
+        db = PatternDatabase(3, 2, [1, 2, 3], built.table)
+        assert db.pattern_tiles == (1, 2, 3) and db == built
+        b = Board(3, 2, (4, 1, 3, 6, 2, 5))
+        assert pdb_heuristic(b, [db]) == pdb_heuristic(b, [built])
+        assert ida_star(b, db).length == bfs_optimal(b).length
+
     def test_direct_constructor_validates(self):
         with pytest.raises(ValueError):
             PatternDatabase(3, 3, (1, 2), b"\x00" * 5)
@@ -531,8 +535,7 @@ class TestPersistence:
     def test_nonzero_goal_entry_rejected(self, tmp_path):
         # IDA* would never recognise the goal under such a table.
         db = build_pdb(3, 2, [2, 4])
-        weights = pattern_db.rank_weights(6, 2)
-        goal = pattern_db.rank_of_cells([1, 3], weights)
+        goal = placement_rank(6, [1, 3])
         table = bytearray(db.table)
         table[goal] = 1
         with pytest.raises(ValueError, match="goal placement"):
