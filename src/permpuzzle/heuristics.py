@@ -8,10 +8,13 @@ Pattern databases own theirs in :mod:`.pattern_db`.
 
 Linear conflict reads each goal line as an integer key: the line's
 codes (see :func:`line_conflicts`) as a base ``length + 1`` number, which
-indexes a conflict table shared by every line of that length and filled
-on first read (Korf & Taylor 1996's per-line tables). The search carries
-the keys in its registers, one per goal row and column, and a slide
-shifts them by constants from the step table, so a node computes no key.
+indexes a conflict table shared by every line of that length (Korf &
+Taylor 1996's per-line tables). A table is a plain ``dict``, so the
+search's reads take CPython's specialised subscript path; a read that
+misses raises ``KeyError``, and :func:`_conflict_of` fills the key. The
+search carries the keys in its registers, one per goal row and column,
+and a slide shifts them by constants from the step table, so a node
+computes no key.
 
 The Manhattan table and each step table grow with n², so each is
 refused with :class:`ResourceLimitError` before it is built when an
@@ -118,36 +121,40 @@ def line_conflicts(codes) -> int:
     return 2 * (len(coords) - max(best))
 
 
-class _LineConflicts(dict):
-    """Line key -> :func:`line_conflicts` of the codes it spells, for lines
-    of ``length`` cells, each entry computed on its first read.
-
-    A key is the line's codes read as a base ``length + 1`` number, first
-    cell most significant. Only keys of real lines are ever read, so the
-    table holds at most one entry per sequence of distinct nonzero codes:
-    209 for 4 cells, 13,327 for 6.
-    """
-
-    __slots__ = ("length",)
-
-    def __init__(self, length: int):
-        super().__init__()
-        self.length = length
-
-    def __missing__(self, key: int) -> int:
-        base = self.length + 1
-        codes = [0] * self.length
-        rest = key
-        for i in range(self.length - 1, -1, -1):
-            rest, codes[i] = divmod(rest, base)
-        value = self[key] = line_conflicts(codes)
-        return value
+_LENGTHS: dict[int, int] = {}  # id(table) -> its line length; tables live for good
 
 
 @lru_cache(maxsize=None)
-def _conflict_table(length: int) -> _LineConflicts:
-    """The one conflict table every line of ``length`` cells shares."""
-    return _LineConflicts(length)
+def _conflict_table(length: int) -> dict:
+    """The one conflict table every line of ``length`` cells shares.
+
+    It maps a line key, the line's codes read as a base ``length + 1``
+    number, first cell most significant, to :func:`line_conflicts` of
+    those codes; :func:`_conflict_of` fills a key on its first read. Only
+    keys of real lines are ever read, so the table holds at most one
+    entry per sequence of distinct nonzero codes: 209 for 4 cells, 13,327
+    for 6. It is an exact ``dict``, so CPython 3.11 specialises the
+    search's ``table[key]`` reads, which a subclass with ``__missing__``
+    forgoes.
+    """
+    table: dict = {}
+    _LENGTHS[id(table)] = length
+    return table
+
+
+def _conflict_of(table: dict, key: int) -> int:
+    """``table[key]`` for a :func:`_conflict_table`, computed and stored
+    when missing."""
+    value = table.get(key)
+    if value is None:
+        length = _LENGTHS[id(table)]
+        base = length + 1
+        codes = [0] * length
+        rest = key
+        for i in range(length - 1, -1, -1):
+            rest, codes[i] = divmod(rest, base)
+        value = table[key] = line_conflicts(codes)
+    return value
 
 
 def linear_conflict(board: Board) -> int:
@@ -170,7 +177,7 @@ def _linear_conflict(board: Board):
         key = 0
         for c in cells:
             key = key * base + codes[tiles[c]]
-        total += conflicts[key]
+        total += _conflict_of(conflicts, key)
         keys.append(key)
     return total, keys
 

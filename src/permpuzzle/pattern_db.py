@@ -167,7 +167,10 @@ class PatternHeuristic:
     """
 
     def __init__(self, databases):
-        databases = list(databases)
+        try:
+            databases = list(databases)
+        except TypeError:  # not iterable
+            raise ValueError(NOT_A_HEURISTIC) from None
         if not databases:
             raise ValueError("at least one pattern database required")
         if not all(isinstance(db, PatternDatabase) for db in databases):

@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .board import Board, _blank_steps, check_dimensions
+from .board import Board, _blank_steps, check_dimensions, move_targets
 from .errors import IllegalMoveError, ResourceLimitError
 from .perm import Parity, cycle_parity
 
@@ -119,6 +119,7 @@ class _PackedBFS:
                 f"packed-state BFS supports at most 16 cells, got {n}"
             )
         self.steps = _blank_steps(width, height)
+        self.targets = move_targets(width, height)
         self.blank_nibble = n - 1
         self.goal = self.pack(range(1, n + 1))
         self.node_cap = DEFAULT_MAX_STATES if node_cap is None else node_cap
@@ -176,7 +177,7 @@ class _PackedBFS:
         dirs = []
         while d >= 0:
             dirs.append(d)
-            prev = dict(self.steps[blank][-1])[d ^ 1]
+            prev = self.targets[4 * blank + (d ^ 1)]
             pshift = prev * 4
             delta = ((state >> pshift) & 15) ^ self.blank_nibble
             state ^= (delta << pshift) ^ (delta << (blank * 4))

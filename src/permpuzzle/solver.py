@@ -23,8 +23,12 @@ each pair as ``(d, j, row)``, and a fresh list of integer registers. The
 tile ``t`` sliding into the blank reads ``row[t]``: an int is the change
 of h; ``(dh, s, off, T, more)`` gives ``h + dh + T[regs[s] + off] -
 T[regs[s]]`` and adds ``off`` to ``regs[s]`` and ``o2`` to ``regs[s2]``
-for each ``(s2, o2)`` in ``more`` until the search backs out. The goal
-test is ``h == 0 and tiles == goal``.
+for each ``(s2, o2)`` in ``more`` until the search backs out. ``T`` is
+a PDB index or a linear-conflict table; the latter is a plain ``dict``
+that holds only the line keys read so far, so on a ``KeyError`` both
+reads go through ``heuristics._conflict_of``, which fills the key (a
+key shifted only through ``more`` is unread until a later slide crosses
+its line). The goal test is ``h == 0 and tiles == goal``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 from .board import MOVE_ORDER, Board, Move
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
-from .heuristics import incremental
+from .heuristics import _conflict_of, incremental
 from .pattern_db import PatternDatabase, PatternHeuristic, _summed_heuristic
 from .solvability import _PackedBFS, certificate, is_solvable
 
@@ -248,7 +252,10 @@ def ida_star(
             else:
                 dh, s, off, table, more = e
                 key = regs[s]
-                child_h = h + dh + table[key + off] - table[key]
+                try:
+                    child_h = h + dh + table[key + off] - table[key]
+                except KeyError:  # a line order no search has read yet
+                    child_h = h + dh + _conflict_of(table, key + off) - _conflict_of(table, key)
             f = g1 + child_h
             if f > bound:
                 if f < mn:
@@ -260,8 +267,9 @@ def ida_star(
                 return -1
             if off:
                 regs[s] = key + off
-                for s2, o2 in more:
-                    regs[s2] += o2
+                if more:
+                    for s2, o2 in more:
+                        regs[s2] += o2
             r = dfs(j, g1, bound, d, child_h)
             if r < 0:
                 path.append(d)
@@ -270,8 +278,9 @@ def ida_star(
                 mn = r
             if off:
                 regs[s] = key
-                for s2, o2 in more:
-                    regs[s2] -= o2
+                if more:
+                    for s2, o2 in more:
+                        regs[s2] -= o2
             tiles[blank], tiles[j] = n, t
         return mn
 

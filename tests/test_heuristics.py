@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import tracemalloc
 from itertools import combinations, permutations
@@ -15,10 +16,12 @@ from permpuzzle import (
     linear_conflict,
     manhattan,
     pattern_db,
+    scramble,
 )
 from permpuzzle import heuristics
-from permpuzzle.board import _blank_steps
+from permpuzzle.board import _blank_steps, format_moves
 from permpuzzle.heuristics import (
+    _conflict_of,
     _conflict_table,
     _goal_lines,
     _goal_table_bytes,
@@ -122,6 +125,11 @@ def fewest_leavers(codes) -> int:
     return 0
 
 
+def line_key_count(length: int) -> int:
+    """How many code sequences a line of ``length`` cells can hold."""
+    return sum(math.comb(length, k) * math.perm(length, k) for k in range(length + 1))
+
+
 class TestConflictTable:
     COUNTS = {2: 7, 3: 34, 4: 209, 5: 1546, 6: 13327}
 
@@ -134,9 +142,44 @@ class TestConflictTable:
             for code in codes:
                 key = key * (length + 1) + code
             keys.add(key)
-            assert table[key] == line_conflicts(codes) == 2 * fewest_leavers(codes), codes
-        assert len(keys) == self.COUNTS[length]
+            assert _conflict_of(table, key) == line_conflicts(codes) == 2 * fewest_leavers(codes), codes
+        assert len(keys) == self.COUNTS[length] == line_key_count(length)
         assert len(table) <= self.COUNTS[length]
+
+    @pytest.mark.parametrize("length", range(2, 9))
+    def test_table_is_a_plain_dict(self, length):
+        assert type(_conflict_table(length)) is dict
+
+    # Moves and IDA* expansions of the default heuristic, read when each
+    # table was a dict subclass that filled a key on its first read.
+    SOLVES = {
+        (5, 3, 30, 3): ("D L U U L L D D R R R U R U L D L L D R R R", 224),
+        (3, 5, 30, 3): ("L U L U U U R R D D L L U R R D D D L L U U R R D L D R", 103),
+        (8, 2, 40, 1): (
+            "U L D R R R U L D R R R U L D R R R U L L L D R R U R D L L U R R D",
+            12495,
+        ),
+    }
+
+    def test_search_fills_only_real_line_keys(self):
+        """Rows and columns of unequal length, and 8-cell rows, fill their
+        tables as the search misses keys, each with its conflicts."""
+        for length in range(2, 9):
+            _conflict_table(length).clear()
+        for (width, height, steps, seed), pinned in self.SOLVES.items():
+            result = ida_star(scramble(width, height, steps, seed)[0])
+            assert (format_moves(result.moves), result.nodes_expanded) == pinned
+        for length in range(2, 9):
+            table = _conflict_table(length)
+            assert bool(table) == (length in (2, 3, 5, 8))  # the solved lines' lengths
+            assert len(table) <= line_key_count(length)
+            for key, value in table.items():
+                assert 0 <= key < (length + 1) ** length
+                codes = [key // (length + 1) ** (length - 1 - i) % (length + 1)
+                         for i in range(length)]
+                coords = [c for c in codes if c]
+                assert len(set(coords)) == len(coords), codes
+                assert value == line_conflicts(codes), codes
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ Each heuristic reaches the search as ``(h0, steps, regs)``. Sliding the
 tile at ``j`` into the blank at ``z`` reads ``row[t]`` from
 ``steps[z][-1]``'s ``(d, j, row)``: an int is the change of h; an entry
 ``(dh, s, off, T, more)`` adds ``dh + T[regs[s] + off] - T[regs[s]]``
+(a conflict table's key is filled when missing, as the search fills it)
 and shifts ``regs[s]`` by ``off`` and each ``regs[s2]`` by ``o2``.
 Random walks compare that running value, and the registers, with the
 heuristic rebuilt on the whole board at every step; then they walk back
@@ -27,6 +28,7 @@ from permpuzzle import (
     scramble,
 )
 from permpuzzle.board import move_targets
+from permpuzzle.heuristics import _conflict_of
 from permpuzzle.solver import _resolve_heuristic
 
 # (width, height): 2x4 and 4x2 keep rows and columns of unequal length.
@@ -51,6 +53,11 @@ walks = st.sampled_from(SHAPES).flatmap(
 )
 
 
+def read(table, key: int) -> int:
+    """A PDB index's entry, or a conflict table's, filled when missing."""
+    return _conflict_of(table, key) if table.__class__ is dict else table[key]
+
+
 def slide(terms, state, blank: int, j: int, t: int) -> None:
     """Move tile ``t`` from ``j`` into ``blank`` in every ``(h, regs)`` of
     ``state``, reading each heuristic's own step table."""
@@ -59,7 +66,7 @@ def slide(terms, state, blank: int, j: int, t: int) -> None:
         h, regs = state[i]
         if not isinstance(entry, int):
             dh, s, off, table, more = entry
-            entry = dh + table[regs[s] + off] - table[regs[s]]
+            entry = dh + read(table, regs[s] + off) - read(table, regs[s])
             regs[s] += off
             for s2, o2 in more:
                 regs[s2] += o2

@@ -349,11 +349,13 @@ class TestHeuristic:
     def test_bare_database_arguments_checked_alike(self):
         db = build_pdb(3, 3, [1, 2])
         board = Board.goal(3, 3).apply_move(Move.UP)
-        for databases in ([[db]], [{"tiles": db}], 5):
+        for databases in ([[db]], [{"tiles": db}], 5, None):
             with pytest.raises(ValueError, match="heuristic must be"):
                 pdb_heuristic(board, databases)
             with pytest.raises(ValueError, match="heuristic must be"):
                 ida_star(board, databases)
+            with pytest.raises(ValueError, match="heuristic must be"):
+                PatternHeuristic(databases)
 
 
 class TestPositionalIndex:
