@@ -3,8 +3,10 @@
 The oracle is a bidirectional BFS (Pohl 1971) on the packed-state
 search that ``reachable_states`` also runs (``solvability._PackedBFS``):
 it grows a ball from the start and one from the goal, a layer at a time,
-and stops at the first state they share. Both balls expand through the
-per-shape step table IDA* uses, which never makes the move back to a
+and stops at the first state they share. A board is one int, 4 bits per
+cell with the blank as 0, so a slide is one multiply-xor by a constant
+that the per-shape step table IDA* uses carries for each move. Both
+balls expand through that table, which never makes the move back to a
 parent, into one visited map holding per state the blank's last
 direction and a side bit; a child found with the other side's bit is
 the meet. The path is rebuilt by undoing the recorded moves from the

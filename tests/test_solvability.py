@@ -19,6 +19,8 @@ from permpuzzle import (
     verify_sequence,
 )
 
+from permpuzzle.solvability import _PackedBFS
+
 from oracles import exact_distances, inversion_sign
 
 
@@ -172,6 +174,29 @@ class TestEnumeration:
     def test_refuses_when_ceiling_too_small(self):
         with pytest.raises(ResourceLimitError):
             reachable_states(3, 2, max_states=100)
+
+
+class TestPackedSteps:
+    SHAPES = [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4), (4, 3), (3, 4), (4, 4), (8, 2), (2, 8)]
+
+    @pytest.mark.parametrize("width, height", SHAPES)
+    def test_slide_matches_apply_move(self, width, height):
+        # Expanding a root takes every entry of the step table at its
+        # blank, on boards of both parities: each child is the packed
+        # board after the move, and unwinding that one step lands on the
+        # parent, the only state in the map.
+        bfs = _PackedBFS(width, height, None)
+        rng = random.Random(f"packed/{width}x{height}")
+        cells = list(range(1, width * height + 1))
+        for _ in range(50):
+            rng.shuffle(cells)
+            board = Board(width, height, cells)
+            parent = bfs.pack(board.cells)
+            children, _ = bfs.expand([(parent, board.blank_index - 1, -1)], {parent: -2})
+            assert {MOVE_ORDER[d] for _, _, d in children} == board.legal_moves()
+            for child, j, d in children:
+                assert child == bfs.pack(board.apply_move(MOVE_ORDER[d]).cells)
+                assert bfs.unwind(child, j, d, {parent: -2}) == [d]
 
 
 class TestVerifySequence:

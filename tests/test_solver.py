@@ -114,7 +114,8 @@ class TestBfsOptimal:
                     assert 1 <= exc.lower_bound <= dist_3x3[cells]
 
     def test_4x4_short_scramble(self):
-        # The 16th cell's nibble is 15: the blank at home uses all 64 bits.
+        # The blank packs as 0, so a 16-cell board uses all 64 bits only
+        # when tile 15 sits on the last cell: see the pins below.
         for seed in range(3):
             b, seq = scramble(4, 4, 14, seed)
             result = bfs_optimal(b)
@@ -143,8 +144,14 @@ class TestBfsOptimal:
             "U U R D D D L L L U R D R R",
             "L D D R U U R R U L D R D D",
             "R R D L D R R U L U R D D D",
+            "L D L U U R U L D D R D R R",
         ],
+        (8, 2): ["R R U L L L D R R U R D L L U R R D"],
+        (2, 8): ["L U U R U L D R D D L U U R D D D D L D D R"],
     }
+    # Expansions of the boards above with tile 15 on the last cell, whose
+    # packed states use all 64 bits.
+    PINNED_FULL_WIDTH_NODES = {(4, 4): 470, (8, 2): 722, (2, 8): 2214}
 
     def test_moves_pinned(self, solvable_3x3_states):
         rng = random.Random(4)
@@ -152,11 +159,18 @@ class TestBfsOptimal:
             (3, 3): [Board(3, 3, c) for c in rng.sample(solvable_3x3_states, 5)],
             (2, 4): [scramble(2, 4, 60, 0)[0]],
             (4, 2): [scramble(4, 2, 60, 0)[0]],
-            # The three boards of test_4x4_short_scramble.
-            (4, 4): [scramble(4, 4, 14, seed)[0] for seed in range(3)],
+            # The three boards of test_4x4_short_scramble, then one with
+            # tile 15 on the last cell.
+            (4, 4): [scramble(4, 4, 14, seed)[0] for seed in (0, 1, 2, 5)],
+            (8, 2): [scramble(8, 2, 24, 1)[0]],
+            (2, 8): [scramble(2, 8, 24, 5)[0]],
         }
         for shape, expected in self.PINNED_MOVES.items():
-            assert [format_moves(bfs_optimal(b).moves) for b in boards[shape]] == expected
+            results = [bfs_optimal(b) for b in boards[shape]]
+            assert [format_moves(r.moves) for r in results] == expected
+            if shape in self.PINNED_FULL_WIDTH_NODES:
+                assert boards[shape][-1].cells[-1] == 15
+                assert results[-1].nodes_expanded == self.PINNED_FULL_WIDTH_NODES[shape]
 
     def test_node_cap_pinned(self, solvable_3x3_states):
         # The first pinned board (928 nodes, length 21): the cap is checked
