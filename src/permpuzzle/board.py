@@ -104,12 +104,6 @@ def _row_steps(width: int, height: int, rows):
     return tuple(steps)
 
 
-def _row_steps_bytes(n: int) -> int:
-    """Upper bound on the bytes :func:`_row_steps` keeps for n cells, and a
-    cache entry: per cell a 5-tuple, a 4-tuple and eight 3-tuples at most."""
-    return n * (80 + 4 * 64 + 72 + 4 * 64 + 8) + 256
-
-
 def check_dimensions(width: int, height: int) -> None:
     """Reject a board shape narrower or shorter than 2 cells."""
     if width < 2 or height < 2:

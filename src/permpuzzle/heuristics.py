@@ -16,11 +16,13 @@ search carries the keys in its registers, one per goal row and column,
 and a slide shifts them by constants from the step table, so a node
 computes no key.
 
-The Manhattan table and each step table grow with n², so each is
-refused with :class:`ResourceLimitError` before it is built when an
-upper bound on its bytes passes ``pattern_db.DEFAULT_MAX_BYTES``, the
-package's one memory ceiling. Manhattan passes it on every shape up to
-63x63, linear conflict up to 36x36.
+Manhattan distance reads a table of O(n) entries (:func:`goal_tables`).
+The goal lines hold (w+h)·(n+1) codes and each step table grows with n²,
+so each is refused with :class:`ResourceLimitError` before it is built
+when an upper bound on its bytes passes ``pattern_db.DEFAULT_MAX_BYTES``,
+the package's one memory ceiling. Manhattan search passes it on every
+shape up to 154x154 and 2x2025, linear-conflict search up to 36x36 and
+2x216, and :func:`linear_conflict` on its own up to 201x201 and 2x2879.
 """
 
 from __future__ import annotations
@@ -30,44 +32,33 @@ import math
 from functools import lru_cache
 
 from . import pattern_db
-from .board import Board, _row_steps, _row_steps_bytes, move_targets
+from .board import Board, _row_steps, move_targets
 
 __all__ = ["manhattan", "linear_conflict"]
 
 
-def _goal_table_bytes(width: int, height: int) -> int:
-    """Upper bound on the bytes :func:`goal_tables` allocates: n+1 lists of
-    n slots with their 56-byte headers, three lists of n+1 slots, and a
-    32-byte int per slot once a distance can pass 256, the largest int
-    CPython shares."""
-    n = width * height
-    slot = 8 if width + height - 2 <= 256 else 8 + 32
-    return (n + 1) * (56 + n * slot + 3 * 8)
-
-
 @lru_cache(maxsize=None)
 def goal_tables(width: int, height: int):
-    """Per-dimension lookup tables, 0-based cells, labels 1..n (n = blank).
+    """Per-shape tables of O(n) entries, 0-based cells, labels 1..n (n = blank).
 
-    Returns (md, goal_row, goal_col) where md[label][cell] is the taxicab
-    distance from ``cell`` to the label's home. The blank's rows are zero
-    / -1 sentinels so it never contributes. The table holds (n+1)·n slots.
+    Returns (dist, at, home, goal_row, goal_col). On a grid 2w-1 wide,
+    home[label] is the place of the label's home cell and at[cell] the
+    cell's place plus the grid's centre, so ``dist[at[cell] - home[label]]``,
+    one entry per (row, column) offset, is the taxicab distance from
+    ``cell`` to the label's home. goal_row/goal_col hold each label's home
+    row and column, -1 for the blank and the unused label 0.
     """
-    need = _goal_table_bytes(width, height)
-    pattern_db._check_bytes("Manhattan table needs", need, pattern_db.DEFAULT_MAX_BYTES)
     n = width * height
-    md = [[0] * n for _ in range(n + 1)]
+    span = 2 * width - 1
+    mid = (height - 1) * span + width - 1
+    home = [0] + [r * span + c for r in range(height) for c in range(width)]
+    at = [place + mid for place in home[1:]]
+    dist = [abs(i // span - height + 1) + abs(i % span - width + 1) for i in range(2 * mid + 1)]
     goal_row = [-1] * (n + 1)
     goal_col = [-1] * (n + 1)
     for label in range(1, n):
-        gr, gc = divmod(label - 1, width)
-        goal_row[label] = gr
-        goal_col[label] = gc
-        row = md[label]
-        for cell in range(n):
-            r, c = divmod(cell, width)
-            row[cell] = abs(r - gr) + abs(c - gc)
-    return md, goal_row, goal_col
+        goal_row[label], goal_col[label] = divmod(label - 1, width)
+    return dist, at, home, goal_row, goal_col
 
 
 @lru_cache(maxsize=None)
@@ -78,8 +69,10 @@ def _goal_lines(width: int, height: int):
     row (goal row + 1 when the column is its goal column), else 0; base is
     the line's length + 1 and conflicts its :func:`_conflict_table`.
     """
+    need = _table_bytes(width, height)[2]
+    pattern_db._check_bytes("goal lines need", need, pattern_db.DEFAULT_MAX_BYTES)
     n = width * height
-    _, goal_row, goal_col = goal_tables(width, height)
+    *_, goal_row, goal_col = goal_tables(width, height)
     rows = [(range(r * width, (r + 1) * width), goal_row, goal_col, r) for r in range(height)]
     cols = [(range(c, n, width), goal_col, goal_row, c) for c in range(width)]
     return tuple(
@@ -95,8 +88,11 @@ def _goal_lines(width: int, height: int):
 
 def manhattan(board: Board) -> int:
     """Sum of every non-blank tile's taxicab distance to its home cell."""
-    md, _, _ = goal_tables(board.width, board.height)
-    return sum(md[label][cell] for cell, label in enumerate(board.cells))
+    dist, at, home, _, _ = goal_tables(board.width, board.height)
+    total = -dist[at[board.blank_index - 1] - home[-1]]  # the blank's own term
+    for a, label in zip(at, board.cells):  # a plain loop reads only fast locals
+        total += dist[a - home[label]]
+    return total
 
 
 def line_conflicts(codes) -> int:
@@ -171,9 +167,10 @@ def linear_conflict(board: Board) -> int:
 def _linear_conflict(board: Board):
     """:func:`linear_conflict` and the list of goal line keys, rows then columns."""
     tiles = board.cells
+    lines = _goal_lines(board.width, board.height)  # their ceiling first
     total = manhattan(board)
     keys = []
-    for cells, codes, base, conflicts in _goal_lines(board.width, board.height):
+    for cells, codes, base, conflicts in lines:
         key = 0
         for c in cells:
             key = key * base + codes[tiles[c]]
@@ -182,23 +179,28 @@ def _linear_conflict(board: Board):
     return total, keys
 
 
-def _steps_bytes(width: int, height: int, conflicts: bool) -> int:
-    """Upper bound on the bytes :func:`_step_table` keeps: the step table,
-    Manhattan rows of n+1 slots (every change is a shared small int) and,
-    for linear conflict, the goal lines and per slide a row, and per tile of
-    a line it crosses or runs along a 5-tuple and an int below (L+1)^L."""
+def _table_bytes(width: int, height: int) -> tuple[int, int, int]:
+    """Upper bounds on the bytes kept by Manhattan's step table, linear
+    conflict's, and the goal lines. A step table holds per cell a 5-tuple,
+    a 4-tuple and eight 3-tuples at most, and Manhattan rows of n+1 slots
+    (every change is a shared small int); linear conflict's adds per slide
+    a row, and per tile of a line it crosses or runs along a 5-tuple and an
+    int below (L+1)^L. A goal line holds a 4-tuple, its cells and codes,
+    and a 32-byte int per cell once cells pass 256, the largest int
+    CPython shares, and per code once its codes can."""
     n = width * height
-    total = 2 * (width + height - 2) * (40 + 8 * (n + 1)) + _row_steps_bytes(n)
+    steps = n * (80 + 4 * 64 + 72 + 4 * 64 + 8) + 256
+    steps += 2 * (width + height - 2) * (40 + 8 * (n + 1))
+    conflict_steps, lines = steps, 0
     key = {k: 32 + 4 * math.ceil(k * math.log2(k + 1) / 30) for k in (width, height)}
     # A vertical slide crosses two of the ``height`` rows of ``width`` cells
     # and runs along a column; a horizontal one the other way round.
     for cross, along, slides in ((width, height, 2 * width * (height - 1)),
                                  (height, width, 2 * height * (width - 1))):
-        if conflicts:
-            total += along * (288 + 8 * (cross + n + 1) + (32 * cross if cross > 256 else 0))
-            entries = 2 * cross * (80 + key[cross]) + along * (80 + key[along])
-            total += slides * (56 + 8 * (n + 1) + entries + 2 * (48 + 56))
-    return total
+        lines += along * (288 + 8 * (cross + n + 1) + 32 * cross * ((n > 256) + (cross > 256)))
+        entries = 2 * cross * (80 + key[cross]) + along * (80 + key[along])
+        conflict_steps += slides * (56 + 8 * (n + 1) + entries + 2 * (48 + 56))
+    return steps, conflict_steps, lines
 
 
 @lru_cache(maxsize=None)
@@ -214,12 +216,12 @@ def _step_table(width: int, height: int, conflicts: bool):
     conflict table, and the along line in ``more`` when it is both.
     """
     what = "linear-conflict" if conflicts else "Manhattan"
-    need = _steps_bytes(width, height, conflicts)
+    need = _table_bytes(width, height)[conflicts]
     pattern_db._check_bytes(f"{what} step table needs", need, pattern_db.DEFAULT_MAX_BYTES)
     enabled = gc.isenabled()  # entries hold dicts, so stay tracked: pause the collector
     gc.disable()
     try:
-        _, goal_row, goal_col = goal_tables(width, height)
+        *_, goal_row, goal_col = goal_tables(width, height)
         shared = {  # (vertical, a, b): the row of a slide from row (column) a to b
             (v, a, b): tuple(abs(b - g) - abs(a - g) if g >= 0 else 0 for g in goal)
             for v, goal, size in ((True, goal_row, height), (False, goal_col, width))
@@ -263,8 +265,8 @@ def _step_table(width: int, height: int, conflicts: bool):
 def incremental(board: Board, name: str):
     """``name``'s ``(h0, steps, regs)``; linear conflict's regs are line keys."""
     if name == "manhattan":
-        h0 = manhattan(board)  # the distance table's ceiling first
-        return h0, _step_table(board.width, board.height, False), []
+        steps = _step_table(board.width, board.height, False)  # its ceiling first
+        return manhattan(board), steps, []
     steps = _step_table(board.width, board.height, True)
     h0, keys = _linear_conflict(board)
     return h0, steps, keys

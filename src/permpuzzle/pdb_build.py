@@ -193,11 +193,13 @@ def build_pdb(
     until no layer queues a state, so only placements that cannot occur
     from the goal keep 0xFF.
 
-    The build holds at most P(n,k)·(n+2) bytes, per-set arrays included;
-    ``ResourceLimitError`` is raised before allocating when that passes
-    ``max_bytes``. ``progress(distance, placements, states)``, if given,
-    receives the running settled counts after each layer, ``states``
-    counting (placement, blank cell) pairs.
+    The build is charged P(n,k)·(n+2) bytes, and ``ResourceLimitError``
+    is raised before allocating when that passes ``max_bytes``. The
+    charge is not a bound on what the build holds: on small shapes
+    ``tracemalloc`` peaks above it (223,687 bytes against 166,320 for
+    ``build_pdb(3, 4, [1, 2, 4, 5])``). ``progress(distance, placements,
+    states)``, if given, receives the running settled counts after each
+    layer, ``states`` counting (placement, blank cell) pairs.
     """
     tiles = tuple(sorted(pattern_tiles))
     _check_pattern(width, height, tiles)

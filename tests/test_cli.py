@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from permpuzzle import Board, Move, bfs_optimal, parse_moves, pattern_db, verify_sequence
 from permpuzzle.cli import main
-from permpuzzle.heuristics import goal_tables
+from permpuzzle.heuristics import _step_table
 
 from conftest import FIG3_CYCLES, FIG3_TEXT, LLOYD_TEXT
 
@@ -179,9 +179,9 @@ class TestSolve:
         assert result.exit_code == 2
 
     def test_goal_board_past_the_table_ceiling_solves(self, runner):
-        # Its Manhattan table would pass the byte ceiling, but a goal board needs none.
+        # Its Manhattan step table would pass the byte ceiling, but a goal board needs none.
         result = runner.invoke(
-            main, ["solve", "--heuristic", "manhattan", "-"], input=Board.goal(100, 100).format()
+            main, ["solve", "--heuristic", "manhattan", "-"], input=Board.goal(155, 155).format()
         )
         assert result.exit_code == 0
         assert result.stdout.splitlines()[1].startswith("length=0 nodes=0 ")
@@ -357,16 +357,16 @@ class TestPdbBuild:
         assert result.stderr.startswith("error: pattern indexes need 216 bytes")
 
     def test_heuristic_table_over_the_byte_ceiling_exits_three(self, runner, monkeypatch):
-        goal_tables.cache_clear()
-        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 559)
+        _step_table.cache_clear()
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 3263)
         # One move from the goal: a goal board returns before any table is built.
         board = Board.goal(2, 2).apply_move(Move.UP)
         result = runner.invoke(
             main, ["solve", "--heuristic", "manhattan", "-"], input=board.format()
         )
-        goal_tables.cache_clear()
+        _step_table.cache_clear()
         assert result.exit_code == 3
-        assert result.stderr.startswith("error: Manhattan table needs 560 bytes")
+        assert result.stderr.startswith("error: Manhattan step table needs 3264 bytes")
 
     def test_corrupt_pdb_exits_two(self, runner, tmp_path):
         bad = tmp_path / "bad.spdb"

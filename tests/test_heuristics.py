@@ -24,9 +24,8 @@ from permpuzzle.heuristics import (
     _conflict_of,
     _conflict_table,
     _goal_lines,
-    _goal_table_bytes,
     _step_table,
-    _steps_bytes,
+    _table_bytes,
     goal_tables,
     line_conflicts,
 )
@@ -50,12 +49,15 @@ class TestManhattan:
             assert (manhattan(b) == 0) == b.is_goal()
 
     def test_matches_per_tile_oracle(self):
+        # An offset layout that mixes up rows and columns breaks first when w != h.
         rng = random.Random(31)
-        for _ in range(300):
-            cells = list(range(1, 17))
-            rng.shuffle(cells)
-            b = Board(4, 4, tuple(cells))
-            assert manhattan(b) == tile_taxicab(b.cells, 4, 4)
+        for width, height, boards in [(4, 4, 300), (2, 5, 100), (5, 2, 100), (3, 7, 100),
+                                      (7, 3, 100), (2, 1000, 3), (1000, 2, 3)]:
+            for _ in range(boards):
+                cells = list(range(1, width * height + 1))
+                rng.shuffle(cells)
+                b = Board(width, height, tuple(cells))
+                assert manhattan(b) == tile_taxicab(b.cells, width, height), (width, height)
 
 
 class TestLinearConflict:
@@ -67,7 +69,7 @@ class TestLinearConflict:
         assert linear_conflict(lloyd_board) == 4
 
     def test_equals_manhattan_without_same_line_pairs(self):
-        _, goal_row, goal_col = goal_tables(3, 2)
+        *_, goal_row, goal_col = goal_tables(3, 2)
         for cells in permutations(range(1, 7)):
             b = Board(3, 2, cells)
             rows_ok = all(
@@ -196,20 +198,9 @@ def fresh_tables():
 
 
 class TestTableCeiling:
-    """A 3x3 Manhattan table is bounded by 1520 bytes, its Manhattan step
-    table by 7264, and its linear-conflict step table, with the goal lines
-    it reads, by 42,928."""
-
-    def test_manhattan_table_at_the_ceiling(self, monkeypatch, fresh_tables):
-        board = Board.goal(3, 3).apply_move(Move.UP)
-        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 1520)
-        assert manhattan(board) == 1
-        fresh_tables()
-        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 1519)
-        with pytest.raises(ResourceLimitError, match="Manhattan table needs 1520 bytes"):
-            ida_star(board, "manhattan")
-        with pytest.raises(ResourceLimitError):
-            manhattan(board)
+    """On 3x3 the Manhattan step table is bounded by 7264 bytes, the
+    linear-conflict step table by 40,576, and the goal lines it and
+    :func:`linear_conflict` read by 2352."""
 
     def test_manhattan_steps_at_the_ceiling(self, monkeypatch, fresh_tables):
         board = Board.goal(3, 3).apply_move(Move.UP)
@@ -219,19 +210,58 @@ class TestTableCeiling:
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 7263)
         with pytest.raises(ResourceLimitError, match="Manhattan step table needs 7264 bytes"):
             ida_star(board, "manhattan")
-        # The distance table alone still fits.
+        # manhattan() alone reads only tables of O(n) entries, never charged.
         assert manhattan(board) == 1
 
     def test_move_table_at_the_ceiling(self, monkeypatch, fresh_tables):
         board = Board.goal(3, 3).apply_move(Move.UP)
-        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 42928)
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 40576)
         assert ida_star(board, "linear-conflict").length == 1
         fresh_tables()
-        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 42927)
-        with pytest.raises(ResourceLimitError, match="step table needs 42928 bytes"):
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 40575)
+        with pytest.raises(ResourceLimitError, match="step table needs 40576 bytes"):
             ida_star(board, "linear-conflict")
         # Manhattan's smaller tables still fit.
         assert ida_star(board, "manhattan").length == 1
+
+    def test_goal_lines_at_the_ceiling(self, monkeypatch, fresh_tables):
+        board = Board.goal(3, 3).apply_move(Move.UP)
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 2352)
+        assert linear_conflict(board) == 1
+        fresh_tables()
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 2351)
+        with pytest.raises(ResourceLimitError, match="goal lines need 2352 bytes"):
+            linear_conflict(board)
+
+    def test_goal_lines_refused_on_a_million_cells(self, fresh_tables):
+        # About 16 GB of goal lines: refused before they or Manhattan's tables are built.
+        board = Board.goal(1000, 1000).apply_move(Move.UP)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="goal lines need"):
+                linear_conflict(board)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("width, height", [(64, 64), (2, 1000)])
+    def test_manhattan_searches_past_the_old_distance_table(self, width, height):
+        assert ida_star(scramble(width, height, 4, 1)[0], "manhattan").length == 4
+
+    @pytest.mark.parametrize("width, height, fits", [(155, 155, (154, 154)), (2, 2026, (2, 2025))])
+    def test_manhattan_step_table_refused_before_it_is_built(self, width, height, fits, fresh_tables):
+        board = scramble(width, height, 4, 1)[0]
+        need = _table_bytes(width, height)[0]
+        assert _table_bytes(*fits)[0] <= pattern_db.DEFAULT_MAX_BYTES < need
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"Manhattan step table needs {need} bytes"):
+                ida_star(board, "manhattan")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < need // 100
 
     @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
     def test_step_table_leaves_the_collector_as_it_was(self, monkeypatch, fresh_tables, collecting):
@@ -243,7 +273,7 @@ class TestTableCeiling:
             _step_table(4, 4, True)
             assert gc.isenabled() is collecting
             fresh_tables()
-            monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 42927)
+            monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 40575)
             with pytest.raises(ResourceLimitError):
                 _step_table(3, 3, True)
             assert gc.isenabled() is collecting
@@ -263,27 +293,34 @@ class TestTableCeiling:
 
     @pytest.mark.parametrize("width, height", [(2, 2), (5, 3), (3, 5), (2, 7), (10, 10), (2, 60)])
     def test_bounds_cover_what_is_allocated(self, width, height, fresh_tables):
-        _blank_steps(width, height)  # shared by every search, charged to none
+        # Shared by every search or every shape, or O(n): charged to none.
+        _blank_steps(width, height)
+        goal_tables(width, height)
+        _conflict_table(width), _conflict_table(height)
         tracemalloc.start()
         try:
-            goal_tables(width, height)
-            goal = tracemalloc.get_traced_memory()[0]
             _step_table(width, height, False)
             steps = tracemalloc.get_traced_memory()[0]
+            _goal_lines(width, height)
+            lines = tracemalloc.get_traced_memory()[0]
             _step_table(width, height, True)
             total = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert goal <= _goal_table_bytes(width, height)
-        assert steps - goal <= _steps_bytes(width, height, False)
-        assert total - steps <= _steps_bytes(width, height, True)
+        assert steps <= _table_bytes(width, height)[0]
+        assert lines - steps <= _table_bytes(width, height)[2]
+        assert total - lines <= _table_bytes(width, height)[1]
 
-    def test_goal_bound_covers_unshared_distances(self, fresh_tables):
-        """On 2x300 most distances pass 256, so each is an int of its own."""
+    @pytest.mark.parametrize("width, height", [(20, 20), (2, 300), (300, 2)])
+    def test_lines_bound_covers_unshared_ints(self, width, height, fresh_tables):
+        """Past 256 cells each cell index is an int of its own, and on a
+        line past 256 cells so is each code."""
+        goal_tables(width, height)
+        _conflict_table(width), _conflict_table(height)
         tracemalloc.start()
         try:
-            goal_tables(2, 300)
-            goal = tracemalloc.get_traced_memory()[0]
+            _goal_lines(width, height)
+            lines = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert goal <= _goal_table_bytes(2, 300)
+        assert lines <= _table_bytes(width, height)[2]
