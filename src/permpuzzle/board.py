@@ -50,12 +50,8 @@ class Move(Enum):
 MOVE_ORDER: tuple[Move, ...] = (Move.UP, Move.DOWN, Move.LEFT, Move.RIGHT)
 _DIRECTION = {m: d for d, m in enumerate(MOVE_ORDER)}
 
-_INVERSE = {
-    Move.UP: Move.DOWN,
-    Move.DOWN: Move.UP,
-    Move.LEFT: Move.RIGHT,
-    Move.RIGHT: Move.LEFT,
-}
+# MOVE_ORDER pairs each direction d with its inverse d ^ 1: U/D and L/R.
+_INVERSE = {m: MOVE_ORDER[d ^ 1] for d, m in enumerate(MOVE_ORDER)}
 
 _BLANK_TOKENS = ("0", "_")
 
@@ -82,8 +78,10 @@ def _blank_steps(width: int, height: int):
     pairs from ``blank``, in U, D, L, R order, without ``last ^ 1``, the
     direction that undoes a last move ``last`` (:data:`MOVE_ORDER` pairs
     U/D and L/R). The fifth entry, ``steps[blank][-1]``, serves a root
-    and keeps every legal pair. The table holds 5·n tuples; IDA*, the
-    packed-state BFS and :func:`scramble` all read it.
+    and keeps every legal pair. The table holds 5·n tuples. It is read
+    through :func:`_row_steps` by IDA*'s heuristics and the packed-state
+    BFS, and directly by :func:`scramble`, which draws each move from
+    it; a single board's queries read :func:`move_targets` instead.
     """
     targets = move_targets(width, height)
     steps = []
@@ -168,8 +166,9 @@ class Board:
     which every reader (the solvability certificate included) trusts.
     The public constructor and :meth:`from_permutation` check their
     input in full. :meth:`parse` proves the same while reading the text,
-    and :meth:`apply_move` only swaps the blank with a neighbour, so both
-    build their result without checking it again.
+    and :meth:`apply_move`, :meth:`apply_sequence` and :func:`scramble`
+    only swap the blank with neighbours, so they build their result
+    without checking it again.
     """
 
     width: int
@@ -233,12 +232,9 @@ class Board:
 
     def format(self) -> str:
         """Inverse of :meth:`parse`; the blank is emitted as ``0``."""
-        n = self.size
-        lines = []
-        for r in range(self.height):
-            row = self.cells[r * self.width : (r + 1) * self.width]
-            lines.append(" ".join("0" if v == n else str(v) for v in row))
-        return "\n".join(lines)
+        n, w = self.size, self.width
+        rows = (self.cells[r : r + w] for r in range(0, n, w))
+        return "\n".join(" ".join("0" if v == n else str(v) for v in row) for row in rows)
 
     def __str__(self) -> str:
         return self.format()
@@ -267,23 +263,13 @@ class Board:
         return self.cells == _goal_cells(self.width * self.height)
 
     def _target(self, move: Move) -> int:
-        """0-based destination cell of the blank; raises
-        :class:`IllegalMoveError` when ``move`` is not a :class:`Move` or
-        leaves the board."""
-        if not isinstance(move, Move):
-            raise IllegalMoveError(f"not a Move: {move!r}", move=move)
-        base = (self.blank_index - 1) * 4
-        target = move_targets(self.width, self.height)[base + _DIRECTION[move]]
-        if target < 0:
-            raise IllegalMoveError(
-                f"blank cannot travel {move.name}: already at that edge", move=move
-            )
-        return target
+        """0-based destination cell of the blank (see :func:`_destination`)."""
+        return _destination(move_targets(self.width, self.height), self.blank_index - 1, move)
 
     def legal_moves(self) -> set[Move]:
         """The 2-4 directions the blank may travel from here."""
-        steps = _blank_steps(self.width, self.height)[self.blank_index - 1][-1]
-        return {MOVE_ORDER[d] for d, _ in steps}
+        targets, base = move_targets(self.width, self.height), (self.blank_index - 1) * 4
+        return {m for d, m in enumerate(MOVE_ORDER) if targets[base + d] >= 0}
 
     def apply_move(self, move: Move) -> "Board":
         """Slide the adjacent tile into the blank; blank travels ``move``."""
@@ -304,15 +290,16 @@ class Board:
         return Permutation.transposition(n, n, self.cells[target])
 
     def apply_sequence(self, moves) -> "Board":
-        """Left-to-right fold of apply_move; flags the first illegal step."""
-        board = self
-        for k, move in enumerate(moves):
-            try:
-                board = board.apply_move(move)
-            except IllegalMoveError as exc:
-                raise IllegalMoveError(
-                    f"illegal move at index {k}: {exc}", move=move, index=k
-                ) from None
+        """The board ``moves`` reach, played left to right; the same as a
+        fold of :meth:`apply_move`, in O(n + m) rather than O(n·m).
+
+        The first illegal step raises :class:`IllegalMoveError` with its
+        ``index`` and ``move``, its message the step's own prefixed with
+        ``illegal move at index k:``.
+        """
+        board, error = _replay(self, moves)
+        if error is not None:
+            raise error
         return board
 
 
@@ -336,24 +323,70 @@ def _trusted_board(
     return board
 
 
+def _destination(targets, blank: int, move) -> int:
+    """The 0-based cell ``move`` takes the blank to from cell ``blank``,
+    read from ``targets`` (:func:`move_targets`); raises
+    :class:`IllegalMoveError` when ``move`` is not a :class:`Move` or
+    leaves the board."""
+    if not isinstance(move, Move):
+        raise IllegalMoveError(f"not a Move: {move!r}", move=move)
+    target = targets[4 * blank + _DIRECTION[move]]
+    if target < 0:
+        raise IllegalMoveError(
+            f"blank cannot travel {move.name}: already at that edge", move=move
+        )
+    return target
+
+
+def _replay(start: Board, moves) -> tuple[Board, IllegalMoveError | None]:
+    """Play ``moves`` from ``start`` on one list of cells, which holds
+    every label but the blank's until the walk ends, and build one board.
+
+    Returns the board reached and None, or the board before the first
+    illegal step and the error :meth:`Board.apply_sequence` raises for
+    it; :func:`~permpuzzle.solvability.verify_sequence` reports that.
+    """
+    targets = move_targets(start.width, start.height)
+    cells, blank = list(start.cells), start.blank_index - 1
+    error = None
+    for k, move in enumerate(moves):
+        try:
+            j = _destination(targets, blank, move)
+        except IllegalMoveError as exc:
+            error = IllegalMoveError(f"illegal move at index {k}: {exc}", move=move, index=k)
+            break
+        cells[blank], blank = cells[j], j
+    cells[blank] = len(cells)
+    return _trusted_board(start.width, start.height, tuple(cells), blank + 1), error
+
+
 def scramble(
     width: int, height: int, steps: int, rng_seed: int
 ) -> tuple[Board, list[Move]]:
     """Walk ``steps`` random legal moves from the goal, never immediately
     undoing the previous move. Deterministic for a fixed seed; the result
-    is solvable by construction and the returned sequence is a witness."""
+    is solvable by construction and the returned sequence is a witness.
+
+    Each move is ``rng.choice`` over the blank's entry in
+    :func:`_blank_steps`. The walk slides tiles on one list of cells,
+    as :meth:`Board.apply_sequence` does, and builds one board at the
+    end, so it costs O(n + steps) rather than a board per move.
+    """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    rng = random.Random(rng_seed)
-    board = Board.goal(width, height)
+    check_dimensions(width, height)
+    choice = random.Random(rng_seed).choice
     table = _blank_steps(width, height)
+    n = width * height
+    cells, blank = list(range(1, n + 1)), n - 1
     moves: list[Move] = []
     last = -1  # the root's entry keeps every legal move
     for _ in range(steps):
-        last = rng.choice(table[board.blank_index - 1][last])[0]
+        last, j = choice(table[blank][last])
         moves.append(MOVE_ORDER[last])
-        board = board.apply_move(moves[-1])
-    return board, moves
+        cells[blank], blank = cells[j], j
+    cells[blank] = n
+    return _trusted_board(width, height, tuple(cells), blank + 1), moves
 
 
 def parse_moves(text: str) -> list[Move]:

@@ -21,8 +21,8 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .board import Board, _row_steps, check_dimensions, move_targets
-from .errors import IllegalMoveError, ResourceLimitError
+from .board import Board, _replay, _row_steps, check_dimensions, move_targets
+from .errors import ResourceLimitError
 from .perm import Parity, cycle_parity
 
 __all__ = [
@@ -76,7 +76,8 @@ def certificate(board: Board) -> SolvabilityCertificate:
     :class:`~permpuzzle.perm.Permutation` built or checked in between.
     That relies on :class:`Board`'s invariant: every board holds 1..n
     exactly once, proven when it was made (by the public constructor,
-    :meth:`Board.parse` or :meth:`Board.apply_move`).
+    :meth:`Board.parse`, or a slide of the blank such as
+    :meth:`Board.apply_move`).
     """
     config_parity = cycle_parity(board.cells)
     distance = blank_distance(board)
@@ -247,11 +248,12 @@ class ReplayReport:
 
 
 def verify_sequence(start: Board, moves) -> ReplayReport:
-    """Replay ``moves`` from ``start``; illegality is reported, not raised."""
-    board = start
-    for k, move in enumerate(moves):
-        try:
-            board = board.apply_move(move)
-        except IllegalMoveError:
-            return ReplayReport(reached=board, solved=False, failed_index=k)
-    return ReplayReport(reached=board, solved=board.is_goal())
+    """Replay ``moves`` from ``start``; illegality is reported, not raised.
+
+    The replay is :meth:`Board.apply_sequence`'s, on one list of cells
+    in O(n + m). At the first illegal step, ``reached`` is the board
+    before it and ``failed_index`` its 0-based index.
+    """
+    reached, error = _replay(start, moves)
+    failed = None if error is None else error.index
+    return ReplayReport(reached, solved=failed is None and reached.is_goal(), failed_index=failed)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from permpuzzle import (
     format_moves,
     parse_moves,
     scramble,
+    verify_sequence,
 )
 
 from conftest import FIG3_CYCLES
@@ -264,6 +267,20 @@ class TestMoves:
         for _ in range(20):
             assert len(random_board(2, 2, rng).legal_moves()) == 2
 
+    def test_large_board_reads_only_the_move_table(self):
+        # The move table holds 4 ints per cell, about 190 B traced; the
+        # 5·n-tuple step table IDA* reads traces about 800 B per cell.
+        width, height = 199, 201
+        b = Board.goal(width, height)
+        tracemalloc.start()
+        try:
+            moves = b.legal_moves()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert moves == {Move.UP, Move.LEFT}
+        assert peak < 256 * width * height
+
     @given(boards)
     def test_move_count_matches_blank_position_class(self, b):
         row, col = divmod(b.blank_index - 1, b.width)
@@ -362,7 +379,106 @@ class TestSequences:
         assert Board.from_permutation(p, 4, 4) == b
 
 
+def fold_apply_move(board, moves):
+    """A sequence replayed one ``apply_move`` at a time: the board
+    reached, and the first illegal step's index and error, or None."""
+    for k, move in enumerate(moves):
+        try:
+            board = board.apply_move(move)
+        except IllegalMoveError as exc:
+            return board, k, exc
+    return board, None, None
+
+
+replay_boards = st.tuples(st.integers(2, 5), st.integers(2, 5)).flatmap(
+    lambda wh: st.permutations(tuple(range(1, wh[0] * wh[1] + 1))).map(
+        lambda cells: Board(wh[0], wh[1], tuple(cells))
+    )
+)
+# Mostly moves, with the odd item that is not a Move.
+replay_items = st.sampled_from([*MOVE_ORDER] * 6 + ["U", 0, None, ("U",), True, 1.5])
+
+
+class TestReplayMatchesTheFold:
+    """``apply_sequence`` and ``verify_sequence`` walk one list of cells;
+    both must agree with a fold of ``apply_move``."""
+
+    @settings(max_examples=300)
+    @given(replay_boards, st.lists(replay_items, max_size=60), st.booleans())
+    def test_apply_sequence(self, start, moves, as_iterator):
+        reached, k, exc = fold_apply_move(start, moves)
+        seq = iter(moves) if as_iterator else moves
+        if k is None:
+            board = start.apply_sequence(seq)
+            assert board == reached
+            assert board.blank_index == reached.blank_index
+            assert type(board.cells) is tuple
+            return
+        with pytest.raises(IllegalMoveError) as got:
+            start.apply_sequence(seq)
+        assert str(got.value) == f"illegal move at index {k}: {exc}"
+        assert got.value.index == k
+        assert got.value.move is moves[k]
+
+    @settings(max_examples=300)
+    @given(replay_boards, st.lists(replay_items, max_size=60), st.booleans())
+    def test_verify_sequence(self, start, moves, as_iterator):
+        reached, k, _ = fold_apply_move(start, moves)
+        report = verify_sequence(start, iter(moves) if as_iterator else moves)
+        assert report.reached == reached
+        assert report.reached.blank_index == reached.blank_index
+        assert report.failed_index == k
+        assert report.solved == (k is None and reached.is_goal())
+
+    def test_verify_solved_and_failed(self):
+        b, moves = scramble(4, 4, 40, 7)
+        back = [m.inverse for m in reversed(moves)]
+        assert verify_sequence(b, back).solved
+        # The blank ends on the goal's corner, so one more DOWN is illegal.
+        report = verify_sequence(b, [*back, Move.DOWN, Move.UP])
+        assert (report.solved, report.failed_index) == (False, len(back))
+        assert report.reached == Board.goal(4, 4)
+
+
+# sha256 of format() + "\n" + format_moves() + "\n" for each scramble of a
+# shape, over steps 0, 1, 2, 40, 300 and seeds 0, 7, 123 (steps outer),
+# recorded before scramble walked a cell list instead of a board per move.
+SCRAMBLE_DIGESTS = {
+    (2, 2): "bd74a16f7ea929c4934e299f338955635836642e5bba389ba49bbd596dbfbaae",
+    (3, 2): "f7c06a062d89f314df363441ab8c3c8d675e2aef6c355b5b404c441a9f977d87",
+    (3, 3): "8e8fc47154d00255fea1fb878d6601408be84d92e362280ff4bc39eff9c65d4a",
+    (4, 4): "4f9afa51eb1256807569b04efe84704b87ca6ac34d2963f3c6e0d007d1a38053",
+    (5, 3): "2c858afc88e1481d3fe1d70a4cd5a30d4afb4d16686b53311a83b6d935a94e9e",
+    (3, 5): "0a583dd74616fc7035301b82ea855d721431041d51f53986df6baa9fa8ad4cc3",
+    (8, 2): "087cc049c228aaebcf3e85a57f3730104e6929e0d58aee299329ed3c856efd4d",
+    (2, 8): "6270d7bba5f6f3fba1237f4bbdc8692ca9780c9bf5944b3961fd065478f10b02",
+    (20, 20): "b78188b66df636e4d1f44a703528b118208072aa6a6c5070d21b0c9470aaaee6",
+}
+
+
 class TestScramble:
+    @pytest.mark.parametrize("shape", SCRAMBLE_DIGESTS)
+    def test_output_pinned_byte_for_byte(self, shape):
+        digest = hashlib.sha256()
+        for steps in (0, 1, 2, 40, 300):
+            for seed in (0, 7, 123):
+                b, moves = scramble(*shape, steps, seed)
+                digest.update(f"{b.format()}\n{format_moves(moves)}\n".encode())
+        assert digest.hexdigest() == SCRAMBLE_DIGESTS[shape]
+
+    def test_steps_checked_before_dimensions(self):
+        with pytest.raises(ValueError, match="^steps must be non-negative$"):
+            scramble(1, 4, -1, 0)
+        with pytest.raises(ValueError, match="^board dimensions must be at least 2x2$"):
+            scramble(1, 4, 3, 0)
+
+    def test_result_is_a_valid_board(self):
+        b, _ = scramble(5, 3, 77, 2)
+        fresh = Board(b.width, b.height, b.cells)
+        assert b == fresh
+        assert b.blank_index == fresh.blank_index
+        assert type(b.cells) is tuple
+
     def test_zero_steps(self):
         b, seq = scramble(4, 4, 0, 123)
         assert b == Board.goal(4, 4)
