@@ -110,6 +110,8 @@ def solve(board, heuristic, pdb_paths, max_nodes, max_time):
             _fail(str(exc), EXIT_RESOURCE)
         except (OSError, ValueError) as exc:
             _fail(str(exc), EXIT_INPUT)
+    elif pdb_paths:
+        _fail("--pdb requires --heuristic pdb", EXIT_INPUT)
     else:
         chosen = heuristic
     try:

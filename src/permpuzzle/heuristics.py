@@ -16,19 +16,22 @@ search carries the keys in its registers, one per goal row and column,
 and a slide shifts them by constants from the step table, so a node
 computes no key.
 
-Manhattan distance reads a table of O(n) entries (:func:`goal_tables`).
-The goal lines hold (w+h)·(n+1) codes and each step table grows with n²,
-so each is refused with :class:`ResourceLimitError` before it is built
-when an upper bound on its bytes passes ``pattern_db.DEFAULT_MAX_BYTES``,
-the package's one memory ceiling. Manhattan search passes it on every
-shape up to 154x154 and 2x2025, linear-conflict search up to 36x36 and
-2x216, and :func:`linear_conflict` on its own up to 201x201 and 2x2879.
+Both heuristics read tables of O(n) entries (:func:`goal_tables`): a
+tile's code on a line is its goal column (row) + 1, so no line keeps
+codes of its own (:func:`_lines`). Each step table grows with n², so it
+is refused with :class:`ResourceLimitError` before it is built when an
+upper bound on its bytes passes ``pattern_db.DEFAULT_MAX_BYTES``, the
+package's one memory ceiling. Manhattan search passes it on every shape
+up to 154x154 and 2x2025, and linear-conflict search up to 36x36 and
+2x216; :func:`manhattan` and :func:`linear_conflict` on their own need
+O(n) memory and are never refused.
 """
 
 from __future__ import annotations
 
 import gc
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 from . import pattern_db
@@ -62,28 +65,22 @@ def goal_tables(width: int, height: int):
 
 
 @lru_cache(maxsize=None)
-def _goal_lines(width: int, height: int):
-    """Rows, then columns, each as (cells, codes, base, conflicts).
+def _lines(width: int, height: int):
+    """Rows, then columns, each as (cells, home, along, index, base, conflicts).
 
-    codes[label] is the label's goal column + 1 when the row is its goal
-    row (goal row + 1 when the column is its goal column), else 0; base is
-    the line's length + 1 and conflicts its :func:`_conflict_table`.
+    A tile's code on the line (see :func:`line_conflicts`) is
+    ``along[label] + 1`` when ``home[label]`` is the line's index, else 0:
+    on a row, home is each label's goal row and along its goal column, and
+    on a column the other way round. base is the line's length + 1 and
+    conflicts its :func:`_conflict_table`.
     """
-    need = _table_bytes(width, height)[2]
-    pattern_db._check_bytes("goal lines need", need, pattern_db.DEFAULT_MAX_BYTES)
     n = width * height
     *_, goal_row, goal_col = goal_tables(width, height)
-    rows = [(range(r * width, (r + 1) * width), goal_row, goal_col, r) for r in range(height)]
-    cols = [(range(c, n, width), goal_col, goal_row, c) for c in range(width)]
-    return tuple(
-        (
-            tuple(cells),
-            tuple(along[t] + 1 if home[t] == i else 0 for t in range(n + 1)),
-            len(cells) + 1,
-            _conflict_table(len(cells)),
-        )
-        for cells, home, along, i in rows + cols
-    )
+    rows = [(slice(r * width, (r + 1) * width), goal_row, goal_col, r, width + 1,
+             _conflict_table(width)) for r in range(height)]
+    cols = [(slice(c, n, width), goal_col, goal_row, c, height + 1,
+             _conflict_table(height)) for c in range(width)]
+    return rows + cols
 
 
 def manhattan(board: Board) -> int:
@@ -102,19 +99,15 @@ def line_conflicts(codes) -> int:
     (row) + 1 of every tile whose goal is this row (column), and 0 for
     any other tile or the blank. The minimum number of leavers is the
     line's own population minus its longest already-ordered subsequence,
-    and each leaver costs two extra moves across the line.
+    found by patience sorting in O(L log L), and each leaver costs two
+    extra moves across the line.
     """
     coords = [c for c in codes if c]
-    if len(coords) < 2:
-        return 0
-    best = [0] * len(coords)  # longest increasing subsequence ending at i
-    for i, g in enumerate(coords):
-        longest = 0
-        for j in range(i):
-            if coords[j] < g and best[j] > longest:
-                longest = best[j]
-        best[i] = longest + 1
-    return 2 * (len(coords) - max(best))
+    tails = []  # tails[k]: the least last code of an increasing run of k + 1
+    for g in coords:
+        k = bisect_left(tails, g)
+        tails[k:k + 1] = [g]
+    return 2 * (len(coords) - len(tails))
 
 
 _LENGTHS: dict[int, int] = {}  # id(table) -> its line length; tables live for good
@@ -167,40 +160,36 @@ def linear_conflict(board: Board) -> int:
 def _linear_conflict(board: Board):
     """:func:`linear_conflict` and the list of goal line keys, rows then columns."""
     tiles = board.cells
-    lines = _goal_lines(board.width, board.height)  # their ceiling first
     total = manhattan(board)
     keys = []
-    for cells, codes, base, conflicts in lines:
+    for cells, home, along, i, base, conflicts in _lines(board.width, board.height):
         key = 0
-        for c in cells:
-            key = key * base + codes[tiles[c]]
+        for t in tiles[cells]:
+            key = key * base + (along[t] + 1 if home[t] == i else 0)
         total += _conflict_of(conflicts, key)
         keys.append(key)
     return total, keys
 
 
-def _table_bytes(width: int, height: int) -> tuple[int, int, int]:
-    """Upper bounds on the bytes kept by Manhattan's step table, linear
-    conflict's, and the goal lines. A step table holds per cell a 5-tuple,
-    a 4-tuple and eight 3-tuples at most, and Manhattan rows of n+1 slots
-    (every change is a shared small int); linear conflict's adds per slide
-    a row, and per tile of a line it crosses or runs along a 5-tuple and an
-    int below (L+1)^L. A goal line holds a 4-tuple, its cells and codes,
-    and a 32-byte int per cell once cells pass 256, the largest int
-    CPython shares, and per code once its codes can."""
+def _table_bytes(width: int, height: int) -> tuple[int, int]:
+    """Upper bounds on the bytes kept by Manhattan's step table and linear
+    conflict's. A step table holds per cell a 5-tuple, a 4-tuple and eight
+    3-tuples at most, and Manhattan rows of n+1 slots (every change is a
+    shared small int); linear conflict's adds per slide a row, and per tile
+    of a line it crosses or runs along a 5-tuple and an int below
+    (L+1)^L."""
     n = width * height
     steps = n * (80 + 4 * 64 + 72 + 4 * 64 + 8) + 256
     steps += 2 * (width + height - 2) * (40 + 8 * (n + 1))
-    conflict_steps, lines = steps, 0
+    conflict_steps = steps
     key = {k: 32 + 4 * math.ceil(k * math.log2(k + 1) / 30) for k in (width, height)}
     # A vertical slide crosses two of the ``height`` rows of ``width`` cells
     # and runs along a column; a horizontal one the other way round.
     for cross, along, slides in ((width, height, 2 * width * (height - 1)),
                                  (height, width, 2 * height * (width - 1))):
-        lines += along * (288 + 8 * (cross + n + 1) + 32 * cross * ((n > 256) + (cross > 256)))
         entries = 2 * cross * (80 + key[cross]) + along * (80 + key[along])
         conflict_steps += slides * (56 + 8 * (n + 1) + entries + 2 * (48 + 56))
-    return steps, conflict_steps, lines
+    return steps, conflict_steps
 
 
 @lru_cache(maxsize=None)
@@ -228,11 +217,10 @@ def _step_table(width: int, height: int, conflicts: bool):
             for a in range(size) for b in (a - 1, a + 1) if 0 <= b < size
         }
         if conflicts:
-            lines = _goal_lines(width, height)
+            lines = _lines(width, height)
             # place[i][slot]: the weight of a slot of line i in its key.
-            place = [[base ** (len(cells) - 1 - s) for s in range(len(cells))]
-                     for cells, _, base, _ in lines]
-            members = [[t for t, code in enumerate(codes) if code] for _, codes, _, _ in lines]
+            place = [[base ** s for s in range(base - 2, -1, -1)] for *_, base, _ in lines]
+            members = [[t for t, g in enumerate(home) if g == i] for _, home, _, i, _, _ in lines]
         rows = []  # rows[4 * z + d]: the blank at z moves d, the tile at j slides into z
         for i, j in enumerate(move_targets(width, height)):
             if j < 0:
@@ -250,9 +238,9 @@ def _step_table(width: int, height: int, conflicts: bool):
             row = list(md_row)
             shift = place[along][b] - place[along][a]
             for line, weight in ((out, -place[out][slot]), (into, place[into][slot]), (along, shift)):
-                _, codes, _, table = lines[line]
+                _, _, coord, _, _, table = lines[line]
                 for t in members[line]:
-                    reg = (line, codes[t] * weight)
+                    reg = (line, (coord[t] + 1) * weight)
                     e = row[t]
                     row[t] = (e, *reg, table, ()) if e.__class__ is int else (*e[:4], (reg,))
             rows.append(row)

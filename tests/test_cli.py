@@ -122,6 +122,18 @@ class TestSolve:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("chosen", [[], ["--heuristic", "manhattan"]],
+                             ids=["default", "manhattan"])
+    def test_pdb_paths_require_pdb_heuristic(self, runner, tmp_path, chosen):
+        # The file is never opened: a missing path gives the same error.
+        result = runner.invoke(
+            main, ["solve", *chosen, "--pdb", str(tmp_path / "missing.spdb"), "-"],
+            input=Board.goal(3, 3).format(),
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: --pdb requires --heuristic pdb\n"
+
     @pytest.mark.parametrize("option", ["--max-nodes", "--max-time"])
     def test_negative_limit_exits_two(self, runner, option):
         result = runner.invoke(main, ["solve", option, "-1", "-"], input=LLOYD_TEXT)
