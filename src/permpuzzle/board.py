@@ -48,7 +48,9 @@ class Move(Enum):
 
 # Canonical move ordering used everywhere search determinism matters.
 MOVE_ORDER: tuple[Move, ...] = (Move.UP, Move.DOWN, Move.LEFT, Move.RIGHT)
-_DIRECTION = {m: d for d, m in enumerate(MOVE_ORDER)}
+# A move's index in MOVE_ORDER, keyed by its token: a str hashes in C,
+# where a Move's hash is a Python call on its name.
+_DIRECTION = {m._value_: d for d, m in enumerate(MOVE_ORDER)}
 
 # MOVE_ORDER pairs each direction d with its inverse d ^ 1: U/D and L/R.
 _INVERSE = {m: MOVE_ORDER[d ^ 1] for d, m in enumerate(MOVE_ORDER)}
@@ -81,7 +83,8 @@ def _blank_steps(width: int, height: int):
     and keeps every legal pair. The table holds 5·n tuples. It is read
     through :func:`_row_steps` by IDA*'s heuristics and the packed-state
     BFS, and directly by :func:`scramble`, which draws each move from
-    it; a single board's queries read :func:`move_targets` instead.
+    it; a single board's moves are worked out from the blank's row and
+    column instead (:func:`_room`), with no per-shape table.
     """
     targets = move_targets(width, height)
     steps = []
@@ -264,12 +267,12 @@ class Board:
 
     def _target(self, move: Move) -> int:
         """0-based destination cell of the blank (see :func:`_destination`)."""
-        return _destination(move_targets(self.width, self.height), self.blank_index - 1, move)
+        return _destination(self.width, self.height, self.blank_index - 1, move)
 
     def legal_moves(self) -> set[Move]:
         """The 2-4 directions the blank may travel from here."""
-        targets, base = move_targets(self.width, self.height), (self.blank_index - 1) * 4
-        return {m for d, m in enumerate(MOVE_ORDER) if targets[base + d] >= 0}
+        room = _room(self.width, self.height, self.blank_index - 1)
+        return {m for m, r in zip(MOVE_ORDER, room) if r}
 
     def apply_move(self, move: Move) -> "Board":
         """Slide the adjacent tile into the blank; blank travels ``move``."""
@@ -323,19 +326,31 @@ def _trusted_board(
     return board
 
 
-def _destination(targets, blank: int, move) -> int:
-    """The 0-based cell ``move`` takes the blank to from cell ``blank``,
-    read from ``targets`` (:func:`move_targets`); raises
-    :class:`IllegalMoveError` when ``move`` is not a :class:`Move` or
-    leaves the board."""
+def _room(width: int, height: int, blank: int) -> tuple[int, int, int, int]:
+    """How many cells the blank on cell ``blank`` may travel in each
+    direction, in U, D, L, R order, from its row and column."""
+    row, col = divmod(blank, width)
+    return row, height - 1 - row, col, width - 1 - col
+
+
+def _illegal(move) -> IllegalMoveError:
+    """The error for ``move``, which is not a :class:`Move` or takes the
+    blank off the board."""
     if not isinstance(move, Move):
-        raise IllegalMoveError(f"not a Move: {move!r}", move=move)
-    target = targets[4 * blank + _DIRECTION[move]]
-    if target < 0:
-        raise IllegalMoveError(
-            f"blank cannot travel {move.name}: already at that edge", move=move
-        )
-    return target
+        return IllegalMoveError(f"not a Move: {move!r}", move=move)
+    return IllegalMoveError(
+        f"blank cannot travel {move.name}: already at that edge", move=move
+    )
+
+
+def _destination(width: int, height: int, blank: int, move) -> int:
+    """The 0-based cell ``move`` takes the blank to from cell ``blank``;
+    raises :func:`_illegal`'s error when it has none. O(1), with no
+    per-shape table."""
+    d = _DIRECTION[move._value_] if isinstance(move, Move) else None
+    if d is None or not _room(width, height, blank)[d]:
+        raise _illegal(move)
+    return blank + (-width, width, -1, 1)[d]
 
 
 def _replay(start: Board, moves) -> tuple[Board, IllegalMoveError | None]:
@@ -346,15 +361,21 @@ def _replay(start: Board, moves) -> tuple[Board, IllegalMoveError | None]:
     illegal step and the error :meth:`Board.apply_sequence` raises for
     it; :func:`~permpuzzle.solvability.verify_sequence` reports that.
     """
-    targets = move_targets(start.width, start.height)
+    width = start.width
     cells, blank = list(start.cells), start.blank_index - 1
+    # The blank's room in each direction (:func:`_room`), kept up step by
+    # step: a move spends one of its own and gives one to its opposite.
+    room = list(_room(width, start.height, blank))
+    offsets = (-width, width, -1, 1)
     error = None
     for k, move in enumerate(moves):
-        try:
-            j = _destination(targets, blank, move)
-        except IllegalMoveError as exc:
-            error = IllegalMoveError(f"illegal move at index {k}: {exc}", move=move, index=k)
+        d = _DIRECTION[move._value_] if isinstance(move, Move) else None
+        if d is None or not room[d]:
+            error = IllegalMoveError(f"illegal move at index {k}: {_illegal(move)}", move=move, index=k)
             break
+        room[d] -= 1
+        room[d ^ 1] += 1
+        j = blank + offsets[d]
         cells[blank], blank = cells[j], j
     cells[blank] = len(cells)
     return _trusted_board(start.width, start.height, tuple(cells), blank + 1), error

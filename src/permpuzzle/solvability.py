@@ -10,8 +10,10 @@ to exhaustion: a board is one int, 4 bits per cell with the blank as 0,
 so sliding a tile is one multiply-xor by a per-move constant read from
 the step table IDA* uses. Every move flips the blank's cell parity, so a
 child of layer r lies in layer r-1 or r+1, and the enumeration keeps
-only the live layers in the visited map the oracle shares between its
-two balls.
+only the live layers in its visited map. The oracle's goal ball
+(``_goal_ball``) is the same search from the goal, stopped at the last
+whole layer within ``BALL_STATES`` and kept per shape with that layer,
+its rim, from which a deep query grows the goal's side further.
 """
 
 from __future__ import annotations
@@ -35,10 +37,14 @@ __all__ = [
     "verify_sequence",
 ]
 
-# Ceiling on packed-state BFS expansions (the enumeration's, or the oracle's
-# over both sides): above the 9!/2 = 181,440 states of a 9-cell component,
-# so every board with up to 9 cells is admitted and larger ones are refused.
+# Ceiling on packed-state BFS expansions (the enumeration's, or an oracle
+# query's on both sides, past the goal's ball): above the 9!/2 = 181,440
+# states of a 9-cell component, so every board with up to 9 cells is
+# admitted and larger ones are refused.
 DEFAULT_MAX_STATES = 1_000_000
+# States in the oracle's goal ball: whole layers from the goal are kept
+# while they total at most this many (3x3: radius 16, 11,764 states).
+BALL_STATES = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,12 +128,10 @@ class _PackedBFS:
     """Breadth-first layers over boards packed 4 bits per cell, label
     ``l`` on cell ``c`` as ``l << 4c`` and the blank as 0, expanded
     through the per-shape step table of :func:`_slide_steps`, which
-    leaves out the move back to a state's parent. One visited map serves
-    both balls of a bidirectional search: it sends a state to
-    ``2·d + side``, ``d`` being its blank's last direction (-1 at a root)
-    and ``side`` the ball that reached it first. ``nodes`` counts
-    expansions; :meth:`expand` raises :class:`ResourceLimitError` past
-    ``node_cap`` expansions (None for the default) or ``max_time``
+    leaves out the move back to a state's parent. A visited map sends
+    each state to its blank's last direction, -1 at the root. ``nodes``
+    counts expansions; :meth:`expand` raises :class:`ResourceLimitError`
+    past ``node_cap`` expansions (None for the default) or ``max_time``
     seconds from ``t0``."""
 
     def __init__(self, width: int, height: int, node_cap: int | None,
@@ -152,19 +156,19 @@ class _PackedBFS:
             state |= (label % n) << (4 * cell)
         return state
 
-    def expand(self, frontier, seen: dict, side: int = 0, bound: int | None = None):
-        """Grow ball ``side`` by one layer of ``(state, blank, last)``.
+    def expand(self, frontier, seen: dict, other: dict | None = None, bound: int | None = None):
+        """Grow the ball ``seen`` maps by one layer of ``(state, blank, last)``.
 
         Returns ``(next layer, meet)``. ``meet`` is None, or the first
-        ``(child, child's blank, d, e)`` whose child the other ball holds,
-        which stops the layer: ``d`` is this ball's direction into it and
-        ``e`` the other's, for :meth:`unwind`. A limit error carries
-        ``bound`` as its ``lower_bound``.
+        new ``(child, child's blank, d)`` that ``other``, the other
+        side's visited map, holds, which stops the layer: ``d`` is the
+        blank's direction into it, for :meth:`unwind`. A limit error
+        carries ``bound`` as its ``lower_bound``.
         """
         steps = self.steps
         node_cap, deadline, nodes = self.node_cap, self.deadline, self.nodes
         next_frontier = []
-        get, push = seen.get, next_frontier.append
+        push = next_frontier.append
         for state, blank, last in frontier:
             nodes += 1
             # The clock is read on the first expansion, then every 4096th.
@@ -180,15 +184,21 @@ class _PackedBFS:
                 # ``+``: CPython gives a positive sum a spare digit for the
                 # carry, 8 more bytes in half the 3x3 children.
                 child = state ^ ((state >> 4 * j) & 15) * slide
-                mark = get(child)
-                if mark is None:
-                    seen[child] = 2 * d + side
+                if child not in seen:
+                    if other and child in other:
+                        self.nodes = nodes
+                        return next_frontier, (child, j, d)
+                    seen[child] = d
                     push((child, j, d))
-                elif mark & 1 != side:
-                    self.nodes = nodes
-                    return next_frontier, (child, j, d, mark >> 1)
         self.nodes = nodes
         return next_frontier, None
+
+    def check_clock(self, bound: int):
+        """Raise as :meth:`expand` does once ``max_time`` has passed."""
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise ResourceLimitError(
+                f"BFS exceeded {self.max_time}s", nodes_expanded=self.nodes, lower_bound=bound
+            )
 
     def unwind(self, state: int, blank: int, d: int, seen: dict) -> list[int]:
         """Directions from ``state`` back to its root, last move first:
@@ -199,8 +209,38 @@ class _PackedBFS:
             prev = self.targets[4 * blank + (d ^ 1)]
             state ^= ((state >> 4 * prev) & 15) * ((1 << 4 * blank) | (1 << 4 * prev))
             blank = prev
-            d = seen[state] >> 1
+            d = seen[state]
         return dirs
+
+
+@lru_cache(maxsize=None)
+def _goal_ball(width: int, height: int) -> tuple[dict, int, list, bytes]:
+    """``(ball, radius, rim, rim_blanks)``: every state within ``radius``
+    moves of the goal, mapped to its blank's last direction on a
+    shortest path from the goal (-1 at the goal), for
+    :meth:`_PackedBFS.unwind`; and the states at ``radius`` with their
+    blanks' cells, from which a query grows the goal's side further (a
+    list of ints and a bytes, not a layer of tuples, as most queries
+    never read them).
+
+    Whole BFS layers from the goal are kept while they total at most
+    :data:`BALL_STATES`; a component that fits is held whole. Built once
+    per shape, on its first exact query and outside that query's node cap;
+    every query of the shape reads the same objects and none writes them.
+    """
+    bfs = _PackedBFS(width, height, None)
+    ball = {bfs.goal: -1}
+    frontier, radius = [(bfs.goal, width * height - 1, -1)], 0
+    while True:
+        layer, _ = bfs.expand(frontier, ball)
+        if not layer or len(ball) > BALL_STATES:
+            break
+        frontier, radius = layer, radius + 1
+    if layer:  # past the ceiling
+        for state, _, _ in layer:
+            del ball[state]
+        ball = dict(ball)  # the copy drops the deleted slots
+    return ball, radius, [s for s, _, _ in frontier], bytes(j for _, j, _ in frontier)
 
 
 def reachable_states(
@@ -224,7 +264,7 @@ def reachable_states(
             f"{width}x{height} has {size} reachable states, over the {max_states} ceiling"
         )
 
-    seen = {bfs.goal: -2}  # direction -1 (a root), side 0
+    seen = {bfs.goal: -1}
     previous, frontier = [], [(bfs.goal, n - 1, -1)]
     count, depth = 0, -1
     while frontier:

@@ -1,16 +1,24 @@
 """Optimal solvers: an exact BFS oracle for small boards and IDA* search.
 
-The oracle is a bidirectional BFS (Pohl 1971) on the packed-state
-search that ``reachable_states`` also runs (``solvability._PackedBFS``):
-it grows a ball from the start and one from the goal, a layer at a time,
-and stops at the first state they share. A board is one int, 4 bits per
-cell with the blank as 0, so a slide is one multiply-xor by a constant
-that the per-shape step table IDA* uses carries for each move. Both
-balls expand through that table, which never makes the move back to a
-parent, into one visited map holding per state the blank's last
-direction and a side bit; a child found with the other side's bit is
-the meet. The path is rebuilt by undoing the recorded moves from the
-meeting state back to each root.
+The oracle is a bidirectional BFS (Pohl 1971) whose goal side starts
+from a perimeter (Dillenburg & Nelson 1994; Manzini 1995), on the
+packed-state search that ``reachable_states`` also runs
+(``solvability._PackedBFS``). The goal's ball, every state within
+radius R of the goal as whole BFS layers of at most 2^14 states, is
+built once per shape (``solvability._goal_ball``), outside any query's
+node cap, and maps each state to its blank's last direction. A start
+inside the ball unwinds to the goal with no expansion. Otherwise a ball
+grows from the start into its own visited map, a layer at a time, and
+the first new child found in the goal's ball is the meet. Once the
+start's frontier outgrows the ball's rim, its states at radius R, the
+goal's side grows too, from the rim into a per-query copy of the ball:
+as in the plain bidirectional search, the side with the smaller
+frontier is expanded, so a deep board costs no more than it did with
+no ball. A board is one int, 4 bits per cell with the blank as 0, so a
+slide is one multiply-xor by a constant that the per-shape step table
+IDA* uses carries for each move; that table never makes the move back
+to a parent. The path is rebuilt by undoing the recorded moves from
+the meeting state back to each root.
 
 IDA* runs depth-first with an f = g + h threshold raised to the smallest
 overflowing value each iteration; with the admissible heuristics offered
@@ -43,7 +51,7 @@ from .board import MOVE_ORDER, Board, Move
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
 from .heuristics import _conflict_of, incremental
 from .pattern_db import PatternDatabase, PatternHeuristic, _summed_heuristic
-from .solvability import _PackedBFS, certificate, is_solvable
+from .solvability import _goal_ball, _PackedBFS, certificate, is_solvable
 
 __all__ = [
     "SearchLimits",
@@ -102,17 +110,36 @@ def _require_solvable(board: Board):
         )
 
 
+def _check_depth(limits: SearchLimits, bound: int, nodes: int):
+    """Raise when ``bound``, a length the optimal solution is proven to
+    reach, passes ``limits.max_depth``."""
+    if limits.max_depth is not None and bound > limits.max_depth:
+        raise ResourceLimitError(
+            f"no solution within depth {limits.max_depth}",
+            nodes_expanded=nodes, lower_bound=bound,
+        )
+
+
 def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResult:
-    """Minimum-length solution by bidirectional breadth-first search.
+    """Minimum-length solution by bidirectional breadth-first search
+    whose goal side starts from the goal's ball.
 
     The exact oracle, feasible only for small boards (default ceiling of
-    one million expansions covers everything up to 9 cells). One ball
-    grows from ``board`` and one from the goal, a whole layer of the side
-    with the smaller frontier at a time (ties go to the start's side);
+    one million expansions covers everything up to 9 cells, and 4x4
+    boards to about 36 moves). The goal's ball holds every state within
+    radius R of the goal; it is built once per shape, on the shape's
+    first query. Its expansions count against no query's ``max_nodes``;
+    its build time, as for IDA*'s per-shape tables, falls within that
+    first query's ``max_time`` and ``elapsed``. A board inside it
+    unwinds to the goal with no expansion, the limits read once against
+    its exact length. Otherwise one ball grows from ``board`` and one
+    from the goal's ball's outer layer, a whole layer of the side with
+    the smaller frontier at a time (ties go to the start's side), and
     the first child found in the other side's ball closes an optimal
-    path. ``nodes_expanded`` counts the states expanded on both sides. A
-    :class:`ResourceLimitError` carries ``lower_bound``: one more than
-    the two radii, which the optimal length is proven to reach.
+    path. ``nodes_expanded`` counts the states expanded in the query,
+    on either side. A :class:`ResourceLimitError` carries
+    ``lower_bound``: one more than the two radii (the goal's at least
+    R), which the optimal length is proven to reach.
     """
     if limits is None:
         limits = _NO_LIMITS
@@ -121,32 +148,43 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     if board.is_goal():
         return SearchResult((), 0, time.perf_counter() - t0)
     bfs = _PackedBFS(board.width, board.height, limits.max_nodes, limits.max_time, t0)
+    ball, radius, rim, rim_blanks = _goal_ball(board.width, board.height)
 
-    # Each state is marked by the first ball to reach it, so before each
-    # layer the optimal length exceeds radius[0] + radius[1].
-    start = bfs.pack(board.cells)
-    seen = {start: -2, bfs.goal: -1}  # roots: direction -1, sides 0 and 1
-    frontiers = [[(start, board.blank_index - 1, -1)], [(bfs.goal, board.size - 1, -1)]]
-    radius = [0, 0]
+    start, blank = bfs.pack(board.cells), board.blank_index - 1
+    if start in ball:
+        # No expansion reads the limits, so they are read here, against
+        # the exact length.
+        dirs = [e ^ 1 for e in bfs.unwind(start, blank, ball[start], ball)]
+        _check_depth(limits, len(dirs), 0)
+        bfs.check_clock(len(dirs))
+        return SearchResult(tuple(MOVE_ORDER[e] for e in dirs), 0, time.perf_counter() - t0)
+
+    # The goal's side starts from the shape's ball and its rim; it grows
+    # into a copy, so the shape's ball is never written. Until then its
+    # frontier is the rim's states alone.
+    maps = [{start: -1}, ball]
+    frontiers = [[(start, blank, -1)], rim]
+    # Before each layer the two balls share no state, so the optimal
+    # length is at least both radii plus one.
+    bound = radius + 1
     while frontiers[0] and frontiers[1]:
+        _check_depth(limits, bound, bfs.nodes)
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        bound = radius[0] + radius[1] + 1
-        if limits.max_depth is not None and bound > limits.max_depth:
-            raise ResourceLimitError(
-                f"no solution within depth {limits.max_depth}",
-                nodes_expanded=bfs.nodes, lower_bound=bound,
-            )
-        frontiers[side], meet = bfs.expand(frontiers[side], seen, side, bound)
+        if side and maps[1] is ball:
+            maps[1] = dict(ball)
+            frontiers[1] = list(zip(rim, rim_blanks, map(ball.__getitem__, rim)))
+        frontiers[side], meet = bfs.expand(frontiers[side], maps[side], maps[1 - side], bound)
         if meet is not None:
             # The start's ball up to the meeting state, then the goal's
             # ball from it, undoing each of the goal side's moves.
-            child, blank, mine, theirs = meet
-            d0, d1 = (mine, theirs) if side == 0 else (theirs, mine)
-            dirs = bfs.unwind(child, blank, d0, seen)[::-1]
-            dirs.extend(e ^ 1 for e in bfs.unwind(child, blank, d1, seen))
+            child, blank, d = meet
+            dirs_in = [d, d]
+            dirs_in[1 - side] = maps[1 - side][child]
+            dirs = bfs.unwind(child, blank, dirs_in[0], maps[0])[::-1]
+            dirs.extend(e ^ 1 for e in bfs.unwind(child, blank, dirs_in[1], maps[1]))
             moves = tuple(MOVE_ORDER[e] for e in dirs)
             return SearchResult(moves, bfs.nodes, time.perf_counter() - t0)
-        radius[side] += 1
+        bound += 1
 
     # Unreachable: solvability was checked up front.
     raise PuzzleError("BFS exhausted the component without finding the goal")
@@ -288,11 +326,7 @@ def ida_star(
 
     bound = h0
     while True:
-        if limits.max_depth is not None and bound > limits.max_depth:
-            raise ResourceLimitError(
-                f"no solution within depth {limits.max_depth}",
-                nodes_expanded=nodes, lower_bound=bound,
-            )
+        _check_depth(limits, bound, nodes)
         try:
             r = dfs(blank0, 0, bound, -1, h0)
         except RecursionError:

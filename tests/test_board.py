@@ -21,6 +21,8 @@ from permpuzzle import (
     verify_sequence,
 )
 
+from permpuzzle.board import move_targets
+
 from conftest import FIG3_CYCLES
 
 
@@ -267,19 +269,29 @@ class TestMoves:
         for _ in range(20):
             assert len(random_board(2, 2, rng).legal_moves()) == 2
 
-    def test_large_board_reads_only_the_move_table(self):
-        # The move table holds 4 ints per cell, about 190 B traced; the
-        # 5·n-tuple step table IDA* reads traces about 800 B per cell.
+    def test_large_board_reads_no_move_table(self):
+        # A single board's moves are worked out from the blank's row and
+        # column, so no per-shape table is built, read or cached (the move
+        # table traced about 190 B per cell); what is traced is the
+        # boards' copies of the cells, 8 B per reference.
         width, height = 199, 201
         b = Board.goal(width, height)
+        before = move_targets.cache_info()
         tracemalloc.start()
         try:
             moves = b.legal_moves()
+            after = b.apply_move(Move.UP)
+            walked = b.apply_sequence([Move.UP, Move.LEFT])
+            report = verify_sequence(b, [Move.LEFT, Move.DOWN])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert moves == {Move.UP, Move.LEFT}
-        assert peak < 256 * width * height
+        assert after.blank_index == b.blank_index - width
+        assert walked.blank_index == b.blank_index - width - 1
+        assert report.failed_index == 1
+        assert move_targets.cache_info() == before
+        assert peak < 40 * width * height
 
     @given(boards)
     def test_move_count_matches_blank_position_class(self, b):

@@ -19,7 +19,7 @@ from permpuzzle import (
     verify_sequence,
 )
 
-from permpuzzle.solvability import _PackedBFS
+from permpuzzle.solvability import BALL_STATES, _goal_ball, _PackedBFS
 
 from oracles import exact_distances, inversion_sign
 
@@ -184,7 +184,8 @@ class TestPackedSteps:
         # Expanding a root takes every entry of the step table at its
         # blank, on boards of both parities: each child is the packed
         # board after the move, and unwinding that one step lands on the
-        # parent, the only state in the map.
+        # parent, the only state in the map. A ball holding the last
+        # child stops the layer there and hands that child back.
         bfs = _PackedBFS(width, height, None)
         rng = random.Random(f"packed/{width}x{height}")
         cells = list(range(1, width * height + 1))
@@ -192,11 +193,34 @@ class TestPackedSteps:
             rng.shuffle(cells)
             board = Board(width, height, cells)
             parent = bfs.pack(board.cells)
-            children, _ = bfs.expand([(parent, board.blank_index - 1, -1)], {parent: -2})
+            root = [(parent, board.blank_index - 1, -1)]
+            children, meet = bfs.expand(root, {parent: -1})
+            assert meet is None
             assert {MOVE_ORDER[d] for _, _, d in children} == board.legal_moves()
             for child, j, d in children:
                 assert child == bfs.pack(board.apply_move(MOVE_ORDER[d]).cells)
-                assert bfs.unwind(child, j, d, {parent: -2}) == [d]
+                assert bfs.unwind(child, j, d, {parent: -1}) == [d]
+            last = children[-1]
+            assert bfs.expand(root, {parent: -1}, {last[0]: 0}) == (children[:-1], last)
+
+
+class TestGoalBall:
+    @pytest.mark.parametrize("width, height, size, radius", [
+        (2, 2, 12, 6), (3, 2, 360, 21), (3, 3, 11764, 16), (2, 4, 16249, 26), (4, 2, 16249, 26),
+    ])
+    def test_whole_layers_within_the_ceiling(self, width, height, size, radius):
+        # Exactly the states within the radius, and one more layer would
+        # pass the ceiling unless the component is already whole.
+        ball, r, rim, rim_blanks = _goal_ball(width, height)
+        dist = exact_distances(width, height)
+        assert (len(ball), r) == (size, radius)
+        assert set(ball) == {_PackedBFS.pack(c) for c, d in dist.items() if d <= r}
+        assert set(rim) == {_PackedBFS.pack(c) for c, d in dist.items() if d == r}
+        assert len(rim) == len(rim_blanks)
+        assert all((state >> 4 * j) & 15 == 0 for state, j in zip(rim, rim_blanks))
+        assert size <= BALL_STATES
+        next_size = sum(1 for d in dist.values() if d <= r + 1)
+        assert next_size > BALL_STATES or next_size == len(dist)
 
 
 class TestVerifySequence:

@@ -21,7 +21,7 @@ from permpuzzle import (
     scramble,
     verify_sequence,
 )
-from permpuzzle import solver
+from permpuzzle import solvability, solver
 from permpuzzle.board import _blank_steps, move_targets
 
 from oracles import exact_distances
@@ -70,12 +70,14 @@ class TestBfsOptimal:
         assert exc.value.nodes_expanded is not None
 
     def test_expired_deadline_stops_a_short_search(self):
-        # Solved in 2,984 expansions, under the 4096 between clock reads.
+        # Solved in 282 expansions, under the 4096 between clock reads. The
+        # board lies 26 moves out, past the goal's ball of radius 16, so the
+        # bound before the first layer is 0 + 16 + 1.
         b, _ = scramble(3, 3, 60, 2)
         with pytest.raises(ResourceLimitError) as exc:
             bfs_optimal(b, SearchLimits(max_time=0.0))
         assert exc.value.nodes_expanded == 1
-        assert exc.value.lower_bound == 1
+        assert exc.value.lower_bound == 17
 
     def test_depth_limit(self):
         b, _ = scramble(3, 3, 40, 2)
@@ -86,16 +88,36 @@ class TestBfsOptimal:
 
     @pytest.mark.parametrize("width, height", [(2, 3), (2, 4), (4, 2), (3, 3)])
     def test_exact_on_sampled_states(self, width, height, dist_3x3):
-        # The 2-wide, 3-high board has 360 states, so all of them are checked.
-        dist = dist_3x3 if (width, height) == (3, 3) else exact_distances(width, height)
-        rng = random.Random(f"bfs/{width}x{height}")
-        for cells in rng.sample(sorted(dist), min(len(dist), 400)):
+        # Every state of the boards with up to 8 cells (360 on 2x3, 20,160
+        # on 2x4 and 4x2); 400 sampled 3x3 states.
+        if (width, height) == (3, 3):
+            dist = dist_3x3
+            states = random.Random("bfs/3x3").sample(sorted(dist), 400)
+        else:
+            dist = exact_distances(width, height)
+            states = dist
+        for cells in states:
             b = Board(width, height, cells)
             result = bfs_optimal(b)
             assert result.length == dist[cells]
             assert verify_sequence(b, result.moves).solved
 
-    @pytest.mark.parametrize("d", [1, 2, 20, 21, 31])
+    def test_exact_at_the_goal_balls_edge(self, dist_3x3):
+        # The 3x3 goal ball has radius 16: boards 15 and 16 moves out
+        # unwind from it with no expansion, boards 17 and 18 out meet it
+        # from their first or second layer.
+        checked = 0
+        for cells, d in dist_3x3.items():
+            if 15 <= d <= 18:
+                b = Board(3, 3, cells)
+                result = bfs_optimal(b)
+                assert result.length == d
+                assert (result.nodes_expanded == 0) == (d <= 16)
+                assert verify_sequence(b, result.moves).solved
+                checked += 1
+        assert checked == 22164
+
+    @pytest.mark.parametrize("d", [1, 2, 16, 17, 20, 21, 31])
     def test_depth_limit_is_exact(self, d, dist_3x3, solvable_3x3_states):
         cells = next(c for c in solvable_3x3_states if dist_3x3[c] == d)
         b = Board(3, 3, cells)
@@ -113,6 +135,22 @@ class TestBfsOptimal:
                 except ResourceLimitError as exc:
                     assert 1 <= exc.lower_bound <= dist_3x3[cells]
 
+    def test_goal_ball_is_built_outside_the_limits(self, dist_3x3):
+        # The shape's first query builds its ball, 11,764 states, under a
+        # cap of no expansions; a board inside it unwinds with none.
+        solver._goal_ball.cache_clear()
+        cells = next(c for c, d in dist_3x3.items() if d == 16)
+        result = bfs_optimal(Board(3, 3, cells), SearchLimits(max_nodes=0))
+        assert (result.length, result.nodes_expanded) == (16, 0)
+
+    def test_expired_deadline_stops_a_board_inside_the_ball(self, dist_3x3):
+        # No expansion reads the clock, so it is read once before the
+        # answer; the bound is the exact length.
+        cells = next(c for c, d in dist_3x3.items() if d == 16)
+        with pytest.raises(ResourceLimitError, match="BFS exceeded 0.0s") as exc:
+            bfs_optimal(Board(3, 3, cells), SearchLimits(max_time=0.0))
+        assert (exc.value.nodes_expanded, exc.value.lower_bound) == (0, 16)
+
     def test_4x4_short_scramble(self):
         # The blank packs as 0, so a 16-cell board uses all 64 bits only
         # when tile 15 sits on the last cell: see the pins below.
@@ -122,23 +160,35 @@ class TestBfsOptimal:
             assert result.length == ida_star(b).length <= len(seq)
             assert verify_sequence(b, result.moves).solved
 
+    def test_deep_4x4_grows_the_goal_side(self):
+        # 34 moves out, 22 past the 4x4 ball's radius of 12. Searched from
+        # the start alone it passes the default million-expansion cap; the
+        # goal's side grows from the ball's rim once the start's frontier
+        # outgrows it, as the bidirectional search before the ball did
+        # (393,384 expansions there).
+        b, _ = scramble(4, 4, 36, 46)
+        result = bfs_optimal(b)
+        assert (result.length, result.nodes_expanded) == (34, 385692)
+        assert result.length == ida_star(b).length
+        assert verify_sequence(b, result.moves).solved
+
     def test_nodes_expanded_pinned(self, solvable_3x3_states):
         # Read from this implementation; a change is a behaviour change.
         rng = random.Random(4)
         boards = [Board(3, 3, c) for c in rng.sample(solvable_3x3_states, 5)]
-        assert [bfs_optimal(b).nodes_expanded for b in boards] == [928, 576, 1875, 1342, 1241]
+        assert [bfs_optimal(b).nodes_expanded for b in boards] == [20, 5, 119, 51, 48]
 
-    # Read from the search with two visited maps, before the shared map
-    # and step table: which optimal path the meet picks is pinned too.
+    # Read from the search that starts the goal side from its ball: which
+    # optimal path the meet picks is pinned too.
     PINNED_MOVES = {
         (3, 3): [
             "U R D D R U L D L U R D R U U L D L D R R",
             "D D R U L L D R U L U R R D L U R D D",
-            "R U U L D R R U L L D D R U R D L U L U R R D D",
+            "U R R D L U U R D D L U L D R U U L D D R U R D",
             "L L U R R D L L U R R U L L D R U R D L D R",
             "L L U U R D D L U R R U L L D R R D L U R D",
         ],
-        (2, 4): ["D D L U U R D L U R U L D D D R U U L D D R"],
+        (2, 4): ["D D L U R U L D R U U L D D D R U U L D D R"],
         (4, 2): ["R D L U R R D L U R R D L L L U R R D L U R R D"],
         (4, 4): [
             "U U R D D D L L L U R D R R",
@@ -151,11 +201,17 @@ class TestBfsOptimal:
     }
     # Expansions of the boards above with tile 15 on the last cell, whose
     # packed states use all 64 bits.
-    PINNED_FULL_WIDTH_NODES = {(4, 4): 470, (8, 2): 722, (2, 8): 2214}
+    PINNED_FULL_WIDTH_NODES = {(4, 4): 4, (8, 2): 10, (2, 8): 133}
+    # The lengths of the paths the earlier bidirectional search pinned.
+    PINNED_LENGTHS = {
+        (3, 3): [21, 19, 24, 22, 22], (2, 4): [22], (4, 2): [24],
+        (4, 4): [14, 14, 14, 14], (8, 2): [18], (2, 8): [22],
+    }
 
-    def test_moves_pinned(self, solvable_3x3_states):
+    @staticmethod
+    def pinned_boards(solvable_3x3_states):
         rng = random.Random(4)
-        boards = {
+        return {
             (3, 3): [Board(3, 3, c) for c in rng.sample(solvable_3x3_states, 5)],
             (2, 4): [scramble(2, 4, 60, 0)[0]],
             (4, 2): [scramble(4, 2, 60, 0)[0]],
@@ -165,23 +221,72 @@ class TestBfsOptimal:
             (8, 2): [scramble(8, 2, 24, 1)[0]],
             (2, 8): [scramble(2, 8, 24, 5)[0]],
         }
+
+    def test_moves_pinned(self, solvable_3x3_states):
+        boards = self.pinned_boards(solvable_3x3_states)
         for shape, expected in self.PINNED_MOVES.items():
             results = [bfs_optimal(b) for b in boards[shape]]
             assert [format_moves(r.moves) for r in results] == expected
+            assert [r.length for r in results] == self.PINNED_LENGTHS[shape]
+            for b, r in zip(boards[shape], results):
+                assert verify_sequence(b, r.moves).solved
             if shape in self.PINNED_FULL_WIDTH_NODES:
                 assert boards[shape][-1].cells[-1] == 15
                 assert results[-1].nodes_expanded == self.PINNED_FULL_WIDTH_NODES[shape]
 
+    @pytest.fixture
+    def ball_states(self, monkeypatch):
+        """Sets the goal ball's ceiling for the test; the shapes' balls are
+        rebuilt on either side of it."""
+        def set_ceiling(states):
+            monkeypatch.setattr(solvability, "BALL_STATES", states)
+            solver._goal_ball.cache_clear()
+        yield set_ceiling
+        solver._goal_ball.cache_clear()
+
+    def test_a_ball_of_the_goal_alone_is_the_bidirectional_search(
+        self, ball_states, solvable_3x3_states
+    ):
+        # With no layer past the goal kept, the goal's side grows from the
+        # goal itself, so nodes and paths are those of the bidirectional
+        # search before the ball, read from it.
+        ball_states(1)
+        boards = self.pinned_boards(solvable_3x3_states)
+        moves = dict(self.PINNED_MOVES)
+        moves[3, 3] = moves[3, 3][:2] + [
+            "R U U L D R R U L L D D R U R D L U L U R R D D"
+        ] + moves[3, 3][3:]
+        moves[2, 4] = ["D D L U U R D L U R U L D D D R U U L D D R"]
+        results = {shape: [bfs_optimal(b) for b in bs] for shape, bs in boards.items()}
+        assert {s: [format_moves(r.moves) for r in rs] for s, rs in results.items()} == moves
+        assert [r.nodes_expanded for r in results[3, 3]] == [928, 576, 1875, 1342, 1241]
+        assert {s: results[s][-1].nodes_expanded for s in self.PINNED_FULL_WIDTH_NODES} == {
+            (4, 4): 470, (8, 2): 722, (2, 8): 2214,
+        }
+
+    @pytest.mark.parametrize("states", [40, 1000])
+    def test_exact_from_a_small_goal_ball(self, states, ball_states, dist_3x3):
+        # A small ball leaves the start's frontier to outgrow its rim on
+        # most boards, so both sides grow and the meet falls on either.
+        ball_states(states)
+        for cells in random.Random(f"small-ball/{states}").sample(sorted(dist_3x3), 300):
+            b = Board(3, 3, cells)
+            result = bfs_optimal(b)
+            assert result.length == dist_3x3[cells]
+            assert verify_sequence(b, result.moves).solved
+
     def test_node_cap_pinned(self, solvable_3x3_states):
-        # The first pinned board (928 nodes, length 21): the cap is checked
-        # on every expansion, and the bound is the two radii plus one.
+        # The first pinned board (20 nodes, length 21): the cap is checked
+        # on every expansion, and the bound is the start's radius plus the
+        # goal ball's, 16, plus one. A cap one below the count stops the
+        # last layer, whose bound is the length itself.
         board = Board(3, 3, random.Random(4).sample(solvable_3x3_states, 1)[0])
         pins = []
-        for cap in (0, 7, 60, 400):
+        for cap in (0, 7, 12, 19):
             with pytest.raises(ResourceLimitError, match=f"BFS exceeded {cap} expansions") as exc:
                 bfs_optimal(board, SearchLimits(max_nodes=cap))
             pins.append((exc.value.nodes_expanded, exc.value.lower_bound))
-        assert pins == [(1, 1), (8, 5), (61, 10), (401, 17)]
+        assert pins == [(1, 17), (8, 19), (13, 20), (20, 21)]
 
 
 class TestIdaStar:
