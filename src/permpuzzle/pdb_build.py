@@ -11,6 +11,11 @@ keeps the order, else a few mask-and-shift ops per adjacent swap first.
 The build holds the table, indexed ``set * k! + order``, one visited int
 per region and one placed int per set, and then writes the table in rank
 order. Nothing holds a byte per state.
+
+The layers come from :func:`_layers`, which
+:func:`~permpuzzle.solvability.reachable_states` also runs, with every
+tile but the blank in the pattern: there each region is one cell of the
+blank, and the bits set across the layers count the goal's component.
 """
 
 from __future__ import annotations
@@ -71,7 +76,10 @@ def _swap_moves(k: int, p: int):
 
 @lru_cache(maxsize=1)
 def _regions(width: int, height: int, k: int):
-    """Per-set tables for every k-tile :func:`build_pdb` on the shape.
+    """Per-set tables for :func:`_layers`, the search of every k-tile
+    :func:`build_pdb` on the shape and, with k = n - 1, of
+    :func:`~permpuzzle.solvability.reachable_states`. The one cached
+    entry is the last shape and k either asked for.
 
     Sets are numbered in ``itertools.combinations`` order. A set's free
     cells split into components, the blank's cost-0 regions, numbered by
@@ -171,6 +179,40 @@ def _regions(width: int, height: int, k: int):
     return start, cmax, size, plain, plain_at, shifted, shift_ids, shifted_at, kinds
 
 
+def _layers(tables, home):
+    """The BFS over :func:`_regions` ``tables`` from the goal of the
+    pattern whose home cells are ``home``, a layer at a time, every move
+    costing one.
+
+    Each layer is a list that maps every region to an int whose bit
+    ``o`` is set when the layer first reaches tile order ``o`` there; it
+    is the caller's to read until it asks for the next one. The search
+    holds three such lists, the visited one among them, and the slide
+    tables; it ends after the last non-empty layer.
+    """
+    start, _, size, plain, plain_at, shifted, shift_ids, shifted_at, kinds = tables
+    regions = range(len(size))
+    frontier = [0] * len(size)
+    frontier[start(home)] = 1  # the goal's order, the identity, is 0
+    seen = frontier.copy()
+    while any(frontier):
+        yield frontier
+        reached = [0] * len(size)
+        for x in compress(regions, frontier):
+            orders = frontier[x]
+            for y in plain[plain_at[x] : plain_at[x + 1]]:
+                reached[y] |= orders
+            for e in range(shifted_at[x], shifted_at[x + 1]):
+                moved = orders
+                for shift, masks, amounts in kinds[shift_ids[e]]:
+                    moved = sum(map(rshift, map(and_, repeat(moved << shift), masks), amounts))
+                reached[shifted[e]] |= moved
+        for y in compress(regions, reached):
+            reached[y] &= ~seen[y]
+            seen[y] |= reached[y]
+        frontier = reached
+
+
 def build_pdb(
     width: int,
     height: int,
@@ -210,45 +252,29 @@ def build_pdb(
     _check_bytes("pattern build needs", table_len * (n + 2), max_bytes)
 
     fact = math.factorial(k)
-    (start, cmax, size, plain, plain_at, shifted, shift_ids, shifted_at,
-     kinds) = _regions(width, height, k)
+    tables = _regions(width, height, k)
+    cmax, size = tables[1:3]
     dist = bytearray([UNREACHED]) * table_len
-    bits = f"0{fact}b"
-    regions = len(size)
-    seen, placed, frontier = [0] * regions, [0] * (regions // cmax), [0] * regions
-    goal = start([t - 1 for t in tiles])
-    frontier[goal] = seen[goal] = 1  # the goal's order, the identity, is 0
-    d = placements = states = 0
-    while any(frontier):
+    placed = [0] * math.comb(n, k)
+    placements = states = 0
+    for d, frontier in enumerate(_layers(tables, [t - 1 for t in tiles])):
         # A new placement's 0xFF byte ANDed with the level becomes the level;
         # the bit string puts order o at byte k! - 1 - o, read big-endian.
         levels = bytes.maketrans(b"01", bytes([UNREACHED, min(d, 0xFE)]))
-        reached = [0] * regions
-        for x in compress(range(regions), frontier):
+        for x in compress(range(len(size)), frontier):
             orders, s = frontier[x], x // cmax
             states += size[x] * orders.bit_count()
             new = orders & ~placed[s]
             if new:
                 placed[s] |= new
                 placements += new.bit_count()
-                mask = format(new, bits).encode().translate(levels)
+                mask = f"{new:0{fact}b}".encode().translate(levels)
                 old = dist[s * fact : s * fact + fact]
                 entries = int.from_bytes(old, "little") & int.from_bytes(mask, "big")
                 dist[s * fact : s * fact + fact] = entries.to_bytes(fact, "little")
-            for y in plain[plain_at[x] : plain_at[x + 1]]:
-                reached[y] |= orders
-            for e in range(shifted_at[x], shifted_at[x + 1]):
-                moved = orders
-                for shift, masks, amounts in kinds[shift_ids[e]]:
-                    moved = sum(map(rshift, map(and_, repeat(moved << shift), masks), amounts))
-                reached[shifted[e]] |= moved
         if progress is not None:
             progress(d, placements, states)
-        for y in compress(range(regions), reached):
-            reached[y] &= ~seen[y]
-            seen[y] |= reached[y]
-        frontier, d = reached, d + 1
-    del seen, placed, frontier, reached
+    del placed, frontier
 
     table = _rank_order(dist, n, k)
     del dist

@@ -3,17 +3,23 @@
 Every move is a single transposition of tile labels, so it flips the
 configuration's sign; it also moves the blank one step, flipping the
 parity of the blank's taxicab distance to its home cell. The goal is
-Even/Even, so a board can reach it only if the two parities agree. BFS
-enumeration over small boards certifies the converse. It runs the search
-that the solver's exact oracle runs too (``_PackedBFS``), from the goal
-to exhaustion: a board is one int, 4 bits per cell with the blank as 0,
-so sliding a tile is one multiply-xor by a per-move constant read from
-the step table IDA* uses. Every move flips the blank's cell parity, so a
-child of layer r lies in layer r-1 or r+1, and the enumeration keeps
-only the live layers in its visited map. The oracle's goal ball
-(``_goal_ball``) is the same search from the goal, stopped at the last
-whole layer within ``BALL_STATES`` and kept per shape with that layer,
-its rim, from which a deep query grows the goal's side further.
+Even/Even, so a board can reach it only if the two parities agree.
+
+Enumerating the goal's component certifies the converse on small boards.
+:func:`reachable_states` runs the pattern-database build's region BFS
+(``pdb_build._layers``) with every tile but the blank in the pattern:
+a layer is one int per cell of the blank, bit ``o`` standing for order
+``o`` of the other tiles, so a layer costs a few big-int operations per
+cell and slide rather than one loop turn per state.
+
+The solver's exact oracle needs paths, so it runs its own search
+(``_PackedBFS``): a board is one int, 4 bits per cell with the blank as
+0, so sliding a tile is one multiply-xor by a per-move constant read
+from the step table IDA* uses, and a visited map records each state's
+last move. The oracle's goal ball (``_goal_ball``) is that search from
+the goal, stopped at the last whole layer within ``BALL_STATES`` and
+kept per shape with that layer, its rim, from which a deep query grows
+the goal's side further.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from functools import lru_cache
 
 from .board import Board, _replay, _row_steps, check_dimensions, move_targets
 from .errors import ResourceLimitError
+from .pdb_build import _layers, _regions
 from .perm import Parity, cycle_parity
 
 __all__ = [
@@ -37,10 +44,10 @@ __all__ = [
     "verify_sequence",
 ]
 
-# Ceiling on packed-state BFS expansions (the enumeration's, or an oracle
-# query's on both sides, past the goal's ball): above the 9!/2 = 181,440
-# states of a 9-cell component, so every board with up to 9 cells is
-# admitted and larger ones are refused.
+# Ceiling on the states the enumeration may count, and on an oracle
+# query's packed-state BFS expansions on both sides, past the goal's
+# ball: above the 9!/2 = 181,440 states of a 9-cell component, so every
+# board with up to 9 cells is enumerated and larger ones are refused.
 DEFAULT_MAX_STATES = 1_000_000
 # States in the oracle's goal ball: whole layers from the goal are kept
 # while they total at most this many (3x3: radius 16, 11,764 states).
@@ -249,33 +256,28 @@ def reachable_states(
     """Breadth-first enumeration of every board reachable from the goal.
 
     Returns the component size and the puzzle diameter from the goal
-    (eccentricity). States are packed into integers, 4 bits per cell,
-    and only the live layers are kept. Raises
-    :class:`ResourceLimitError` rather than returning a partial answer
-    when the component would exceed ``max_states``, and ``ValueError``
-    for a shape below 2x2.
+    (eccentricity): the bits set across the layers of
+    ``pdb_build._layers`` with tiles 1..n-1 as the pattern, and the last
+    layer's index. The search holds n ints of up to (n-1)! bits for each
+    of the layer, the next one and the visited set, and (n-1)(n-2) slide
+    masks as wide, about n·n! bits in all, so the n!/2 <= ``max_states``
+    ceiling bounds it (3x3: under 0.5 MB). Raises
+    :class:`ResourceLimitError` before any search when the board has
+    more than 16 cells or its component would exceed ``max_states``,
+    and ``ValueError`` for a shape below 2x2.
     """
     check_dimensions(width, height)
-    bfs = _PackedBFS(width, height, max_states)
     n = width * height
+    if n > 16:
+        raise ResourceLimitError(f"the enumeration supports at most 16 cells, got {n}")
     size = math.factorial(n) // 2
     if size > max_states:
         raise ResourceLimitError(
             f"{width}x{height} has {size} reachable states, over the {max_states} ceiling"
         )
-
-    seen = {bfs.goal: -1}
-    previous, frontier = [], [(bfs.goal, n - 1, -1)]
-    count, depth = 0, -1
-    while frontier:
-        count += len(frontier)
-        depth += 1
-        next_frontier, _ = bfs.expand(frontier, seen)
-        # The next layer's children lie in this layer or the one after it.
-        for state, _, _ in previous:
-            del seen[state]
-        previous, frontier = frontier, next_frontier
-    return EnumerationReport(count=count, max_depth=depth)
+    layers = _layers(_regions(width, height, n - 1), range(n - 1))
+    sizes = [sum(map(int.bit_count, frontier)) for frontier in layers]
+    return EnumerationReport(count=sum(sizes), max_depth=len(sizes) - 1)
 
 
 @dataclass(frozen=True, slots=True)

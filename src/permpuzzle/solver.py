@@ -2,8 +2,8 @@
 
 The oracle is a bidirectional BFS (Pohl 1971) whose goal side starts
 from a perimeter (Dillenburg & Nelson 1994; Manzini 1995), on the
-packed-state search that ``reachable_states`` also runs
-(``solvability._PackedBFS``). The goal's ball, every state within
+packed-state search of ``solvability._PackedBFS``, which keeps each
+state's last move. The goal's ball, every state within
 radius R of the goal as whole BFS layers of at most 2^14 states, is
 built once per shape (``solvability._goal_ball``), outside any query's
 node cap, and maps each state to its blank's last direction. A start

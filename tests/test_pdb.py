@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from permpuzzle import (
     Board,
+    EnumerationReport,
     Move,
     ParseError,
     PatternDatabase,
@@ -25,6 +26,7 @@ from permpuzzle import (
     ida_star,
     load_pdb,
     pdb_heuristic,
+    reachable_states,
     save_pdb,
 )
 from permpuzzle import pattern_db, pdb_build
@@ -238,6 +240,24 @@ class TestBuild:
             assert hashlib.sha256(build_pdb(width, height, tiles).table).hexdigest() == digest
         # Only {3,4,7,8} follows a table of its own shape and size.
         assert pdb_build._regions.cache_info()[:2] == (1, 4)
+
+    def test_enumeration_shares_the_tables_safely(self):
+        """reachable_states runs the build's search on the same one-entry
+        cache: builds around it still match their pins, and a build of its
+        shape and size reads the tables it left."""
+        all_but_blank = "84aa42e313364e67d10720f5cda4c1c6a79a2f73f72ecbcb7391ad1ffbfb1f32"
+        pinned = [
+            (3, 3, range(1, 9), all_but_blank),
+            (4, 4, (1, 2, 5, 6), "9d9d2304ca726402af2e1dee923e16e04303bbf83b8c264e0e2c82d240895405"),
+            (3, 3, range(1, 9), all_but_blank),
+        ]
+        pdb_build._regions.cache_clear()
+        for width, height, tiles, digest in pinned:
+            assert hashlib.sha256(build_pdb(width, height, tiles).table).hexdigest() == digest
+            assert reachable_states(3, 3) == EnumerationReport(count=181440, max_depth=31)
+        # Each enumeration after a 3x3 build, and the 3x3 build after an
+        # enumeration, reads the cached tables.
+        assert pdb_build._regions.cache_info()[:2] == (3, 3)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_swap_moves_exchange_adjacent_tiles(self, k):

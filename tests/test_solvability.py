@@ -155,12 +155,20 @@ class TestEnumeration:
         assert report.count == len(dist)
         assert report.max_depth == max(dist.values())
 
+    @pytest.mark.parametrize("width, height", [(2, 5), (5, 2)])
+    def test_10_cells_above_the_default_ceiling(self, width, height):
+        # Read from the packed-state BFS that enumerated before the region
+        # search; 10!/2 states, past the default ceiling.
+        report = reachable_states(width, height, max_states=2_000_000)
+        assert (report.count, report.max_depth) == (1814400, 55)
+
     def test_refuses_4x4_by_default(self):
         with pytest.raises(ResourceLimitError):
             reachable_states(4, 4)
 
     def test_refuses_more_than_16_cells(self):
-        # The enumeration and the exact oracle share the 4-bit packed format.
+        # Both refuse past 16 cells before any search: the exact oracle packs
+        # a board 4 bits per cell, and the enumeration keeps to the same shapes.
         with pytest.raises(ResourceLimitError, match="at most 16 cells"):
             reachable_states(5, 4)
         with pytest.raises(ResourceLimitError, match="at most 16 cells"):
