@@ -4,9 +4,9 @@
 blank region) states. The blank's cost-0 region is a component of the
 cells the pattern leaves free, which depends only on the set of pattern
 cells: C(n,k) sets, against P(n,k) placements. One pass over the sets,
-kept for the last shape and k, records each region's size and its cost-1
-slides. A layer maps each region to one int whose bit ``o`` is tile
-order ``o``, so a slide carries all k! orders at once: an OR when it
+kept for the last two shapes and sizes, records each region's size and
+its cost-1 slides. A layer maps each region to one int whose bit ``o``
+is tile order ``o``, so a slide carries all k! orders at once: an OR when it
 keeps the order, else a few mask-and-shift ops per adjacent swap first.
 The build holds the table, indexed ``set * k! + order``, one visited int
 per region and one placed int per set, and then writes the table in rank
@@ -74,12 +74,14 @@ def _swap_moves(k: int, p: int):
     return shift, [m * every << shift for m in moves.values()], [shift - d for d in moves]
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _regions(width: int, height: int, k: int):
     """Per-set tables for :func:`_layers`, the search of every k-tile
     :func:`build_pdb` on the shape and, with k = n - 1, of
-    :func:`~permpuzzle.solvability.reachable_states`. The one cached
-    entry is the last shape and k either asked for.
+    :func:`~permpuzzle.solvability.reachable_states`. The two cached
+    entries are the last two shapes and sizes either asked for, so an
+    enumeration, or a build of another size, between two builds of one
+    shape and size leaves the second its tables.
 
     Sets are numbered in ``itertools.combinations`` order. A set's free
     cells split into components, the blank's cost-0 regions, numbered by

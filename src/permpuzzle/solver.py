@@ -1,24 +1,5 @@
-"""Optimal solvers: an exact BFS oracle for small boards and IDA* search.
-
-The oracle is a bidirectional BFS (Pohl 1971) whose goal side starts
-from a perimeter (Dillenburg & Nelson 1994; Manzini 1995), on the
-packed-state search of ``solvability._PackedBFS``, which keeps each
-state's last move. The goal's ball, every state within
-radius R of the goal as whole BFS layers of at most 2^14 states, is
-built once per shape (``solvability._goal_ball``), outside any query's
-node cap, and maps each state to its blank's last direction. A start
-inside the ball unwinds to the goal with no expansion. Otherwise a ball
-grows from the start into its own visited map, a layer at a time, and
-the first new child found in the goal's ball is the meet. Once the
-start's frontier outgrows the ball's rim, its states at radius R, the
-goal's side grows too, from the rim into a per-query copy of the ball:
-as in the plain bidirectional search, the side with the smaller
-frontier is expanded, so a deep board costs no more than it did with
-no ball. A board is one int, 4 bits per cell with the blank as 0, so a
-slide is one multiply-xor by a constant that the per-shape step table
-IDA* uses carries for each move; that table never makes the move back
-to a parent. The path is rebuilt by undoing the recorded moves from
-the meeting state back to each root.
+"""Optimal solvers: an exact BFS oracle for small boards, described in
+:func:`bfs_optimal`, and IDA* search.
 
 IDA* runs depth-first with an f = g + h threshold raised to the smallest
 overflowing value each iteration; with the admissible heuristics offered
@@ -46,12 +27,13 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .board import MOVE_ORDER, Board, Move
+from .board import MOVE_ORDER, Board, Move, _row_steps, move_targets
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
 from .heuristics import _conflict_of, incremental
 from .pattern_db import PatternDatabase, PatternHeuristic, _summed_heuristic
-from .solvability import _goal_ball, _PackedBFS, certificate, is_solvable
+from .solvability import DEFAULT_MAX_STATES, certificate, is_solvable
 
 __all__ = [
     "SearchLimits",
@@ -66,6 +48,9 @@ HEURISTIC_NAMES = ("manhattan", "linear-conflict")
 
 _INF = 1 << 30
 _NEVER = 1 << 62  # a node count no search reaches
+# States in the oracle's goal ball: whole layers from the goal are kept
+# while they total at most this many (3x3: radius 16, 11,764 states).
+BALL_STATES = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,26 +105,150 @@ def _check_depth(limits: SearchLimits, bound: int, nodes: int):
         )
 
 
+class _PackedBFS:
+    """Breadth-first layers of ``(state, blank, last)`` over boards packed
+    4 bits per cell, label ``l`` on cell ``c`` as ``l << 4c`` and the
+    blank as 0, through a :func:`_goal_ball` step table. A visited map
+    sends each state to its blank's last direction, -1 at a root.
+    ``nodes`` counts expansions."""
+
+    def __init__(self, steps, targets, node_cap: int | None,
+                 max_time: float | None = None, t0: float = 0.0):
+        self.steps, self.targets = steps, targets
+        self.node_cap = DEFAULT_MAX_STATES if node_cap is None else node_cap
+        self.max_time, self.nodes = max_time, 0
+        self.deadline = t0 + max_time if max_time is not None else None
+
+    @staticmethod
+    def pack(cells) -> int:
+        n = len(cells)
+        state = 0
+        for cell, label in enumerate(cells):
+            state |= (label % n) << (4 * cell)
+        return state
+
+    def check(self, nodes: int, bound: int | None):
+        """Raise :class:`ResourceLimitError`, carrying ``nodes`` and
+        ``bound`` as its ``lower_bound``, once ``nodes`` passes
+        ``node_cap`` or ``max_time`` has passed."""
+        if nodes > self.node_cap:
+            limit = f"{self.node_cap} expansions"
+        elif self.deadline is not None and time.perf_counter() > self.deadline:
+            limit = f"{self.max_time}s"
+        else:
+            return
+        raise ResourceLimitError(f"BFS exceeded {limit}", nodes_expanded=nodes, lower_bound=bound)
+
+    def expand(self, frontier, seen: dict, other: dict | None = None, bound: int | None = None):
+        """Grow the ball ``seen`` maps by one layer.
+
+        Returns ``(next layer, meet)``. ``meet`` is None, or the first
+        new ``(child, child's blank, d)`` that ``other``, the other
+        side's visited map, holds, which stops the layer; ``seen`` maps
+        it too, to ``d``, the blank's direction into it. The limits are
+        read on the cap, on the first expansion and every 4096th after
+        it.
+        """
+        steps, node_cap, nodes = self.steps, self.node_cap, self.nodes
+        next_frontier = []
+        push = next_frontier.append
+        for state, blank, last in frontier:
+            nodes += 1
+            if nodes > node_cap or nodes & 4095 == 1:
+                self.check(nodes, bound)
+            for d, j, slide in steps[blank][last]:
+                # The tile times ``slide`` is the tile on both cells. Not
+                # ``+``: CPython gives a positive sum a spare digit for the
+                # carry, 8 more bytes in half the 3x3 children.
+                child = state ^ ((state >> 4 * j) & 15) * slide
+                if child not in seen:
+                    seen[child] = d
+                    if other and child in other:
+                        self.nodes = nodes
+                        return next_frontier, (child, j, d)
+                    push((child, j, d))
+        self.nodes = nodes
+        return next_frontier, None
+
+    def unwind(self, state: int, blank: int, d: int, seen: dict) -> list[int]:
+        """Directions from ``state`` back to its root, last move first:
+        ``d``, then those in ``seen``; each step moves the blank back."""
+        dirs = []
+        while d >= 0:
+            dirs.append(d)
+            prev = self.targets[4 * blank + (d ^ 1)]
+            state ^= ((state >> 4 * prev) & 15) * ((1 << 4 * blank) | (1 << 4 * prev))
+            blank = prev
+            d = seen[state]
+        return dirs
+
+
+@lru_cache(maxsize=None)
+def _goal_ball(width: int, height: int):
+    """``(steps, targets, ball, radius, rim)`` for the shape.
+
+    ``steps`` is :func:`~permpuzzle.board._row_steps` with ``(1 << 4z) |
+    (1 << 4j)`` as the row of the blank's move from cell ``z`` to cell
+    ``j``, and ``targets`` is :func:`~permpuzzle.board.move_targets`.
+    ``ball`` maps every state within ``radius`` moves of the goal to its
+    blank's last direction (-1 at the goal), whole layers while they
+    total at most :data:`BALL_STATES`, and ``rim`` is the layer at
+    ``radius``. Every query reads the same objects and none writes them.
+    """
+    n = width * height
+    targets = move_targets(width, height)
+    steps = _row_steps(width, height, [
+        (1 << 4 * z) | (1 << 4 * j) if j >= 0 else None
+        for z in range(n)
+        for j in targets[4 * z : 4 * z + 4]
+    ])
+    bfs = _PackedBFS(steps, targets, None)
+    goal = bfs.pack(range(1, n + 1))
+    ball = {goal: -1}
+    frontier, radius = [(goal, n - 1, -1)], 0
+    while True:
+        layer, _ = bfs.expand(frontier, ball)
+        if not layer or len(ball) > BALL_STATES:
+            break
+        frontier, radius = layer, radius + 1
+    if layer:  # past the ceiling
+        for state, _, _ in layer:
+            del ball[state]
+        ball = dict(ball)  # the copy drops the deleted slots
+    return steps, targets, ball, radius, frontier
+
+
 def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResult:
     """Minimum-length solution by bidirectional breadth-first search
-    whose goal side starts from the goal's ball.
+    (Pohl 1971) whose goal side starts from a perimeter (Dillenburg &
+    Nelson 1994; Manzini 1995).
 
-    The exact oracle, feasible only for small boards (default ceiling of
-    one million expansions covers everything up to 9 cells, and 4x4
-    boards to about 36 moves). The goal's ball holds every state within
-    radius R of the goal; it is built once per shape, on the shape's
-    first query. Its expansions count against no query's ``max_nodes``;
-    its build time, as for IDA*'s per-shape tables, falls within that
-    first query's ``max_time`` and ``elapsed``. A board inside it
-    unwinds to the goal with no expansion, the limits read once against
-    its exact length. Otherwise one ball grows from ``board`` and one
-    from the goal's ball's outer layer, a whole layer of the side with
-    the smaller frontier at a time (ties go to the start's side), and
-    the first child found in the other side's ball closes an optimal
-    path. ``nodes_expanded`` counts the states expanded in the query,
-    on either side. A :class:`ResourceLimitError` carries
-    ``lower_bound``: one more than the two radii (the goal's at least
-    R), which the optimal length is proven to reach.
+    The exact oracle, for boards of up to 16 cells (a board is one int,
+    4 bits per cell); the default ceiling of one million expansions
+    covers everything up to 9 cells, and 4x4 boards to about 36 moves.
+    The goal's ball, every state within radius R of the goal as whole
+    BFS layers of at most 2^14 states, each mapped to its blank's last
+    direction, is built once per shape, on its first query. Its
+    expansions count against no query's ``max_nodes``; its build time,
+    as for IDA*'s per-shape tables, falls within that first query's
+    ``max_time`` and ``elapsed``. One ball grows from ``board`` and one
+    from the goal's ball's outer layer, its rim, into a per-query copy,
+    a whole layer of the side with the smaller frontier at a time (ties
+    go to the start's side), so a deep board costs no more than it
+    would with no ball. The first child found in the other side's ball
+    is the meet, and a board inside the goal's ball is the meet before
+    any layer; undoing the recorded moves from it back to each root
+    gives an optimal path. A slide is one multiply-xor by a constant of
+    a per-shape step table that never makes the move back to a parent.
+
+    ``nodes_expanded`` counts the states expanded in the query, on
+    either side. A :class:`ResourceLimitError` carries ``lower_bound``:
+    one more than the two radii (the goal's at least R), which the
+    optimal length is proven to reach. A board inside the goal's ball
+    expands nothing, so it reads the limits once, against its exact
+    length. The limits bound a query's expansions and time but not its
+    memory, which holds both sides' visited maps and frontiers: one 4x4
+    query 36 moves out peaked at 207 MB RSS.
     """
     if limits is None:
         limits = _NO_LIMITS
@@ -147,47 +256,42 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     _require_solvable(board)
     if board.is_goal():
         return SearchResult((), 0, time.perf_counter() - t0)
-    bfs = _PackedBFS(board.width, board.height, limits.max_nodes, limits.max_time, t0)
-    ball, radius, rim, rim_blanks = _goal_ball(board.width, board.height)
+    if board.size > 16:
+        raise ResourceLimitError(f"packed-state BFS supports at most 16 cells, got {board.size}")
+    steps, targets, ball, radius, rim = _goal_ball(board.width, board.height)
+    bfs = _PackedBFS(steps, targets, limits.max_nodes, limits.max_time, t0)
 
     start, blank = bfs.pack(board.cells), board.blank_index - 1
-    if start in ball:
-        # No expansion reads the limits, so they are read here, against
-        # the exact length.
-        dirs = [e ^ 1 for e in bfs.unwind(start, blank, ball[start], ball)]
-        _check_depth(limits, len(dirs), 0)
-        bfs.check_clock(len(dirs))
-        return SearchResult(tuple(MOVE_ORDER[e] for e in dirs), 0, time.perf_counter() - t0)
-
-    # The goal's side starts from the shape's ball and its rim; it grows
-    # into a copy, so the shape's ball is never written. Until then its
-    # frontier is the rim's states alone.
+    # The goal's side grows into a copy, so the shape's ball is never
+    # written.
     maps = [{start: -1}, ball]
     frontiers = [[(start, blank, -1)], rim]
+    meet = (start, blank, -1) if start in ball else None
     # Before each layer the two balls share no state, so the optimal
     # length is at least both radii plus one.
     bound = radius + 1
-    while frontiers[0] and frontiers[1]:
+    while meet is None:
+        if not (frontiers[0] and frontiers[1]):
+            # Unreachable: solvability was checked up front.
+            raise PuzzleError("BFS exhausted the component without finding the goal")
         _check_depth(limits, bound, bfs.nodes)
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         if side and maps[1] is ball:
             maps[1] = dict(ball)
-            frontiers[1] = list(zip(rim, rim_blanks, map(ball.__getitem__, rim)))
         frontiers[side], meet = bfs.expand(frontiers[side], maps[side], maps[1 - side], bound)
-        if meet is not None:
-            # The start's ball up to the meeting state, then the goal's
-            # ball from it, undoing each of the goal side's moves.
-            child, blank, d = meet
-            dirs_in = [d, d]
-            dirs_in[1 - side] = maps[1 - side][child]
-            dirs = bfs.unwind(child, blank, dirs_in[0], maps[0])[::-1]
-            dirs.extend(e ^ 1 for e in bfs.unwind(child, blank, dirs_in[1], maps[1]))
-            moves = tuple(MOVE_ORDER[e] for e in dirs)
-            return SearchResult(moves, bfs.nodes, time.perf_counter() - t0)
         bound += 1
 
-    # Unreachable: solvability was checked up front.
-    raise PuzzleError("BFS exhausted the component without finding the goal")
+    # The start's ball up to the meeting state, which both maps hold,
+    # then the goal's ball from it, undoing each of the goal side's moves.
+    child, blank, _ = meet
+    dirs = bfs.unwind(child, blank, maps[0][child], maps[0])[::-1]
+    dirs.extend(e ^ 1 for e in bfs.unwind(child, blank, maps[1][child], maps[1]))
+    if not bfs.nodes:
+        # No expansion read the limits, so they are read here, against
+        # the exact length.
+        _check_depth(limits, len(dirs), 0)
+        bfs.check(0, len(dirs))
+    return SearchResult(tuple(MOVE_ORDER[e] for e in dirs), bfs.nodes, time.perf_counter() - t0)
 
 
 def _check_heuristic(heuristic, board: Board):

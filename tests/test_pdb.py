@@ -226,8 +226,8 @@ class TestBuild:
         assert calls == layers
 
     def test_patterns_of_one_shape_share_its_tables(self):
-        """The last shape's tables are kept for every pattern of its size:
-        each table matches its pin whatever shape was built before it."""
+        """The last two shapes' tables are kept for every pattern of their
+        sizes: each table matches its pin whatever shape was built before it."""
         pinned = [
             (4, 4, (1, 2, 5, 6), "9d9d2304ca726402af2e1dee923e16e04303bbf83b8c264e0e2c82d240895405"),
             (4, 4, (3, 4, 7, 8), "53a02d9b1b39bfbc0be0d9037b58c338617dfe889610502a7990c91f980071bc"),
@@ -242,7 +242,7 @@ class TestBuild:
         assert pdb_build._regions.cache_info()[:2] == (1, 4)
 
     def test_enumeration_shares_the_tables_safely(self):
-        """reachable_states runs the build's search on the same one-entry
+        """reachable_states runs the build's search on the same two-entry
         cache: builds around it still match their pins, and a build of its
         shape and size reads the tables it left."""
         all_but_blank = "84aa42e313364e67d10720f5cda4c1c6a79a2f73f72ecbcb7391ad1ffbfb1f32"
@@ -255,9 +255,20 @@ class TestBuild:
         for width, height, tiles, digest in pinned:
             assert hashlib.sha256(build_pdb(width, height, tiles).table).hexdigest() == digest
             assert reachable_states(3, 3) == EnumerationReport(count=181440, max_depth=31)
-        # Each enumeration after a 3x3 build, and the 3x3 build after an
-        # enumeration, reads the cached tables.
-        assert pdb_build._regions.cache_info()[:2] == (3, 3)
+        # Only the first 3x3 build and the 4x4 one build their tables: the
+        # 4x4 build leaves the 3x3 tables cached for the three calls after it.
+        assert pdb_build._regions.cache_info()[:2] == (4, 2)
+
+    def test_enumeration_leaves_a_build_its_tables(self):
+        """An enumeration between two builds of one shape and size does not
+        evict the first build's tables."""
+        pdb_build._regions.cache_clear()
+        digest = "53a02d9b1b39bfbc0be0d9037b58c338617dfe889610502a7990c91f980071bc"
+        for _ in range(2):
+            assert hashlib.sha256(build_pdb(4, 4, [3, 4, 7, 8]).table).hexdigest() == digest
+            reachable_states(3, 3)
+        info = pdb_build._regions.cache_info()
+        assert info.misses == 2 and info.hits >= 1
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_swap_moves_exchange_adjacent_tiles(self, k):

@@ -19,7 +19,7 @@ from permpuzzle import (
     verify_sequence,
 )
 
-from permpuzzle.solvability import BALL_STATES, _goal_ball, _PackedBFS
+from permpuzzle.solver import BALL_STATES, _goal_ball, _PackedBFS
 
 from oracles import exact_distances, inversion_sign
 
@@ -167,8 +167,8 @@ class TestEnumeration:
             reachable_states(4, 4)
 
     def test_refuses_more_than_16_cells(self):
-        # Both refuse past 16 cells before any search: the exact oracle packs
-        # a board 4 bits per cell, and the enumeration keeps to the same shapes.
+        # Both refuse past 16 cells before any search, whatever their
+        # ceilings; the exact oracle because it packs a board 4 bits per cell.
         with pytest.raises(ResourceLimitError, match="at most 16 cells"):
             reachable_states(5, 4)
         with pytest.raises(ResourceLimitError, match="at most 16 cells"):
@@ -194,7 +194,7 @@ class TestPackedSteps:
         # board after the move, and unwinding that one step lands on the
         # parent, the only state in the map. A ball holding the last
         # child stops the layer there and hands that child back.
-        bfs = _PackedBFS(width, height, None)
+        bfs = _PackedBFS(*_goal_ball(width, height)[:2], None)
         rng = random.Random(f"packed/{width}x{height}")
         cells = list(range(1, width * height + 1))
         for _ in range(50):
@@ -219,13 +219,16 @@ class TestGoalBall:
     def test_whole_layers_within_the_ceiling(self, width, height, size, radius):
         # Exactly the states within the radius, and one more layer would
         # pass the ceiling unless the component is already whole.
-        ball, r, rim, rim_blanks = _goal_ball(width, height)
+        _, _, ball, r, rim = _goal_ball(width, height)
         dist = exact_distances(width, height)
         assert (len(ball), r) == (size, radius)
         assert set(ball) == {_PackedBFS.pack(c) for c, d in dist.items() if d <= r}
-        assert set(rim) == {_PackedBFS.pack(c) for c, d in dist.items() if d == r}
-        assert len(rim) == len(rim_blanks)
-        assert all((state >> 4 * j) & 15 == 0 for state, j in zip(rim, rim_blanks))
+        assert {state for state, _, _ in rim} == {
+            _PackedBFS.pack(c) for c, d in dist.items() if d == r
+        }
+        # Each rim entry is a frontier entry: the blank's nibble is 0 and
+        # the direction is the one the ball records.
+        assert all((state >> 4 * j) & 15 == 0 and ball[state] == d for state, j, d in rim)
         assert size <= BALL_STATES
         next_size = sum(1 for d in dist.values() if d <= r + 1)
         assert next_size > BALL_STATES or next_size == len(dist)

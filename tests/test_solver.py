@@ -21,7 +21,7 @@ from permpuzzle import (
     scramble,
     verify_sequence,
 )
-from permpuzzle import solvability, solver
+from permpuzzle import solver
 from permpuzzle.board import _blank_steps, move_targets
 
 from oracles import exact_distances
@@ -239,7 +239,7 @@ class TestBfsOptimal:
         """Sets the goal ball's ceiling for the test; the shapes' balls are
         rebuilt on either side of it."""
         def set_ceiling(states):
-            monkeypatch.setattr(solvability, "BALL_STATES", states)
+            monkeypatch.setattr(solver, "BALL_STATES", states)
             solver._goal_ball.cache_clear()
         yield set_ceiling
         solver._goal_ball.cache_clear()
