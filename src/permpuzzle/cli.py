@@ -19,7 +19,7 @@ from .errors import ParseError, ResourceLimitError, UnsolvableError
 from .pattern_db import PatternHeuristic, load_pdb, save_pdb
 from .pdb_build import build_pdb
 from .solvability import certificate, reachable_states, verify_sequence
-from .solver import SearchLimits, ida_star
+from .solver import HEURISTIC_NAMES, SearchLimits, ida_star
 
 EXIT_UNSOLVABLE = 1
 EXIT_INPUT = 2
@@ -91,7 +91,7 @@ def cycles(board, two_line):
 
 @main.command()
 @click.argument("board", default="-")
-@click.option("--heuristic", type=click.Choice(["manhattan", "linear-conflict", "pdb"]),
+@click.option("--heuristic", type=click.Choice([*HEURISTIC_NAMES, "pdb"]),
               default="linear-conflict", show_default=True,
               help="Admissible bound driving the search.")
 @click.option("--pdb", "pdb_paths", multiple=True, metavar="PATH",

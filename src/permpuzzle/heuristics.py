@@ -2,8 +2,8 @@
 
 Both functions never exceed the true solution length, so iterative
 deepening on f = g + h stays optimal. This module also owns their
-``(h0, steps, regs)`` form for IDA* (see :mod:`.solver`), over a step
-table built on the shape's first solve; Manhattan's rows hold only ints.
+``(h0, steps, regs)`` form for IDA* (see :mod:`.solver`), by name in
+:data:`INCREMENTAL`, over a per-shape step table of int-only Manhattan rows.
 Pattern databases own theirs in :mod:`.pattern_db`.
 
 Linear conflict reads each goal line as an integer key: the line's
@@ -32,7 +32,7 @@ from __future__ import annotations
 import gc
 import math
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import pattern_db
 from .board import Board, _row_steps, move_targets
@@ -250,11 +250,14 @@ def _step_table(width: int, height: int, conflicts: bool):
             gc.enable()
 
 
-def incremental(board: Board, name: str):
-    """``name``'s ``(h0, steps, regs)``; linear conflict's regs are line keys."""
-    if name == "manhattan":
-        steps = _step_table(board.width, board.height, False)  # its ceiling first
-        return manhattan(board), steps, []
-    steps = _step_table(board.width, board.height, True)
-    h0, keys = _linear_conflict(board)
+def _incremental(conflicts: bool, board: Board):
+    """Manhattan's ``(h0, steps, regs)``, or with ``conflicts`` linear
+    conflict's, whose regs are the line keys."""
+    steps = _step_table(board.width, board.height, conflicts)  # its ceiling first
+    h0, keys = _linear_conflict(board) if conflicts else (manhattan(board), [])
     return h0, steps, keys
+
+
+# The named heuristics, each with its ``(h0, steps, regs)`` function.
+INCREMENTAL = {"manhattan": partial(_incremental, False),
+               "linear-conflict": partial(_incremental, True)}

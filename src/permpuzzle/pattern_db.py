@@ -14,11 +14,12 @@ k-selection out of the n cells).
 
 :func:`.pdb_build.build_pdb` builds the tables, placing a set's k!
 entries at once by :func:`rank_weights`. This module owns the one
-reader, :class:`PatternHeuristic`, and its IDA* form
-(:meth:`PatternHeuristic.incremental`). It ranks nothing: it expands
-each table once into an in-memory positional index of n^k bytes, keyed
-by the pattern tiles' cells as base-n digits, which IDA* carries in a
-register per database and a move shifts by a fixed stride. Files keep
+reader, :class:`PatternHeuristic`, and its ``(h0, steps, regs)`` form
+for IDA* (:meth:`PatternHeuristic.incremental`), described in
+:mod:`.solver`. It ranks nothing: it expands each table once into an
+in-memory positional index of n^k bytes, keyed by the pattern tiles'
+cells as base-n digits, which IDA* carries in a register per database
+and a move shifts by a fixed stride. Files keep
 the rank-ordered table; there is no rank-order read, and one table is
 read as ``pdb_heuristic(board, [db])``. One byte ceiling,
 ``DEFAULT_MAX_BYTES``, covers the build and the summed indexes each.

@@ -8,11 +8,12 @@ U, D, L, R) and the move that undoes the previous one is pruned by its
 direction, through a per-shape table (``board._blank_steps``) built
 on the shape's first solve, so node counts are reproducible.
 
-Every heuristic reaches the search as ``(h0, steps, regs)`` from its own
-module: the start's value, ``board._blank_steps`` with a row attached to
-each pair as ``(d, j, row)``, and a fresh list of integer registers. The
-tile ``t`` sliding into the blank reads ``row[t]``: an int is the change
-of h; ``(dh, s, off, T, more)`` gives ``h + dh + T[regs[s] + off] -
+Every heuristic reaches the search through one call, its module's
+``incremental(board)``, as ``(h0, steps, regs)``: the start's value,
+``board._blank_steps`` with a row attached to each pair as
+``(d, j, row)``, and a fresh list of integer registers. The tile ``t``
+sliding into the blank reads ``row[t]``: an int is the change of h;
+``(dh, s, off, T, more)`` gives ``h + dh + T[regs[s] + off] -
 T[regs[s]]`` and adds ``off`` to ``regs[s]`` and ``o2`` to ``regs[s2]``
 for each ``(s2, o2)`` in ``more`` until the search backs out. ``T`` is
 a PDB index or a linear-conflict table; the latter is a plain ``dict``
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 from .board import MOVE_ORDER, Board, Move, _row_steps, move_targets
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
-from .heuristics import _conflict_of, incremental
+from .heuristics import INCREMENTAL, _conflict_of
 from .pattern_db import PatternDatabase, PatternHeuristic, _summed_heuristic
 from .solvability import DEFAULT_MAX_STATES, certificate, is_solvable
 
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 # Named heuristics usable without prebuilt tables.
-HEURISTIC_NAMES = ("manhattan", "linear-conflict")
+HEURISTIC_NAMES = tuple(INCREMENTAL)
 
 _INF = 1 << 30
 _NEVER = 1 << 62  # a node count no search reaches
@@ -84,25 +85,59 @@ class SearchResult:
 _NO_LIMITS = SearchLimits()
 
 
-def _require_solvable(board: Board):
-    """Raise :class:`UnsolvableError` with the certificate, built only then."""
-    if not is_solvable(board):
-        cert = certificate(board)
-        raise UnsolvableError(
-            "goal unreachable: configuration parity "
-            f"{cert.config_parity} vs blank parity {cert.blank_parity}",
-            certificate=cert,
-        )
+class _Budget:
+    """One search's limits and answer, timed from its start; ``cap``
+    stands for an unset ``max_nodes``. A search calls :meth:`spend` when
+    its expansion count reaches ``due``: past the cap, and while there is
+    a deadline on the first expansion and every 2048th after it. A limit
+    error's ``lower_bound`` is a length the optimal solution must reach."""
 
+    __slots__ = ("name", "limits", "t0", "cap", "deadline", "due")
 
-def _check_depth(limits: SearchLimits, bound: int, nodes: int):
-    """Raise when ``bound``, a length the optimal solution is proven to
-    reach, passes ``limits.max_depth``."""
-    if limits.max_depth is not None and bound > limits.max_depth:
-        raise ResourceLimitError(
-            f"no solution within depth {limits.max_depth}",
-            nodes_expanded=nodes, lower_bound=bound,
-        )
+    def __init__(self, name: str, limits: SearchLimits | None, cap: int = _NEVER):
+        self.t0 = time.perf_counter()
+        limits = _NO_LIMITS if limits is None else limits
+        self.name, self.limits = name, limits
+        self.cap = cap if limits.max_nodes is None else limits.max_nodes
+        self.deadline = None if limits.max_time is None else self.t0 + limits.max_time
+        self.due = 1 if self.deadline is not None else self.cap + 1
+
+    def admit(self, board: Board) -> SearchResult | None:
+        """The goal's empty answer, or None for a board to search. An
+        unsolvable board raises :class:`UnsolvableError` with its
+        certificate, built only then."""
+        if not is_solvable(board):
+            cert = certificate(board)
+            raise UnsolvableError(
+                "goal unreachable: configuration parity "
+                f"{cert.config_parity} vs blank parity {cert.blank_parity}",
+                certificate=cert,
+            )
+        return self.answer((), 0) if board.is_goal() else None
+
+    def error(self, message: str, nodes: int, bound: int) -> ResourceLimitError:
+        return ResourceLimitError(message, nodes_expanded=nodes, lower_bound=bound)
+
+    def depth(self, nodes: int, bound: int) -> None:
+        """Raise when ``bound`` passes ``max_depth``."""
+        max_depth = self.limits.max_depth
+        if max_depth is not None and bound > max_depth:
+            raise self.error(f"no solution within depth {max_depth}", nodes, bound)
+
+    def spend(self, nodes: int, bound: int) -> int:
+        """Raise once ``nodes`` passes the cap or the clock the deadline;
+        else the next expansion due, which ``due`` keeps."""
+        if nodes > self.cap:
+            raise self.error(f"{self.name} exceeded {self.cap} expansions", nodes, bound)
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise self.error(f"{self.name} exceeded {self.limits.max_time}s", nodes, bound)
+        self.due = min(self.cap + 1, nodes + 2048)
+        return self.due
+
+    def answer(self, dirs, nodes: int) -> SearchResult:
+        """The result of the blank's directions ``dirs``, first move first."""
+        moves = tuple(MOVE_ORDER[d] for d in dirs)
+        return SearchResult(moves, nodes, time.perf_counter() - self.t0)
 
 
 class _PackedBFS:
@@ -110,14 +145,10 @@ class _PackedBFS:
     4 bits per cell, label ``l`` on cell ``c`` as ``l << 4c`` and the
     blank as 0, through a :func:`_goal_ball` step table. A visited map
     sends each state to its blank's last direction, -1 at a root.
-    ``nodes`` counts expansions."""
+    ``nodes`` counts expansions, spent from ``budget`` when one is given."""
 
-    def __init__(self, steps, targets, node_cap: int | None,
-                 max_time: float | None = None, t0: float = 0.0):
-        self.steps, self.targets = steps, targets
-        self.node_cap = DEFAULT_MAX_STATES if node_cap is None else node_cap
-        self.max_time, self.nodes = max_time, 0
-        self.deadline = t0 + max_time if max_time is not None else None
+    def __init__(self, steps, targets, budget: _Budget | None = None):
+        self.steps, self.targets, self.budget, self.nodes = steps, targets, budget, 0
 
     @staticmethod
     def pack(cells) -> int:
@@ -127,35 +158,23 @@ class _PackedBFS:
             state |= (label % n) << (4 * cell)
         return state
 
-    def check(self, nodes: int, bound: int | None):
-        """Raise :class:`ResourceLimitError`, carrying ``nodes`` and
-        ``bound`` as its ``lower_bound``, once ``nodes`` passes
-        ``node_cap`` or ``max_time`` has passed."""
-        if nodes > self.node_cap:
-            limit = f"{self.node_cap} expansions"
-        elif self.deadline is not None and time.perf_counter() > self.deadline:
-            limit = f"{self.max_time}s"
-        else:
-            return
-        raise ResourceLimitError(f"BFS exceeded {limit}", nodes_expanded=nodes, lower_bound=bound)
-
     def expand(self, frontier, seen: dict, other: dict | None = None, bound: int | None = None):
         """Grow the ball ``seen`` maps by one layer.
 
         Returns ``(next layer, meet)``. ``meet`` is None, or the first
         new ``(child, child's blank, d)`` that ``other``, the other
         side's visited map, holds, which stops the layer; ``seen`` maps
-        it too, to ``d``, the blank's direction into it. The limits are
-        read on the cap, on the first expansion and every 4096th after
-        it.
+        it too, to ``d``, the blank's direction into it. ``bound`` is
+        the ``lower_bound`` of a limit the layer hits.
         """
-        steps, node_cap, nodes = self.steps, self.node_cap, self.nodes
+        steps, budget, nodes = self.steps, self.budget, self.nodes
+        due = _NEVER if budget is None else budget.due
         next_frontier = []
         push = next_frontier.append
         for state, blank, last in frontier:
             nodes += 1
-            if nodes > node_cap or nodes & 4095 == 1:
-                self.check(nodes, bound)
+            if nodes >= due:
+                due = budget.spend(nodes, bound)
             for d, j, slide in steps[blank][last]:
                 # The tile times ``slide`` is the tile on both cells. Not
                 # ``+``: CPython gives a positive sum a spare digit for the
@@ -202,7 +221,7 @@ def _goal_ball(width: int, height: int):
         for z in range(n)
         for j in targets[4 * z : 4 * z + 4]
     ])
-    bfs = _PackedBFS(steps, targets, None)
+    bfs = _PackedBFS(steps, targets)
     goal = bfs.pack(range(1, n + 1))
     ball = {goal: -1}
     frontier, radius = [(goal, n - 1, -1)], 0
@@ -250,20 +269,16 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     memory, which holds both sides' visited maps and frontiers: one 4x4
     query 36 moves out peaked at 207 MB RSS.
     """
-    if limits is None:
-        limits = _NO_LIMITS
-    t0 = time.perf_counter()
-    _require_solvable(board)
-    if board.is_goal():
-        return SearchResult((), 0, time.perf_counter() - t0)
+    budget = _Budget("BFS", limits, DEFAULT_MAX_STATES)
+    if (done := budget.admit(board)) is not None:
+        return done
     if board.size > 16:
         raise ResourceLimitError(f"packed-state BFS supports at most 16 cells, got {board.size}")
     steps, targets, ball, radius, rim = _goal_ball(board.width, board.height)
-    bfs = _PackedBFS(steps, targets, limits.max_nodes, limits.max_time, t0)
+    bfs = _PackedBFS(steps, targets, budget)
 
     start, blank = bfs.pack(board.cells), board.blank_index - 1
-    # The goal's side grows into a copy, so the shape's ball is never
-    # written.
+    # The goal's side grows into a copy; the shape's ball is never written.
     maps = [{start: -1}, ball]
     frontiers = [[(start, blank, -1)], rim]
     meet = (start, blank, -1) if start in ball else None
@@ -274,7 +289,7 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
         if not (frontiers[0] and frontiers[1]):
             # Unreachable: solvability was checked up front.
             raise PuzzleError("BFS exhausted the component without finding the goal")
-        _check_depth(limits, bound, bfs.nodes)
+        budget.depth(bfs.nodes, bound)
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         if side and maps[1] is ball:
             maps[1] = dict(ball)
@@ -287,38 +302,27 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     dirs = bfs.unwind(child, blank, maps[0][child], maps[0])[::-1]
     dirs.extend(e ^ 1 for e in bfs.unwind(child, blank, maps[1][child], maps[1]))
     if not bfs.nodes:
-        # No expansion read the limits, so they are read here, against
-        # the exact length.
-        _check_depth(limits, len(dirs), 0)
-        bfs.check(0, len(dirs))
-    return SearchResult(tuple(MOVE_ORDER[e] for e in dirs), bfs.nodes, time.perf_counter() - t0)
+        # No expansion read the limits: read them against the exact length.
+        budget.depth(0, len(dirs))
+        budget.spend(0, len(dirs))
+    return budget.answer(dirs, bfs.nodes)
 
 
 def _check_heuristic(heuristic, board: Board):
-    """The heuristic argument checked against ``board`` and normalised to
-    a name from :data:`HEURISTIC_NAMES` or a :class:`PatternHeuristic`.
-    Builds no per-shape table."""
+    """The ``incremental`` function, board to ``(h0, steps, regs)``, of
+    the heuristic argument checked against ``board``. Builds no per-shape
+    table."""
     if isinstance(heuristic, str):
         name = heuristic.lower().replace("_", "-")
-        if name not in HEURISTIC_NAMES:
-            raise ValueError(
-                f"unknown heuristic {heuristic!r}; named options: {HEURISTIC_NAMES}"
-            )
-        return name
+        if name not in INCREMENTAL:
+            raise ValueError(f"unknown heuristic {heuristic!r}; named options: {HEURISTIC_NAMES}")
+        return INCREMENTAL[name]
     if isinstance(heuristic, PatternDatabase):
         heuristic = [heuristic]
     if not isinstance(heuristic, PatternHeuristic):
         heuristic = _summed_heuristic(heuristic)
     heuristic.check_shape(board)
-    return heuristic
-
-
-def _resolve_heuristic(heuristic, board: Board):
-    """``(h0, steps, regs)`` for a heuristic :func:`_check_heuristic` has
-    normalised, from the layer that owns it."""
-    if isinstance(heuristic, str):
-        return incremental(board, heuristic)
-    return heuristic.incremental(board)
+    return heuristic.incremental
 
 
 def ida_star(
@@ -342,26 +346,18 @@ def ida_star(
     a path deeper than Python's recursion limit (about 1000 moves) ends
     in that error too.
     """
-    if limits is None:
-        limits = _NO_LIMITS
-    t0 = time.perf_counter()
+    budget = _Budget("IDA*", limits)
     # The argument first, then the board; the per-shape tables last, so a
     # goal or unsolvable board never waits for them or hits their ceiling.
-    heuristic = _check_heuristic(heuristic, board)
-    _require_solvable(board)
-    if board.is_goal():
-        return SearchResult((), 0, time.perf_counter() - t0)
+    incremental = _check_heuristic(heuristic, board)
+    if (done := budget.admit(board)) is not None:
+        return done
     n = board.size
-    h0, steps, regs = _resolve_heuristic(heuristic, board)
+    h0, steps, regs = incremental(board)
     tiles = list(board.cells)
     blank0 = board.blank_index - 1
     goal_tiles = list(range(1, n + 1))
-    deadline = t0 + limits.max_time if limits.max_time is not None else None
-    nodes = 0
-    # The expansion at which the cap or the clock (1, then every 2048th) is due.
-    cap = limits.max_nodes + 1 if limits.max_nodes is not None else _NEVER
-    tick = 1 if deadline is not None else _NEVER
-    due = min(cap, tick)
+    nodes, due = 0, budget.due
     path: list[int] = []  # the moves, last first, written on the way out
 
     def dfs(blank: int, g: int, bound: int, last: int, h: int) -> int:
@@ -370,21 +366,10 @@ def ida_star(
         direction the blank moved to reach ``blank`` (-1 at the root). The
         undo move is pruned by direction: ``steps[blank][last]``, from the
         per-shape table, leaves it out."""
-        nonlocal nodes, tick, due
+        nonlocal nodes, due
         nodes += 1
         if nodes >= due:
-            if nodes >= cap:
-                raise ResourceLimitError(
-                    f"IDA* exceeded {limits.max_nodes} expansions",
-                    nodes_expanded=nodes, lower_bound=bound,
-                )
-            if time.perf_counter() > deadline:
-                raise ResourceLimitError(
-                    f"IDA* exceeded {limits.max_time}s",
-                    nodes_expanded=nodes, lower_bound=bound,
-                )
-            tick += 2048
-            due = min(cap, tick)
+            due = budget.spend(nodes, bound)
         mn = _INF
         g1 = g + 1
         for d, j, row in steps[blank][last]:
@@ -430,17 +415,14 @@ def ida_star(
 
     bound = h0
     while True:
-        _check_depth(limits, bound, nodes)
+        budget.depth(nodes, bound)
         try:
             r = dfs(blank0, 0, bound, -1, h0)
         except RecursionError:
-            raise ResourceLimitError(
-                f"IDA* search deeper than the recursion limit ({sys.getrecursionlimit()})",
-                nodes_expanded=nodes, lower_bound=bound,
-            ) from None
+            limit = f"the recursion limit ({sys.getrecursionlimit()})"
+            raise budget.error(f"IDA* search deeper than {limit}", nodes, bound) from None
         if r < 0:
-            moves = tuple(MOVE_ORDER[d] for d in reversed(path))
-            return SearchResult(moves, nodes, time.perf_counter() - t0)
+            return budget.answer(reversed(path), nodes)
         if r >= _INF:
             raise PuzzleError("IDA* exhausted the space without a solution")
         bound = r

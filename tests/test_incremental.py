@@ -29,7 +29,7 @@ from permpuzzle import (
 )
 from permpuzzle.board import move_targets
 from permpuzzle.heuristics import _conflict_of
-from permpuzzle.solver import _resolve_heuristic
+from permpuzzle.solver import _check_heuristic
 
 # (width, height): 2x4 and 4x2 keep rows and columns of unequal length.
 SHAPES = [(2, 4), (4, 2), (3, 3), (4, 4)]
@@ -84,11 +84,12 @@ def test_incremental_value_equals_from_scratch(walk):
     def scratch(tiles):
         """Each heuristic's ``(h, regs)`` rebuilt from the whole board."""
         now = Board(width, height, tuple(tiles))
-        terms = [_resolve_heuristic(h, now) for h, _ in checks]
+        terms = [_check_heuristic(h, now)(now) for h, _ in checks]
         assert [h0 for h0, _, _ in terms] == [value(now) for _, value in checks]
         return [(h0, regs) for h0, _, regs in terms]
 
-    terms = [_resolve_heuristic(h, Board(width, height, tuple(cells))) for h, _ in checks]
+    board = Board(width, height, tuple(cells))
+    terms = [_check_heuristic(h, board)(board) for h, _ in checks]
     state = [(h0, list(regs)) for h0, _, regs in terms]
     start = scratch(cells)
     assert state == start

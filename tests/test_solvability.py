@@ -194,7 +194,7 @@ class TestPackedSteps:
         # board after the move, and unwinding that one step lands on the
         # parent, the only state in the map. A ball holding the last
         # child stops the layer there and hands that child back.
-        bfs = _PackedBFS(*_goal_ball(width, height)[:2], None)
+        bfs = _PackedBFS(*_goal_ball(width, height)[:2])
         rng = random.Random(f"packed/{width}x{height}")
         cells = list(range(1, width * height + 1))
         for _ in range(50):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -70,7 +71,7 @@ class TestBfsOptimal:
         assert exc.value.nodes_expanded is not None
 
     def test_expired_deadline_stops_a_short_search(self):
-        # Solved in 282 expansions, under the 4096 between clock reads. The
+        # Solved in 282 expansions, under the 2048 between clock reads. The
         # board lies 26 moves out, past the goal's ball of radius 16, so the
         # bound before the first layer is 0 + 16 + 1.
         b, _ = scramble(3, 3, 60, 2)
@@ -441,14 +442,19 @@ class TestIdaStar:
             return time.perf_counter()
 
         monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=perf_counter))
-        board = scramble(4, 4, 40, 7)[0]
-        result = ida_star(board, "manhattan", SearchLimits(max_time=float("inf")))
-        # The start and the end, plus expansions 1, 2049, ..., 30721.
-        assert result.nodes_expanded == 32549
-        assert len(reads) == 2 + 16
-        reads.clear()
-        assert ida_star(board, "manhattan").nodes_expanded == 32549
-        assert len(reads) == 2
+        # IDA* and the oracle read the same clock: the start and the end,
+        # plus expansions 1, 2049, ..., 30721 and 1, 2049, ..., 10241.
+        for search, board, nodes, clock_reads in [
+            (partial(ida_star, heuristic="manhattan"), scramble(4, 4, 40, 7)[0], 32549, 2 + 16),
+            (bfs_optimal, scramble(4, 4, 30, 0)[0], 11620, 2 + 6),
+        ]:
+            reads.clear()
+            result = search(board, limits=SearchLimits(max_time=float("inf")))
+            assert result.nodes_expanded == nodes
+            assert len(reads) == clock_reads
+            reads.clear()
+            assert search(board).nodes_expanded == nodes
+            assert len(reads) == 2
 
     def test_path_past_the_recursion_limit_is_a_resource_limit(self, deep_board):
         # IDA* recurses once per move; the first bound, h(start) = 1039,
