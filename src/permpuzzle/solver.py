@@ -28,7 +28,6 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .board import MOVE_ORDER, Board, Move, _row_steps, move_targets
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
@@ -50,8 +49,8 @@ HEURISTIC_NAMES = tuple(INCREMENTAL)
 _INF = 1 << 30
 _NEVER = 1 << 62  # a node count no search reaches
 # States in the oracle's goal ball: whole layers from the goal are kept
-# while they total at most this many (3x3: radius 16, 11,764 states).
-BALL_STATES = 1 << 14
+# while they total at most this many (3x3: radius 18, 26,931 states).
+BALL_STATES = 1 << 15
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +139,21 @@ class _Budget:
         return SearchResult(moves, nodes, time.perf_counter() - self.t0)
 
 
+class _BuildClock(_Budget):
+    """A query's deadline alone, read on the search's cadence while the
+    query waits for its shape's goal ball: the build's expansions are no
+    query's, so no cap stops them and a limit error reports none."""
+
+    __slots__ = ()
+
+    def __init__(self, budget: _Budget):
+        self.name, self.limits, self.t0 = budget.name, budget.limits, budget.t0
+        self.cap, self.deadline, self.due = _NEVER, budget.deadline, 1
+
+    def error(self, message: str, nodes: int, bound: int) -> ResourceLimitError:
+        return super().error(message, 0, bound)
+
+
 class _PackedBFS:
     """Breadth-first layers of ``(state, blank, last)`` over boards packed
     4 bits per cell, label ``l`` on cell ``c`` as ``l << 4c`` and the
@@ -202,9 +216,13 @@ class _PackedBFS:
         return dirs
 
 
-@lru_cache(maxsize=None)
-def _goal_ball(width: int, height: int):
-    """``(steps, targets, ball, radius, rim)`` for the shape.
+# Each shape's goal ball, stored once its build has run to the end.
+_balls: dict = {}
+
+
+def _goal_ball(width: int, height: int, budget: _Budget | None = None):
+    """``(steps, targets, ball, radius, rim)`` for the shape, built on
+    its first call under ``budget``'s deadline, if it has one.
 
     ``steps`` is :func:`~permpuzzle.board._row_steps` with ``(1 << 4z) |
     (1 << 4j)`` as the row of the blank's move from cell ``z`` to cell
@@ -213,7 +231,11 @@ def _goal_ball(width: int, height: int):
     blank's last direction (-1 at the goal), whole layers while they
     total at most :data:`BALL_STATES`, and ``rim`` is the layer at
     ``radius``. Every query reads the same objects and none writes them.
+    A deadline that passes mid-build raises with no expansion and the
+    bound 1, and keeps nothing: the next call builds again.
     """
+    if (shape := _balls.get((width, height))) is not None:
+        return shape
     n = width * height
     targets = move_targets(width, height)
     steps = _row_steps(width, height, [
@@ -221,12 +243,14 @@ def _goal_ball(width: int, height: int):
         for z in range(n)
         for j in targets[4 * z : 4 * z + 4]
     ])
-    bfs = _PackedBFS(steps, targets)
+    clock = None if budget is None or budget.deadline is None else _BuildClock(budget)
+    bfs = _PackedBFS(steps, targets, clock)
     goal = bfs.pack(range(1, n + 1))
     ball = {goal: -1}
     frontier, radius = [(goal, n - 1, -1)], 0
     while True:
-        layer, _ = bfs.expand(frontier, ball)
+        # A query's board is not the goal, so it lies at least 1 move out.
+        layer, _ = bfs.expand(frontier, ball, bound=1)
         if not layer or len(ball) > BALL_STATES:
             break
         frontier, radius = layer, radius + 1
@@ -234,7 +258,8 @@ def _goal_ball(width: int, height: int):
         for state, _, _ in layer:
             del ball[state]
         ball = dict(ball)  # the copy drops the deleted slots
-    return steps, targets, ball, radius, frontier
+    shape = _balls[width, height] = (steps, targets, ball, radius, frontier)
+    return shape
 
 
 def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResult:
@@ -246,18 +271,20 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     4 bits per cell); the default ceiling of one million expansions
     covers everything up to 9 cells, and 4x4 boards to about 36 moves.
     The goal's ball, every state within radius R of the goal as whole
-    BFS layers of at most 2^14 states, each mapped to its blank's last
+    BFS layers of at most 2^15 states, each mapped to its blank's last
     direction, is built once per shape, on its first query. Its
-    expansions count against no query's ``max_nodes``; its build time,
-    as for IDA*'s per-shape tables, falls within that first query's
-    ``max_time`` and ``elapsed``. One ball grows from ``board`` and one
-    from the goal's ball's outer layer, its rim, into a per-query copy,
-    a whole layer of the side with the smaller frontier at a time (ties
-    go to the start's side), so a deep board costs no more than it
-    would with no ball. The first child found in the other side's ball
-    is the meet, and a board inside the goal's ball is the meet before
-    any layer; undoing the recorded moves from it back to each root
-    gives an optimal path. A slide is one multiply-xor by a constant of
+    expansions count against no query's ``max_nodes``; its build time
+    falls within that first query's ``max_time``, read on the search's
+    cadence, and ``elapsed``. A deadline that passes during the build
+    raises with ``nodes_expanded`` 0 and ``lower_bound`` 1, and the
+    next query builds the ball again. One ball grows from ``board``
+    and one from the goal's ball's outer layer, its rim, into a
+    per-query copy, a whole layer of the side with the smaller frontier
+    at a time (ties go to the start's side), so a deep board costs no
+    more than it would with no ball. The first child found in the other
+    side's ball is the meet, and a board inside the goal's ball is the
+    meet before any layer; undoing the recorded moves from it back to
+    each root gives an optimal path. A slide is one multiply-xor by a constant of
     a per-shape step table that never makes the move back to a parent.
 
     ``nodes_expanded`` counts the states expanded in the query, on
@@ -274,7 +301,7 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
         return done
     if board.size > 16:
         raise ResourceLimitError(f"packed-state BFS supports at most 16 cells, got {board.size}")
-    steps, targets, ball, radius, rim = _goal_ball(board.width, board.height)
+    steps, targets, ball, radius, rim = _goal_ball(board.width, board.height, budget)
     bfs = _PackedBFS(steps, targets, budget)
 
     start, blank = bfs.pack(board.cells), board.blank_index - 1

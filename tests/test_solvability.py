@@ -214,7 +214,7 @@ class TestPackedSteps:
 
 class TestGoalBall:
     @pytest.mark.parametrize("width, height, size, radius", [
-        (2, 2, 12, 6), (3, 2, 360, 21), (3, 3, 11764, 16), (2, 4, 16249, 26), (4, 2, 16249, 26),
+        (2, 2, 12, 6), (3, 2, 360, 21), (3, 3, 26931, 18), (2, 4, 20160, 36), (4, 2, 20160, 36),
     ])
     def test_whole_layers_within_the_ceiling(self, width, height, size, radius):
         # Exactly the states within the radius, and one more layer would
@@ -232,6 +232,20 @@ class TestGoalBall:
         assert size <= BALL_STATES
         next_size = sum(1 for d in dist.values() if d <= r + 1)
         assert next_size > BALL_STATES or next_size == len(dist)
+
+    @pytest.mark.parametrize("width, height, size, radius", [
+        (4, 4, 31044, 13), (3, 4, 31783, 15), (4, 3, 31783, 15),
+        (2, 8, 23284, 16), (8, 2, 23284, 16),
+    ])
+    def test_larger_shapes_pinned(self, width, height, size, radius):
+        # Read from the build, with no exact distances: the rim is the
+        # ball's layer at the radius, and the layer past it would take
+        # the ball over the ceiling.
+        steps, targets, ball, r, rim = _goal_ball(width, height)
+        assert (len(ball), r) == (size, radius)
+        assert {ball[state] for state, _, _ in rim} <= {0, 1, 2, 3}
+        past, _ = _PackedBFS(steps, targets).expand(rim, dict(ball))
+        assert size <= BALL_STATES < size + len(past)
 
 
 class TestVerifySequence:

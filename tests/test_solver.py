@@ -72,13 +72,15 @@ class TestBfsOptimal:
 
     def test_expired_deadline_stops_a_short_search(self):
         # Solved in 282 expansions, under the 2048 between clock reads. The
-        # board lies 26 moves out, past the goal's ball of radius 16, so the
-        # bound before the first layer is 0 + 16 + 1.
+        # board lies 26 moves out, past the goal's ball of radius 18, so the
+        # bound before the first layer is 0 + 18 + 1. The ball is built
+        # first: a deadline already past would stop its build instead.
         b, _ = scramble(3, 3, 60, 2)
+        solver._goal_ball(3, 3)
         with pytest.raises(ResourceLimitError) as exc:
             bfs_optimal(b, SearchLimits(max_time=0.0))
         assert exc.value.nodes_expanded == 1
-        assert exc.value.lower_bound == 17
+        assert exc.value.lower_bound == 19
 
     def test_depth_limit(self):
         b, _ = scramble(3, 3, 40, 2)
@@ -104,19 +106,19 @@ class TestBfsOptimal:
             assert verify_sequence(b, result.moves).solved
 
     def test_exact_at_the_goal_balls_edge(self, dist_3x3):
-        # The 3x3 goal ball has radius 16: boards 15 and 16 moves out
-        # unwind from it with no expansion, boards 17 and 18 out meet it
+        # The 3x3 goal ball has radius 18: boards 17 and 18 moves out
+        # unwind from it with no expansion, boards 19 and 20 out meet it
         # from their first or second layer.
         checked = 0
         for cells, d in dist_3x3.items():
-            if 15 <= d <= 18:
+            if 17 <= d <= 20:
                 b = Board(3, 3, cells)
                 result = bfs_optimal(b)
                 assert result.length == d
-                assert (result.nodes_expanded == 0) == (d <= 16)
+                assert (result.nodes_expanded == 0) == (d <= 18)
                 assert verify_sequence(b, result.moves).solved
                 checked += 1
-        assert checked == 22164
+        assert checked == 43038
 
     @pytest.mark.parametrize("d", [1, 2, 16, 17, 20, 21, 31])
     def test_depth_limit_is_exact(self, d, dist_3x3, solvable_3x3_states):
@@ -137,17 +139,50 @@ class TestBfsOptimal:
                     assert 1 <= exc.lower_bound <= dist_3x3[cells]
 
     def test_goal_ball_is_built_outside_the_limits(self, dist_3x3):
-        # The shape's first query builds its ball, 11,764 states, under a
+        # The shape's first query builds its ball, 26,931 states, under a
         # cap of no expansions; a board inside it unwinds with none.
-        solver._goal_ball.cache_clear()
+        solver._balls.clear()
         cells = next(c for c, d in dist_3x3.items() if d == 16)
         result = bfs_optimal(Board(3, 3, cells), SearchLimits(max_nodes=0))
         assert (result.length, result.nodes_expanded) == (16, 0)
 
+    def test_deadline_read_while_the_goal_ball_is_built(self, monkeypatch):
+        # A clock that ticks one second per read. The build reads the
+        # query's deadline on the search's cadence, expansions 1, 2049,
+        # ..., and stops at the third read, past start + 2.5; it reports
+        # no expansion, the bound 1, and keeps no ball.
+        reads = []
+
+        def perf_counter():
+            reads.append(None)
+            return float(len(reads))
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=perf_counter))
+        monkeypatch.setattr(solver, "_balls", {})
+        board = scramble(4, 4, 30, 0)[0]
+        with pytest.raises(ResourceLimitError, match=r"BFS exceeded 2\.5s") as exc:
+            bfs_optimal(board, SearchLimits(max_time=2.5))
+        assert (exc.value.nodes_expanded, exc.value.lower_bound) == (0, 1)
+        assert len(reads) == 1 + 3
+        assert solver._balls == {}
+        # With no deadline in reach, the build's 31,044 expansions read the
+        # clock 16 times, the query's 5,763 three times, then the end; the
+        # ball is kept, and the next query reads only its own.
+        reads.clear()
+        result = bfs_optimal(board, SearchLimits(max_time=float("inf")))
+        assert result.nodes_expanded == 5763
+        assert len(reads) == 1 + 16 + 3 + 1
+        assert list(solver._balls) == [(4, 4)]
+        reads.clear()
+        assert bfs_optimal(board, SearchLimits(max_time=float("inf"))).nodes_expanded == 5763
+        assert len(reads) == 1 + 3 + 1
+
     def test_expired_deadline_stops_a_board_inside_the_ball(self, dist_3x3):
         # No expansion reads the clock, so it is read once before the
-        # answer; the bound is the exact length.
+        # answer; the bound is the exact length. The ball is built first,
+        # as in test_expired_deadline_stops_a_short_search.
         cells = next(c for c, d in dist_3x3.items() if d == 16)
+        solver._goal_ball(3, 3)
         with pytest.raises(ResourceLimitError, match="BFS exceeded 0.0s") as exc:
             bfs_optimal(Board(3, 3, cells), SearchLimits(max_time=0.0))
         assert (exc.value.nodes_expanded, exc.value.lower_bound) == (0, 16)
@@ -162,14 +197,14 @@ class TestBfsOptimal:
             assert verify_sequence(b, result.moves).solved
 
     def test_deep_4x4_grows_the_goal_side(self):
-        # 34 moves out, 22 past the 4x4 ball's radius of 12. Searched from
+        # 34 moves out, 21 past the 4x4 ball's radius of 13. Searched from
         # the start alone it passes the default million-expansion cap; the
         # goal's side grows from the ball's rim once the start's frontier
         # outgrows it, as the bidirectional search before the ball did
         # (393,384 expansions there).
         b, _ = scramble(4, 4, 36, 46)
         result = bfs_optimal(b)
-        assert (result.length, result.nodes_expanded) == (34, 385692)
+        assert (result.length, result.nodes_expanded) == (34, 377884)
         assert result.length == ida_star(b).length
         assert verify_sequence(b, result.moves).solved
 
@@ -177,13 +212,13 @@ class TestBfsOptimal:
         # Read from this implementation; a change is a behaviour change.
         rng = random.Random(4)
         boards = [Board(3, 3, c) for c in rng.sample(solvable_3x3_states, 5)]
-        assert [bfs_optimal(b).nodes_expanded for b in boards] == [20, 5, 119, 51, 48]
+        assert [bfs_optimal(b).nodes_expanded for b in boards] == [5, 1, 41, 15, 15]
 
     # Read from the search that starts the goal side from its ball: which
     # optimal path the meet picks is pinned too.
     PINNED_MOVES = {
         (3, 3): [
-            "U R D D R U L D L U R D R U U L D L D R R",
+            "U R D R D L U R U L L D D R U L U R D D R",
             "D D R U L L D R U L U R R D L U R D D",
             "U R R D L U U R D D L U L D R U U L D D R U R D",
             "L L U R R D L L U R R U L L D R U R D L D R",
@@ -202,7 +237,7 @@ class TestBfsOptimal:
     }
     # Expansions of the boards above with tile 15 on the last cell, whose
     # packed states use all 64 bits.
-    PINNED_FULL_WIDTH_NODES = {(4, 4): 4, (8, 2): 10, (2, 8): 133}
+    PINNED_FULL_WIDTH_NODES = {(4, 4): 1, (8, 2): 4, (2, 8): 73}
     # The lengths of the paths the earlier bidirectional search pinned.
     PINNED_LENGTHS = {
         (3, 3): [21, 19, 24, 22, 22], (2, 4): [22], (4, 2): [24],
@@ -237,13 +272,12 @@ class TestBfsOptimal:
 
     @pytest.fixture
     def ball_states(self, monkeypatch):
-        """Sets the goal ball's ceiling for the test; the shapes' balls are
-        rebuilt on either side of it."""
+        """Sets the goal ball's ceiling for the test, over an empty cache
+        of balls; the ceiling and the cache are restored after it."""
         def set_ceiling(states):
             monkeypatch.setattr(solver, "BALL_STATES", states)
-            solver._goal_ball.cache_clear()
-        yield set_ceiling
-        solver._goal_ball.cache_clear()
+            monkeypatch.setattr(solver, "_balls", {})
+        return set_ceiling
 
     def test_a_ball_of_the_goal_alone_is_the_bidirectional_search(
         self, ball_states, solvable_3x3_states
@@ -254,8 +288,10 @@ class TestBfsOptimal:
         ball_states(1)
         boards = self.pinned_boards(solvable_3x3_states)
         moves = dict(self.PINNED_MOVES)
-        moves[3, 3] = moves[3, 3][:2] + [
-            "R U U L D R R U L L D D R U R D L U L U R R D D"
+        moves[3, 3] = [
+            "U R D D R U L D L U R D R U U L D L D R R",
+            moves[3, 3][1],
+            "R U U L D R R U L L D D R U R D L U L U R R D D",
         ] + moves[3, 3][3:]
         moves[2, 4] = ["D D L U U R D L U R U L D D D R U U L D D R"]
         results = {shape: [bfs_optimal(b) for b in bs] for shape, bs in boards.items()}
@@ -277,17 +313,17 @@ class TestBfsOptimal:
             assert verify_sequence(b, result.moves).solved
 
     def test_node_cap_pinned(self, solvable_3x3_states):
-        # The first pinned board (20 nodes, length 21): the cap is checked
+        # The first pinned board (5 nodes, length 21): the cap is checked
         # on every expansion, and the bound is the start's radius plus the
-        # goal ball's, 16, plus one. A cap one below the count stops the
+        # goal ball's, 18, plus one. A cap one below the count stops the
         # last layer, whose bound is the length itself.
         board = Board(3, 3, random.Random(4).sample(solvable_3x3_states, 1)[0])
         pins = []
-        for cap in (0, 7, 12, 19):
+        for cap in (0, 1, 3, 4):
             with pytest.raises(ResourceLimitError, match=f"BFS exceeded {cap} expansions") as exc:
                 bfs_optimal(board, SearchLimits(max_nodes=cap))
             pins.append((exc.value.nodes_expanded, exc.value.lower_bound))
-        assert pins == [(1, 17), (8, 19), (13, 20), (20, 21)]
+        assert pins == [(1, 19), (2, 20), (4, 20), (5, 21)]
 
 
 class TestIdaStar:
@@ -443,10 +479,13 @@ class TestIdaStar:
 
         monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=perf_counter))
         # IDA* and the oracle read the same clock: the start and the end,
-        # plus expansions 1, 2049, ..., 30721 and 1, 2049, ..., 10241.
+        # plus expansions 1, 2049, ..., 30721 and 1, 2049, 4097. The 4x4
+        # goal ball is built first, with no deadline: its build reads the
+        # clock too (test_deadline_read_while_the_goal_ball_is_built).
+        solver._goal_ball(4, 4)
         for search, board, nodes, clock_reads in [
             (partial(ida_star, heuristic="manhattan"), scramble(4, 4, 40, 7)[0], 32549, 2 + 16),
-            (bfs_optimal, scramble(4, 4, 30, 0)[0], 11620, 2 + 6),
+            (bfs_optimal, scramble(4, 4, 30, 0)[0], 5763, 2 + 3),
         ]:
             reads.clear()
             result = search(board, limits=SearchLimits(max_time=float("inf")))
