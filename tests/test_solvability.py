@@ -19,6 +19,7 @@ from permpuzzle import (
     verify_sequence,
 )
 
+from permpuzzle import solver
 from permpuzzle.solver import BALL_STATES, _goal_ball, _PackedBFS
 
 from oracles import exact_distances, inversion_sign
@@ -213,10 +214,8 @@ class TestPackedSteps:
 
 
 class TestGoalBall:
-    @pytest.mark.parametrize("width, height, size, radius", [
-        (2, 2, 12, 6), (3, 2, 360, 21), (3, 3, 26931, 18), (2, 4, 20160, 36), (4, 2, 20160, 36),
-    ])
-    def test_whole_layers_within_the_ceiling(self, width, height, size, radius):
+    @staticmethod
+    def check_whole_layers(width, height, size, radius, ceiling):
         # Exactly the states within the radius, and one more layer would
         # pass the ceiling unless the component is already whole.
         _, _, ball, r, rim = _goal_ball(width, height)
@@ -229,9 +228,25 @@ class TestGoalBall:
         # Each rim entry is a frontier entry: the blank's nibble is 0 and
         # the direction is the one the ball records.
         assert all((state >> 4 * j) & 15 == 0 and ball[state] == d for state, j, d in rim)
-        assert size <= BALL_STATES
+        assert size <= ceiling
         next_size = sum(1 for d in dist.values() if d <= r + 1)
-        assert next_size > BALL_STATES or next_size == len(dist)
+        assert next_size > ceiling or next_size == len(dist)
+
+    @pytest.mark.parametrize("width, height, size, radius", [
+        (2, 2, 12, 6), (3, 2, 360, 21), (3, 3, 11764, 16), (2, 4, 16249, 26), (4, 2, 16249, 26),
+    ])
+    def test_whole_layers_within_the_ceiling(self, monkeypatch, width, height, size, radius):
+        # Under a ceiling of 2^14 states, over an empty cache of balls:
+        # the build honours a ceiling other than the default.
+        monkeypatch.setattr(solver, "BALL_STATES", 1 << 14)
+        monkeypatch.setattr(solver, "_balls", {})
+        self.check_whole_layers(width, height, size, radius, 1 << 14)
+
+    @pytest.mark.parametrize("width, height, size, radius", [
+        (2, 2, 12, 6), (3, 2, 360, 21), (3, 3, 26931, 18), (2, 4, 20160, 36), (4, 2, 20160, 36),
+    ])
+    def test_whole_layers_within_the_default_ceiling(self, width, height, size, radius):
+        self.check_whole_layers(width, height, size, radius, BALL_STATES)
 
     @pytest.mark.parametrize("width, height, size, radius", [
         (4, 4, 31044, 13), (3, 4, 31783, 15), (4, 3, 31783, 15),
