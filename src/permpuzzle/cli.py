@@ -1,9 +1,24 @@
 """Command-line interface.
 
+Board arguments name a file or ``-`` for standard input; move tokens
+U/D/L/R give the direction the blank travels. Summary output is stable
+``key=value`` text.
+
 Exit codes: 0 success (or solvable), 1 unsolvable (or failed verify),
-2 input error, 3 resource limit. Board arguments name a file or ``-``
-for standard input; move tokens U/D/L/R give the direction the blank
-travels. Summary output is stable ``key=value`` text.
+2 input error, 3 resource limit. The group's handler, :class:`_Commands`,
+maps the library's errors to them by type, for every command:
+
+- :class:`UnsolvableError`: its certificate's lines on stderr, exit 1;
+- :class:`ResourceLimitError`: ``error: <msg>`` on stderr, then
+  ``lower_bound=<n>`` when the limit error proved a bound, exit 3;
+- any other ``ValueError`` (:class:`ParseError`, :class:`IllegalMoveError`,
+  the library's argument checks): ``error: <msg>`` on stderr, exit 2.
+
+Errors that need a context the exception lacks are caught where they
+happen, and exit 2 as well: ``cannot read PATH: ...`` for a board or move
+file, ``cannot write PATH: ...``, ``invalid tile list ...``, and the bare
+``OSError`` message of a ``--pdb`` file that cannot be opened. Click's own
+usage errors also exit 2.
 """
 
 from __future__ import annotations
@@ -15,7 +30,7 @@ import click
 
 from . import __version__
 from .board import Board, format_moves, parse_moves, scramble
-from .errors import ParseError, ResourceLimitError, UnsolvableError
+from .errors import ResourceLimitError, UnsolvableError
 from .pattern_db import PatternHeuristic, load_pdb, save_pdb
 from .pdb_build import build_pdb
 from .solvability import certificate, reachable_states, verify_sequence
@@ -39,10 +54,7 @@ def _read_board(source: str) -> Board:
             text = Path(source).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read {source}: {exc}", EXIT_INPUT)
-    try:
-        return Board.parse(text)
-    except ParseError as exc:
-        _fail(str(exc), EXIT_INPUT)
+    return Board.parse(text)
 
 
 def _dim_options(f):
@@ -53,7 +65,26 @@ def _dim_options(f):
     return f
 
 
-@click.group()
+class _Commands(click.Group):
+    """Runs a command and maps its errors to exit codes by type."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except UnsolvableError as exc:
+            for line in exc.certificate.lines():
+                click.echo(line, err=True)
+            sys.exit(EXIT_UNSOLVABLE)
+        except ResourceLimitError as exc:
+            click.echo(f"error: {exc}", err=True)
+            if exc.lower_bound is not None:
+                click.echo(f"lower_bound={exc.lower_bound}", err=True)
+            sys.exit(EXIT_RESOURCE)
+        except ValueError as exc:
+            _fail(str(exc), EXIT_INPUT)
+
+
+@click.group(cls=_Commands)
 @click.version_option(__version__)
 def main():
     """Sliding-tile puzzle toolkit: parity solvability, cycle notation,
@@ -106,27 +137,13 @@ def solve(board, heuristic, pdb_paths, max_nodes, max_time):
             _fail("--heuristic pdb requires at least one --pdb PATH", EXIT_INPUT)
         try:
             chosen = PatternHeuristic([load_pdb(p) for p in pdb_paths])
-        except ResourceLimitError as exc:
-            _fail(str(exc), EXIT_RESOURCE)
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
             _fail(str(exc), EXIT_INPUT)
     elif pdb_paths:
         _fail("--pdb requires --heuristic pdb", EXIT_INPUT)
     else:
         chosen = heuristic
-    try:
-        result = ida_star(b, chosen, SearchLimits(max_nodes=max_nodes, max_time=max_time))
-    except UnsolvableError as exc:
-        for line in exc.certificate.lines():
-            click.echo(line, err=True)
-        sys.exit(EXIT_UNSOLVABLE)
-    except ResourceLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        if exc.lower_bound is not None:
-            click.echo(f"lower_bound={exc.lower_bound}", err=True)
-        sys.exit(EXIT_RESOURCE)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_INPUT)
+    result = ida_star(b, chosen, SearchLimits(max_nodes=max_nodes, max_time=max_time))
     click.echo(format_moves(result.moves))
     click.echo(
         f"length={result.length} nodes={result.nodes_expanded} "
@@ -142,10 +159,7 @@ def solve(board, heuristic, pdb_paths, max_nodes, max_time):
               help="RNG seed (fixed default keeps runs reproducible).")
 def scramble_cmd(width, height, steps, seed):
     """Print a board scrambled by random moves; always solvable."""
-    try:
-        b, _ = scramble(width, height, steps, seed)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_INPUT)
+    b, _ = scramble(width, height, steps, seed)
     click.echo(b.format())
 
 
@@ -158,12 +172,9 @@ def verify(board, moves_path):
     b = _read_board(board)
     try:
         text = Path(moves_path).read_text(encoding="utf-8")
-        moves = parse_moves(text)
-    except ParseError as exc:
-        _fail(str(exc), EXIT_INPUT)
     except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read {moves_path}: {exc}", EXIT_INPUT)
-    report = verify_sequence(b, moves)
+    report = verify_sequence(b, parse_moves(text))
     click.echo(f"solved={'true' if report.solved else 'false'}")
     if report.failed_index is not None:
         click.echo(f"failed_index={report.failed_index}")
@@ -174,12 +185,7 @@ def verify(board, moves_path):
 @_dim_options
 def enumerate_cmd(width, height):
     """Exhaustively count boards reachable from the goal (small sizes only)."""
-    try:
-        report = reachable_states(width, height)
-    except ResourceLimitError as exc:
-        _fail(str(exc), EXIT_RESOURCE)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_INPUT)
+    report = reachable_states(width, height)
     click.echo(f"count={report.count} max_depth={report.max_depth}")
 
 
@@ -201,12 +207,7 @@ def pdb_build(width, height, tiles, out_path, progress):
         labels = [int(tok) for tok in tiles.replace(",", " ").split()]
     except ValueError:
         _fail(f"invalid tile list {tiles!r}", EXIT_INPUT)
-    try:
-        db = build_pdb(width, height, labels, progress=_echo_layer if progress else None)
-    except ResourceLimitError as exc:
-        _fail(str(exc), EXIT_RESOURCE)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_INPUT)
+    db = build_pdb(width, height, labels, progress=_echo_layer if progress else None)
     try:
         save_pdb(db, out_path)
     except OSError as exc:

@@ -5,7 +5,19 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from permpuzzle import Board, Move, bfs_optimal, parse_moves, pattern_db, verify_sequence
+from permpuzzle import (
+    Board,
+    Move,
+    ParseError,
+    ResourceLimitError,
+    UnsolvableError,
+    bfs_optimal,
+    certificate,
+    parse_moves,
+    pattern_db,
+    scramble,
+    verify_sequence,
+)
 from permpuzzle.cli import main
 from permpuzzle.heuristics import _step_table
 
@@ -582,3 +594,124 @@ class TestPipeline:
             )
             assert verified.exit_code == 0
             assert "solved=true" in verified.stdout
+
+
+class TestErrorContract:
+    """Every command maps each library error to its exit code and stderr.
+
+    The one library call a command makes is patched to raise; the board,
+    moves and files handed to it are valid, so the error comes only from
+    that call.
+    """
+
+    LLOYD = certificate(Board.parse(LLOYD_TEXT))
+    ERRORS = {
+        "value": (ValueError("x"), 2, "error: x\n"),
+        "parse": (ParseError("x"), 2, "error: x\n"),
+        "limit": (ResourceLimitError("x"), 3, "error: x\n"),
+        "bound": (ResourceLimitError("x", lower_bound=7), 3, "error: x\nlower_bound=7\n"),
+        "unsolvable": (UnsolvableError("x", certificate=LLOYD), 1,
+                       "\n".join(LLOYD.lines()) + "\n"),
+    }
+    # The call each command makes, patched to raise, and the command's arguments.
+    COMMANDS = {
+        "solvable": ("permpuzzle.cli.certificate", ["solvable", "-"]),
+        "cycles": ("permpuzzle.board.Board.to_permutation", ["cycles", "-"]),
+        "solve": ("permpuzzle.cli.ida_star", ["solve", "-"]),
+        "solve-pdb": ("permpuzzle.cli.load_pdb",
+                      ["solve", "--heuristic", "pdb", "--pdb", "a.spdb", "-"]),
+        "scramble": ("permpuzzle.cli.scramble", ["scramble"]),
+        "verify": ("permpuzzle.cli.verify_sequence", ["verify", "--moves", "MOVES", "-"]),
+        "enumerate": ("permpuzzle.cli.reachable_states", ["enumerate", "-w", "2", "-h", "2"]),
+        "pdb-build": ("permpuzzle.cli.build_pdb",
+                      ["pdb-build", "-w", "3", "-h", "2", "--tiles", "1", "--out", "OUT"]),
+    }
+
+    @pytest.mark.parametrize("error", ERRORS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_error_type_exits_with_its_code(self, runner, tmp_path, monkeypatch,
+                                                 command, error):
+        target, args = self.COMMANDS[command]
+        exc, code, stderr = self.ERRORS[error]
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(target, fail)
+        moves = tmp_path / "moves.txt"
+        moves.write_text("")
+        paths = {"MOVES": str(moves), "OUT": str(tmp_path / "out.spdb")}
+        result = runner.invoke(
+            main, [paths.get(arg, arg) for arg in args], input=Board.goal(3, 3).format()
+        )
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == code
+        assert result.stdout == ""
+        assert result.stderr == stderr
+        assert not (tmp_path / "out.spdb").exists()
+
+
+class TestCiErrorOutputs:
+    """The error outputs the CI workflow's smoke steps pin, byte for byte."""
+
+    @pytest.mark.parametrize("width, height, states", [
+        ("5", "2", "1814400"), ("4", "4", "10461394944000"),
+    ])
+    def test_enumerate_past_the_ceiling(self, runner, width, height, states):
+        result = runner.invoke(main, ["enumerate", "-w", width, "-h", height])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {width}x{height} has {states} reachable states, over the 1000000 ceiling\n"
+        )
+
+    @pytest.fixture
+    def seed7(self):
+        return scramble(4, 4, 40, 7)[0].format()
+
+    def test_deadline_already_past(self, runner, seed7):
+        result = runner.invoke(main, ["solve", "--max-time", "0", "-"], input=seed7)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: IDA* exceeded 0.0s\nlower_bound=24\n"
+
+    def test_node_cap(self, runner, seed7):
+        result = runner.invoke(main, ["solve", "--max-nodes", "1000", "-"], input=seed7)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == "lower_bound=30"
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ci") / "t.spdb"
+        result = CliRunner().invoke(
+            main, ["pdb-build", "-w", "3", "-h", "3", "--tiles", "1,2,3", "--out", str(path)]
+        )
+        assert result.exit_code == 0
+        return path
+
+    def pdb_solve(self, runner, shape, paths):
+        board = scramble(shape, shape, 20, 1)[0].format()
+        args = ["solve", "--heuristic", "pdb"]
+        for path in paths:
+            args += ["--pdb", str(path)]
+        return runner.invoke(main, [*args, "-"], input=board)
+
+    def test_truncated_table(self, runner, tmp_path, table):
+        cut = tmp_path / "cut.spdb"
+        cut.write_bytes(table.read_bytes()[:100])
+        result = self.pdb_solve(runner, 3, [cut])
+        assert result.exit_code == 2
+        assert result.stderr == "error: truncated table: expected 504 bytes, got 81\n"
+
+    def test_table_for_another_shape(self, runner, table):
+        result = self.pdb_solve(runner, 4, [table])
+        assert result.exit_code == 2
+        assert result.stderr == "error: heuristic is for 3x3, board is 4x4\n"
+
+    def test_one_table_twice(self, runner, table):
+        result = self.pdb_solve(runner, 3, [table, table])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: patterns overlap on tiles [1, 2, 3]; additivity requires disjoint patterns\n"
+        )
