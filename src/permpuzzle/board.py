@@ -58,7 +58,36 @@ _INVERSE = {m: MOVE_ORDER[d ^ 1] for d, m in enumerate(MOVE_ORDER)}
 _BLANK_TOKENS = ("0", "_")
 
 
-@lru_cache(maxsize=None)
+# Every per-shape table a search reads, keyed by its builder and shape,
+# such as ``(move_targets, 4, 4)``: the move and step tables, Manhattan's
+# goal tables, linear conflict's lines and the exact oracle's goal balls.
+# :func:`_table` fills it, and an entry, once stored, is never replaced.
+_TABLES: dict = {}
+_NEVER = 1 << 62  # a step of work or an expansion no build or search reaches
+
+
+def _untimed(work: int) -> int:
+    """The clock of a build with no deadline: no step is ever due."""
+    return _NEVER
+
+
+def _table(build, *args, tick=None):
+    """``build(*args)`` from :data:`_TABLES`, built and stored when missing.
+
+    A builder that reads a deadline takes ``tick``, the calling search's
+    ``_Budget.tick``: it calls ``tick(work)`` once its count of steps of
+    work reaches the step due, which is 0 at first (so at once), and the
+    call returns the next, 2048 steps on. A deadline that passes raises
+    out of the build and nothing is stored, so the next call builds
+    again; only the tables it read, each built to the end, stay. A
+    table already stored costs one dict read and no clock read.
+    """
+    table = _TABLES.get(key := (build, *args))
+    if table is None:
+        table = _TABLES[key] = build(*args) if tick is None else build(*args, tick)
+    return table
+
+
 def move_targets(width: int, height: int) -> tuple[int, ...]:
     """Flat table: entry [cell*4 + d] is the blank's destination cell for
     direction index d (order U, D, L, R), or -1 when the move is illegal.
@@ -74,7 +103,6 @@ def move_targets(width: int, height: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
 def _blank_steps(width: int, height: int):
     """``steps[blank][last]``: the blank's legal (direction, destination)
     pairs from ``blank``, in U, D, L, R order, without ``last ^ 1``, the
@@ -86,7 +114,7 @@ def _blank_steps(width: int, height: int):
     it; a single board's moves are worked out from the blank's row and
     column instead (:func:`_room`), with no per-shape table.
     """
-    targets = move_targets(width, height)
+    targets = _table(move_targets, width, height)
     steps = []
     for c in range(width * height):
         legal = [(d, j) for d, j in enumerate(targets[c * 4 : c * 4 + 4]) if j >= 0]
@@ -95,11 +123,14 @@ def _blank_steps(width: int, height: int):
     return tuple(steps)
 
 
-def _row_steps(width: int, height: int, rows):
+def _row_steps(width: int, height: int, rows, tick=_untimed):
     """:func:`_blank_steps` with ``rows[4 * blank + d]`` attached to each
-    pair, as (d, j, row): a heuristic's step table for IDA*."""
-    steps = []
-    for z, per_last in enumerate(_blank_steps(width, height)):
+    pair, as (d, j, row): a heuristic's step table for IDA*. A cell is a
+    step of work for ``tick`` (see :func:`_table`)."""
+    steps, due = [], 0
+    for z, per_last in enumerate(_table(_blank_steps, width, height)):
+        if z >= due:
+            due = tick(z)
         triples = {d: (d, j, rows[4 * z + d]) for d, j in per_last[-1]}
         steps.append(tuple(tuple(triples[d] for d, _ in entry) for entry in per_last))
     return tuple(steps)
@@ -397,7 +428,7 @@ def scramble(
         raise ValueError("steps must be non-negative")
     check_dimensions(width, height)
     choice = random.Random(rng_seed).choice
-    table = _blank_steps(width, height)
+    table = _table(_blank_steps, width, height)
     n = width * height
     cells, blank = list(range(1, n + 1)), n - 1
     moves: list[Move] = []

@@ -23,8 +23,12 @@ is refused with :class:`ResourceLimitError` before it is built when an
 upper bound on its bytes passes ``pattern_db.DEFAULT_MAX_BYTES``, the
 package's one memory ceiling. Manhattan search passes it on every shape
 up to 154x154 and 2x2025, and linear-conflict search up to 36x36 and
-2x216; :func:`manhattan` and :func:`linear_conflict` on their own need
-O(n) memory and are never refused.
+2x216. :func:`manhattan` and :func:`linear_conflict` on their own need
+O(n) memory, and :func:`goal_tables` is charged against the same
+ceiling: it refuses 648x648 and larger before it is built. Every table
+here but the conflict tables is kept in the per-shape store
+(``board._table``), and the step tables are built there under the
+calling search's deadline.
 """
 
 from __future__ import annotations
@@ -35,12 +39,11 @@ from bisect import bisect_left
 from functools import lru_cache, partial
 
 from . import pattern_db
-from .board import Board, _row_steps, move_targets
+from .board import _TABLES, Board, _row_steps, _table, _untimed, move_targets
 
 __all__ = ["manhattan", "linear_conflict"]
 
 
-@lru_cache(maxsize=None)
 def goal_tables(width: int, height: int):
     """Per-shape tables of O(n) entries, 0-based cells, labels 1..n (n = blank).
 
@@ -50,9 +53,14 @@ def goal_tables(width: int, height: int):
     one entry per (row, column) offset, is the taxicab distance from
     ``cell`` to the label's home. goal_row/goal_col hold each label's home
     row and column, -1 for the blank and the unused label 0.
+
+    Refused before it is built when its entries, at most 40 bytes each
+    (a list slot and an int of its own), pass ``DEFAULT_MAX_BYTES``.
     """
     n = width * height
     span = 2 * width - 1
+    need = 40 * (span * (2 * height - 1) + 4 * (n + 1)) + 512
+    pattern_db._check_bytes("goal tables need", need, pattern_db.DEFAULT_MAX_BYTES)
     mid = (height - 1) * span + width - 1
     home = [0] + [r * span + c for r in range(height) for c in range(width)]
     at = [place + mid for place in home[1:]]
@@ -64,7 +72,6 @@ def goal_tables(width: int, height: int):
     return dist, at, home, goal_row, goal_col
 
 
-@lru_cache(maxsize=None)
 def _lines(width: int, height: int):
     """Rows, then columns, each as (cells, home, along, index, base, conflicts).
 
@@ -75,7 +82,7 @@ def _lines(width: int, height: int):
     conflicts its :func:`_conflict_table`.
     """
     n = width * height
-    *_, goal_row, goal_col = goal_tables(width, height)
+    *_, goal_row, goal_col = _table(goal_tables, width, height)
     rows = [(slice(r * width, (r + 1) * width), goal_row, goal_col, r, width + 1,
              _conflict_table(width)) for r in range(height)]
     cols = [(slice(c, n, width), goal_col, goal_row, c, height + 1,
@@ -85,7 +92,7 @@ def _lines(width: int, height: int):
 
 def manhattan(board: Board) -> int:
     """Sum of every non-blank tile's taxicab distance to its home cell."""
-    dist, at, home, _, _ = goal_tables(board.width, board.height)
+    dist, at, home, _, _ = _table(goal_tables, board.width, board.height)
     total = -dist[at[board.blank_index - 1] - home[-1]]  # the blank's own term
     for a, label in zip(at, board.cells):  # a plain loop reads only fast locals
         total += dist[a - home[label]]
@@ -162,7 +169,7 @@ def _linear_conflict(board: Board):
     tiles = board.cells
     total = manhattan(board)
     keys = []
-    for cells, home, along, i, base, conflicts in _lines(board.width, board.height):
+    for cells, home, along, i, base, conflicts in _table(_lines, board.width, board.height):
         key = 0
         for t in tiles[cells]:
             key = key * base + (along[t] + 1 if home[t] == i else 0)
@@ -192,8 +199,15 @@ def _table_bytes(width: int, height: int) -> tuple[int, int]:
     return steps, conflict_steps
 
 
-@lru_cache(maxsize=None)
-def _step_table(width: int, height: int, conflicts: bool):
+def _check_steps(width: int, height: int, conflicts: bool) -> None:
+    """Refuse Manhattan's step table, or with ``conflicts`` linear
+    conflict's, when :func:`_table_bytes` passes the ceiling."""
+    what = "linear-conflict" if conflicts else "Manhattan"
+    need = _table_bytes(width, height)[conflicts]
+    pattern_db._check_bytes(f"{what} step table needs", need, pattern_db.DEFAULT_MAX_BYTES)
+
+
+def _step_table(width: int, height: int, conflicts: bool, tick=_untimed):
     """Manhattan's per-shape step table, or with ``conflicts`` linear conflict's.
 
     A Manhattan row depends only on the two rows (columns) a vertical
@@ -203,35 +217,40 @@ def _step_table(width: int, height: int, conflicts: bool):
     the tile's code times a change of place value. Such a tile's entry
     names the crossed line (else the along one) as ``s``, with ``T`` its
     conflict table, and the along line in ``more`` when it is both.
+
+    Its ceiling is checked first. Each slide's row, n + 1 entries, is as
+    many steps of work for ``tick`` (see :func:`~permpuzzle.board._table`),
+    and each cell of :func:`~permpuzzle.board._row_steps` is one.
     """
-    what = "linear-conflict" if conflicts else "Manhattan"
-    need = _table_bytes(width, height)[conflicts]
-    pattern_db._check_bytes(f"{what} step table needs", need, pattern_db.DEFAULT_MAX_BYTES)
+    _check_steps(width, height, conflicts)
     enabled = gc.isenabled()  # entries hold dicts, so stay tracked: pause the collector
     gc.disable()
     try:
-        *_, goal_row, goal_col = goal_tables(width, height)
-        shared = {  # (vertical, a, b): the row of a slide from row (column) a to b
-            (v, a, b): tuple(abs(b - g) - abs(a - g) if g >= 0 else 0 for g in goal)
-            for v, goal, size in ((True, goal_row, height), (False, goal_col, width))
-            for a in range(size) for b in (a - 1, a + 1) if 0 <= b < size
-        }
+        n, work, due = width * height, 0, 0
+        *_, goal_row, goal_col = _table(goal_tables, width, height)
+        shared = {}  # (out, into): the row of a slide from line out into line into
         if conflicts:
-            lines = _lines(width, height)
+            lines = _table(_lines, width, height)
             # place[i][slot]: the weight of a slot of line i in its key.
             place = [[base ** s for s in range(base - 2, -1, -1)] for *_, base, _ in lines]
             members = [[t for t, g in enumerate(home) if g == i] for _, home, _, i, _, _ in lines]
         rows = []  # rows[4 * z + d]: the blank at z moves d, the tile at j slides into z
-        for i, j in enumerate(move_targets(width, height)):
+        for i, j in enumerate(_table(move_targets, width, height)):
+            if work >= due:
+                due = tick(work)
+            work += n + 1
             if j < 0:
                 rows.append(None)
                 continue
             (rz, cz), (rj, cj) = divmod(i >> 2, width), divmod(j, width)
             if cz == cj:  # vertical: out of row rj, into row rz, along column cz
-                out, into, slot, along, a, b = rj, rz, cz, height + cz, rj, rz
+                out, into, slot, along, a, b, goal = rj, rz, cz, height + cz, rj, rz, goal_row
             else:  # horizontal: out of column cj, into column cz, along row rz
-                out, into, slot, along, a, b = height + cj, height + cz, rz, rz, cj, cz
-            md_row = shared[cz == cj, a, b]
+                out, into, slot, along, a, b, goal = height + cj, height + cz, rz, rz, cj, cz, goal_col
+            md_row = shared.get((out, into))
+            if md_row is None:
+                md_row = tuple(abs(b - g) - abs(a - g) if g >= 0 else 0 for g in goal)
+                shared[out, into] = md_row
             if not conflicts:
                 rows.append(md_row)
                 continue
@@ -244,7 +263,7 @@ def _step_table(width: int, height: int, conflicts: bool):
                     e = row[t]
                     row[t] = (e, *reg, table, ()) if e.__class__ is int else (*e[:4], (reg,))
             rows.append(row)
-        return _row_steps(width, height, rows)
+        return _row_steps(width, height, rows, tick)
     finally:
         if enabled:
             gc.enable()
@@ -252,10 +271,13 @@ def _step_table(width: int, height: int, conflicts: bool):
 
 def _incremental(conflicts: bool, board: Board):
     """Manhattan's ``(h0, steps, regs)``, or with ``conflicts`` linear
-    conflict's, whose regs are the line keys."""
-    steps = _step_table(board.width, board.height, conflicts)  # its ceiling first
+    conflict's, whose regs are the line keys. ``steps(tick=...)`` reads
+    the shape's step table from the store, or builds it there; a missing
+    table's ceiling is checked here, before h0's tables are built."""
+    if (_step_table, board.width, board.height, conflicts) not in _TABLES:
+        _check_steps(board.width, board.height, conflicts)
     h0, keys = _linear_conflict(board) if conflicts else (manhattan(board), [])
-    return h0, steps, keys
+    return h0, partial(_table, _step_table, board.width, board.height, conflicts), keys
 
 
 # The named heuristics, each with its ``(h0, steps, regs)`` function.

@@ -36,7 +36,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .board import Board, _row_steps, check_dimensions
+from .board import Board, _row_steps, _untimed, check_dimensions
 from .errors import ParseError, ResourceLimitError
 
 __all__ = [
@@ -215,10 +215,13 @@ class PatternHeuristic:
             keys.append(i)
         return h, keys
 
-    def _step_table(self):
+    def _step_table(self, tick=_untimed):
         """The step table, built on the first solve. A slide from ``j`` into
         ``z`` moves the key of the database holding the tile by ``z - j``
-        times the tile's stride, so four rows, one per direction, serve."""
+        times the tile's stride, so four rows, one per direction, serve.
+        ``tick`` reads a deadline as the per-shape builds read it
+        (:func:`~permpuzzle.board._table`), once per cell of
+        :func:`~permpuzzle.board._row_steps`; a build cut short keeps none."""
         if self._steps is None:
             # Unchecked: 1-byte shapes and labels cap it near 46 MB, under the ceiling.
             n = self.width * self.height
@@ -227,13 +230,14 @@ class PatternHeuristic:
                 for s, (tiles, index) in enumerate(self._indexes):
                     for slot, t in enumerate(tiles):
                         row[t] = (0, s, shift * n ** (len(tiles) - 1 - slot), index, ())
-            self._steps = _row_steps(self.width, self.height, rows * n)
+            self._steps = _row_steps(self.width, self.height, rows * n, tick)
         return self._steps
 
     def incremental(self, board: Board):
-        """This heuristic as ``(h0, steps, regs)``, a key per database in ``regs``."""
+        """This heuristic as ``(h0, steps, regs)``, a key per database in
+        ``regs``; ``steps(tick=...)`` returns the step table."""
         h0, keys = self._value_and_keys(board)
-        return h0, self._step_table(), keys
+        return h0, self._step_table, keys
 
     def check_shape(self, board: Board) -> None:
         """Raise ``ValueError`` unless ``board`` has this heuristic's shape."""

@@ -9,7 +9,8 @@ direction, through a per-shape table (``board._blank_steps``) built
 on the shape's first solve, so node counts are reproducible.
 
 Every heuristic reaches the search through one call, its module's
-``incremental(board)``, as ``(h0, steps, regs)``: the start's value,
+``incremental(board)``, as ``(h0, steps, regs)``: the start's value, a
+function whose call ``steps(tick=...)`` returns the step table,
 ``board._blank_steps`` with a row attached to each pair as
 ``(d, j, row)``, and a fresh list of integer registers. The tile ``t``
 sliding into the blank reads ``row[t]``: an int is the change of h;
@@ -21,6 +22,17 @@ that holds only the line keys read so far, so on a ``KeyError`` both
 reads go through ``heuristics._conflict_of``, which fills the key (a
 key shifted only through ``more`` is unread until a later slide crosses
 its line). The goal test is ``h == 0 and tiles == goal``.
+
+Every per-shape table a search reads lives in one store,
+``board._TABLES``, filled by ``board._table``: the step tables, the O(n)
+tables that h(start) reads, and the oracle's goal balls. A stored table
+costs one dict read and no clock read. A missing step table or goal
+ball is built under the query's ``max_time``, read at once and then
+every 2048 steps of work through the query's ``_Budget.tick`` (IDA*
+builds its step table once h(start) is known); a deadline that passes
+raises :class:`ResourceLimitError` with ``nodes_expanded`` 0 and the
+best bound proven (h(start) for IDA*, 1 for the oracle), and stores
+nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .board import MOVE_ORDER, Board, Move, _row_steps, move_targets
+from .board import _NEVER, MOVE_ORDER, Board, Move, _row_steps, _table, _untimed, move_targets
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
 from .heuristics import INCREMENTAL, _conflict_of
 from .pattern_db import PatternDatabase, PatternHeuristic, _summed_heuristic
@@ -47,7 +59,6 @@ __all__ = [
 HEURISTIC_NAMES = tuple(INCREMENTAL)
 
 _INF = 1 << 30
-_NEVER = 1 << 62  # a node count no search reaches
 # States in the oracle's goal ball: whole layers from the goal are kept
 # while they total at most this many (3x3: radius 18, 26,931 states).
 BALL_STATES = 1 << 15
@@ -86,19 +97,22 @@ _NO_LIMITS = SearchLimits()
 
 class _Budget:
     """One search's limits and answer, timed from its start; ``cap``
-    stands for an unset ``max_nodes``. A search calls :meth:`spend` when
-    its expansion count reaches ``due``: past the cap, and while there is
-    a deadline on the first expansion and every 2048th after it. A limit
-    error's ``lower_bound`` is a length the optimal solution must reach."""
+    stands for an unset ``max_nodes``. ``bound`` is the best lower bound
+    proven so far, a length the optimal solution must reach, which a
+    limit error reports: 1 until the search proves more, since a board
+    that is not the goal lies at least one move out. A search calls
+    :meth:`spend` when its expansion count reaches ``due``: past the cap,
+    and while there is a deadline on the first expansion and every
+    2048th after it. A per-shape table build reads the deadline alone
+    through :meth:`tick`, on the same cadence (``board._table``)."""
 
-    __slots__ = ("name", "limits", "t0", "cap", "deadline", "due")
+    __slots__ = ("name", "limits", "t0", "cap", "deadline", "due", "bound")
 
     def __init__(self, name: str, limits: SearchLimits | None, cap: int = _NEVER):
         self.t0 = time.perf_counter()
-        limits = _NO_LIMITS if limits is None else limits
-        self.name, self.limits = name, limits
-        self.cap = cap if limits.max_nodes is None else limits.max_nodes
-        self.deadline = None if limits.max_time is None else self.t0 + limits.max_time
+        self.name, self.limits, self.bound = name, limits or _NO_LIMITS, 1
+        self.cap = cap if self.limits.max_nodes is None else self.limits.max_nodes
+        self.deadline = None if self.limits.max_time is None else self.t0 + self.limits.max_time
         self.due = 1 if self.deadline is not None else self.cap + 1
 
     def admit(self, board: Board) -> SearchResult | None:
@@ -114,44 +128,33 @@ class _Budget:
             )
         return self.answer((), 0) if board.is_goal() else None
 
-    def error(self, message: str, nodes: int, bound: int) -> ResourceLimitError:
-        return ResourceLimitError(message, nodes_expanded=nodes, lower_bound=bound)
+    def error(self, message: str, nodes: int) -> ResourceLimitError:
+        return ResourceLimitError(message, nodes_expanded=nodes, lower_bound=self.bound)
 
-    def depth(self, nodes: int, bound: int) -> None:
+    def depth(self, nodes: int) -> None:
         """Raise when ``bound`` passes ``max_depth``."""
-        max_depth = self.limits.max_depth
-        if max_depth is not None and bound > max_depth:
-            raise self.error(f"no solution within depth {max_depth}", nodes, bound)
+        if (max_depth := self.limits.max_depth) is not None and self.bound > max_depth:
+            raise self.error(f"no solution within depth {max_depth}", nodes)
 
-    def spend(self, nodes: int, bound: int) -> int:
-        """Raise once ``nodes`` passes the cap or the clock the deadline;
-        else the next expansion due, which ``due`` keeps."""
-        if nodes > self.cap:
-            raise self.error(f"{self.name} exceeded {self.cap} expansions", nodes, bound)
+    def tick(self, work: int, nodes: int = 0) -> int:
+        """Raise once the clock passes the deadline, reporting ``nodes``
+        expansions; else the step of work due next, 2048 on, or never
+        without a deadline. A table build's steps are no search's
+        expansions: no cap stops them, and its limit error reports none."""
         if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise self.error(f"{self.name} exceeded {self.limits.max_time}s", nodes, bound)
-        self.due = min(self.cap + 1, nodes + 2048)
-        return self.due
+            raise self.error(f"{self.name} exceeded {self.limits.max_time}s", nodes)
+        return _NEVER if self.deadline is None else work + 2048
+
+    def spend(self, nodes: int) -> int:
+        """Raise once ``nodes`` passes the cap or the clock the deadline;
+        else the next expansion due."""
+        if nodes > self.cap:
+            raise self.error(f"{self.name} exceeded {self.cap} expansions", nodes)
+        return min(self.cap + 1, self.tick(nodes, nodes))
 
     def answer(self, dirs, nodes: int) -> SearchResult:
         """The result of the blank's directions ``dirs``, first move first."""
-        moves = tuple(MOVE_ORDER[d] for d in dirs)
-        return SearchResult(moves, nodes, time.perf_counter() - self.t0)
-
-
-class _BuildClock(_Budget):
-    """A query's deadline alone, read on the search's cadence while the
-    query waits for its shape's goal ball: the build's expansions are no
-    query's, so no cap stops them and a limit error reports none."""
-
-    __slots__ = ()
-
-    def __init__(self, budget: _Budget):
-        self.name, self.limits, self.t0 = budget.name, budget.limits, budget.t0
-        self.cap, self.deadline, self.due = _NEVER, budget.deadline, 1
-
-    def error(self, message: str, nodes: int, bound: int) -> ResourceLimitError:
-        return super().error(message, 0, bound)
+        return SearchResult(tuple(MOVE_ORDER[d] for d in dirs), nodes, time.perf_counter() - self.t0)
 
 
 class _PackedBFS:
@@ -159,10 +162,12 @@ class _PackedBFS:
     4 bits per cell, label ``l`` on cell ``c`` as ``l << 4c`` and the
     blank as 0, through a :func:`_goal_ball` step table. A visited map
     sends each state to its blank's last direction, -1 at a root.
-    ``nodes`` counts expansions, spent from ``budget`` when one is given."""
+    ``nodes`` counts expansions; when it reaches ``due``, ``spend(nodes)``
+    gives the next due: a query's :meth:`_Budget.spend`, or a build's
+    :meth:`_Budget.tick`."""
 
-    def __init__(self, steps, targets, budget: _Budget | None = None):
-        self.steps, self.targets, self.budget, self.nodes = steps, targets, budget, 0
+    def __init__(self, steps, targets, spend=_untimed, due: int = 0):
+        self.steps, self.targets, self.spend, self.due, self.nodes = steps, targets, spend, due, 0
 
     @staticmethod
     def pack(cells) -> int:
@@ -172,23 +177,21 @@ class _PackedBFS:
             state |= (label % n) << (4 * cell)
         return state
 
-    def expand(self, frontier, seen: dict, other: dict | None = None, bound: int | None = None):
+    def expand(self, frontier, seen: dict, other: dict | None = None):
         """Grow the ball ``seen`` maps by one layer.
 
         Returns ``(next layer, meet)``. ``meet`` is None, or the first
         new ``(child, child's blank, d)`` that ``other``, the other
         side's visited map, holds, which stops the layer; ``seen`` maps
-        it too, to ``d``, the blank's direction into it. ``bound`` is
-        the ``lower_bound`` of a limit the layer hits.
+        it too, to ``d``, the blank's direction into it.
         """
-        steps, budget, nodes = self.steps, self.budget, self.nodes
-        due = _NEVER if budget is None else budget.due
+        steps, spend, due, nodes = self.steps, self.spend, self.due, self.nodes
         next_frontier = []
         push = next_frontier.append
         for state, blank, last in frontier:
             nodes += 1
             if nodes >= due:
-                due = budget.spend(nodes, bound)
+                due = spend(nodes)
             for d, j, slide in steps[blank][last]:
                 # The tile times ``slide`` is the tile on both cells. Not
                 # ``+``: CPython gives a positive sum a spare digit for the
@@ -197,10 +200,10 @@ class _PackedBFS:
                 if child not in seen:
                     seen[child] = d
                     if other and child in other:
-                        self.nodes = nodes
+                        self.nodes, self.due = nodes, due
                         return next_frontier, (child, j, d)
                     push((child, j, d))
-        self.nodes = nodes
+        self.nodes, self.due = nodes, due
         return next_frontier, None
 
     def unwind(self, state: int, blank: int, d: int, seen: dict) -> list[int]:
@@ -216,13 +219,10 @@ class _PackedBFS:
         return dirs
 
 
-# Each shape's goal ball, stored once its build has run to the end.
-_balls: dict = {}
-
-
-def _goal_ball(width: int, height: int, budget: _Budget | None = None):
-    """``(steps, targets, ball, radius, rim)`` for the shape, built on
-    its first call under ``budget``'s deadline, if it has one.
+def _goal_ball(width: int, height: int, tick=_untimed):
+    """``(steps, targets, ball, radius, rim)`` for the shape: a builder
+    for the per-shape store (``board._table``), which calls ``tick`` at
+    the ball's first expansion and every 2048th.
 
     ``steps`` is :func:`~permpuzzle.board._row_steps` with ``(1 << 4z) |
     (1 << 4j)`` as the row of the blank's move from cell ``z`` to cell
@@ -231,26 +231,20 @@ def _goal_ball(width: int, height: int, budget: _Budget | None = None):
     blank's last direction (-1 at the goal), whole layers while they
     total at most :data:`BALL_STATES`, and ``rim`` is the layer at
     ``radius``. Every query reads the same objects and none writes them.
-    A deadline that passes mid-build raises with no expansion and the
-    bound 1, and keeps nothing: the next call builds again.
     """
-    if (shape := _balls.get((width, height))) is not None:
-        return shape
     n = width * height
-    targets = move_targets(width, height)
+    targets = _table(move_targets, width, height)
     steps = _row_steps(width, height, [
         (1 << 4 * z) | (1 << 4 * j) if j >= 0 else None
         for z in range(n)
         for j in targets[4 * z : 4 * z + 4]
     ])
-    clock = None if budget is None or budget.deadline is None else _BuildClock(budget)
-    bfs = _PackedBFS(steps, targets, clock)
+    bfs = _PackedBFS(steps, targets, tick)
     goal = bfs.pack(range(1, n + 1))
     ball = {goal: -1}
     frontier, radius = [(goal, n - 1, -1)], 0
     while True:
-        # A query's board is not the goal, so it lies at least 1 move out.
-        layer, _ = bfs.expand(frontier, ball, bound=1)
+        layer, _ = bfs.expand(frontier, ball)
         if not layer or len(ball) > BALL_STATES:
             break
         frontier, radius = layer, radius + 1
@@ -258,8 +252,7 @@ def _goal_ball(width: int, height: int, budget: _Budget | None = None):
         for state, _, _ in layer:
             del ball[state]
         ball = dict(ball)  # the copy drops the deleted slots
-    shape = _balls[width, height] = (steps, targets, ball, radius, frontier)
-    return shape
+    return steps, targets, ball, radius, frontier
 
 
 def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResult:
@@ -272,12 +265,15 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     covers everything up to 9 cells, and 4x4 boards to about 36 moves.
     The goal's ball, every state within radius R of the goal as whole
     BFS layers of at most 2^15 states, each mapped to its blank's last
-    direction, is built once per shape, on its first query. Its
+    direction, is built once per shape, on its first query, and kept
+    in the per-shape table store with IDA*'s step tables. Its
     expansions count against no query's ``max_nodes``; its build time
-    falls within that first query's ``max_time``, read on the search's
-    cadence, and ``elapsed``. A deadline that passes during the build
-    raises with ``nodes_expanded`` 0 and ``lower_bound`` 1, and the
-    next query builds the ball again. One ball grows from ``board``
+    falls within that first query's ``max_time``, read at its first
+    expansion and every 2048th, and ``elapsed``. A deadline that passes
+    during the build raises with ``nodes_expanded`` 0 and
+    ``lower_bound`` 1, and the next query builds the ball again. Once
+    stored, a query reads the ball with one dict read and no clock
+    read. One ball grows from ``board``
     and one from the goal's ball's outer layer, its rim, into a
     per-query copy, a whole layer of the side with the smaller frontier
     at a time (ties go to the start's side), so a deep board costs no
@@ -301,8 +297,8 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
         return done
     if board.size > 16:
         raise ResourceLimitError(f"packed-state BFS supports at most 16 cells, got {board.size}")
-    steps, targets, ball, radius, rim = _goal_ball(board.width, board.height, budget)
-    bfs = _PackedBFS(steps, targets, budget)
+    steps, targets, ball, radius, rim = _table(_goal_ball, board.width, board.height, tick=budget.tick)
+    bfs = _PackedBFS(steps, targets, budget.spend, budget.due)
 
     start, blank = bfs.pack(board.cells), board.blank_index - 1
     # The goal's side grows into a copy; the shape's ball is never written.
@@ -311,17 +307,17 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     meet = (start, blank, -1) if start in ball else None
     # Before each layer the two balls share no state, so the optimal
     # length is at least both radii plus one.
-    bound = radius + 1
+    budget.bound = radius + 1
     while meet is None:
         if not (frontiers[0] and frontiers[1]):
             # Unreachable: solvability was checked up front.
             raise PuzzleError("BFS exhausted the component without finding the goal")
-        budget.depth(bfs.nodes, bound)
+        budget.depth(bfs.nodes)
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         if side and maps[1] is ball:
             maps[1] = dict(ball)
-        frontiers[side], meet = bfs.expand(frontiers[side], maps[side], maps[1 - side], bound)
-        bound += 1
+        frontiers[side], meet = bfs.expand(frontiers[side], maps[side], maps[1 - side])
+        budget.bound += 1
 
     # The start's ball up to the meeting state, which both maps hold,
     # then the goal's ball from it, undoing each of the goal side's moves.
@@ -330,8 +326,9 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     dirs.extend(e ^ 1 for e in bfs.unwind(child, blank, maps[1][child], maps[1]))
     if not bfs.nodes:
         # No expansion read the limits: read them against the exact length.
-        budget.depth(0, len(dirs))
-        budget.spend(0, len(dirs))
+        budget.bound = len(dirs)
+        budget.depth(0)
+        budget.spend(0)
     return budget.answer(dirs, bfs.nodes)
 
 
@@ -371,12 +368,16 @@ def ida_star(
     exhausted iteration); with an admissible heuristic the optimal
     length is proven to reach it. The search recurses once per move, so
     a path deeper than Python's recursion limit (about 1000 moves) ends
-    in that error too. A shape's first solve builds the heuristic's
-    per-shape tables before the first clock read, so that build is
-    outside ``max_time``: in a fresh process, a 30-move 20x20 scramble
-    with ``max_time=0.001`` raised after 1 expansion, but only 78-88 ms
-    in (2-vCPU VM, CPython 3.11). Later solves of the shape reuse the
-    tables.
+    in that error too.
+
+    A shape's first solve builds the heuristic's step table, kept in the
+    one per-shape table store (a :class:`PatternHeuristic` keeps its
+    own), and later solves read it with one dict read and no clock
+    read. Its byte ceiling is checked before h(start) is computed, and
+    the build comes after, within ``max_time``: it reads the deadline at
+    once and then every 2048 steps of work, and one that passes raises
+    with ``nodes_expanded`` 0 and ``lower_bound`` h(start), storing
+    nothing, so the next solve builds again.
     """
     budget = _Budget("IDA*", limits)
     # The argument first, then the board; the per-shape tables last, so a
@@ -386,6 +387,8 @@ def ida_star(
         return done
     n = board.size
     h0, steps, regs = incremental(board)
+    budget.bound = bound = h0  # before the step table's build reads the deadline
+    steps = steps(tick=budget.tick)
     tiles = list(board.cells)
     blank0 = board.blank_index - 1
     goal_tiles = list(range(1, n + 1))
@@ -401,7 +404,7 @@ def ida_star(
         nonlocal nodes, due
         nodes += 1
         if nodes >= due:
-            due = budget.spend(nodes, bound)
+            due = budget.spend(nodes)
         mn = _INF
         g1 = g + 1
         for d, j, row in steps[blank][last]:
@@ -445,16 +448,15 @@ def ida_star(
             tiles[blank], tiles[j] = n, t
         return mn
 
-    bound = h0
     while True:
-        budget.depth(nodes, bound)
+        budget.depth(nodes)
         try:
             r = dfs(blank0, 0, bound, -1, h0)
         except RecursionError:
             limit = f"the recursion limit ({sys.getrecursionlimit()})"
-            raise budget.error(f"IDA* search deeper than {limit}", nodes, bound) from None
+            raise budget.error(f"IDA* search deeper than {limit}", nodes) from None
         if r < 0:
             return budget.answer(reversed(path), nodes)
         if r >= _INF:
             raise PuzzleError("IDA* exhausted the space without a solution")
-        bound = r
+        budget.bound = bound = r

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from permpuzzle import Board, Move
+from permpuzzle.board import _TABLES
 
 from oracles import exact_distances
 
@@ -43,3 +44,15 @@ def dist_3x3() -> dict[tuple[int, ...], int]:
 def solvable_3x3_states(dist_3x3) -> list[tuple[int, ...]]:
     """All reachable 3x3 states in a stable order, for seeded sampling."""
     return sorted(dist_3x3)
+
+
+@pytest.fixture
+def empty_store():
+    """The per-shape table store, emptied for the test, so every table it
+    reads is built again under its limits and ceilings; the tables stored
+    before it are put back after."""
+    kept = dict(_TABLES)
+    _TABLES.clear()
+    yield _TABLES
+    _TABLES.clear()
+    _TABLES.update(kept)

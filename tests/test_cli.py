@@ -19,7 +19,6 @@ from permpuzzle import (
     verify_sequence,
 )
 from permpuzzle.cli import main
-from permpuzzle.heuristics import _step_table
 
 from conftest import FIG3_CYCLES, FIG3_TEXT, LLOYD_TEXT
 
@@ -380,15 +379,13 @@ class TestPdbBuild:
         assert result.exit_code == 3
         assert result.stderr.startswith("error: pattern indexes need 216 bytes")
 
-    def test_heuristic_table_over_the_byte_ceiling_exits_three(self, runner, monkeypatch):
-        _step_table.cache_clear()
+    def test_heuristic_table_over_the_byte_ceiling_exits_three(self, runner, monkeypatch, empty_store):
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 3263)
         # One move from the goal: a goal board returns before any table is built.
         board = Board.goal(2, 2).apply_move(Move.UP)
         result = runner.invoke(
             main, ["solve", "--heuristic", "manhattan", "-"], input=board.format()
         )
-        _step_table.cache_clear()
         assert result.exit_code == 3
         assert result.stderr.startswith("error: Manhattan step table needs 3264 bytes")
 

@@ -20,7 +20,7 @@ from permpuzzle import (
     scramble,
 )
 from permpuzzle import heuristics
-from permpuzzle.board import _blank_steps, format_moves
+from permpuzzle.board import _blank_steps, _table, format_moves
 from permpuzzle.heuristics import (
     _conflict_of,
     _conflict_table,
@@ -139,7 +139,7 @@ class TestLinearConflict:
         assert (tuple(values), digest) == self.PINNED[width, height]
 
     @pytest.mark.parametrize("width, height", [(2, 3000), (3000, 2)])
-    def test_long_lines_need_memory_linear_in_the_board(self, width, height, fresh_tables):
+    def test_long_lines_need_memory_linear_in_the_board(self, width, height, empty_store):
         """Lines of 3000 cells, each holding about half its own tiles in a
         random order: goal lines of (w+h)·(n+1) codes, 144 MB here, were
         refused at the ceiling. The traced peak, per-shape tables included,
@@ -266,51 +266,94 @@ class TestConflictTable:
                 assert value == line_conflicts(codes), codes
 
 
-@pytest.fixture
-def fresh_tables():
-    """Empty per-shape caches, so a ceiling is checked again on the next read."""
-
-    def clear():
-        for cache in (goal_tables, _lines, _step_table):
-            cache.cache_clear()
-
-    clear()
-    yield clear
-    clear()
-
-
 class TestTableCeiling:
     """On 3x3 the Manhattan step table is bounded by 7264 bytes and the
     linear-conflict step table by 40,576."""
 
-    def test_manhattan_steps_at_the_ceiling(self, monkeypatch, fresh_tables):
+    def test_manhattan_steps_at_the_ceiling(self, monkeypatch, empty_store):
         board = Board.goal(3, 3).apply_move(Move.UP)
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 7264)
         assert ida_star(board, "manhattan").length == 1
-        fresh_tables()
+        empty_store.clear()
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 7263)
         with pytest.raises(ResourceLimitError, match="Manhattan step table needs 7264 bytes"):
             ida_star(board, "manhattan")
-        # manhattan() alone reads only tables of O(n) entries, never charged.
+        # manhattan() alone reads only tables of O(n) entries, charged on
+        # their own: 3112 bytes here.
         assert manhattan(board) == 1
 
-    def test_move_table_at_the_ceiling(self, monkeypatch, fresh_tables):
+    def test_move_table_at_the_ceiling(self, monkeypatch, empty_store):
         board = Board.goal(3, 3).apply_move(Move.UP)
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 40576)
         assert ida_star(board, "linear-conflict").length == 1
-        fresh_tables()
+        empty_store.clear()
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 40575)
         with pytest.raises(ResourceLimitError, match="step table needs 40576 bytes"):
             ida_star(board, "linear-conflict")
         # Manhattan's smaller tables still fit.
         assert ida_star(board, "manhattan").length == 1
 
+    @staticmethod
+    def goal_tables_need(monkeypatch, width, height) -> int:
+        """The bytes goal_tables charges for the shape, read from its
+        refusal under a ceiling of 0."""
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 0)
+        with pytest.raises(ResourceLimitError, match="goal tables need") as exc:
+            goal_tables(width, height)
+        monkeypatch.undo()
+        return int(str(exc.value).split()[3])
+
+    def test_goal_tables_at_the_ceiling(self, monkeypatch, empty_store):
+        # Bare manhattan() and linear_conflict() are refused before the
+        # shape's O(n) tables are built, and build them at the ceiling.
+        board = Board.goal(3, 3).apply_move(Move.UP)
+        need = self.goal_tables_need(monkeypatch, 3, 3)
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", need - 1)
+        for value in (manhattan, linear_conflict):
+            with pytest.raises(ResourceLimitError, match=f"goal tables need {need} bytes"):
+                value(board)
+        assert empty_store == {}
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", need)
+        assert manhattan(board) == linear_conflict(board) == 1
+
+    def test_goal_tables_past_the_ceiling_are_not_allocated(self, empty_store):
+        # 700x700 has 490,000 cells; a 1000x1000 board traced 302 MB here
+        # before the tables were charged.
+        board = Board.goal(700, 700)
+        tracemalloc.start()
+        try:
+            for value in (manhattan, linear_conflict):
+                with pytest.raises(ResourceLimitError, match="goal tables need"):
+                    value(board)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("width, height", [(154, 154), (2, 2025), (2025, 2), (36, 36), (2, 216)])
+    def test_goal_tables_fit_every_step_table(self, width, height, monkeypatch):
+        # Every shape whose Manhattan or linear-conflict step table fits.
+        assert self.goal_tables_need(monkeypatch, width, height) <= pattern_db.DEFAULT_MAX_BYTES
+        assert _table_bytes(width, height)[0] <= pattern_db.DEFAULT_MAX_BYTES
+
+    @pytest.mark.parametrize("width, height", [(2, 2), (5, 3), (2, 300), (40, 40), (154, 154)])
+    def test_goal_tables_bound_covers_what_is_allocated(self, width, height, monkeypatch):
+        need = self.goal_tables_need(monkeypatch, width, height)
+        tracemalloc.start()
+        try:
+            tables = goal_tables(width, height)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tables[0]) == (2 * width - 1) * (2 * height - 1)
+        assert size <= need
+
     @pytest.mark.parametrize("width, height", [(64, 64), (2, 1000)])
     def test_manhattan_searches_past_the_old_distance_table(self, width, height):
         assert ida_star(scramble(width, height, 4, 1)[0], "manhattan").length == 4
 
     @pytest.mark.parametrize("width, height, fits", [(155, 155, (154, 154)), (2, 2026, (2, 2025))])
-    def test_manhattan_step_table_refused_before_it_is_built(self, width, height, fits, fresh_tables):
+    def test_manhattan_step_table_refused_before_it_is_built(self, width, height, fits, empty_store):
         board = scramble(width, height, 4, 1)[0]
         need = _table_bytes(width, height)[0]
         assert _table_bytes(*fits)[0] <= pattern_db.DEFAULT_MAX_BYTES < need
@@ -324,7 +367,7 @@ class TestTableCeiling:
         assert peak < need // 100
 
     @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
-    def test_step_table_leaves_the_collector_as_it_was(self, monkeypatch, fresh_tables, collecting):
+    def test_step_table_leaves_the_collector_as_it_was(self, monkeypatch, empty_store, collecting):
         """The build pauses the cyclic collector and restores the caller's
         state after a build, a refusal at the ceiling and a failed build."""
         was = gc.isenabled()
@@ -332,7 +375,7 @@ class TestTableCeiling:
         try:
             _step_table(4, 4, True)
             assert gc.isenabled() is collecting
-            fresh_tables()
+            empty_store.clear()
             monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 40575)
             with pytest.raises(ResourceLimitError):
                 _step_table(3, 3, True)
@@ -352,16 +395,16 @@ class TestTableCeiling:
             (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("width, height", [(2, 2), (5, 3), (3, 5), (2, 7), (10, 10), (2, 60)])
-    def test_bounds_cover_what_is_allocated(self, width, height, fresh_tables):
+    def test_bounds_cover_what_is_allocated(self, width, height, empty_store):
         # Shared by every search or every shape, or O(n): charged to none.
-        _blank_steps(width, height)
-        goal_tables(width, height)
-        _lines(width, height)
+        _table(_blank_steps, width, height)
+        _table(goal_tables, width, height)
+        _table(_lines, width, height)
         tracemalloc.start()
         try:
-            _step_table(width, height, False)
+            _table(_step_table, width, height, False)
             steps = tracemalloc.get_traced_memory()[0]
-            _step_table(width, height, True)
+            _table(_step_table, width, height, True)
             total = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

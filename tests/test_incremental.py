@@ -2,7 +2,7 @@
 
 Each heuristic reaches the search as ``(h0, steps, regs)``. Sliding the
 tile at ``j`` into the blank at ``z`` reads ``row[t]`` from
-``steps[z][-1]``'s ``(d, j, row)``: an int is the change of h; an entry
+``steps()[z][-1]``'s ``(d, j, row)``: an int is the change of h; an entry
 ``(dh, s, off, T, more)`` adds ``dh + T[regs[s] + off] - T[regs[s]]``
 (a conflict table's key is filled when missing, as the search fills it)
 and shifts ``regs[s]`` by ``off`` and each ``regs[s2]`` by ``o2``.
@@ -62,7 +62,7 @@ def slide(terms, state, blank: int, j: int, t: int) -> None:
     """Move tile ``t`` from ``j`` into ``blank`` in every ``(h, regs)`` of
     ``state``, reading each heuristic's own step table."""
     for i, (_, steps, _) in enumerate(terms):
-        (entry,) = [row[t] for _, cell, row in steps[blank][-1] if cell == j]
+        (entry,) = [row[t] for _, cell, row in steps()[blank][-1] if cell == j]
         h, regs = state[i]
         if not isinstance(entry, int):
             dh, s, off, table, more = entry

@@ -20,6 +20,7 @@ from permpuzzle import (
 )
 
 from permpuzzle import solver
+from permpuzzle.board import _table
 from permpuzzle.solver import BALL_STATES, _goal_ball, _PackedBFS
 
 from oracles import exact_distances, inversion_sign
@@ -195,7 +196,7 @@ class TestPackedSteps:
         # board after the move, and unwinding that one step lands on the
         # parent, the only state in the map. A ball holding the last
         # child stops the layer there and hands that child back.
-        bfs = _PackedBFS(*_goal_ball(width, height)[:2])
+        bfs = _PackedBFS(*_table(_goal_ball, width, height)[:2])
         rng = random.Random(f"packed/{width}x{height}")
         cells = list(range(1, width * height + 1))
         for _ in range(50):
@@ -218,7 +219,7 @@ class TestGoalBall:
     def check_whole_layers(width, height, size, radius, ceiling):
         # Exactly the states within the radius, and one more layer would
         # pass the ceiling unless the component is already whole.
-        _, _, ball, r, rim = _goal_ball(width, height)
+        _, _, ball, r, rim = _table(_goal_ball, width, height)
         dist = exact_distances(width, height)
         assert (len(ball), r) == (size, radius)
         assert set(ball) == {_PackedBFS.pack(c) for c, d in dist.items() if d <= r}
@@ -235,11 +236,10 @@ class TestGoalBall:
     @pytest.mark.parametrize("width, height, size, radius", [
         (2, 2, 12, 6), (3, 2, 360, 21), (3, 3, 11764, 16), (2, 4, 16249, 26), (4, 2, 16249, 26),
     ])
-    def test_whole_layers_within_the_ceiling(self, monkeypatch, width, height, size, radius):
-        # Under a ceiling of 2^14 states, over an empty cache of balls:
-        # the build honours a ceiling other than the default.
+    def test_whole_layers_within_the_ceiling(self, monkeypatch, empty_store, width, height, size, radius):
+        # Under a ceiling of 2^14 states, over an empty table store: the
+        # build honours a ceiling other than the default.
         monkeypatch.setattr(solver, "BALL_STATES", 1 << 14)
-        monkeypatch.setattr(solver, "_balls", {})
         self.check_whole_layers(width, height, size, radius, 1 << 14)
 
     @pytest.mark.parametrize("width, height, size, radius", [
@@ -256,7 +256,7 @@ class TestGoalBall:
         # Read from the build, with no exact distances: the rim is the
         # ball's layer at the radius, and the layer past it would take
         # the ball over the ceiling.
-        steps, targets, ball, r, rim = _goal_ball(width, height)
+        steps, targets, ball, r, rim = _table(_goal_ball, width, height)
         assert (len(ball), r) == (size, radius)
         assert {ball[state] for state, _, _ in rim} <= {0, 1, 2, 3}
         past, _ = _PackedBFS(steps, targets).expand(rim, dict(ball))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import time
 from functools import partial
@@ -23,7 +24,8 @@ from permpuzzle import (
     verify_sequence,
 )
 from permpuzzle import solver
-from permpuzzle.board import _blank_steps, move_targets
+from permpuzzle.board import _blank_steps, _table, move_targets
+from permpuzzle.heuristics import _lines, _step_table, goal_tables
 
 from oracles import exact_distances
 
@@ -76,7 +78,7 @@ class TestBfsOptimal:
         # bound before the first layer is 0 + 18 + 1. The ball is built
         # first: a deadline already past would stop its build instead.
         b, _ = scramble(3, 3, 60, 2)
-        solver._goal_ball(3, 3)
+        _table(solver._goal_ball, 3, 3)
         with pytest.raises(ResourceLimitError) as exc:
             bfs_optimal(b, SearchLimits(max_time=0.0))
         assert exc.value.nodes_expanded == 1
@@ -138,15 +140,14 @@ class TestBfsOptimal:
                 except ResourceLimitError as exc:
                     assert 1 <= exc.lower_bound <= dist_3x3[cells]
 
-    def test_goal_ball_is_built_outside_the_limits(self, dist_3x3):
+    def test_goal_ball_is_built_outside_the_limits(self, dist_3x3, empty_store):
         # The shape's first query builds its ball, 26,931 states, under a
         # cap of no expansions; a board inside it unwinds with none.
-        solver._balls.clear()
         cells = next(c for c, d in dist_3x3.items() if d == 16)
         result = bfs_optimal(Board(3, 3, cells), SearchLimits(max_nodes=0))
         assert (result.length, result.nodes_expanded) == (16, 0)
 
-    def test_deadline_read_while_the_goal_ball_is_built(self, monkeypatch):
+    def test_deadline_read_while_the_goal_ball_is_built(self, monkeypatch, empty_store):
         # A clock that ticks one second per read. The build reads the
         # query's deadline on the search's cadence, expansions 1, 2049,
         # ..., and stops at the third read, past start + 2.5; it reports
@@ -158,13 +159,12 @@ class TestBfsOptimal:
             return float(len(reads))
 
         monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=perf_counter))
-        monkeypatch.setattr(solver, "_balls", {})
         board = scramble(4, 4, 30, 0)[0]
         with pytest.raises(ResourceLimitError, match=r"BFS exceeded 2\.5s") as exc:
             bfs_optimal(board, SearchLimits(max_time=2.5))
         assert (exc.value.nodes_expanded, exc.value.lower_bound) == (0, 1)
         assert len(reads) == 1 + 3
-        assert solver._balls == {}
+        assert (solver._goal_ball, 4, 4) not in empty_store
         # With no deadline in reach, the build's 31,044 expansions read the
         # clock 16 times, the query's 5,763 three times, then the end; the
         # ball is kept, and the next query reads only its own.
@@ -172,7 +172,7 @@ class TestBfsOptimal:
         result = bfs_optimal(board, SearchLimits(max_time=float("inf")))
         assert result.nodes_expanded == 5763
         assert len(reads) == 1 + 16 + 3 + 1
-        assert list(solver._balls) == [(4, 4)]
+        assert (solver._goal_ball, 4, 4) in empty_store
         reads.clear()
         assert bfs_optimal(board, SearchLimits(max_time=float("inf"))).nodes_expanded == 5763
         assert len(reads) == 1 + 3 + 1
@@ -182,7 +182,7 @@ class TestBfsOptimal:
         # answer; the bound is the exact length. The ball is built first,
         # as in test_expired_deadline_stops_a_short_search.
         cells = next(c for c, d in dist_3x3.items() if d == 16)
-        solver._goal_ball(3, 3)
+        _table(solver._goal_ball, 3, 3)
         with pytest.raises(ResourceLimitError, match="BFS exceeded 0.0s") as exc:
             bfs_optimal(Board(3, 3, cells), SearchLimits(max_time=0.0))
         assert (exc.value.nodes_expanded, exc.value.lower_bound) == (0, 16)
@@ -271,12 +271,12 @@ class TestBfsOptimal:
                 assert results[-1].nodes_expanded == self.PINNED_FULL_WIDTH_NODES[shape]
 
     @pytest.fixture
-    def ball_states(self, monkeypatch):
-        """Sets the goal ball's ceiling for the test, over an empty cache
-        of balls; the ceiling and the cache are restored after it."""
+    def ball_states(self, monkeypatch, empty_store):
+        """Sets the goal ball's ceiling for the test, over an empty table
+        store; the ceiling and the store are restored after it."""
         def set_ceiling(states):
             monkeypatch.setattr(solver, "BALL_STATES", states)
-            monkeypatch.setattr(solver, "_balls", {})
+            empty_store.clear()
         return set_ceiling
 
     def test_a_ball_of_the_goal_alone_is_the_bidirectional_search(
@@ -480,9 +480,11 @@ class TestIdaStar:
         monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=perf_counter))
         # IDA* and the oracle read the same clock: the start and the end,
         # plus expansions 1, 2049, ..., 30721 and 1, 2049, 4097. The 4x4
-        # goal ball is built first, with no deadline: its build reads the
-        # clock too (test_deadline_read_while_the_goal_ball_is_built).
-        solver._goal_ball(4, 4)
+        # goal ball and Manhattan step table are built first, with no
+        # deadline: their builds read the clock too
+        # (test_deadline_read_while_the_goal_ball_is_built).
+        _table(solver._goal_ball, 4, 4)
+        _table(_step_table, 4, 4, False)
         for search, board, nodes, clock_reads in [
             (partial(ida_star, heuristic="manhattan"), scramble(4, 4, 40, 7)[0], 32549, 2 + 16),
             (bfs_optimal, scramble(4, 4, 30, 0)[0], 5763, 2 + 3),
@@ -532,6 +534,90 @@ class TestIdaStar:
             b = Board(3, 2, cells)
             for h in ("manhattan", "linear-conflict", pdbs):
                 assert ida_star(b, h).length == d
+
+
+class TestFirstSolveDeadline:
+    """A shape's first solve builds its step table within ``max_time``,
+    after h(start) is known, under a clock that ticks one second per
+    read: the build reads the deadline at once, then every 2048 steps of
+    work. A deadline that passes stops the build with no expansion and
+    the bound h(start), leaves the cyclic collector as it was and stores
+    nothing; the next solve, with no limit, builds the table again."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        reads = []
+
+        def perf_counter():
+            reads.append(None)
+            return float(len(reads))
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=perf_counter))
+        return reads
+
+    @staticmethod
+    def solve_with_collector(collecting, search):
+        """``search()``'s limit error, with the collector on or off, and
+        whether it was left so."""
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            with pytest.raises(ResourceLimitError) as exc:
+                search()
+            return exc.value, gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    # (h(start), length, nodes) of scramble(20, 20, 30, 0), the same as
+    # before the build read the deadline.
+    PINNED_20X20 = {"manhattan": (20, 26, 1278), "linear-conflict": (20, 26, 688)}
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("max_time, clock_reads", [(0.001, 1), (2.5, 3)])
+    @pytest.mark.parametrize("name", sorted(PINNED_20X20))
+    def test_first_20x20_solve_stops_in_the_build(
+        self, name, max_time, clock_reads, collecting, reads, empty_store
+    ):
+        # Past start + 0.001 at the build's first read; past start + 2.5
+        # at its third, 4812 entries in, before the 76 shared Manhattan
+        # rows of 401 entries are done. Only the tables h(start) read
+        # are stored, beside those the scramble read.
+        board = scramble(20, 20, 30, 0)[0]
+        stored = set(empty_store)
+        conflicts = name == "linear-conflict"
+        h0, length, nodes = self.PINNED_20X20[name]
+        error, kept = self.solve_with_collector(
+            collecting, lambda: ida_star(board, name, SearchLimits(max_time=max_time))
+        )
+        assert str(error) == f"IDA* exceeded {max_time}s"
+        assert (error.nodes_expanded, error.lower_bound) == (0, h0)
+        assert kept
+        assert len(reads) == 1 + clock_reads
+        h0_tables = {(goal_tables, 20, 20), (_lines, 20, 20)} if conflicts else {(goal_tables, 20, 20)}
+        assert set(empty_store) == stored | h0_tables
+        result = ida_star(board, name)
+        assert (result.length, result.nodes_expanded) == (length, nodes)
+        assert (_step_table, 20, 20, conflicts) in empty_store
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+    def test_first_pattern_solve_stops_in_the_build(self, collecting, reads):
+        # The 34-move board of scramble -w 4 -h 4 --steps 40 --seed 7
+        # under five 3-tile tables: a new heuristic builds its own step
+        # table on its first solve, reading the deadline at its first cell.
+        board = scramble(4, 4, 40, 7)[0]
+        labels = range(1, 16)
+        heuristic = PatternHeuristic([build_pdb(4, 4, labels[i : i + 3]) for i in range(0, 15, 3)])
+        error, kept = self.solve_with_collector(
+            collecting, lambda: ida_star(board, heuristic, SearchLimits(max_time=0.001))
+        )
+        assert heuristic(board) == 26
+        assert (error.nodes_expanded, error.lower_bound) == (0, 26)
+        assert kept
+        assert len(reads) == 2
+        assert heuristic._steps is None
+        result = ida_star(board, heuristic)
+        assert (result.length, result.nodes_expanded) == (34, 4907)
+        assert heuristic._steps is not None
 
 
 class TestBlankSteps:
