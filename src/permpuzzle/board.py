@@ -58,10 +58,11 @@ _INVERSE = {m: MOVE_ORDER[d ^ 1] for d, m in enumerate(MOVE_ORDER)}
 _BLANK_TOKENS = ("0", "_")
 
 
-# Every per-shape table a search reads, keyed by its builder and shape,
-# such as ``(move_targets, 4, 4)``: the move and step tables, Manhattan's
-# goal tables, linear conflict's lines and the exact oracle's goal balls.
-# :func:`_table` fills it, and an entry, once stored, is never replaced.
+# Every per-shape table, keyed by its builder and shape, such as
+# ``(_blank_steps, 4, 4)``: the move and step tables, Manhattan's goal
+# tables, linear conflict's lines and conflict tables, the pattern
+# build's region tables and the exact oracle's goal balls. :func:`_table`
+# fills it, and an entry, once stored, is never replaced.
 _TABLES: dict = {}
 _NEVER = 1 << 62  # a step of work or an expansion no build or search reaches
 
@@ -88,50 +89,38 @@ def _table(build, *args, tick=None):
     return table
 
 
-def move_targets(width: int, height: int) -> tuple[int, ...]:
-    """Flat table: entry [cell*4 + d] is the blank's destination cell for
-    direction index d (order U, D, L, R), or -1 when the move is illegal.
-    Cells are 0-based row-major."""
-    n = width * height
-    table = []
-    for cell in range(n):
-        row, col = divmod(cell, width)
-        table.append(cell - width if row > 0 else -1)
-        table.append(cell + width if row < height - 1 else -1)
-        table.append(cell - 1 if col > 0 else -1)
-        table.append(cell + 1 if col < width - 1 else -1)
-    return tuple(table)
-
-
 def _blank_steps(width: int, height: int):
     """``steps[blank][last]``: the blank's legal (direction, destination)
     pairs from ``blank``, in U, D, L, R order, without ``last ^ 1``, the
     direction that undoes a last move ``last`` (:data:`MOVE_ORDER` pairs
     U/D and L/R). The fifth entry, ``steps[blank][-1]``, serves a root
-    and keeps every legal pair. The table holds 5·n tuples. It is read
-    through :func:`_row_steps` by IDA*'s heuristics and the packed-state
-    BFS, and directly by :func:`scramble`, which draws each move from
-    it; a single board's moves are worked out from the blank's row and
-    column instead (:func:`_room`), with no per-shape table.
+    and keeps every legal pair. The table holds 5·n tuples.
+
+    It is the one move table, built from the rule a single board's moves
+    follow: a direction is legal when :func:`_room` gives it room, and
+    its destination is the blank's cell plus the direction's
+    :func:`_offsets` entry. IDA*'s heuristics and the packed-state BFS
+    read it through :func:`_row_steps`, the pattern build's region pass
+    reads its destinations, and :func:`scramble` draws each move from it;
+    a single board reads :func:`_room` with no per-shape table.
     """
-    targets = _table(move_targets, width, height)
-    steps = []
-    for c in range(width * height):
-        legal = [(d, j) for d, j in enumerate(targets[c * 4 : c * 4 + 4]) if j >= 0]
+    offsets, steps = _offsets(width), []
+    for z in range(width * height):
+        legal = [(d, z + offsets[d]) for d, room in enumerate(_room(width, height, z)) if room]
         per_last = [tuple(s for s in legal if s[0] != last ^ 1) for last in range(4)]
         steps.append((*per_last, tuple(legal)))
     return tuple(steps)
 
 
-def _row_steps(width: int, height: int, rows, tick=_untimed):
-    """:func:`_blank_steps` with ``rows[4 * blank + d]`` attached to each
+def _row_steps(width: int, height: int, row, tick=_untimed):
+    """:func:`_blank_steps` with ``row(blank, d, j)`` attached to each
     pair, as (d, j, row): a heuristic's step table for IDA*. A cell is a
     step of work for ``tick`` (see :func:`_table`)."""
     steps, due = [], 0
     for z, per_last in enumerate(_table(_blank_steps, width, height)):
         if z >= due:
             due = tick(z)
-        triples = {d: (d, j, rows[4 * z + d]) for d, j in per_last[-1]}
+        triples = {d: (d, j, row(z, d, j)) for d, j in per_last[-1]}
         steps.append(tuple(tuple(triples[d] for d, _ in entry) for entry in per_last))
     return tuple(steps)
 
@@ -364,6 +353,12 @@ def _room(width: int, height: int, blank: int) -> tuple[int, int, int, int]:
     return row, height - 1 - row, col, width - 1 - col
 
 
+def _offsets(width: int) -> tuple[int, int, int, int]:
+    """What a move in each direction, in U, D, L, R order, adds to the
+    blank's cell."""
+    return -width, width, -1, 1
+
+
 def _illegal(move) -> IllegalMoveError:
     """The error for ``move``, which is not a :class:`Move` or takes the
     blank off the board."""
@@ -381,7 +376,7 @@ def _destination(width: int, height: int, blank: int, move) -> int:
     d = _DIRECTION[move._value_] if isinstance(move, Move) else None
     if d is None or not _room(width, height, blank)[d]:
         raise _illegal(move)
-    return blank + (-width, width, -1, 1)[d]
+    return blank + _offsets(width)[d]
 
 
 def _replay(start: Board, moves) -> tuple[Board, IllegalMoveError | None]:
@@ -397,7 +392,7 @@ def _replay(start: Board, moves) -> tuple[Board, IllegalMoveError | None]:
     # The blank's room in each direction (:func:`_room`), kept up step by
     # step: a move spends one of its own and gives one to its opposite.
     room = list(_room(width, start.height, blank))
-    offsets = (-width, width, -1, 1)
+    offsets = _offsets(width)
     error = None
     for k, move in enumerate(moves):
         d = _DIRECTION[move._value_] if isinstance(move, Move) else None

@@ -26,7 +26,7 @@ up to 154x154 and 2x2025, and linear-conflict search up to 36x36 and
 2x216. :func:`manhattan` and :func:`linear_conflict` on their own need
 O(n) memory, and :func:`goal_tables` is charged against the same
 ceiling: it refuses 648x648 and larger before it is built. Every table
-here but the conflict tables is kept in the per-shape store
+here, the conflict tables too, is kept in the per-shape store
 (``board._table``), and the step tables are built there under the
 calling search's deadline.
 """
@@ -36,10 +36,10 @@ from __future__ import annotations
 import gc
 import math
 from bisect import bisect_left
-from functools import lru_cache, partial
+from functools import partial
 
 from . import pattern_db
-from .board import _TABLES, Board, _row_steps, _table, _untimed, move_targets
+from .board import _TABLES, Board, _blank_steps, _row_steps, _table, _untimed
 
 __all__ = ["manhattan", "linear_conflict"]
 
@@ -84,9 +84,9 @@ def _lines(width: int, height: int):
     n = width * height
     *_, goal_row, goal_col = _table(goal_tables, width, height)
     rows = [(slice(r * width, (r + 1) * width), goal_row, goal_col, r, width + 1,
-             _conflict_table(width)) for r in range(height)]
+             _table(_conflict_table, width)) for r in range(height)]
     cols = [(slice(c, n, width), goal_col, goal_row, c, height + 1,
-             _conflict_table(height)) for c in range(width)]
+             _table(_conflict_table, height)) for c in range(width)]
     return rows + cols
 
 
@@ -117,12 +117,14 @@ def line_conflicts(codes) -> int:
     return 2 * (len(coords) - len(tails))
 
 
-_LENGTHS: dict[int, int] = {}  # id(table) -> its line length; tables live for good
+# id(table) -> its line length, set as each table is made, so an id that
+# a freed table leaves and a later table takes maps to the later length.
+_LENGTHS: dict[int, int] = {}
 
 
-@lru_cache(maxsize=None)
 def _conflict_table(length: int) -> dict:
-    """The one conflict table every line of ``length`` cells shares.
+    """The conflict table every line of ``length`` cells shares, kept in
+    the per-shape store (``board._table``).
 
     It maps a line key, the line's codes read as a base ``length + 1``
     number, first cell most significant, to :func:`line_conflicts` of
@@ -234,36 +236,31 @@ def _step_table(width: int, height: int, conflicts: bool, tick=_untimed):
             # place[i][slot]: the weight of a slot of line i in its key.
             place = [[base ** s for s in range(base - 2, -1, -1)] for *_, base, _ in lines]
             members = [[t for t, g in enumerate(home) if g == i] for _, home, _, i, _, _ in lines]
-        rows = []  # rows[4 * z + d]: the blank at z moves d, the tile at j slides into z
-        for i, j in enumerate(_table(move_targets, width, height)):
-            if work >= due:
-                due = tick(work)
-            work += n + 1
-            if j < 0:
-                rows.append(None)
-                continue
-            (rz, cz), (rj, cj) = divmod(i >> 2, width), divmod(j, width)
-            if cz == cj:  # vertical: out of row rj, into row rz, along column cz
-                out, into, slot, along, a, b, goal = rj, rz, cz, height + cz, rj, rz, goal_row
-            else:  # horizontal: out of column cj, into column cz, along row rz
-                out, into, slot, along, a, b, goal = height + cj, height + cz, rz, rz, cj, cz, goal_col
-            md_row = shared.get((out, into))
-            if md_row is None:
-                md_row = tuple(abs(b - g) - abs(a - g) if g >= 0 else 0 for g in goal)
-                shared[out, into] = md_row
-            if not conflicts:
-                rows.append(md_row)
-                continue
-            row = list(md_row)
-            shift = place[along][b] - place[along][a]
-            for line, weight in ((out, -place[out][slot]), (into, place[into][slot]), (along, shift)):
-                _, _, coord, _, _, table = lines[line]
-                for t in members[line]:
-                    reg = (line, (coord[t] + 1) * weight)
-                    e = row[t]
-                    row[t] = (e, *reg, table, ()) if e.__class__ is int else (*e[:4], (reg,))
-            rows.append(row)
-        return _row_steps(width, height, rows, tick)
+        rows = [None] * (4 * n)  # [4 * z + d]: the blank at z moves d, the tile at j slides into z
+        for z, per_last in enumerate(_table(_blank_steps, width, height)):
+            for d, j in per_last[-1]:
+                if work >= due:
+                    due = tick(work)
+                work += n + 1
+                (rz, cz), (rj, cj) = divmod(z, width), divmod(j, width)
+                if cz == cj:  # vertical: out of row rj, into row rz, along column cz
+                    out, into, slot, along, a, b, goal = rj, rz, cz, height + cz, rj, rz, goal_row
+                else:  # horizontal: out of column cj, into column cz, along row rz
+                    out, into, slot, along, a, b, goal = height + cj, height + cz, rz, rz, cj, cz, goal_col
+                row = shared.get((out, into))
+                if row is None:
+                    row = shared[out, into] = tuple(abs(b - g) - abs(a - g) if g >= 0 else 0 for g in goal)
+                if conflicts:
+                    row = list(row)
+                    shift = place[along][b] - place[along][a]
+                    for line, weight in ((out, -place[out][slot]), (into, place[into][slot]), (along, shift)):
+                        _, _, coord, _, _, table = lines[line]
+                        for t in members[line]:
+                            reg = (line, (coord[t] + 1) * weight)
+                            e = row[t]
+                            row[t] = (e, *reg, table, ()) if e.__class__ is int else (*e[:4], (reg,))
+                rows[4 * z + d] = row
+        return _row_steps(width, height, lambda z, d, j: rows[4 * z + d], tick)
     finally:
         if enabled:
             gc.enable()

@@ -36,7 +36,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .board import Board, _row_steps, _untimed, check_dimensions
+from .board import Board, _offsets, _row_steps, _untimed, check_dimensions
 from .errors import ParseError, ResourceLimitError
 
 __all__ = [
@@ -226,11 +226,11 @@ class PatternHeuristic:
             # Unchecked: 1-byte shapes and labels cap it near 46 MB, under the ceiling.
             n = self.width * self.height
             rows = [[0] * (n + 1) for _ in range(4)]
-            for row, shift in zip(rows, (self.width, -self.width, 1, -1)):  # z - j for U, D, L, R
+            for row, offset in zip(rows, _offsets(self.width)):  # j - z for U, D, L, R
                 for s, (tiles, index) in enumerate(self._indexes):
                     for slot, t in enumerate(tiles):
-                        row[t] = (0, s, shift * n ** (len(tiles) - 1 - slot), index, ())
-            self._steps = _row_steps(self.width, self.height, rows * n, tick)
+                        row[t] = (0, s, -offset * n ** (len(tiles) - 1 - slot), index, ())
+            self._steps = _row_steps(self.width, self.height, lambda z, d, j: rows[d], tick)
         return self._steps
 
     def incremental(self, board: Board):

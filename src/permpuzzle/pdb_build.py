@@ -4,13 +4,14 @@
 blank region) states. The blank's cost-0 region is a component of the
 cells the pattern leaves free, which depends only on the set of pattern
 cells: C(n,k) sets, against P(n,k) placements. One pass over the sets,
-kept for the last two shapes and sizes, records each region's size and
-its cost-1 slides. A layer maps each region to one int whose bit ``o``
-is tile order ``o``, so a slide carries all k! orders at once: an OR when it
-keeps the order, else a few mask-and-shift ops per adjacent swap first.
-The build holds the table, indexed ``set * k! + order``, one visited int
-per region and one placed int per set, and then writes the table in rank
-order. Nothing holds a byte per state.
+kept per shape and size in the per-shape store (``board._table``),
+records each region's size and its cost-1 slides. A layer maps each
+region to one int whose bit ``o`` is tile order ``o``, so a slide
+carries all k! orders at once: an OR when it keeps the order, else a
+few mask-and-shift ops per adjacent swap first. The build holds the
+table, indexed ``set * k! + order``, one visited int per region and one
+placed int per set, and then writes the table in rank order. Nothing
+holds a byte per state.
 
 The layers come from :func:`_layers`, which
 :func:`~permpuzzle.solvability.reachable_states` also runs, with every
@@ -27,19 +28,12 @@ import operator
 import sys
 from array import array
 from collections import defaultdict
-from functools import lru_cache
 from itertools import compress, repeat
 from operator import and_, rshift
 
-from .board import move_targets
-from .pattern_db import (
-    DEFAULT_MAX_BYTES,
-    UNREACHED,
-    PatternDatabase,
-    _check_bytes,
-    _check_pattern,
-    rank_weights,
-)
+from . import pattern_db
+from .board import _blank_steps, _table
+from .pattern_db import UNREACHED, PatternDatabase, _check_bytes, _check_pattern, rank_weights
 
 __all__ = ["build_pdb"]
 
@@ -74,14 +68,14 @@ def _swap_moves(k: int, p: int):
     return shift, [m * every << shift for m in moves.values()], [shift - d for d in moves]
 
 
-@lru_cache(maxsize=2)
 def _regions(width: int, height: int, k: int):
     """Per-set tables for :func:`_layers`, the search of every k-tile
     :func:`build_pdb` on the shape and, with k = n - 1, of
-    :func:`~permpuzzle.solvability.reachable_states`. The two cached
-    entries are the last two shapes and sizes either asked for, so an
-    enumeration, or a build of another size, between two builds of one
-    shape and size leaves the second its tables.
+    :func:`~permpuzzle.solvability.reachable_states`. Both read them
+    through the per-shape store (``board._table``), so each shape and
+    size is built once per process, whatever runs between its users.
+    They are far smaller than the build charge that admits them: 0.25 MB
+    for 4x4 with k = 4, 2.2 MB with k = 6.
 
     Sets are numbered in ``itertools.combinations`` order. A set's free
     cells split into components, the blank's cost-0 regions, numbered by
@@ -99,8 +93,7 @@ def _regions(width: int, height: int, k: int):
     """
     n = width * height
     sets = math.comb(n, k)
-    targets = move_targets(width, height)
-    neighbours = [[d for d in targets[4 * c : 4 * c + 4] if d >= 0] for c in range(n)]
+    neighbours = [[j for _, j in per_last[-1]] for per_last in _table(_blank_steps, width, height)]
     full = (1 << n) - 1
     left = sum(1 << c for c in range(0, n, width))
     off_left, off_right = full ^ left, full ^ (left << (width - 1))
@@ -220,7 +213,6 @@ def build_pdb(
     height: int,
     pattern_tiles,
     *,
-    max_bytes: int = DEFAULT_MAX_BYTES,
     progress=None,
 ) -> PatternDatabase:
     """Exhaustive backward search from the goal.
@@ -238,7 +230,8 @@ def build_pdb(
     from the goal keep 0xFF.
 
     The build is charged P(n,k)·(n+2) bytes, and ``ResourceLimitError``
-    is raised before allocating when that passes ``max_bytes``. The
+    is raised before allocating when that passes
+    ``pattern_db.DEFAULT_MAX_BYTES``, read at the call. The
     charge is not a bound on what the build holds: on small shapes
     ``tracemalloc`` peaks above it (223,687 bytes against 166,320 for
     ``build_pdb(3, 4, [1, 2, 4, 5])``). ``progress(distance, placements,
@@ -251,10 +244,10 @@ def build_pdb(
     k = len(tiles)
 
     table_len = math.perm(n, k)
-    _check_bytes("pattern build needs", table_len * (n + 2), max_bytes)
+    _check_bytes("pattern build needs", table_len * (n + 2), pattern_db.DEFAULT_MAX_BYTES)
 
     fact = math.factorial(k)
-    tables = _regions(width, height, k)
+    tables = _table(_regions, width, height, k)
     cmax, size = tables[1:3]
     dist = bytearray([UNREACHED]) * table_len
     placed = [0] * math.comb(n, k)

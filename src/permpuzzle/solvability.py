@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .board import Board, _replay, check_dimensions
+from .board import Board, _replay, _table, check_dimensions
 from .errors import ResourceLimitError
 from .pdb_build import _layers, _regions
 from .perm import Parity, cycle_parity
@@ -130,7 +130,7 @@ def reachable_states(
         raise ResourceLimitError(
             f"{width}x{height} has {size} reachable states, over the {max_states} ceiling"
         )
-    layers = _layers(_regions(min(width, height), max(width, height), n - 1), range(n - 1))
+    layers = _layers(_table(_regions, min(width, height), max(width, height), n - 1), range(n - 1))
     sizes = [sum(map(int.bit_count, frontier)) for frontier in layers]
     return EnumerationReport(count=sum(sizes), max_depth=len(sizes) - 1)
 

@@ -41,7 +41,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .board import _NEVER, MOVE_ORDER, Board, Move, _row_steps, _table, _untimed, move_targets
+from .board import _NEVER, MOVE_ORDER, Board, Move, _offsets, _row_steps, _table, _untimed
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
 from .heuristics import INCREMENTAL, _conflict_of
 from .pattern_db import PatternDatabase, PatternHeuristic, _summed_heuristic
@@ -160,14 +160,14 @@ class _Budget:
 class _PackedBFS:
     """Breadth-first layers of ``(state, blank, last)`` over boards packed
     4 bits per cell, label ``l`` on cell ``c`` as ``l << 4c`` and the
-    blank as 0, through a :func:`_goal_ball` step table. A visited map
-    sends each state to its blank's last direction, -1 at a root.
-    ``nodes`` counts expansions; when it reaches ``due``, ``spend(nodes)``
-    gives the next due: a query's :meth:`_Budget.spend`, or a build's
-    :meth:`_Budget.tick`."""
+    blank as 0, through a :func:`_goal_ball` step table on a board
+    ``width`` cells wide. A visited map sends each state to its blank's
+    last direction, -1 at a root. ``nodes`` counts expansions; when it
+    reaches ``due``, ``spend(nodes)`` gives the next due: a query's
+    :meth:`_Budget.spend`, or a build's :meth:`_Budget.tick`."""
 
-    def __init__(self, steps, targets, spend=_untimed, due: int = 0):
-        self.steps, self.targets, self.spend, self.due, self.nodes = steps, targets, spend, due, 0
+    def __init__(self, steps, width: int, spend=_untimed, due: int = 0):
+        self.steps, self.offsets, self.spend, self.due, self.nodes = steps, _offsets(width), spend, due, 0
 
     @staticmethod
     def pack(cells) -> int:
@@ -208,11 +208,12 @@ class _PackedBFS:
 
     def unwind(self, state: int, blank: int, d: int, seen: dict) -> list[int]:
         """Directions from ``state`` back to its root, last move first:
-        ``d``, then those in ``seen``; each step moves the blank back."""
+        ``d``, then those in ``seen``; each step moves the blank back,
+        the opposite way, ``d ^ 1``."""
         dirs = []
         while d >= 0:
             dirs.append(d)
-            prev = self.targets[4 * blank + (d ^ 1)]
+            prev = blank + self.offsets[d ^ 1]
             state ^= ((state >> 4 * prev) & 15) * ((1 << 4 * blank) | (1 << 4 * prev))
             blank = prev
             d = seen[state]
@@ -220,26 +221,20 @@ class _PackedBFS:
 
 
 def _goal_ball(width: int, height: int, tick=_untimed):
-    """``(steps, targets, ball, radius, rim)`` for the shape: a builder
-    for the per-shape store (``board._table``), which calls ``tick`` at
-    the ball's first expansion and every 2048th.
+    """``(steps, ball, radius, rim)`` for the shape: a builder for the
+    per-shape store (``board._table``), which calls ``tick`` at the
+    ball's first expansion and every 2048th.
 
     ``steps`` is :func:`~permpuzzle.board._row_steps` with ``(1 << 4z) |
     (1 << 4j)`` as the row of the blank's move from cell ``z`` to cell
-    ``j``, and ``targets`` is :func:`~permpuzzle.board.move_targets`.
-    ``ball`` maps every state within ``radius`` moves of the goal to its
-    blank's last direction (-1 at the goal), whole layers while they
-    total at most :data:`BALL_STATES`, and ``rim`` is the layer at
+    ``j``. ``ball`` maps every state within ``radius`` moves of the goal
+    to its blank's last direction (-1 at the goal), whole layers while
+    they total at most :data:`BALL_STATES`, and ``rim`` is the layer at
     ``radius``. Every query reads the same objects and none writes them.
     """
     n = width * height
-    targets = _table(move_targets, width, height)
-    steps = _row_steps(width, height, [
-        (1 << 4 * z) | (1 << 4 * j) if j >= 0 else None
-        for z in range(n)
-        for j in targets[4 * z : 4 * z + 4]
-    ])
-    bfs = _PackedBFS(steps, targets, tick)
+    steps = _row_steps(width, height, lambda z, d, j: (1 << 4 * z) | (1 << 4 * j))
+    bfs = _PackedBFS(steps, width, tick)
     goal = bfs.pack(range(1, n + 1))
     ball = {goal: -1}
     frontier, radius = [(goal, n - 1, -1)], 0
@@ -252,7 +247,7 @@ def _goal_ball(width: int, height: int, tick=_untimed):
         for state, _, _ in layer:
             del ball[state]
         ball = dict(ball)  # the copy drops the deleted slots
-    return steps, targets, ball, radius, frontier
+    return steps, ball, radius, frontier
 
 
 def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResult:
@@ -297,8 +292,8 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
         return done
     if board.size > 16:
         raise ResourceLimitError(f"packed-state BFS supports at most 16 cells, got {board.size}")
-    steps, targets, ball, radius, rim = _table(_goal_ball, board.width, board.height, tick=budget.tick)
-    bfs = _PackedBFS(steps, targets, budget.spend, budget.due)
+    steps, ball, radius, rim = _table(_goal_ball, board.width, board.height, tick=budget.tick)
+    bfs = _PackedBFS(steps, board.width, budget.spend, budget.due)
 
     start, blank = bfs.pack(board.cells), board.blank_index - 1
     # The goal's side grows into a copy; the shape's ball is never written.
@@ -362,7 +357,12 @@ def ida_star(
     next solve with the same databases. The heuristic argument is checked
     first; then unsolvable boards are rejected via the O(n) parity
     certificate and a goal board returns at once, both before any
-    per-shape heuristic table is built or refused. A
+    per-shape heuristic table is built or refused. Bare databases are the
+    exception: checking them builds that :class:`PatternHeuristic`, whose
+    indexes are built, or refused over the byte ceiling, before those two
+    checks and outside ``max_time`` (4-4-4-3: 11-17 ms on the first call,
+    0.04 ms once it is kept). Pass a :class:`PatternHeuristic` to pay
+    that once, ahead of any limit. A
     :class:`ResourceLimitError` carries ``lower_bound``, the threshold
     being searched (h(start), then the least f that overflowed an
     exhausted iteration); with an admissible heuristic the optimal
@@ -381,7 +381,8 @@ def ida_star(
     """
     budget = _Budget("IDA*", limits)
     # The argument first, then the board; the per-shape tables last, so a
-    # goal or unsolvable board never waits for them or hits their ceiling.
+    # goal or unsolvable board never waits for them or hits their ceiling
+    # (bare databases' indexes aside, which checking the argument builds).
     incremental = _check_heuristic(heuristic, board)
     if (done := budget.admit(board)) is not None:
         return done

@@ -249,12 +249,12 @@ class TestConflictTable:
         """Rows and columns of unequal length, and 8-cell rows, fill their
         tables as the search misses keys, each with its conflicts."""
         for length in range(2, 9):
-            _conflict_table(length).clear()
+            _table(_conflict_table, length).clear()
         for (width, height, steps, seed), pinned in self.SOLVES.items():
             result = ida_star(scramble(width, height, steps, seed)[0])
             assert (format_moves(result.moves), result.nodes_expanded) == pinned
         for length in range(2, 9):
-            table = _conflict_table(length)
+            table = _table(_conflict_table, length)
             assert bool(table) == (length in (2, 3, 5, 8))  # the solved lines' lengths
             assert len(table) <= line_key_count(length)
             for key, value in table.items():

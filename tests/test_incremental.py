@@ -27,7 +27,6 @@ from permpuzzle import (
     manhattan,
     scramble,
 )
-from permpuzzle.board import move_targets
 from permpuzzle.heuristics import _conflict_of
 from permpuzzle.solver import _check_heuristic
 
@@ -96,10 +95,12 @@ def test_incremental_value_equals_from_scratch(walk):
 
     tiles = list(cells)
     blank = tiles.index(n)
-    targets = move_targets(width, height)
     walked = []
     for choice in choices:
-        legal = [j for j in targets[blank * 4 : blank * 4 + 4] if j >= 0]
+        # The blank's neighbours from its coordinates, in U, D, L, R order.
+        row, col = divmod(blank, width)
+        legal = [j for j, ok in ((blank - width, row > 0), (blank + width, row < height - 1),
+                                 (blank - 1, col > 0), (blank + 1, col < width - 1)) if ok]
         j = legal[choice % len(legal)]
         slide(terms, state, blank, j, tiles[j])
         tiles[blank], tiles[j] = tiles[j], n

@@ -29,7 +29,7 @@ from permpuzzle import (
     reachable_states,
     save_pdb,
 )
-from permpuzzle import pattern_db, pdb_build
+from permpuzzle import pattern_db, pdb_build, solvability
 
 from oracles import exact_distances, pattern_entry, pattern_table, placement_rank
 
@@ -41,6 +41,22 @@ def small_patterns(draw):
     labels = range(1, width * height)
     tiles = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
     return width, height, tuple(sorted(tiles))
+
+
+@pytest.fixture
+def region_builds(monkeypatch, empty_store):
+    """The ``(width, height, k)`` of every region pass built while the
+    test runs, from an empty table store: the builds and the enumeration
+    read the same counted builder through the store."""
+    builds, regions = [], pdb_build._regions
+
+    def counted(width, height, k):
+        builds.append((width, height, k))
+        return regions(width, height, k)
+
+    monkeypatch.setattr(pdb_build, "_regions", counted)
+    monkeypatch.setattr(solvability, "_regions", counted)
+    return builds
 
 
 class TestBuild:
@@ -225,9 +241,9 @@ class TestBuild:
         assert hashlib.sha256(db.table).hexdigest() == digest
         assert calls == layers
 
-    def test_patterns_of_one_shape_share_its_tables(self):
-        """The last two shapes' tables are kept for every pattern of their
-        sizes: each table matches its pin whatever shape was built before it."""
+    def test_patterns_of_one_shape_share_its_tables(self, region_builds):
+        """A shape's region pass is kept for every pattern of its size:
+        each table matches its pin whatever shape was built before it."""
         pinned = [
             (4, 4, (1, 2, 5, 6), "9d9d2304ca726402af2e1dee923e16e04303bbf83b8c264e0e2c82d240895405"),
             (4, 4, (3, 4, 7, 8), "53a02d9b1b39bfbc0be0d9037b58c338617dfe889610502a7990c91f980071bc"),
@@ -235,40 +251,51 @@ class TestBuild:
             (3, 3, (1, 2, 3, 4), "db61ecd81e24c2d962f386e6005db03558ad0e8edc3f9f1326be5bcbdac400aa"),
             (4, 4, (1, 2, 5, 6), "9d9d2304ca726402af2e1dee923e16e04303bbf83b8c264e0e2c82d240895405"),
         ]
-        pdb_build._regions.cache_clear()
         for width, height, tiles, digest in pinned:
             assert hashlib.sha256(build_pdb(width, height, tiles).table).hexdigest() == digest
-        # Only {3,4,7,8} follows a table of its own shape and size.
-        assert pdb_build._regions.cache_info()[:2] == (1, 4)
+        # Each shape and size is built once: {3,4,7,8} and the second
+        # {1,2,5,6} read the pass the first {1,2,5,6} built.
+        assert region_builds == [(4, 4, 4), (4, 4, 3), (3, 3, 4)]
 
-    def test_enumeration_shares_the_tables_safely(self):
-        """reachable_states runs the build's search on the same two-entry
-        cache: builds around it still match their pins, and a build of its
-        shape and size reads the tables it left."""
+    def test_enumeration_shares_the_tables_safely(self, region_builds):
+        """reachable_states runs the build's search on the same stored
+        tables: builds around it still match their pins, and a build of
+        its shape and size reads the tables it left."""
         all_but_blank = "84aa42e313364e67d10720f5cda4c1c6a79a2f73f72ecbcb7391ad1ffbfb1f32"
         pinned = [
             (3, 3, range(1, 9), all_but_blank),
             (4, 4, (1, 2, 5, 6), "9d9d2304ca726402af2e1dee923e16e04303bbf83b8c264e0e2c82d240895405"),
             (3, 3, range(1, 9), all_but_blank),
         ]
-        pdb_build._regions.cache_clear()
         for width, height, tiles, digest in pinned:
             assert hashlib.sha256(build_pdb(width, height, tiles).table).hexdigest() == digest
             assert reachable_states(3, 3) == EnumerationReport(count=181440, max_depth=31)
         # Only the first 3x3 build and the 4x4 one build their tables: the
-        # 4x4 build leaves the 3x3 tables cached for the three calls after it.
-        assert pdb_build._regions.cache_info()[:2] == (4, 2)
+        # 3x3 tables serve the five calls after the first.
+        assert region_builds == [(3, 3, 8), (4, 4, 4)]
 
-    def test_enumeration_leaves_a_build_its_tables(self):
+    def test_enumeration_leaves_a_build_its_tables(self, region_builds):
         """An enumeration between two builds of one shape and size does not
         evict the first build's tables."""
-        pdb_build._regions.cache_clear()
         digest = "53a02d9b1b39bfbc0be0d9037b58c338617dfe889610502a7990c91f980071bc"
         for _ in range(2):
             assert hashlib.sha256(build_pdb(4, 4, [3, 4, 7, 8]).table).hexdigest() == digest
             reachable_states(3, 3)
-        info = pdb_build._regions.cache_info()
-        assert info.misses == 2 and info.hits >= 1
+        assert region_builds == [(4, 4, 4), (3, 3, 8)]
+
+    def test_builds_and_enumerations_build_each_pass_once(self, region_builds):
+        """Builds of two sizes on one shape, with enumerations of another
+        shape between them, build three region passes in all."""
+        pinned = [
+            ((1, 2, 5, 6), "9d9d2304ca726402af2e1dee923e16e04303bbf83b8c264e0e2c82d240895405"),
+            ((3, 4, 7, 8), "53a02d9b1b39bfbc0be0d9037b58c338617dfe889610502a7990c91f980071bc"),
+            ((11, 12, 15), "44e4fcaa72eeeb6a662c89cca24c3388c9466f15790f1379445f3f05d7293fb0"),
+        ]
+        for i, (tiles, digest) in enumerate(pinned):
+            assert hashlib.sha256(build_pdb(4, 4, tiles).table).hexdigest() == digest
+            if i != 1:
+                assert reachable_states(3, 3) == EnumerationReport(count=181440, max_depth=31)
+        assert region_builds == [(4, 4, 4), (3, 3, 8), (4, 4, 3)]
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_swap_moves_exchange_adjacent_tiles(self, k):
@@ -306,23 +333,30 @@ class TestBuild:
         with pytest.raises(ResourceLimitError):
             build_pdb(4, 4, [1, 2, 3, 4, 5, 6, 7])
 
-    def test_byte_ceiling_is_exact_and_checked_before_allocating(self):
+    def test_byte_ceiling_is_exact_and_checked_before_allocating(self, monkeypatch):
         need = math.perm(16, 4) * 18
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", need - 1)
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match=f"needs {need} bytes"):
-                build_pdb(4, 4, [1, 2, 5, 6], max_bytes=need - 1)
+                build_pdb(4, 4, [1, 2, 5, 6])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < math.perm(16, 4)
-        assert len(build_pdb(4, 4, [1, 2, 5, 6], max_bytes=need).table) == math.perm(16, 4)
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", need)
+        assert len(build_pdb(4, 4, [1, 2, 5, 6]).table) == math.perm(16, 4)
 
-    def test_build_holds_only_its_byte_arrays(self):
+    def test_build_reads_the_ceiling_at_the_call(self, monkeypatch):
+        # P(9,3)·(9+2) = 5,544 bytes, over a ceiling lowered after import.
+        monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 1000)
+        with pytest.raises(ResourceLimitError, match="pattern build needs 5544 bytes"):
+            build_pdb(3, 3, [1, 2, 3])
+
+    def test_build_holds_only_its_byte_arrays(self, empty_store):
         # The build's own charge, P(16,4)·(16+2) bytes: the table, one int of
         # tile orders per blank region and per set, and the returned copy.
-        # The shape pass is built inside the trace, whatever ran before.
-        pdb_build._regions.cache_clear()
+        # The shape pass is built inside the trace, over an empty store.
         tracemalloc.start()
         try:
             build_pdb(4, 4, [1, 2, 5, 6])

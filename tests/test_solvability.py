@@ -196,7 +196,7 @@ class TestPackedSteps:
         # board after the move, and unwinding that one step lands on the
         # parent, the only state in the map. A ball holding the last
         # child stops the layer there and hands that child back.
-        bfs = _PackedBFS(*_table(_goal_ball, width, height)[:2])
+        bfs = _PackedBFS(_table(_goal_ball, width, height)[0], width)
         rng = random.Random(f"packed/{width}x{height}")
         cells = list(range(1, width * height + 1))
         for _ in range(50):
@@ -219,7 +219,7 @@ class TestGoalBall:
     def check_whole_layers(width, height, size, radius, ceiling):
         # Exactly the states within the radius, and one more layer would
         # pass the ceiling unless the component is already whole.
-        _, _, ball, r, rim = _table(_goal_ball, width, height)
+        _, ball, r, rim = _table(_goal_ball, width, height)
         dist = exact_distances(width, height)
         assert (len(ball), r) == (size, radius)
         assert set(ball) == {_PackedBFS.pack(c) for c, d in dist.items() if d <= r}
@@ -256,10 +256,10 @@ class TestGoalBall:
         # Read from the build, with no exact distances: the rim is the
         # ball's layer at the radius, and the layer past it would take
         # the ball over the ceiling.
-        steps, targets, ball, r, rim = _table(_goal_ball, width, height)
+        steps, ball, r, rim = _table(_goal_ball, width, height)
         assert (len(ball), r) == (size, radius)
         assert {ball[state] for state, _, _ in rim} <= {0, 1, 2, 3}
-        past, _ = _PackedBFS(steps, targets).expand(rim, dict(ball))
+        past, _ = _PackedBFS(steps, width).expand(rim, dict(ball))
         assert size <= BALL_STATES < size + len(past)
 
 

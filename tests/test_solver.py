@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from permpuzzle import (
+    MOVE_ORDER,
     Board,
     PatternHeuristic,
     ResourceLimitError,
@@ -24,8 +25,8 @@ from permpuzzle import (
     verify_sequence,
 )
 from permpuzzle import solver
-from permpuzzle.board import _blank_steps, _table, move_targets
-from permpuzzle.heuristics import _lines, _step_table, goal_tables
+from permpuzzle.board import _blank_steps, _table
+from permpuzzle.heuristics import _conflict_table, _lines, _step_table, goal_tables
 
 from oracles import exact_distances
 
@@ -593,7 +594,9 @@ class TestFirstSolveDeadline:
         assert (error.nodes_expanded, error.lower_bound) == (0, h0)
         assert kept
         assert len(reads) == 1 + clock_reads
-        h0_tables = {(goal_tables, 20, 20), (_lines, 20, 20)} if conflicts else {(goal_tables, 20, 20)}
+        h0_tables = {(goal_tables, 20, 20)}
+        if conflicts:
+            h0_tables |= {(_lines, 20, 20), (_conflict_table, 20)}
         assert set(empty_store) == stored | h0_tables
         result = ida_star(board, name)
         assert (result.length, result.nodes_expanded) == (length, nodes)
@@ -626,14 +629,32 @@ class TestBlankSteps:
     @pytest.mark.parametrize("width, height", SHAPES)
     def test_matches_brute_force(self, width, height):
         undo = {0: 1, 1: 0, 2: 3, 3: 2}  # U <-> D, L <-> R
-        targets = move_targets(width, height)
         steps = _blank_steps(width, height)
         assert len(steps) == width * height
         for blank, per_last in enumerate(steps):
-            legal = [(d, targets[blank * 4 + d]) for d in range(4) if targets[blank * 4 + d] >= 0]
+            row, col = divmod(blank, width)
+            moves = [(0, blank - width, row > 0), (1, blank + width, row < height - 1),
+                     (2, blank - 1, col > 0), (3, blank + 1, col < width - 1)]
+            legal = [(d, j) for d, j, ok in moves if ok]
             expected = [[(d, j) for d, j in legal if d != undo[last]] for last in range(4)]
             assert [list(entry) for entry in per_last] == expected + [legal]
         assert sum(len(per_last) for per_last in steps) == 5 * width * height
+
+    @pytest.mark.parametrize("width, height", SHAPES)
+    def test_one_move_rule(self, width, height):
+        # Every search's moves are a single board's: the root entry at
+        # each cell is the board's legal moves, in MOVE_ORDER, each with
+        # the cell apply_move takes the blank to.
+        steps = _blank_steps(width, height)
+        n = width * height
+        for blank in range(n):
+            cells = list(range(1, n + 1))
+            cells[blank], cells[-1] = n, cells[blank]
+            board = Board(width, height, cells)
+            legal = board.legal_moves()
+            expected = [(d, board.apply_move(m).blank_index - 1)
+                        for d, m in enumerate(MOVE_ORDER) if m in legal]
+            assert list(steps[blank][-1]) == expected
 
     # Moves and expansions read from the search that pruned the undo move
     # by the blank's previous cell, before the per-shape step table.
