@@ -61,8 +61,10 @@ _BLANK_TOKENS = ("0", "_")
 # Every per-shape table, keyed by its builder and shape, such as
 # ``(_blank_steps, 4, 4)``: the move and step tables, Manhattan's goal
 # tables, linear conflict's lines and conflict tables, the pattern
-# build's region tables and the exact oracle's goal balls. :func:`_table`
-# fills it, and an entry, once stored, is never replaced.
+# build's region tables and the exact oracle's goal balls; and keyed by
+# the shape and its databases' tiles and tables, a pattern heuristic's
+# indexes and step table. :func:`_table` fills it, and an entry, once
+# stored, is never replaced or dropped.
 _TABLES: dict = {}
 _NEVER = 1 << 62  # a step of work or an expansion no build or search reaches
 

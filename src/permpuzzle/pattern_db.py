@@ -16,13 +16,16 @@ k-selection out of the n cells).
 entries at once by :func:`rank_weights`. This module owns the one
 reader, :class:`PatternHeuristic`, and its ``(h0, steps, regs)`` form
 for IDA* (:meth:`PatternHeuristic.incremental`), described in
-:mod:`.solver`. It ranks nothing: it expands each table once into an
-in-memory positional index of n^k bytes, keyed by the pattern tiles'
+:mod:`.solver`. It ranks nothing: a set's first lookup expands each
+table into a positional index of n^k bytes, keyed by the pattern tiles'
 cells as base-n digits, which IDA* carries in a register per database
-and a move shifts by a fixed stride. Files keep
-the rank-ordered table; there is no rank-order read, and one table is
-read as ``pdb_heuristic(board, [db])``. One byte ceiling,
-``DEFAULT_MAX_BYTES``, covers the build and the summed indexes each.
+and a move shifts by a fixed stride. The indexes and the step table sit
+in the one table store (``board._table``), keyed by the shape and the
+databases: built after IDA*'s parity and goal checks, and kept for the
+life of the process. Files keep the rank-ordered table; there is no
+rank-order read, and one table is read as ``pdb_heuristic(board,
+[db])``. One byte ceiling, ``DEFAULT_MAX_BYTES``, covers the build and
+the summed indexes each.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ import operator
 import os
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
-from .board import Board, _offsets, _row_steps, _untimed, check_dimensions
+from .board import Board, _offsets, _row_steps, _table, _untimed, check_dimensions
 from .errors import ParseError, ResourceLimitError
 
 __all__ = [
@@ -152,19 +155,50 @@ def _positional_index(table: bytes, n: int, k: int) -> bytearray:
     return index
 
 
+def _pattern_indexes(width: int, height: int, patterns):
+    """``(pattern_tiles, index)`` for each ``(pattern_tiles, table)`` of
+    ``patterns``: a builder for the store (``board._table``), keyed by
+    tiles and tables, which CPython hashes in C, so equal databases share
+    their indexes. Indexes whose summed bytes would pass
+    ``DEFAULT_MAX_BYTES`` raise ``ResourceLimitError`` before any is built."""
+    n = width * height
+    _check_bytes("pattern indexes need", sum(n ** len(t) for t, _ in patterns), DEFAULT_MAX_BYTES)
+    return tuple((tiles, _positional_index(table, n, len(tiles))) for tiles, table in patterns)
+
+
+def _pattern_steps(width: int, height: int, patterns, tick=_untimed):
+    """The step table of the summed ``patterns``, a store builder over
+    their stored :func:`_pattern_indexes`. A slide from ``j`` into ``z``
+    moves the key of the database holding the tile by ``z - j`` times
+    the tile's stride, so four rows, one per direction, serve. ``tick``
+    reads a deadline once per cell of :func:`~permpuzzle.board._row_steps`."""
+    # Unchecked: 1-byte shapes and labels cap it near 46 MB, under the ceiling.
+    n = width * height
+    rows = [[0] * (n + 1) for _ in range(4)]
+    indexes = _table(_pattern_indexes, width, height, patterns)
+    for row, offset in zip(rows, _offsets(width)):  # j - z for U, D, L, R
+        for s, (tiles, index) in enumerate(indexes):
+            for slot, t in enumerate(tiles):
+                row[t] = (0, s, -offset * n ** (len(tiles) - 1 - slot), index, ())
+    return _row_steps(width, height, lambda z, d, j: rows[d], tick)
+
+
 class PatternHeuristic:
     """Sum of disjoint pattern databases, reusable across solves.
 
-    Each database is expanded once, here, into a positional index of
-    n^k bytes: ``index[c_0·n^(k-1) + c_1·n^(k-2) + ... + c_(k-1)]`` holds
-    the table entry of the placement that puts pattern tile i on cell
-    c_i (entries for repeated cells are never read). Moving one tile then
-    shifts the key by a fixed stride, so the IDA* update costs one
-    register update and two byte reads instead of two rankings. The index
-    costs n^k bytes per database: 65,536 for k=4 on 4x4 (the table holds
-    43,680), 16.7 MB for k=6. Every table is indexed; there is no
-    rank-order read. ``ResourceLimitError`` is raised when the indexes
-    together would pass ``DEFAULT_MAX_BYTES``, the build's ceiling.
+    It checks and keeps its databases. Its first lookup expands each
+    into a positional index of n^k bytes, kept in the one table store
+    (:func:`_pattern_indexes`) for the life of the process and
+    shared by every heuristic over equal databases:
+    ``index[c_0·n^(k-1) + c_1·n^(k-2) + ... + c_(k-1)]`` holds the table
+    entry of the placement that puts pattern tile i on cell c_i (entries
+    for repeated cells are never read). Moving one tile then shifts the
+    key by a fixed stride, so the IDA* update costs one register update
+    and two byte reads instead of two rankings. The index costs n^k
+    bytes per database: 65,536 for k=4 on 4x4 (the table holds 43,680),
+    16.7 MB for k=6. Every table is indexed; there is no rank-order
+    read. A lookup whose indexes together would pass
+    ``DEFAULT_MAX_BYTES`` raises ``ResourceLimitError``.
     """
 
     def __init__(self, databases):
@@ -190,14 +224,8 @@ class PatternHeuristic:
             covered |= set(db.pattern_tiles)
         self.databases = tuple(databases)
         self.width, self.height = dims.pop()
-        n = self.width * self.height
-        index_bytes = sum(n ** len(db.pattern_tiles) for db in databases)
-        _check_bytes("pattern indexes need", index_bytes, DEFAULT_MAX_BYTES)
-        self._indexes = [
-            (db.pattern_tiles, _positional_index(db.table, n, len(db.pattern_tiles)))
-            for db in databases
-        ]
-        self._steps = None
+        # The store's key for these databases' tables.
+        self._patterns = tuple((db.pattern_tiles, db.table) for db in databases)
 
     def _value_and_keys(self, board: Board):
         """The heuristic and each database's key for ``board``."""
@@ -207,7 +235,7 @@ class PatternHeuristic:
         for cell, label in enumerate(board.cells):
             position[label] = cell
         h, keys = 0, []
-        for tiles, index in self._indexes:
+        for tiles, index in _table(_pattern_indexes, self.width, self.height, self._patterns):
             i = 0
             for x in tiles:
                 i = i * n + position[x]
@@ -215,29 +243,12 @@ class PatternHeuristic:
             keys.append(i)
         return h, keys
 
-    def _step_table(self, tick=_untimed):
-        """The step table, built on the first solve. A slide from ``j`` into
-        ``z`` moves the key of the database holding the tile by ``z - j``
-        times the tile's stride, so four rows, one per direction, serve.
-        ``tick`` reads a deadline as the per-shape builds read it
-        (:func:`~permpuzzle.board._table`), once per cell of
-        :func:`~permpuzzle.board._row_steps`; a build cut short keeps none."""
-        if self._steps is None:
-            # Unchecked: 1-byte shapes and labels cap it near 46 MB, under the ceiling.
-            n = self.width * self.height
-            rows = [[0] * (n + 1) for _ in range(4)]
-            for row, offset in zip(rows, _offsets(self.width)):  # j - z for U, D, L, R
-                for s, (tiles, index) in enumerate(self._indexes):
-                    for slot, t in enumerate(tiles):
-                        row[t] = (0, s, -offset * n ** (len(tiles) - 1 - slot), index, ())
-            self._steps = _row_steps(self.width, self.height, lambda z, d, j: rows[d], tick)
-        return self._steps
-
     def incremental(self, board: Board):
         """This heuristic as ``(h0, steps, regs)``, a key per database in
-        ``regs``; ``steps(tick=...)`` returns the step table."""
+        ``regs``; ``steps(tick=...)`` reads the step table from the
+        store, or builds it there (:func:`_pattern_steps`)."""
         h0, keys = self._value_and_keys(board)
-        return h0, self._step_table, keys
+        return h0, partial(_table, _pattern_steps, self.width, self.height, self._patterns), keys
 
     def check_shape(self, board: Board) -> None:
         """Raise ``ValueError`` unless ``board`` has this heuristic's shape."""
@@ -251,23 +262,9 @@ class PatternHeuristic:
         return self._value_and_keys(board)[0]
 
 
-@lru_cache(maxsize=1)
-def _pattern_heuristic(databases: tuple) -> PatternHeuristic:
-    """The last summed heuristic built from bare databases, kept."""
-    return PatternHeuristic(databases)
-
-
-def _summed_heuristic(databases) -> PatternHeuristic:
-    """The kept heuristic over bare databases; ValueError for anything else."""
-    try:  # not iterable, or an item the cache cannot hash
-        return _pattern_heuristic(tuple(databases))
-    except TypeError:
-        raise ValueError(NOT_A_HEURISTIC) from None
-
-
 def pdb_heuristic(board: Board, databases) -> int:
     """Summed lookup across pairwise-disjoint databases; admissible."""
-    return _summed_heuristic(databases)(board)
+    return PatternHeuristic(databases)(board)
 
 
 def save_pdb(db: PatternDatabase, destination) -> None:

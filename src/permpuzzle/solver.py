@@ -23,16 +23,16 @@ reads go through ``heuristics._conflict_of``, which fills the key (a
 key shifted only through ``more`` is unread until a later slide crosses
 its line). The goal test is ``h == 0 and tiles == goal``.
 
-Every per-shape table a search reads lives in one store,
-``board._TABLES``, filled by ``board._table``: the step tables, the O(n)
-tables that h(start) reads, and the oracle's goal balls. A stored table
-costs one dict read and no clock read. A missing step table or goal
-ball is built under the query's ``max_time``, read at once and then
-every 2048 steps of work through the query's ``_Budget.tick`` (IDA*
-builds its step table once h(start) is known); a deadline that passes
-raises :class:`ResourceLimitError` with ``nodes_expanded`` 0 and the
-best bound proven (h(start) for IDA*, 1 for the oracle), and stores
-nothing.
+Every table a search reads lives in one store, ``board._TABLES``,
+filled by ``board._table`` after the parity and goal checks: the step
+tables, the tables that h(start) reads (O(n) ones, and pattern
+databases' indexes), and the oracle's goal balls. A stored table costs
+one dict read and no clock read. A missing step table or goal ball is
+built under the query's ``max_time``, read at once and then every 2048
+steps of work through the query's ``_Budget.tick`` (IDA* builds its
+step table once h(start) is known); a deadline that passes raises
+:class:`ResourceLimitError` with ``nodes_expanded`` 0 and the best bound
+proven (h(start) for IDA*, 1 for the oracle), and stores nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from .board import _NEVER, MOVE_ORDER, Board, Move, _offsets, _row_steps, _table, _untimed
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
 from .heuristics import INCREMENTAL, _conflict_of
-from .pattern_db import PatternDatabase, PatternHeuristic, _summed_heuristic
+from .pattern_db import PatternDatabase, PatternHeuristic
 from .solvability import DEFAULT_MAX_STATES, certificate, is_solvable
 
 __all__ = [
@@ -329,8 +329,7 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
 
 def _check_heuristic(heuristic, board: Board):
     """The ``incremental`` function, board to ``(h0, steps, regs)``, of
-    the heuristic argument checked against ``board``. Builds no per-shape
-    table."""
+    the heuristic argument checked against ``board``. Builds no table."""
     if isinstance(heuristic, str):
         name = heuristic.lower().replace("_", "-")
         if name not in INCREMENTAL:
@@ -339,7 +338,7 @@ def _check_heuristic(heuristic, board: Board):
     if isinstance(heuristic, PatternDatabase):
         heuristic = [heuristic]
     if not isinstance(heuristic, PatternHeuristic):
-        heuristic = _summed_heuristic(heuristic)
+        heuristic = PatternHeuristic(heuristic)
     heuristic.check_shape(board)
     return heuristic.incremental
 
@@ -351,18 +350,13 @@ def ida_star(
 ) -> SearchResult:
     """Optimal solve by iterative-deepening A*.
 
-    ``heuristic`` is a name from :data:`HEURISTIC_NAMES`, or pattern
-    database(s) (pairwise disjoint) for an additive table-driven bound;
-    a :class:`PatternHeuristic` over them is built once and kept for the
-    next solve with the same databases. The heuristic argument is checked
-    first; then unsolvable boards are rejected via the O(n) parity
-    certificate and a goal board returns at once, both before any
-    per-shape heuristic table is built or refused. Bare databases are the
-    exception: checking them builds that :class:`PatternHeuristic`, whose
-    indexes are built, or refused over the byte ceiling, before those two
-    checks and outside ``max_time`` (4-4-4-3: 11-17 ms on the first call,
-    0.04 ms once it is kept). Pass a :class:`PatternHeuristic` to pay
-    that once, ahead of any limit. A
+    ``heuristic`` is a name from :data:`HEURISTIC_NAMES`, pattern
+    database(s) (pairwise disjoint) for an additive table-driven bound,
+    or a :class:`PatternHeuristic` over them. Every heuristic follows one
+    order: the argument is checked first; then unsolvable boards are
+    rejected via the O(n) parity certificate and a goal board returns at
+    once, both before any heuristic table is built or refused; then the
+    tables are built. A
     :class:`ResourceLimitError` carries ``lower_bound``, the threshold
     being searched (h(start), then the least f that overflowed an
     exhausted iteration); with an admissible heuristic the optimal
@@ -371,18 +365,20 @@ def ida_star(
     in that error too.
 
     A shape's first solve builds the heuristic's step table, kept in the
-    one per-shape table store (a :class:`PatternHeuristic` keeps its
-    own), and later solves read it with one dict read and no clock
-    read. Its byte ceiling is checked before h(start) is computed, and
-    the build comes after, within ``max_time``: it reads the deadline at
-    once and then every 2048 steps of work, and one that passes raises
-    with ``nodes_expanded`` 0 and ``lower_bound`` h(start), storing
-    nothing, so the next solve builds again.
+    one table store for the life of the process, and later solves read
+    it with one dict read and no clock read. A named heuristic's byte
+    ceiling is checked before h(start) is computed. The first solve over
+    a set of pattern databases (or equal ones) indexes them, or refuses
+    them over the byte ceiling, to compute h(start); that indexing falls
+    within ``elapsed`` and ``max_time`` but is not cut short. The step
+    table's build comes after, within ``max_time``: it reads the
+    deadline at once and then every 2048 steps of work, and one that
+    passes raises with ``nodes_expanded`` 0 and ``lower_bound`` h(start),
+    storing nothing, so the next solve builds again.
     """
     budget = _Budget("IDA*", limits)
-    # The argument first, then the board; the per-shape tables last, so a
-    # goal or unsolvable board never waits for them or hits their ceiling
-    # (bare databases' indexes aside, which checking the argument builds).
+    # The argument first, then the board; the tables last, so a goal or
+    # unsolvable board never waits for them or hits their ceiling.
     incremental = _check_heuristic(heuristic, board)
     if (done := budget.admit(board)) is not None:
         return done

@@ -367,17 +367,36 @@ class TestPdbBuild:
         )
         assert result.exit_code == 3
 
-    def test_indexes_over_the_byte_ceiling_exit_three(self, runner, tmp_path, monkeypatch):
+    @pytest.fixture
+    def small_table_over_the_ceiling(self, runner, tmp_path, monkeypatch, empty_store):
+        """``solve`` under the 3x2 ``{1,2,3}`` table, whose 216-byte index
+        is one byte over the ceiling."""
         out = tmp_path / "a.spdb"
         args = ["pdb-build", "-w", "3", "-h", "2", "--tiles", "1,2,3", "--out", str(out)]
         assert runner.invoke(main, args).exit_code == 0
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 6**3 - 1)
-        result = runner.invoke(
-            main, ["solve", "--heuristic", "pdb", "--pdb", str(out), "-"],
-            input=Board.goal(3, 2).format(),
+        return lambda board: runner.invoke(
+            main, ["solve", "--heuristic", "pdb", "--pdb", str(out), "-"], input=board.format()
         )
+
+    def test_indexes_over_the_byte_ceiling_exit_three(self, small_table_over_the_ceiling):
+        result = small_table_over_the_ceiling(Board.goal(3, 2).apply_move(Move.UP))
         assert result.exit_code == 3
         assert result.stderr.startswith("error: pattern indexes need 216 bytes")
+
+    def test_goal_board_past_the_index_ceiling_exits_zero(self, small_table_over_the_ceiling):
+        result = small_table_over_the_ceiling(Board.goal(3, 2))
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[1].startswith("length=0 nodes=0 ")
+
+    def test_unsolvable_board_past_the_index_ceiling_exits_one(self, small_table_over_the_ceiling):
+        cells = list(Board.goal(3, 2).cells)
+        cells[0], cells[1] = cells[1], cells[0]
+        result = small_table_over_the_ceiling(Board(3, 2, tuple(cells)))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "config_parity=Odd" in result.stderr
+        assert "solvable=false" in result.stderr
 
     def test_heuristic_table_over_the_byte_ceiling_exits_three(self, runner, monkeypatch, empty_store):
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 3263)

@@ -21,6 +21,7 @@ from permpuzzle import (
     PatternDatabase,
     PatternHeuristic,
     ResourceLimitError,
+    UnsolvableError,
     bfs_optimal,
     build_pdb,
     ida_star,
@@ -455,19 +456,24 @@ class TestPositionalIndex:
 
     def test_index_size(self):
         db = build_pdb(4, 4, [1, 2, 5, 6])
-        ((_, index),) = PatternHeuristic([db])._indexes
+        ((_, index),) = pattern_db._pattern_indexes(4, 4, ((db.pattern_tiles, db.table),))
         assert len(index) == 16**4 and len(db.table) == 43680
 
-    def test_indexes_over_the_byte_ceiling_refused(self, monkeypatch):
+    def test_indexes_over_the_byte_ceiling_refused(self, monkeypatch, empty_store):
+        # Construction only keeps the databases; the first lookup indexes them.
         dbs = [build_pdb(3, 3, [1, 2, 3]), build_pdb(3, 3, [4, 5])]
+        board = Board.goal(3, 3).apply_move(Move.UP)
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 9**3 + 9**2)
-        PatternHeuristic(dbs)
+        PatternHeuristic(dbs)(board)
+        empty_store.clear()
         monkeypatch.setattr(pattern_db, "DEFAULT_MAX_BYTES", 9**3 + 9**2 - 1)
+        heuristic = PatternHeuristic(dbs)
         with pytest.raises(ResourceLimitError, match="ceiling"):
-            PatternHeuristic(dbs)
+            heuristic(board)
 
-
-    def test_pdb_heuristic_expands_each_table_once(self, monkeypatch):
+    def test_pdb_heuristic_expands_each_table_once(self, monkeypatch, empty_store, tmp_path):
+        # Bare lists, a solve and equal databases read back from files all
+        # share the indexes the first lookup stored.
         dbs = [build_pdb(3, 3, [1, 2, 3]), build_pdb(3, 3, [4, 5])]
         expanded = []
         real = pattern_db._positional_index
@@ -477,16 +483,31 @@ class TestPositionalIndex:
             return real(table, n, k)
 
         monkeypatch.setattr(pattern_db, "_positional_index", counting)
-        pattern_db._pattern_heuristic.cache_clear()
-        try:
-            board = Board(3, 3, (4, 1, 3, 7, 2, 6, 5, 8, 9))
-            assert pdb_heuristic(board, dbs) == pdb_heuristic(board, list(dbs))
-            assert pdb_heuristic(board, dbs) == sum(
-                pattern_entry(db.table, db.pattern_tiles, board.cells) for db in dbs
-            )
-            assert expanded == [3, 2]
-        finally:
-            pattern_db._pattern_heuristic.cache_clear()
+        board = Board(3, 3, (4, 1, 3, 7, 2, 6, 5, 8, 9))
+        assert pdb_heuristic(board, dbs) == pdb_heuristic(board, list(dbs))
+        assert pdb_heuristic(board, dbs) == sum(
+            pattern_entry(db.table, db.pattern_tiles, board.cells) for db in dbs
+        )
+        solved = ida_star(board, dbs)
+        for i, db in enumerate(dbs):
+            save_pdb(db, tmp_path / f"{i}.spdb")
+        reloaded = [load_pdb(tmp_path / f"{i}.spdb") for i in range(len(dbs))]
+        assert reloaded == dbs and reloaded[0].table is not dbs[0].table
+        again = ida_star(board, PatternHeuristic(reloaded))
+        assert (again.moves, again.nodes_expanded) == (solved.moves, solved.nodes_expanded)
+        assert expanded == [3, 2]
+
+    @pytest.mark.parametrize("make", [list, PatternHeuristic], ids=["bare", "PatternHeuristic"])
+    def test_goal_and_unsolvable_boards_build_no_index(self, make, monkeypatch, empty_store, lloyd_board):
+        dbs = [build_pdb(4, 4, tiles) for tiles in ((1, 2, 5, 6), (3, 4, 7, 8), (9, 10, 13, 14), (11, 12, 15))]
+        expanded = []
+        monkeypatch.setattr(pattern_db, "_positional_index", lambda *args: expanded.append(args))
+        assert ida_star(Board.goal(4, 4), make(dbs)).length == 0
+        with pytest.raises(UnsolvableError):
+            ida_star(lloyd_board, make(dbs))
+        assert expanded == []
+        assert not [key for key in empty_store
+                    if key[0] in (pattern_db._pattern_indexes, pattern_db._pattern_steps)]
 
 
 class TestPersistence:

@@ -24,7 +24,7 @@ from permpuzzle import (
     scramble,
     verify_sequence,
 )
-from permpuzzle import solver
+from permpuzzle import pattern_db, solver
 from permpuzzle.board import _blank_steps, _table
 from permpuzzle.heuristics import _conflict_table, _lines, _step_table, goal_tables
 
@@ -603,13 +603,15 @@ class TestFirstSolveDeadline:
         assert (_step_table, 20, 20, conflicts) in empty_store
 
     @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
-    def test_first_pattern_solve_stops_in_the_build(self, collecting, reads):
+    def test_first_pattern_solve_stops_in_the_build(self, collecting, reads, empty_store):
         # The 34-move board of scramble -w 4 -h 4 --steps 40 --seed 7
-        # under five 3-tile tables: a new heuristic builds its own step
-        # table on its first solve, reading the deadline at its first cell.
+        # under five 3-tile tables: the first solve over a set of tables
+        # indexes them for h(start), reading no clock, then builds their
+        # step table in the store, reading the deadline at its first cell.
         board = scramble(4, 4, 40, 7)[0]
         labels = range(1, 16)
         heuristic = PatternHeuristic([build_pdb(4, 4, labels[i : i + 3]) for i in range(0, 15, 3)])
+        patterns = tuple((db.pattern_tiles, db.table) for db in heuristic.databases)
         error, kept = self.solve_with_collector(
             collecting, lambda: ida_star(board, heuristic, SearchLimits(max_time=0.001))
         )
@@ -617,10 +619,10 @@ class TestFirstSolveDeadline:
         assert (error.nodes_expanded, error.lower_bound) == (0, 26)
         assert kept
         assert len(reads) == 2
-        assert heuristic._steps is None
+        assert (pattern_db._pattern_steps, 4, 4, patterns) not in empty_store
         result = ida_star(board, heuristic)
         assert (result.length, result.nodes_expanded) == (34, 4907)
-        assert heuristic._steps is not None
+        assert (pattern_db._pattern_steps, 4, 4, patterns) in empty_store
 
 
 class TestBlankSteps:
