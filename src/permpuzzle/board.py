@@ -63,7 +63,8 @@ _BLANK_TOKENS = ("0", "_")
 # tables, linear conflict's lines and conflict tables, the pattern
 # build's region tables and the exact oracle's goal balls; and keyed by
 # the shape and its databases' tiles and tables, a pattern heuristic's
-# indexes and step table. :func:`_table` fills it, and an entry, once
+# indexes, step table and the first equal tuple of tiles and tables
+# (``pattern_db._same``). :func:`_table` fills it, and an entry, once
 # stored, is never replaced or dropped.
 _TABLES: dict = {}
 _NEVER = 1 << 62  # a step of work or an expansion no build or search reaches

@@ -266,15 +266,17 @@ def _step_table(width: int, height: int, conflicts: bool, tick=_untimed):
             gc.enable()
 
 
-def _incremental(conflicts: bool, board: Board):
+def _incremental(conflicts: bool, board: Board, tick=_untimed):
     """Manhattan's ``(h0, steps, regs)``, or with ``conflicts`` linear
-    conflict's, whose regs are the line keys. ``steps(tick=...)`` reads
-    the shape's step table from the store, or builds it there; a missing
-    table's ceiling is checked here, before h0's tables are built."""
-    if (_step_table, board.width, board.height, conflicts) not in _TABLES:
+    conflict's, whose regs are the line keys. ``steps`` is the store key
+    of the shape's step table, which ``board._table(*steps, tick=...)``
+    reads or builds; a missing table's ceiling is checked here, before
+    h0's tables are built. h0 reads only O(n) tables, untimed."""
+    steps = (_step_table, board.width, board.height, conflicts)
+    if steps not in _TABLES:
         _check_steps(board.width, board.height, conflicts)
     h0, keys = _linear_conflict(board) if conflicts else (manhattan(board), [])
-    return h0, partial(_table, _step_table, board.width, board.height, conflicts), keys
+    return h0, steps, keys
 
 
 # The named heuristics, each with its ``(h0, steps, regs)`` function.

@@ -21,10 +21,10 @@ table into a positional index of n^k bytes, keyed by the pattern tiles'
 cells as base-n digits, which IDA* carries in a register per database
 and a move shifts by a fixed stride. The indexes and the step table sit
 in the one table store (``board._table``), keyed by the shape and the
-databases: built after IDA*'s parity and goal checks, and kept for the
-life of the process. Files keep the rank-ordered table; there is no
-rank-order read, and one table is read as ``pdb_heuristic(board,
-[db])``. One byte ceiling, ``DEFAULT_MAX_BYTES``, covers the build and
+databases: built after IDA*'s parity and goal checks, under its
+deadline, and kept for the life of the process. Files keep the
+rank-ordered table; there is no rank-order read, and one table is read
+as ``pdb_heuristic(board, [db])``. One byte ceiling, ``DEFAULT_MAX_BYTES``, covers the build and
 the summed indexes each.
 """
 
@@ -37,7 +37,6 @@ import operator
 import os
 import struct
 from dataclasses import dataclass
-from functools import partial
 
 from .board import Board, _offsets, _row_steps, _table, _untimed, check_dimensions
 from .errors import ParseError, ResourceLimitError
@@ -120,7 +119,7 @@ class PatternDatabase:
         return self.width * self.height
 
 
-def _positional_index(table: bytes, n: int, k: int) -> bytearray:
+def _positional_index(table: bytes, n: int, k: int, tick=_untimed) -> bytearray:
     """``table`` re-keyed by the cells as base-n digits, UNREACHED elsewhere.
 
     Rank order is lexicographic, so each placement of the first k - 2
@@ -129,12 +128,14 @@ def _positional_index(table: bytes, n: int, k: int) -> bytearray:
     lexicographic order: one block of n² bytes once the used cells are
     filled in. One ``operator.itemgetter`` per set of used cells lays a
     block out, reading a trailing UNREACHED where a cell is used or
-    repeated. A 1-tile table is its own index.
+    repeated. Each table entry is a step of work for ``tick`` (see
+    :func:`~permpuzzle.board._table`), read before each block. A 1-tile
+    table is its own index.
     """
     if k == 1:
         return bytearray(table)
     index = bytearray([UNREACHED]) * n**k
-    f, rank, getters, pad = n - k + 2, 0, {}, bytes([UNREACHED])
+    f, rank, getters, pad, due = n - k + 2, 0, {}, bytes([UNREACHED]), 0
     entries, strides = f * (f - 1), [n ** (k - 1 - j) for j in range(k - 2)]
     # spot[i][j]: the offset in a block's entries of the i-th free cell's
     # tile, then the j-th's; ``entries``, the trailing ``pad``, where i = j
@@ -142,6 +143,8 @@ def _positional_index(table: bytes, n: int, k: int) -> bytearray:
     spot = [[i * (f - 1) + j - (j > i) if i != j and i < f > j else entries
              for j in range(f + 1)] for i in range(f + 1)]
     for prefix in itertools.permutations(range(n), k - 2):
+        if rank >= due:
+            due = tick(rank)
         used = frozenset(prefix)
         get = getters.get(used)
         if get is None:
@@ -155,15 +158,23 @@ def _positional_index(table: bytes, n: int, k: int) -> bytearray:
     return index
 
 
-def _pattern_indexes(width: int, height: int, patterns):
+def _pattern_indexes(width: int, height: int, patterns, tick=_untimed):
     """``(pattern_tiles, index)`` for each ``(pattern_tiles, table)`` of
     ``patterns``: a builder for the store (``board._table``), keyed by
     tiles and tables, which CPython hashes in C, so equal databases share
     their indexes. Indexes whose summed bytes would pass
-    ``DEFAULT_MAX_BYTES`` raise ``ResourceLimitError`` before any is built."""
+    ``DEFAULT_MAX_BYTES`` raise ``ResourceLimitError`` before any is built.
+    Each index reads ``tick`` at once, then every 2048 table entries."""
     n = width * height
     _check_bytes("pattern indexes need", sum(n ** len(t) for t, _ in patterns), DEFAULT_MAX_BYTES)
-    return tuple((tiles, _positional_index(table, n, len(tiles))) for tiles, table in patterns)
+    return tuple((tiles, _positional_index(table, n, len(tiles), tick)) for tiles, table in patterns)
+
+
+def _same(width: int, height: int, patterns):
+    """``patterns`` itself: a store builder, so every heuristic over equal
+    databases keys the store by the first one's tuple, which a read then
+    matches by identity, not by comparing every table byte by byte."""
+    return patterns
 
 
 def _pattern_steps(width: int, height: int, patterns, tick=_untimed):
@@ -186,9 +197,11 @@ def _pattern_steps(width: int, height: int, patterns, tick=_untimed):
 class PatternHeuristic:
     """Sum of disjoint pattern databases, reusable across solves.
 
-    It checks and keeps its databases. Its first lookup expands each
-    into a positional index of n^k bytes, kept in the one table store
-    (:func:`_pattern_indexes`) for the life of the process and
+    It checks and keeps its databases, and keys the store by the tables
+    of the first heuristic over equal ones (:func:`_same`). Its first
+    lookup, within a solve's ``max_time`` when IDA* makes it, expands
+    each into a positional index of n^k bytes, kept in the one table
+    store (:func:`_pattern_indexes`) for the life of the process and
     shared by every heuristic over equal databases:
     ``index[c_0·n^(k-1) + c_1·n^(k-2) + ... + c_(k-1)]`` holds the table
     entry of the placement that puts pattern tile i on cell c_i (entries
@@ -224,18 +237,20 @@ class PatternHeuristic:
             covered |= set(db.pattern_tiles)
         self.databases = tuple(databases)
         self.width, self.height = dims.pop()
-        # The store's key for these databases' tables.
-        self._patterns = tuple((db.pattern_tiles, db.table) for db in databases)
+        # The store's key for these databases' tables, the first equal one.
+        patterns = tuple((db.pattern_tiles, db.table) for db in databases)
+        self._patterns = _table(_same, self.width, self.height, patterns)
 
-    def _value_and_keys(self, board: Board):
-        """The heuristic and each database's key for ``board``."""
+    def _value_and_keys(self, board: Board, tick=None):
+        """The heuristic and each database's key for ``board``; a first
+        lookup indexes the databases under ``tick``, a search's deadline."""
         self.check_shape(board)
         n = board.size
         position = [0] * (n + 1)
         for cell, label in enumerate(board.cells):
             position[label] = cell
         h, keys = 0, []
-        for tiles, index in _table(_pattern_indexes, self.width, self.height, self._patterns):
+        for tiles, index in _table(_pattern_indexes, self.width, self.height, self._patterns, tick=tick):
             i = 0
             for x in tiles:
                 i = i * n + position[x]
@@ -243,12 +258,14 @@ class PatternHeuristic:
             keys.append(i)
         return h, keys
 
-    def incremental(self, board: Board):
+    def incremental(self, board: Board, tick=_untimed):
         """This heuristic as ``(h0, steps, regs)``, a key per database in
-        ``regs``; ``steps(tick=...)`` reads the step table from the
-        store, or builds it there (:func:`_pattern_steps`)."""
-        h0, keys = self._value_and_keys(board)
-        return h0, partial(_table, _pattern_steps, self.width, self.height, self._patterns), keys
+        ``regs``, indexing the databases under ``tick`` first if no
+        lookup has; ``steps`` is the store key of the step table, which
+        ``board._table(*steps, tick=...)`` reads or builds
+        (:func:`_pattern_steps`)."""
+        h0, keys = self._value_and_keys(board, tick)
+        return h0, (_pattern_steps, self.width, self.height, self._patterns), keys
 
     def check_shape(self, board: Board) -> None:
         """Raise ``ValueError`` unless ``board`` has this heuristic's shape."""

@@ -9,11 +9,13 @@ direction, through a per-shape table (``board._blank_steps``) built
 on the shape's first solve, so node counts are reproducible.
 
 Every heuristic reaches the search through one call, its module's
-``incremental(board)``, as ``(h0, steps, regs)``: the start's value, a
-function whose call ``steps(tick=...)`` returns the step table,
-``board._blank_steps`` with a row attached to each pair as
-``(d, j, row)``, and a fresh list of integer registers. The tile ``t``
-sliding into the blank reads ``row[t]``: an int is the change of h;
+``incremental(board, tick)``, as ``(h0, steps, regs)``: the start's
+value, the store key ``(builder, width, height, extra)`` of the step
+table, which ``board._table(*steps, tick=...)`` reads or builds, and a
+fresh list of integer registers. The step table is
+``board._blank_steps`` with a row attached to each pair as ``(d, j,
+row)``. The tile ``t`` sliding into the blank reads ``row[t]``: an int
+is the change of h;
 ``(dh, s, off, T, more)`` gives ``h + dh + T[regs[s] + off] -
 T[regs[s]]`` and adds ``off`` to ``regs[s]`` and ``o2`` to ``regs[s2]``
 for each ``(s2, o2)`` in ``more`` until the search backs out. ``T`` is
@@ -23,16 +25,27 @@ reads go through ``heuristics._conflict_of``, which fills the key (a
 key shifted only through ``more`` is unread until a later slide crosses
 its line). The goal test is ``h == 0 and tiles == goal``.
 
+Each node is passed its ``room``, the bound less its children's g, so
+a child fits when its h is at most ``room``, and returns the least
+amount by which a child overflowed, which the next iteration adds to
+the bound. The board is one list written in place: the blank's own
+cell is never read, because the move back into it is left out, so a
+move writes only the slid tile into the blank's cell, and its undo
+only the tile back into its own; the blank's label is written only
+before a goal test.
+
 Every table a search reads lives in one store, ``board._TABLES``,
 filled by ``board._table`` after the parity and goal checks: the step
 tables, the tables that h(start) reads (O(n) ones, and pattern
 databases' indexes), and the oracle's goal balls. A stored table costs
-one dict read and no clock read. A missing step table or goal ball is
-built under the query's ``max_time``, read at once and then every 2048
-steps of work through the query's ``_Budget.tick`` (IDA* builds its
-step table once h(start) is known); a deadline that passes raises
+one dict read and no clock read. A missing step table, set of pattern
+indexes or goal ball is built under the query's ``max_time``, read at
+once and then every 2048 steps of work through the query's
+``_Budget.tick`` (IDA* indexes pattern databases to compute h(start),
+then builds its step table); a deadline that passes raises
 :class:`ResourceLimitError` with ``nodes_expanded`` 0 and the best bound
-proven (h(start) for IDA*, 1 for the oracle), and stores nothing.
+proven (1 while indexing and for the oracle, then h(start) for IDA*),
+and stores nothing.
 """
 
 from __future__ import annotations
@@ -154,7 +167,7 @@ class _Budget:
 
     def answer(self, dirs, nodes: int) -> SearchResult:
         """The result of the blank's directions ``dirs``, first move first."""
-        return SearchResult(tuple(MOVE_ORDER[d] for d in dirs), nodes, time.perf_counter() - self.t0)
+        return SearchResult(tuple(map(MOVE_ORDER.__getitem__, dirs)), nodes, time.perf_counter() - self.t0)
 
 
 class _PackedBFS:
@@ -369,12 +382,12 @@ def ida_star(
     it with one dict read and no clock read. A named heuristic's byte
     ceiling is checked before h(start) is computed. The first solve over
     a set of pattern databases (or equal ones) indexes them, or refuses
-    them over the byte ceiling, to compute h(start); that indexing falls
-    within ``elapsed`` and ``max_time`` but is not cut short. The step
-    table's build comes after, within ``max_time``: it reads the
-    deadline at once and then every 2048 steps of work, and one that
-    passes raises with ``nodes_expanded`` 0 and ``lower_bound`` h(start),
-    storing nothing, so the next solve builds again.
+    them over the byte ceiling, to compute h(start). The indexing and
+    then the step table's build fall within ``elapsed`` and
+    ``max_time``: each reads the deadline at once and then every 2048
+    steps of work, and one that passes raises with ``nodes_expanded`` 0
+    and ``lower_bound`` 1 while indexing, h(start) after, storing
+    nothing, so the next solve builds again.
     """
     budget = _Budget("IDA*", limits)
     # The argument first, then the board; the tables last, so a goal or
@@ -383,33 +396,48 @@ def ida_star(
     if (done := budget.admit(board)) is not None:
         return done
     n = board.size
-    h0, steps, regs = incremental(board)
+    h0, steps, regs = incremental(board, budget.tick)
     budget.bound = bound = h0  # before the step table's build reads the deadline
-    steps = steps(tick=budget.tick)
+    steps = _table(*steps, tick=budget.tick)
     tiles = list(board.cells)
     blank0 = board.blank_index - 1
     goal_tiles = list(range(1, n + 1))
     nodes, due = 0, budget.due
     path: list[int] = []  # the moves, last first, written on the way out
 
-    def dfs(blank: int, g: int, bound: int, last: int, h: int) -> int:
+    def dfs(blank: int, room: int, last: int, h: int) -> int:
         """Returns -1 when the goal was reached (path holds the moves),
-        else the smallest f that overflowed the bound. ``last`` is the
-        direction the blank moved to reach ``blank`` (-1 at the root). The
-        undo move is pruned by direction: ``steps[blank][last]``, from the
-        per-shape table, leaves it out."""
+        else the least amount by which a child's f overflowed the bound.
+        ``room`` is the bound less the children's g, so a child fits
+        when its h is at most ``room``. ``last`` is the direction the
+        blank moved to reach ``blank`` (-1 at the root), and
+        ``steps[blank][last]`` leaves out the move that undoes it, so
+        nothing reads ``tiles[blank]``, which may hold a stale tile: a
+        move writes only the slid tile into ``blank``, its undo only the
+        tile back into ``j``, and ``n`` goes into ``j`` only before the
+        goal test."""
         nonlocal nodes, due
         nodes += 1
         if nodes >= due:
             due = budget.spend(nodes)
         mn = _INF
-        g1 = g + 1
         for d, j, row in steps[blank][last]:
             t = tiles[j]
             e = row[t]
             if e.__class__ is int:
                 child_h = h + e
-                off = 0
+                if child_h > room:
+                    if child_h - room < mn:
+                        mn = child_h - room
+                    continue
+                tiles[blank] = t
+                if child_h == 0:
+                    tiles[j] = n
+                    if tiles == goal_tiles:
+                        path.append(d)
+                        return -1
+                r = dfs(j, room - 1, d, child_h)
+                tiles[j] = t
             else:
                 dh, s, off, table, more = e
                 key = regs[s]
@@ -417,38 +445,37 @@ def ida_star(
                     child_h = h + dh + table[key + off] - table[key]
                 except KeyError:  # a line order no search has read yet
                     child_h = h + dh + _conflict_of(table, key + off) - _conflict_of(table, key)
-            f = g1 + child_h
-            if f > bound:
-                if f < mn:
-                    mn = f
-                continue
-            tiles[blank], tiles[j] = t, n
-            if child_h == 0 and tiles == goal_tiles:
-                path.append(d)
-                return -1
-            if off:
+                if child_h > room:
+                    if child_h - room < mn:
+                        mn = child_h - room
+                    continue
+                tiles[blank] = t
+                if child_h == 0:
+                    tiles[j] = n
+                    if tiles == goal_tiles:
+                        path.append(d)
+                        return -1
                 regs[s] = key + off
                 if more:
                     for s2, o2 in more:
                         regs[s2] += o2
-            r = dfs(j, g1, bound, d, child_h)
-            if r < 0:
-                path.append(d)
-                return -1
-            if r < mn:
-                mn = r
-            if off:
+                r = dfs(j, room - 1, d, child_h)
                 regs[s] = key
                 if more:
                     for s2, o2 in more:
                         regs[s2] -= o2
-            tiles[blank], tiles[j] = n, t
+                tiles[j] = t
+            if r < mn:
+                if r < 0:
+                    path.append(d)
+                    return -1
+                mn = r
         return mn
 
     while True:
         budget.depth(nodes)
         try:
-            r = dfs(blank0, 0, bound, -1, h0)
+            r = dfs(blank0, bound - 1, -1, h0)
         except RecursionError:
             limit = f"the recursion limit ({sys.getrecursionlimit()})"
             raise budget.error(f"IDA* search deeper than {limit}", nodes) from None
@@ -456,4 +483,4 @@ def ida_star(
             return budget.answer(reversed(path), nodes)
         if r >= _INF:
             raise PuzzleError("IDA* exhausted the space without a solution")
-        budget.bound = bound = r
+        budget.bound = bound = bound + r

@@ -143,3 +143,58 @@ def placement_rank(n: int, cells) -> int:
 def pattern_entry(table, tiles, cells) -> int:
     """The entry of ``table`` for the cells ``tiles`` occupy on a board."""
     return table[placement_rank(len(cells), [cells.index(t) for t in tiles])]
+
+
+def plain_ida_star(cells, width: int, height: int, h):
+    """IDA* over tuple states, with ``h(cells)`` computed from scratch for
+    every child: ``(directions, expansions)``, each direction an index
+    into U, D, L, R (the blank's moves, as in :func:`neighbors`).
+
+    Each call expands one state, counted, and tries the blank's moves in
+    U, D, L, R order, leaving out the one that undoes the last move. A
+    child whose f = g + h passes the bound is not entered; the least such
+    f is the next iteration's bound. A child that fits is the goal when
+    ``h == 0 and cells == goal``, tested before it is expanded. The goal
+    itself expands nothing.
+    """
+    n = width * height
+    goal = tuple(range(1, n + 1))
+    start = tuple(cells)
+    if start == goal:
+        return [], 0
+    path: list[int] = []
+    nodes = 0
+
+    def search(state, blank, g, bound, undo):
+        nonlocal nodes
+        nodes += 1
+        least = float("inf")
+        r, c = divmod(blank, width)
+        for d, (dr, dc) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
+            nr, nc = r + dr, c + dc
+            if d == undo or not (0 <= nr < height and 0 <= nc < width):
+                continue
+            j = nr * width + nc
+            child = list(state)
+            child[blank], child[j] = child[j], n
+            child = tuple(child)
+            child_h = h(child)
+            f = g + 1 + child_h
+            if f > bound:
+                least = min(least, f)
+                continue
+            if child_h == 0 and child == goal:
+                path.append(d)
+                return -1
+            found = search(child, j, g + 1, bound, d ^ 1)
+            if found == -1:
+                path.append(d)
+                return -1
+            least = min(least, found)
+        return least
+
+    bound = h(start)
+    while True:
+        bound = search(start, start.index(n), 0, bound, -1)
+        if bound == -1:
+            return path[::-1], nodes

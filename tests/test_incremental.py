@@ -2,7 +2,8 @@
 
 Each heuristic reaches the search as ``(h0, steps, regs)``. Sliding the
 tile at ``j`` into the blank at ``z`` reads ``row[t]`` from
-``steps()[z][-1]``'s ``(d, j, row)``: an int is the change of h; an entry
+``_table(*steps)[z][-1]``'s ``(d, j, row)``, ``steps`` being the step
+table's store key: an int is the change of h; an entry
 ``(dh, s, off, T, more)`` adds ``dh + T[regs[s] + off] - T[regs[s]]``
 (a conflict table's key is filled when missing, as the search fills it)
 and shifts ``regs[s]`` by ``off`` and each ``regs[s2]`` by ``o2``.
@@ -27,6 +28,7 @@ from permpuzzle import (
     manhattan,
     scramble,
 )
+from permpuzzle.board import _table
 from permpuzzle.heuristics import _conflict_of
 from permpuzzle.solver import _check_heuristic
 
@@ -61,7 +63,7 @@ def slide(terms, state, blank: int, j: int, t: int) -> None:
     """Move tile ``t`` from ``j`` into ``blank`` in every ``(h, regs)`` of
     ``state``, reading each heuristic's own step table."""
     for i, (_, steps, _) in enumerate(terms):
-        (entry,) = [row[t] for _, cell, row in steps()[blank][-1] if cell == j]
+        (entry,) = [row[t] for _, cell, row in _table(*steps)[blank][-1] if cell == j]
         h, regs = state[i]
         if not isinstance(entry, int):
             dh, s, off, table, more = entry

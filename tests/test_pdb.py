@@ -478,9 +478,9 @@ class TestPositionalIndex:
         expanded = []
         real = pattern_db._positional_index
 
-        def counting(table, n, k):
+        def counting(table, n, k, *tick):
             expanded.append(k)
-            return real(table, n, k)
+            return real(table, n, k, *tick)
 
         monkeypatch.setattr(pattern_db, "_positional_index", counting)
         board = Board(3, 3, (4, 1, 3, 7, 2, 6, 5, 8, 9))
@@ -494,6 +494,31 @@ class TestPositionalIndex:
         reloaded = [load_pdb(tmp_path / f"{i}.spdb") for i in range(len(dbs))]
         assert reloaded == dbs and reloaded[0].table is not dbs[0].table
         again = ida_star(board, PatternHeuristic(reloaded))
+        assert (again.moves, again.nodes_expanded) == (solved.moves, solved.nodes_expanded)
+        assert expanded == [3, 2]
+
+    def test_equal_databases_share_one_store_key(self, monkeypatch, empty_store, tmp_path):
+        # A heuristic over equal tables read back from files keys the
+        # store by the first heuristic's tuple, so a store read matches
+        # the key by identity and compares no table byte by byte.
+        dbs = [build_pdb(3, 3, [1, 2, 3]), build_pdb(3, 3, [4, 5])]
+        expanded = []
+        real = pattern_db._positional_index
+
+        def counting(table, n, k, *tick):
+            expanded.append(k)
+            return real(table, n, k, *tick)
+
+        monkeypatch.setattr(pattern_db, "_positional_index", counting)
+        board = Board(3, 3, (4, 1, 3, 7, 2, 6, 5, 8, 9))
+        first = PatternHeuristic(dbs)
+        solved = ida_star(board, first)
+        for i, db in enumerate(dbs):
+            save_pdb(db, tmp_path / f"{i}.spdb")
+        reloaded = PatternHeuristic([load_pdb(tmp_path / f"{i}.spdb") for i in range(len(dbs))])
+        assert reloaded.databases[0].table is not dbs[0].table
+        assert reloaded._patterns is first._patterns
+        again = ida_star(board, reloaded)
         assert (again.moves, again.nodes_expanded) == (solved.moves, solved.nodes_expanded)
         assert expanded == [3, 2]
 

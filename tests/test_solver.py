@@ -28,7 +28,7 @@ from permpuzzle import pattern_db, solver
 from permpuzzle.board import _blank_steps, _table
 from permpuzzle.heuristics import _conflict_table, _lines, _step_table, goal_tables
 
-from oracles import exact_distances
+from oracles import exact_distances, plain_ida_star, tile_taxicab
 
 
 @pytest.fixture(scope="module")
@@ -602,20 +602,24 @@ class TestFirstSolveDeadline:
         assert (result.length, result.nodes_expanded) == (length, nodes)
         assert (_step_table, 20, 20, conflicts) in empty_store
 
-    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
-    def test_first_pattern_solve_stops_in_the_build(self, collecting, reads, empty_store):
-        # The 34-move board of scramble -w 4 -h 4 --steps 40 --seed 7
-        # under five 3-tile tables: the first solve over a set of tables
-        # indexes them for h(start), reading no clock, then builds their
-        # step table in the store, reading the deadline at its first cell.
-        board = scramble(4, 4, 40, 7)[0]
+    @staticmethod
+    def five_3_tile_tables():
+        """The 34-move board of scramble -w 4 -h 4 --steps 40 --seed 7, a
+        fresh heuristic over five 3-tile tables, and its store key."""
         labels = range(1, 16)
         heuristic = PatternHeuristic([build_pdb(4, 4, labels[i : i + 3]) for i in range(0, 15, 3)])
         patterns = tuple((db.pattern_tiles, db.table) for db in heuristic.databases)
+        return scramble(4, 4, 40, 7)[0], heuristic, patterns
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+    def test_first_pattern_solve_stops_in_the_build(self, collecting, reads, empty_store):
+        # Indexed first, with no clock: the solve then builds the step
+        # table in the store, reading the deadline at its first cell.
+        board, heuristic, patterns = self.five_3_tile_tables()
+        assert heuristic(board) == 26
         error, kept = self.solve_with_collector(
             collecting, lambda: ida_star(board, heuristic, SearchLimits(max_time=0.001))
         )
-        assert heuristic(board) == 26
         assert (error.nodes_expanded, error.lower_bound) == (0, 26)
         assert kept
         assert len(reads) == 2
@@ -623,6 +627,71 @@ class TestFirstSolveDeadline:
         result = ida_star(board, heuristic)
         assert (result.length, result.nodes_expanded) == (34, 4907)
         assert (pattern_db._pattern_steps, 4, 4, patterns) in empty_store
+
+    @pytest.mark.parametrize("max_time, clock_reads", [(0.001, 1), (2.5, 3)])
+    def test_first_pattern_solve_stops_in_the_index(self, max_time, clock_reads, reads, empty_store):
+        # The first solve over a set of tables indexes them under the
+        # deadline, read at each table's first block and every 2048
+        # entries: each 3-tile table's 16 blocks of 210 entries read it
+        # twice, so 2.5 s passes at the second table's first block. h(start)
+        # is not known yet, so the bound is 1, and no index is stored.
+        board, heuristic, patterns = self.five_3_tile_tables()
+        with pytest.raises(ResourceLimitError) as exc:
+            ida_star(board, heuristic, SearchLimits(max_time=max_time))
+        assert str(exc.value) == f"IDA* exceeded {max_time}s"
+        assert (exc.value.nodes_expanded, exc.value.lower_bound) == (0, 1)
+        assert len(reads) == 1 + clock_reads
+        assert not [key for key in empty_store
+                    if key[0] in (pattern_db._pattern_indexes, pattern_db._pattern_steps)]
+        result = ida_star(board, heuristic)
+        assert (result.length, result.nodes_expanded) == (34, 4907)
+        assert (pattern_db._pattern_indexes, 4, 4, patterns) in empty_store
+
+
+class TestAgainstPlainIDA:
+    """``ida_star``'s moves and expansions equal those of a plain IDA*
+    over tuple states that computes h from scratch at every child
+    (``oracles.plain_ida_star``), on seeded scrambles of each shape."""
+
+    # (width, height, scramble steps): 4x4 walks shorter than criterion
+    # 8's 40, whose Manhattan searches run to millions of nodes.
+    SHAPES = [(3, 3, 30), (2, 4, 30), (4, 2, 30), (3, 4, 30), (4, 4, 30)]
+    SEEDS = range(4)
+
+    @staticmethod
+    def three_tile_tables(width, height):
+        labels = range(1, width * height)
+        return PatternHeuristic(
+            [build_pdb(width, height, labels[i : i + 3]) for i in range(0, len(labels), 3)]
+        )
+
+    def check(self, width, height, steps, heuristic, h):
+        for seed in self.SEEDS:
+            board = scramble(width, height, steps, seed)[0]
+            dirs, nodes = plain_ida_star(board.cells, width, height, h)
+            # Capped, so a search that misses the goal fails, not hangs.
+            result = ida_star(board, heuristic, SearchLimits(max_nodes=nodes))
+            assert (result.moves, result.nodes_expanded) == (tuple(MOVE_ORDER[d] for d in dirs), nodes)
+
+    @pytest.mark.parametrize("width, height, steps", SHAPES)
+    def test_manhattan(self, width, height, steps):
+        self.check(width, height, steps, "manhattan", lambda cells: tile_taxicab(cells, width, height))
+
+    @pytest.mark.parametrize("width, height, steps", SHAPES)
+    def test_linear_conflict(self, width, height, steps):
+        self.check(width, height, steps, "linear-conflict",
+                   lambda cells: linear_conflict(Board(width, height, cells)))
+
+    @pytest.mark.parametrize("width, height, steps", SHAPES)
+    def test_pattern_databases(self, width, height, steps):
+        heuristic = self.three_tile_tables(width, height)
+        self.check(width, height, steps, heuristic, lambda cells: heuristic(Board(width, height, cells)))
+
+    def test_lone_2_tile_table(self):
+        # h is 0 on many boards off the goal, so the goal test compares
+        # the cells of many a child whose h is 0.
+        heuristic = PatternHeuristic([build_pdb(3, 3, [1, 2])])
+        self.check(3, 3, 12, heuristic, lambda cells: heuristic(Board(3, 3, cells)))
 
 
 class TestBlankSteps:
