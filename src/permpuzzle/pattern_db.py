@@ -194,6 +194,20 @@ def _pattern_steps(width: int, height: int, patterns, tick=_untimed):
     return _row_steps(width, height, lambda z, d, j: rows[d], tick)
 
 
+def _databases(databases) -> tuple[PatternDatabase, ...]:
+    """``databases`` as a tuple of one or more :class:`PatternDatabase`,
+    hashable as a store key, or ``ValueError``."""
+    try:
+        databases = tuple(databases)
+    except TypeError:  # not iterable
+        raise ValueError(NOT_A_HEURISTIC) from None
+    if not databases:
+        raise ValueError("at least one pattern database required")
+    if not all(isinstance(db, PatternDatabase) for db in databases):
+        raise ValueError(NOT_A_HEURISTIC)
+    return databases
+
+
 class PatternHeuristic:
     """Sum of disjoint pattern databases, reusable across solves.
 
@@ -215,14 +229,7 @@ class PatternHeuristic:
     """
 
     def __init__(self, databases):
-        try:
-            databases = list(databases)
-        except TypeError:  # not iterable
-            raise ValueError(NOT_A_HEURISTIC) from None
-        if not databases:
-            raise ValueError("at least one pattern database required")
-        if not all(isinstance(db, PatternDatabase) for db in databases):
-            raise ValueError(NOT_A_HEURISTIC)
+        databases = _databases(databases)
         dims = {(db.width, db.height) for db in databases}
         if len(dims) != 1:
             raise ValueError(f"databases built for mixed dimensions {sorted(dims)}")
@@ -235,7 +242,7 @@ class PatternHeuristic:
                     "additivity requires disjoint patterns"
                 )
             covered |= set(db.pattern_tiles)
-        self.databases = tuple(databases)
+        self.databases = databases
         self.width, self.height = dims.pop()
         # The store's key for these databases' tables, the first equal one.
         patterns = tuple((db.pattern_tiles, db.table) for db in databases)
@@ -311,33 +318,38 @@ def save_pdb(db: PatternDatabase, destination) -> None:
 
 
 def load_pdb(source) -> PatternDatabase:
-    with open(os.fspath(source), "rb") as fh:
-        data = fh.read()
-    if len(data) < 8 or data[:4] != MAGIC:
-        raise ParseError("not a pattern database: bad magic")
-    version = data[4]
-    if version != VERSION:
-        raise ParseError(f"unsupported pattern database version {version}")
-    width, height, k = data[5], data[6], data[7]
-    offset = 8
-    if len(data) < offset + k + 8:
-        raise ParseError("truncated pattern database header")
-    tiles = tuple(data[offset : offset + k])
-    offset += k
-    (table_len,) = struct.unpack_from("<Q", data, offset)
-    offset += 8
-    expected = math.perm(width * height, k) if k <= width * height else -1
-    if table_len != expected:
-        raise ParseError(
-            f"table length {table_len} does not match "
-            f"{width}x{height} pattern of size {k}"
-        )
-    table = data[offset : offset + table_len]
-    if len(table) != table_len:
+    """Read the file :func:`save_pdb` writes. The header is read first,
+    then the rest of the file in one read sized from it, which is the
+    table itself unless bytes trail it, so no second copy is held. A bad
+    magic or version, a truncated header or table, a length that does not
+    match the shape, trailing bytes or an invalid table raise
+    ``ParseError``."""
+    # Unbuffered: a buffered reader would join its read-ahead to the rest.
+    with open(os.fspath(source), "rb", buffering=0) as fh:
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != MAGIC:
+            raise ParseError("not a pattern database: bad magic")
+        version = head[4]
+        if version != VERSION:
+            raise ParseError(f"unsupported pattern database version {version}")
+        width, height, k = head[5], head[6], head[7]
+        head = fh.read(k + 8)
+        if len(head) < k + 8:
+            raise ParseError("truncated pattern database header")
+        tiles = tuple(head[:k])
+        (table_len,) = struct.unpack_from("<Q", head, k)
+        expected = math.perm(width * height, k) if k <= width * height else -1
+        if table_len != expected:
+            raise ParseError(
+                f"table length {table_len} does not match "
+                f"{width}x{height} pattern of size {k}"
+            )
+        table = fh.read()
+    if len(table) < table_len:
         raise ParseError(
             f"truncated table: expected {table_len} bytes, got {len(table)}"
         )
-    if len(data) > offset + table_len:
+    if len(table) > table_len:
         raise ParseError("trailing bytes after table")
     try:
         return PatternDatabase(width, height, tiles, table)

@@ -1,5 +1,6 @@
 """Optimal solvers: an exact BFS oracle for small boards, described in
-:func:`bfs_optimal`, and IDA* search.
+:func:`bfs_optimal`, whose goal ball keeps each state's path home as one
+int (:func:`_goal_ball`), and IDA* search.
 
 IDA* runs depth-first with an f = g + h threshold raised to the smallest
 overflowing value each iteration; with the admissible heuristics offered
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from .board import _NEVER, MOVE_ORDER, Board, Move, _offsets, _row_steps, _table, _untimed
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
 from .heuristics import INCREMENTAL, _conflict_of
-from .pattern_db import PatternDatabase, PatternHeuristic
+from .pattern_db import PatternDatabase, PatternHeuristic, _databases
 from .solvability import DEFAULT_MAX_STATES, certificate, is_solvable
 
 __all__ = [
@@ -106,6 +107,14 @@ class SearchResult:
 
 
 _NO_LIMITS = SearchLimits()
+_new_result = object.__new__
+# The slots' own setters, which the frozen dataclass's __setattr__ refuses.
+_set_moves, _set_nodes, _set_elapsed = (
+    SearchResult.__dict__[name].__set__ for name in ("moves", "nodes_expanded", "elapsed")
+)
+# Each direction's move, keyed by its index in MOVE_ORDER and by that
+# index as an octal digit, the form a goal ball's path codes spell.
+_MOVE_OF = {key: m for d, m in enumerate(MOVE_ORDER) for key in (d, str(d))}
 
 
 class _Budget:
@@ -166,8 +175,15 @@ class _Budget:
         return min(self.cap + 1, self.tick(nodes, nodes))
 
     def answer(self, dirs, nodes: int) -> SearchResult:
-        """The result of the blank's directions ``dirs``, first move first."""
-        return SearchResult(tuple(map(MOVE_ORDER.__getitem__, dirs)), nodes, time.perf_counter() - self.t0)
+        """The result of the blank's directions ``dirs``, first move first,
+        each an int or an octal digit (:func:`_goal_ball`), built as
+        ``board._trusted_board`` builds a board: no call per move, and no
+        frozen ``__init__``."""
+        result = _new_result(SearchResult)
+        _set_moves(result, tuple([_MOVE_OF[d] for d in dirs]))
+        _set_nodes(result, nodes)
+        _set_elapsed(result, time.perf_counter() - self.t0)
+        return result
 
 
 class _PackedBFS:
@@ -175,7 +191,9 @@ class _PackedBFS:
     4 bits per cell, label ``l`` on cell ``c`` as ``l << 4c`` and the
     blank as 0, through a :func:`_goal_ball` step table on a board
     ``width`` cells wide. A visited map sends each state to its blank's
-    last direction, -1 at a root. ``nodes`` counts expansions; when it
+    last direction, or to a negative value where a walk back stops: -1
+    at a root, minus a path code home in a goal ball (:func:`_goal_ball`).
+    ``nodes`` counts expansions; when it
     reaches ``due``, ``spend(nodes)`` gives the next due: a query's
     :meth:`_Budget.spend`, or a build's :meth:`_Budget.tick`."""
 
@@ -219,10 +237,12 @@ class _PackedBFS:
         self.nodes, self.due = nodes, due
         return next_frontier, None
 
-    def unwind(self, state: int, blank: int, d: int, seen: dict) -> list[int]:
-        """Directions from ``state`` back to its root, last move first:
-        ``d``, then those in ``seen``; each step moves the blank back,
-        the opposite way, ``d ^ 1``."""
+    def unwind(self, state: int, blank: int, d: int, seen: dict) -> tuple[list[int], int]:
+        """``(dirs, stop)``: the directions from ``state`` back to
+        ``stop``, the first state whose value in ``seen`` is negative (a
+        root, or a goal ball's state), last move first: ``d``, then
+        those in ``seen``; each step moves the blank back, the opposite
+        way, ``d ^ 1``."""
         dirs = []
         while d >= 0:
             dirs.append(d)
@@ -230,24 +250,30 @@ class _PackedBFS:
             state ^= ((state >> 4 * prev) & 15) * ((1 << 4 * blank) | (1 << 4 * prev))
             blank = prev
             d = seen[state]
-        return dirs
+        return dirs, state
 
 
 def _goal_ball(width: int, height: int, tick=_untimed):
     """``(steps, ball, radius, rim)`` for the shape: a builder for the
     per-shape store (``board._table``), which calls ``tick`` at the
-    ball's first expansion and every 2048th.
+    ball's first expansion and every 2048th step of work after it, each
+    expansion and each coded state a step.
 
     ``steps`` is :func:`~permpuzzle.board._row_steps` with ``(1 << 4z) |
     (1 << 4j)`` as the row of the blank's move from cell ``z`` to cell
     ``j``. ``ball`` maps every state within ``radius`` moves of the goal
-    to its blank's last direction (-1 at the goal), whole layers while
-    they total at most :data:`BALL_STATES`, and ``rim`` is the layer at
-    ``radius``. Every query reads the same objects and none writes them.
+    to minus its path code, whole layers while they total at most
+    :data:`BALL_STATES`, and ``rim`` is the layer at ``radius``. A path
+    code is a leading 1, then the blank's directions home as octal
+    digits, first move first: the goal's is 1, and a state's is its
+    parent's with its own first move home, the opposite of its last
+    move, put in front, written over that last move once its layer is
+    whole. Every query reads the same objects and none writes them.
     """
     n = width * height
     steps = _row_steps(width, height, lambda z, d, j: (1 << 4 * z) | (1 << 4 * j))
     bfs = _PackedBFS(steps, width, tick)
+    offsets = bfs.offsets
     goal = bfs.pack(range(1, n + 1))
     ball = {goal: -1}
     frontier, radius = [(goal, n - 1, -1)], 0
@@ -255,6 +281,18 @@ def _goal_ball(width: int, height: int, tick=_untimed):
         layer, _ = bfs.expand(frontier, ball)
         if not layer or len(ball) > BALL_STATES:
             break
+        # A code ``radius`` digits long gains the digit m in front by
+        # adding (8 - 1 + m) << 3·radius.
+        grow = [(7 + (d ^ 1)) << 3 * radius for d in range(4)]
+        work, due = bfs.nodes, bfs.due
+        for child, j, d in layer:
+            work += 1
+            if work >= due:
+                due = tick(work)
+            prev = j + offsets[d ^ 1]
+            parent = child ^ ((child >> 4 * prev) & 15) * ((1 << 4 * j) | (1 << 4 * prev))
+            ball[child] = ball[parent] - grow[d]
+        bfs.nodes, bfs.due = work, due
         frontier, radius = layer, radius + 1
     if layer:  # past the ceiling
         for state, _, _ in layer:
@@ -272,24 +310,27 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     4 bits per cell); the default ceiling of one million expansions
     covers everything up to 9 cells, and 4x4 boards to about 36 moves.
     The goal's ball, every state within radius R of the goal as whole
-    BFS layers of at most 2^15 states, each mapped to its blank's last
-    direction, is built once per shape, on its first query, and kept
-    in the per-shape table store with IDA*'s step tables. Its
-    expansions count against no query's ``max_nodes``; its build time
-    falls within that first query's ``max_time``, read at its first
-    expansion and every 2048th, and ``elapsed``. A deadline that passes
-    during the build raises with ``nodes_expanded`` 0 and
-    ``lower_bound`` 1, and the next query builds the ball again. Once
-    stored, a query reads the ball with one dict read and no clock
-    read. One ball grows from ``board``
-    and one from the goal's ball's outer layer, its rim, into a
-    per-query copy, a whole layer of the side with the smaller frontier
-    at a time (ties go to the start's side), so a deep board costs no
-    more than it would with no ball. The first child found in the other
+    BFS layers of at most 2^15 states, each mapped to its path home as
+    one int (:func:`_goal_ball`), is built once per shape, on its first
+    query, and kept in the per-shape table store with IDA*'s step
+    tables. Its expansions count against no query's ``max_nodes``; its
+    build time falls within that first query's ``max_time``, read at
+    its first step of work and every 2048th, and ``elapsed``. A
+    deadline that passes during the build raises with
+    ``nodes_expanded`` 0 and ``lower_bound`` 1, and the next query
+    builds the ball again. Once stored, a query reads the ball with one
+    dict read and no clock read. One ball grows from ``board`` and one
+    from the goal's ball's outer layer, its rim, into a per-query copy,
+    a whole layer of the side with the smaller frontier at a time (ties
+    go to the start's side), so a deep board costs no more than it
+    would with no ball. The first child found in the other
     side's ball is the meet, and a board inside the goal's ball is the
-    meet before any layer; undoing the recorded moves from it back to
-    each root gives an optimal path. A slide is one multiply-xor by a constant of
-    a per-shape step table that never makes the move back to a parent.
+    meet before any layer. The answer undoes the start side's recorded
+    moves from the meet back to the board; then, only when the goal's
+    side grew past its ball, walks the goal side's moves from the meet
+    back to a ball state; then reads that state's path home from the
+    ball. A slide is one multiply-xor by a constant of a per-shape step
+    table that never makes the move back to a parent.
 
     ``nodes_expanded`` counts the states expanded in the query, on
     either side. A :class:`ResourceLimitError` carries ``lower_bound``:
@@ -327,11 +368,18 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
         frontiers[side], meet = bfs.expand(frontiers[side], maps[side], maps[1 - side])
         budget.bound += 1
 
-    # The start's ball up to the meeting state, which both maps hold,
-    # then the goal's ball from it, undoing each of the goal side's moves.
+    # The start's ball up to the meeting state, which both maps hold;
+    # then, when the goal's side grew past the ball, its moves from there
+    # undone back to a ball state; then that state's path code home.
     child, blank, _ = meet
-    dirs = bfs.unwind(child, blank, maps[0][child], maps[0])[::-1]
-    dirs.extend(e ^ 1 for e in bfs.unwind(child, blank, maps[1][child], maps[1]))
+    dirs, _ = bfs.unwind(child, blank, maps[0][child], maps[0])
+    dirs.reverse()
+    code = maps[1][child]
+    if code >= 0:
+        tail, stop = bfs.unwind(child, blank, code, maps[1])
+        dirs += [e ^ 1 for e in tail]
+        code = maps[1][stop]
+    dirs += oct(-code)[3:]  # past "0o1"
     if not bfs.nodes:
         # No expansion read the limits: read them against the exact length.
         budget.bound = len(dirs)
@@ -342,16 +390,18 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
 
 def _check_heuristic(heuristic, board: Board):
     """The ``incremental`` function, board to ``(h0, steps, regs)``, of
-    the heuristic argument checked against ``board``. Builds no table."""
+    the heuristic argument checked against ``board``. Builds no table: a
+    bare list's :class:`PatternHeuristic`, checked once, is kept in the
+    table store, keyed by its databases, so an equal list reads it."""
     if isinstance(heuristic, str):
         name = heuristic.lower().replace("_", "-")
         if name not in INCREMENTAL:
             raise ValueError(f"unknown heuristic {heuristic!r}; named options: {HEURISTIC_NAMES}")
         return INCREMENTAL[name]
     if isinstance(heuristic, PatternDatabase):
-        heuristic = [heuristic]
+        heuristic = (heuristic,)
     if not isinstance(heuristic, PatternHeuristic):
-        heuristic = PatternHeuristic(heuristic)
+        heuristic = _table(PatternHeuristic, _databases(heuristic))
     heuristic.check_shape(board)
     return heuristic.incremental
 

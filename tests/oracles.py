@@ -62,8 +62,9 @@ def neighbors(cells: tuple[int, ...], width: int, height: int):
     return out
 
 
-def exact_distances(width: int, height: int) -> dict[tuple[int, ...], int]:
-    """Exhaustive BFS from the goal: every reachable state's true distance."""
+def exact_distances(width: int, height: int, max_depth: int | None = None) -> dict[tuple[int, ...], int]:
+    """Exhaustive BFS from the goal: every reachable state's true distance,
+    or only those of at most ``max_depth`` moves."""
     n = width * height
     goal = tuple(range(1, n + 1))
     dist = {goal: 0}
@@ -71,6 +72,8 @@ def exact_distances(width: int, height: int) -> dict[tuple[int, ...], int]:
     while queue:
         state = queue.popleft()
         d = dist[state] + 1
+        if max_depth is not None and d > max_depth:
+            break
         for child in neighbors(state, width, height):
             if child not in dist:
                 dist[child] = d

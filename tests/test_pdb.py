@@ -29,6 +29,7 @@ from permpuzzle import (
     pdb_heuristic,
     reachable_states,
     save_pdb,
+    scramble,
 )
 from permpuzzle import pattern_db, pdb_build, solvability
 
@@ -401,6 +402,28 @@ class TestHeuristic:
             with pytest.raises(ValueError, match="heuristic must be"):
                 ida_star(Board.goal(3, 3), items)
 
+    def test_a_bare_list_is_checked_once(self, monkeypatch, empty_store):
+        # Two equal lists, not the same object: the second solve reads the
+        # first one's sum from the table store. A list that fails its
+        # checks raises each time and is never kept.
+        dbs = [build_pdb(3, 3, [1, 2, 3, 4]), build_pdb(3, 3, [5, 6, 7, 8])]
+        built = []
+        init = PatternHeuristic.__init__
+
+        def counted(self, databases):
+            built.append(databases)
+            init(self, databases)
+
+        monkeypatch.setattr(PatternHeuristic, "__init__", counted)
+        board = scramble(3, 3, 30, 1)[0]
+        first, second = ida_star(board, list(dbs)), ida_star(board, list(dbs))
+        assert len(built) == 1
+        assert (first.moves, first.nodes_expanded) == (second.moves, second.nodes_expanded)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="overlap"):
+                ida_star(board, [dbs[0], dbs[0]])
+        assert len(built) == 3
+
     def test_positions_path_matches_board_path(self):
         """The oracle's positions, ranked by permutations(), against ph(board)."""
         db = build_pdb(3, 3, [2, 5, 7])
@@ -606,6 +629,31 @@ class TestPersistence:
         path.write_bytes(raw[:-1])
         with pytest.raises(ParseError, match="truncated"):
             load_pdb(path)
+
+    def test_truncated_header(self, tmp_path):
+        db = build_pdb(3, 2, [1, 2])
+        path = tmp_path / "t.spdb"
+        save_pdb(db, path)
+        path.write_bytes(path.read_bytes()[:17])
+        with pytest.raises(ParseError, match="truncated pattern database header"):
+            load_pdb(path)
+
+    def test_load_holds_one_copy_of_the_table(self, tmp_path):
+        # The header is read first, then the table alone: the whole file
+        # and a copy of its table are never held together (2.03x before).
+        db = build_pdb(4, 4, [1, 2, 5, 6])
+        path = tmp_path / "p.spdb"
+        save_pdb(db, path)
+        size = path.stat().st_size
+        assert size == 43700
+        tracemalloc.start()
+        try:
+            loaded = load_pdb(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == db
+        assert peak < 1.25 * size
 
     def test_trailing_garbage(self, tmp_path):
         db = build_pdb(3, 2, [1, 2])

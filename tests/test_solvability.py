@@ -193,7 +193,7 @@ class TestPackedSteps:
     def test_slide_matches_apply_move(self, width, height):
         # Expanding a root takes every entry of the step table at its
         # blank, on boards of both parities: each child is the packed
-        # board after the move, and unwinding that one step lands on the
+        # board after the move, and unwinding that one step stops on the
         # parent, the only state in the map. A ball holding the last
         # child stops the layer there and hands that child back.
         bfs = _PackedBFS(_table(_goal_ball, width, height)[0], width)
@@ -209,9 +209,21 @@ class TestPackedSteps:
             assert {MOVE_ORDER[d] for _, _, d in children} == board.legal_moves()
             for child, j, d in children:
                 assert child == bfs.pack(board.apply_move(MOVE_ORDER[d]).cells)
-                assert bfs.unwind(child, j, d, {parent: -1}) == [d]
+                assert bfs.unwind(child, j, d, {parent: -1}) == ([d], parent)
             last = children[-1]
             assert bfs.expand(root, {parent: -1}, {last[0]: 0}) == (children[:-1], last)
+
+
+def path_home(value) -> list[Move]:
+    """The moves a goal ball's value spells: minus a leading 1, then the
+    directions home as octal digits, first move first."""
+    code = oct(-value)
+    assert code[:3] == "0o1"
+    return [MOVE_ORDER[int(digit)] for digit in code[3:]]
+
+
+def first_move_home(value) -> int:
+    return MOVE_ORDER.index(path_home(value)[0])
 
 
 class TestGoalBall:
@@ -226,9 +238,9 @@ class TestGoalBall:
         assert {state for state, _, _ in rim} == {
             _PackedBFS.pack(c) for c, d in dist.items() if d == r
         }
-        # Each rim entry is a frontier entry: the blank's nibble is 0 and
-        # the direction is the one the ball records.
-        assert all((state >> 4 * j) & 15 == 0 and ball[state] == d for state, j, d in rim)
+        # Each rim entry is a frontier entry: the blank's nibble is 0, and
+        # the first move of the state's path code home undoes its last.
+        assert all((state >> 4 * j) & 15 == 0 and first_move_home(ball[state]) == d ^ 1 for state, j, d in rim)
         assert size <= ceiling
         next_size = sum(1 for d in dist.values() if d <= r + 1)
         assert next_size > ceiling or next_size == len(dist)
@@ -258,9 +270,24 @@ class TestGoalBall:
         # the ball over the ceiling.
         steps, ball, r, rim = _table(_goal_ball, width, height)
         assert (len(ball), r) == (size, radius)
-        assert {ball[state] for state, _, _ in rim} <= {0, 1, 2, 3}
+        assert all(first_move_home(ball[state]) == d ^ 1 for state, _, d in rim)
         past, _ = _PackedBFS(steps, width).expand(rim, dict(ball))
         assert size <= BALL_STATES < size + len(past)
+
+
+class TestPathCodes:
+    @pytest.mark.parametrize("width, height", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 4)])
+    def test_every_code_replays_home_in_its_layers_moves(self, width, height):
+        # Every state the ball keeps, each found by an independent search
+        # from the goal, spells a path that solves it in exactly its
+        # distance: the goal's code is 1, its path empty.
+        _, ball, r, _ = _table(_goal_ball, width, height)
+        dist = exact_distances(width, height, max_depth=r)
+        assert len(dist) == len(ball)
+        for cells, d in dist.items():
+            moves = path_home(ball[_PackedBFS.pack(cells)])
+            assert len(moves) == d
+            assert verify_sequence(Board(width, height, cells), moves).solved
 
 
 class TestVerifySequence:

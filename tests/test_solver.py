@@ -166,13 +166,14 @@ class TestBfsOptimal:
         assert (exc.value.nodes_expanded, exc.value.lower_bound) == (0, 1)
         assert len(reads) == 1 + 3
         assert (solver._goal_ball, 4, 4) not in empty_store
-        # With no deadline in reach, the build's 31,044 expansions read the
-        # clock 16 times, the query's 5,763 three times, then the end; the
-        # ball is kept, and the next query reads only its own.
+        # With no deadline in reach, the build's 62,087 steps of work, its
+        # 31,044 expansions and the 31,043 states it codes, read the clock
+        # 31 times, the query's 5,763 expansions three times, then the end;
+        # the ball is kept, and the next query reads only its own.
         reads.clear()
         result = bfs_optimal(board, SearchLimits(max_time=float("inf")))
         assert result.nodes_expanded == 5763
-        assert len(reads) == 1 + 16 + 3 + 1
+        assert len(reads) == 1 + 31 + 3 + 1
         assert (solver._goal_ball, 4, 4) in empty_store
         reads.clear()
         assert bfs_optimal(board, SearchLimits(max_time=float("inf"))).nodes_expanded == 5763
