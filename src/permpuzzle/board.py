@@ -288,32 +288,30 @@ class Board:
     def is_goal(self) -> bool:
         return self.cells == _goal_cells(self.width * self.height)
 
-    def _target(self, move: Move) -> int:
-        """0-based destination cell of the blank (see :func:`_destination`)."""
-        return _destination(self.width, self.height, self.blank_index - 1, move)
-
     def legal_moves(self) -> set[Move]:
         """The 2-4 directions the blank may travel from here."""
         room = _room(self.width, self.height, self.blank_index - 1)
         return {m for m, r in zip(MOVE_ORDER, room) if r}
 
     def apply_move(self, move: Move) -> "Board":
-        """Slide the adjacent tile into the blank; blank travels ``move``."""
-        target = self._target(move)
-        cells = list(self.cells)
-        blank = self.blank_index - 1
-        cells[blank], cells[target] = cells[target], cells[blank]
-        return _trusted_board(self.width, self.height, tuple(cells), target + 1)
+        """Slide the adjacent tile into the blank; blank travels ``move``.
+
+        A one-step :func:`_replay`; an illegal ``move`` raises
+        :func:`_illegal`'s error, with no ``index``.
+        """
+        board, error = _replay(self, (move,))
+        if error is not None:
+            raise _illegal(move)
+        return board
 
     def move_transposition(self, move: Move) -> Permutation:
         """The 2-cycle of tile labels (blank, slid tile) realizing ``move``.
 
         Left-composing it onto ``to_permutation`` yields the moved board's
-        permutation.
+        permutation. The slid tile is read from :meth:`apply_move`'s board.
         """
-        target = self._target(move)
         n = self.size
-        return Permutation.transposition(n, n, self.cells[target])
+        return Permutation.transposition(n, n, self.cells[self.apply_move(move).blank_index - 1])
 
     def apply_sequence(self, moves) -> "Board":
         """The board ``moves`` reach, played left to right; the same as a
@@ -370,16 +368,6 @@ def _illegal(move) -> IllegalMoveError:
     return IllegalMoveError(
         f"blank cannot travel {move.name}: already at that edge", move=move
     )
-
-
-def _destination(width: int, height: int, blank: int, move) -> int:
-    """The 0-based cell ``move`` takes the blank to from cell ``blank``;
-    raises :func:`_illegal`'s error when it has none. O(1), with no
-    per-shape table."""
-    d = _DIRECTION[move._value_] if isinstance(move, Move) else None
-    if d is None or not _room(width, height, blank)[d]:
-        raise _illegal(move)
-    return blank + _offsets(width)[d]
 
 
 def _replay(start: Board, moves) -> tuple[Board, IllegalMoveError | None]:

@@ -60,7 +60,7 @@ def goal_tables(width: int, height: int):
     n = width * height
     span = 2 * width - 1
     need = 40 * (span * (2 * height - 1) + 4 * (n + 1)) + 512
-    pattern_db._check_bytes("goal tables need", need, pattern_db.DEFAULT_MAX_BYTES)
+    pattern_db._check_bytes("goal tables need", need)
     mid = (height - 1) * span + width - 1
     home = [0] + [r * span + c for r in range(height) for c in range(width)]
     at = [place + mid for place in home[1:]]
@@ -206,7 +206,7 @@ def _check_steps(width: int, height: int, conflicts: bool) -> None:
     conflict's, when :func:`_table_bytes` passes the ceiling."""
     what = "linear-conflict" if conflicts else "Manhattan"
     need = _table_bytes(width, height)[conflicts]
-    pattern_db._check_bytes(f"{what} step table needs", need, pattern_db.DEFAULT_MAX_BYTES)
+    pattern_db._check_bytes(f"{what} step table needs", need)
 
 
 def _step_table(width: int, height: int, conflicts: bool, tick=_untimed):

@@ -51,6 +51,8 @@ __all__ = [
 
 MAGIC = b"SPDB"
 VERSION = 1
+# The 8-byte head: magic, version, width, height and pattern size k.
+_HEAD = struct.Struct("<4sBBBB")
 MAX_PATTERN_TILES = 8
 UNREACHED = 0xFF
 
@@ -84,9 +86,11 @@ def _check_pattern(width: int, height: int, tiles) -> None:
         raise ValueError("the SPDB format stores dimensions and tile labels up to 255")
 
 
-def _check_bytes(what: str, need: int, ceiling: int) -> None:
-    if need > ceiling:
-        raise ResourceLimitError(f"{what} {need} bytes, over the {ceiling}-byte ceiling")
+def _check_bytes(what: str, need: int) -> None:
+    """Raise ``ResourceLimitError`` when ``need`` bytes pass
+    ``DEFAULT_MAX_BYTES``, read at the call."""
+    if need > DEFAULT_MAX_BYTES:
+        raise ResourceLimitError(f"{what} {need} bytes, over the {DEFAULT_MAX_BYTES}-byte ceiling")
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,7 @@ def _pattern_indexes(width: int, height: int, patterns, tick=_untimed):
     ``DEFAULT_MAX_BYTES`` raise ``ResourceLimitError`` before any is built.
     Each index reads ``tick`` at once, then every 2048 table entries."""
     n = width * height
-    _check_bytes("pattern indexes need", sum(n ** len(t) for t, _ in patterns), DEFAULT_MAX_BYTES)
+    _check_bytes("pattern indexes need", sum(n ** len(t) for t, _ in patterns))
     return tuple((tiles, _positional_index(table, n, len(tiles), tick)) for tiles, table in patterns)
 
 
@@ -248,30 +252,25 @@ class PatternHeuristic:
         patterns = tuple((db.pattern_tiles, db.table) for db in databases)
         self._patterns = _table(_same, self.width, self.height, patterns)
 
-    def _value_and_keys(self, board: Board, tick=None):
-        """The heuristic and each database's key for ``board``; a first
-        lookup indexes the databases under ``tick``, a search's deadline."""
+    def incremental(self, board: Board, tick=_untimed):
+        """This heuristic as ``(h0, steps, regs)``: the one lookup, whose
+        h0 a call returns. ``regs`` holds a key per database; the first
+        lookup indexes the databases under ``tick``, a search's deadline.
+        ``steps`` is the store key of the step table, which
+        ``board._table(*steps, tick=...)`` reads or builds
+        (:func:`_pattern_steps`)."""
         self.check_shape(board)
         n = board.size
         position = [0] * (n + 1)
         for cell, label in enumerate(board.cells):
             position[label] = cell
-        h, keys = 0, []
+        h0, keys = 0, []
         for tiles, index in _table(_pattern_indexes, self.width, self.height, self._patterns, tick=tick):
             i = 0
             for x in tiles:
                 i = i * n + position[x]
-            h += index[i]
+            h0 += index[i]
             keys.append(i)
-        return h, keys
-
-    def incremental(self, board: Board, tick=_untimed):
-        """This heuristic as ``(h0, steps, regs)``, a key per database in
-        ``regs``, indexing the databases under ``tick`` first if no
-        lookup has; ``steps`` is the store key of the step table, which
-        ``board._table(*steps, tick=...)`` reads or builds
-        (:func:`_pattern_steps`)."""
-        h0, keys = self._value_and_keys(board, tick)
         return h0, (_pattern_steps, self.width, self.height, self._patterns), keys
 
     def check_shape(self, board: Board) -> None:
@@ -283,7 +282,7 @@ class PatternHeuristic:
             )
 
     def __call__(self, board: Board) -> int:
-        return self._value_and_keys(board)[0]
+        return self.incremental(board)[0]
 
 
 def pdb_heuristic(board: Board, databases) -> int:
@@ -293,9 +292,7 @@ def pdb_heuristic(board: Board, databases) -> int:
 
 def save_pdb(db: PatternDatabase, destination) -> None:
     """Write the bit-exact on-disk form atomically; ``load_pdb`` inverts it."""
-    header = struct.pack(
-        "<4sBBBB", MAGIC, VERSION, db.width, db.height, len(db.pattern_tiles)
-    )
+    header = _HEAD.pack(MAGIC, VERSION, db.width, db.height, len(db.pattern_tiles))
     payload = (
         header
         + bytes(db.pattern_tiles)
@@ -326,13 +323,12 @@ def load_pdb(source) -> PatternDatabase:
     ``ParseError``."""
     # Unbuffered: a buffered reader would join its read-ahead to the rest.
     with open(os.fspath(source), "rb", buffering=0) as fh:
-        head = fh.read(8)
-        if len(head) < 8 or head[:4] != MAGIC:
+        head = fh.read(_HEAD.size)
+        magic, version, width, height, k = _HEAD.unpack(head) if len(head) == _HEAD.size else (None,) * 5
+        if magic != MAGIC:
             raise ParseError("not a pattern database: bad magic")
-        version = head[4]
         if version != VERSION:
             raise ParseError(f"unsupported pattern database version {version}")
-        width, height, k = head[5], head[6], head[7]
         head = fh.read(k + 8)
         if len(head) < k + 8:
             raise ParseError("truncated pattern database header")

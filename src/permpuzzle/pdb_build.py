@@ -31,7 +31,6 @@ from collections import defaultdict
 from itertools import compress, repeat
 from operator import and_, rshift
 
-from . import pattern_db
 from .board import _blank_steps, _table
 from .pattern_db import UNREACHED, PatternDatabase, _check_bytes, _check_pattern, rank_weights
 
@@ -244,7 +243,7 @@ def build_pdb(
     k = len(tiles)
 
     table_len = math.perm(n, k)
-    _check_bytes("pattern build needs", table_len * (n + 2), pattern_db.DEFAULT_MAX_BYTES)
+    _check_bytes("pattern build needs", table_len * (n + 2))
 
     fact = math.factorial(k)
     tables = _table(_regions, width, height, k)

@@ -21,7 +21,7 @@ from permpuzzle import (
     verify_sequence,
 )
 
-from permpuzzle.board import _TABLES
+from permpuzzle.board import _TABLES, _illegal
 
 from conftest import FIG3_CYCLES
 
@@ -331,14 +331,31 @@ class TestMoves:
         with pytest.raises(IllegalMoveError):
             Board.goal(4, 4).move_transposition(Move.RIGHT)
 
-    @given(boards)
-    def test_action_compatibility(self, b):
+    def test_action_compatibility(self):
         # The central theorem: applying a move on cells equals left-composing
-        # the move's label transposition onto the configuration.
-        for m in b.legal_moves():
-            lhs = b.apply_move(m).to_permutation()
-            rhs = b.move_transposition(m).compose(b.to_permutation())
-            assert lhs == rhs
+        # the move's label transposition onto the configuration. On every
+        # blank cell, a legal move is a one-step apply_sequence; any other
+        # item raises _illegal's error, with no index.
+        rng = random.Random(6)
+        for width, height in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]:
+            n = width * height
+            for blank in range(n):
+                cells = list(random_board(width, height, rng).cells)
+                k = cells.index(n)
+                cells[k], cells[blank] = cells[blank], n
+                b = Board(width, height, tuple(cells))
+                for m in (*MOVE_ORDER, "U", None):
+                    if m in b.legal_moves():
+                        after = b.apply_move(m)
+                        assert after == b.apply_sequence([m])
+                        rhs = b.move_transposition(m).compose(b.to_permutation())
+                        assert rhs == after.to_permutation()
+                        continue
+                    for single in (b.apply_move, b.move_transposition):
+                        with pytest.raises(IllegalMoveError) as exc:
+                            single(m)
+                        assert str(exc.value) == str(_illegal(m))
+                        assert (exc.value.move, exc.value.index) == (m, None)
 
     @given(boards)
     def test_every_move_is_odd_and_flips_both_parities(self, b):

@@ -368,6 +368,13 @@ class TestBuild:
         assert peak <= math.perm(16, 4) * 18 + 8192
 
 
+@pytest.fixture(scope="module")
+def partition_4443() -> PatternHeuristic:
+    """The additive 4-4-4-3 partition of the 4x4 board."""
+    partition = ((1, 2, 5, 6), (3, 4, 7, 8), (9, 10, 13, 14), (11, 12, 15))
+    return PatternHeuristic([build_pdb(4, 4, tiles) for tiles in partition])
+
+
 class TestHeuristic:
     def test_goal_is_zero(self):
         dbs = [build_pdb(3, 3, [1, 2, 3, 4]), build_pdb(3, 3, [5, 6, 7, 8])]
@@ -385,10 +392,18 @@ class TestHeuristic:
         with pytest.raises(ValueError, match="dimensions"):
             PatternHeuristic([a, b])
 
-    def test_board_dimension_mismatch_rejected(self):
-        ph = PatternHeuristic([build_pdb(3, 3, [1, 2, 3])])
-        with pytest.raises(ValueError):
-            ph(Board.goal(2, 2))
+    def test_board_dimension_mismatch_rejected(self, partition_4443):
+        board = scramble(3, 3, 20, 1)[0]
+        for lookup in (partition_4443, partition_4443.incremental,
+                       lambda b: ida_star(b, partition_4443)):
+            with pytest.raises(ValueError) as exc:
+                lookup(board)
+            assert str(exc.value) == "heuristic is for 4x4, board is 3x3"
+
+    def test_lookup_is_the_incremental_h0(self, partition_4443):
+        for seed in range(50):
+            board = scramble(4, 4, 40, seed)[0]
+            assert partition_4443(board) == partition_4443.incremental(board)[0]
 
     def test_empty_database_list_rejected(self):
         with pytest.raises(ValueError):
@@ -606,10 +621,16 @@ class TestPersistence:
         assert os.listdir(tmp_path) == ["p.spdb"]
 
     def test_bad_magic(self, tmp_path):
+        # A wrong magic, or a file shorter than the 8-byte head, even one
+        # that starts as a valid file does.
         path = tmp_path / "bad.spdb"
-        path.write_bytes(b"XPDB" + bytes(20))
-        with pytest.raises(ParseError, match="magic"):
-            load_pdb(path)
+        save_pdb(build_pdb(3, 2, [1, 2]), path)
+        raw = path.read_bytes()
+        for data in (b"XPDB" + bytes(20), b"", raw[:4], raw[:7]):
+            path.write_bytes(data)
+            with pytest.raises(ParseError) as exc:
+                load_pdb(path)
+            assert str(exc.value) == "not a pattern database: bad magic"
 
     def test_version_mismatch(self, tmp_path):
         db = build_pdb(3, 2, [1, 2])
@@ -618,8 +639,9 @@ class TestPersistence:
         raw = bytearray(path.read_bytes())
         raw[4] = 2
         path.write_bytes(bytes(raw))
-        with pytest.raises(ParseError, match="version"):
+        with pytest.raises(ParseError) as exc:
             load_pdb(path)
+        assert str(exc.value) == "unsupported pattern database version 2"
 
     def test_truncated_table(self, tmp_path):
         db = build_pdb(3, 2, [1, 2])
@@ -634,9 +656,13 @@ class TestPersistence:
         db = build_pdb(3, 2, [1, 2])
         path = tmp_path / "t.spdb"
         save_pdb(db, path)
-        path.write_bytes(path.read_bytes()[:17])
-        with pytest.raises(ParseError, match="truncated pattern database header"):
-            load_pdb(path)
+        raw = path.read_bytes()
+        # The whole 8-byte head, or more, short of the tiles and length.
+        for data in (raw[:8], raw[:17]):
+            path.write_bytes(data)
+            with pytest.raises(ParseError) as exc:
+                load_pdb(path)
+            assert str(exc.value) == "truncated pattern database header"
 
     def test_load_holds_one_copy_of_the_table(self, tmp_path):
         # The header is read first, then the table alone: the whole file
