@@ -18,7 +18,8 @@ Errors that need a context the exception lacks are caught where they
 happen, and exit 2 as well: ``cannot read PATH: ...`` for a board or move
 file, ``cannot write PATH: ...``, ``invalid tile list ...``, and the bare
 ``OSError`` message of a ``--pdb`` file that cannot be opened. Click's own
-usage errors also exit 2.
+usage errors also exit 2. A stdout closed early (``| head -1``) exits 1
+through click, with nothing on stderr.
 """
 
 from __future__ import annotations

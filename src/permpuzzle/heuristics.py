@@ -9,12 +9,13 @@ Pattern databases own theirs in :mod:`.pattern_db`.
 Linear conflict reads each goal line as an integer key: the line's
 codes (see :func:`line_conflicts`) as a base ``length + 1`` number, which
 indexes a conflict table shared by every line of that length (Korf &
-Taylor 1996's per-line tables). A table is a plain ``dict``, so the
-search's reads take CPython's specialised subscript path; a read that
-misses raises ``KeyError``, and :func:`_conflict_of` fills the key. The
-search carries the keys in its registers, one per goal row and column,
-and a slide shifts them by constants from the step table, so a node
-computes no key.
+Taylor 1996's per-line tables). A table is a list of a slot per key
+for lines of at most 5 cells, else a plain ``dict`` of the keys read so
+far, so the search's reads take CPython's specialised subscript path; a
+read that misses raises ``TypeError`` (an unfilled slot is None) or
+``KeyError``, and :func:`_conflict_of` fills the key. The search carries
+the keys in its registers, one per goal row and column, and a slide
+shifts them by constants from the step table, so a node computes no key.
 
 Both heuristics read tables of O(n) entries (:func:`goal_tables`): a
 tile's code on a line is its goal column (row) + 1, so no line keeps
@@ -122,28 +123,32 @@ def line_conflicts(codes) -> int:
 _LENGTHS: dict[int, int] = {}
 
 
-def _conflict_table(length: int) -> dict:
+def _conflict_table(length: int) -> list | dict:
     """The conflict table every line of ``length`` cells shares, kept in
     the per-shape store (``board._table``).
 
     It maps a line key, the line's codes read as a base ``length + 1``
     number, first cell most significant, to :func:`line_conflicts` of
-    those codes; :func:`_conflict_of` fills a key on its first read. Only
-    keys of real lines are ever read, so the table holds at most one
-    entry per sequence of distinct nonzero codes: 209 for 4 cells, 13,327
-    for 6. It is an exact ``dict``, so CPython 3.11 specialises the
-    search's ``table[key]`` reads, which a subclass with ``__missing__``
-    forgoes.
+    those codes; :func:`_conflict_of` fills a key on its first read. When
+    every key fits in 2^16 slots, lines of at most 5 cells (625 slots for
+    4), it is a list of ``(length + 1) ** length`` slots, each None until
+    filled, so the search's ``table[key]`` reads take CPython 3.11's
+    specialised list subscript. A longer line's keys cannot all have a
+    slot, so its table is an exact ``dict`` holding only the keys of real
+    lines read so far, at most one per sequence of distinct nonzero
+    codes: 13,327 for 6 cells. An exact ``dict`` keeps the specialised
+    dict subscript, which a subclass with ``__missing__`` forgoes.
     """
-    table: dict = {}
+    slots = (length + 1) ** length
+    table = [None] * slots if slots <= 1 << 16 else {}
     _LENGTHS[id(table)] = length
     return table
 
 
-def _conflict_of(table: dict, key: int) -> int:
+def _conflict_of(table: list | dict, key: int) -> int:
     """``table[key]`` for a :func:`_conflict_table`, computed and stored
     when missing."""
-    value = table.get(key)
+    value = table[key] if table.__class__ is list else table.get(key)
     if value is None:
         length = _LENGTHS[id(table)]
         base = length + 1
@@ -218,14 +223,16 @@ def _step_table(width: int, height: int, conflicts: bool, tick=_untimed):
     of or into, and moves the key of the one it takes the tile along by
     the tile's code times a change of place value. Such a tile's entry
     names the crossed line (else the along one) as ``s``, with ``T`` its
-    conflict table, and the along line in ``more`` when it is both.
+    conflict table; ``more`` is ``()``, or the along line's ``(s2, o2)``
+    itself when the tile is in both, since a tile has one goal row and
+    one goal column.
 
     Its ceiling is checked first. Each slide's row, n + 1 entries, is as
     many steps of work for ``tick`` (see :func:`~permpuzzle.board._table`),
     and each cell of :func:`~permpuzzle.board._row_steps` is one.
     """
     _check_steps(width, height, conflicts)
-    enabled = gc.isenabled()  # entries hold dicts, so stay tracked: pause the collector
+    enabled = gc.isenabled()  # entries hold lists or dicts, so stay tracked: pause the collector
     gc.disable()
     try:
         n, work, due = width * height, 0, 0
@@ -258,7 +265,7 @@ def _step_table(width: int, height: int, conflicts: bool, tick=_untimed):
                         for t in members[line]:
                             reg = (line, (coord[t] + 1) * weight)
                             e = row[t]
-                            row[t] = (e, *reg, table, ()) if e.__class__ is int else (*e[:4], (reg,))
+                            row[t] = (e, *reg, table, ()) if e.__class__ is int else (*e[:4], reg)
                 rows[4 * z + d] = row
         return _row_steps(width, height, lambda z, d, j: rows[4 * z + d], tick)
     finally:

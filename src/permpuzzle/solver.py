@@ -18,13 +18,14 @@ fresh list of integer registers. The step table is
 row)``. The tile ``t`` sliding into the blank reads ``row[t]``: an int
 is the change of h;
 ``(dh, s, off, T, more)`` gives ``h + dh + T[regs[s] + off] -
-T[regs[s]]`` and adds ``off`` to ``regs[s]`` and ``o2`` to ``regs[s2]``
-for each ``(s2, o2)`` in ``more`` until the search backs out. ``T`` is
-a PDB index or a linear-conflict table; the latter is a plain ``dict``
-that holds only the line keys read so far, so on a ``KeyError`` both
-reads go through ``heuristics._conflict_of``, which fills the key (a
-key shifted only through ``more`` is unread until a later slide crosses
-its line). The goal test is ``h == 0 and tiles == goal``.
+T[regs[s]]`` and adds ``off`` to ``regs[s]``, and ``o2`` to ``regs[s2]``
+when ``more`` is a pair ``(s2, o2)`` (else ``()``), until the search
+backs out. ``T`` is a PDB index or a linear-conflict table; the latter
+holds only the line keys read so far, in a list of None slots or a plain
+``dict``, so on a ``TypeError`` or ``KeyError`` both reads go through
+``heuristics._conflict_of``, which fills the key (a key shifted only
+through ``more`` is unread until a later slide crosses its line). The
+goal test is ``h == 0 and tiles == goal``.
 
 Each node is passed its ``room``, the bound less its children's g, so
 a child fits when its h is at most ``room``, and returns the least
@@ -493,7 +494,7 @@ def ida_star(
                 key = regs[s]
                 try:
                     child_h = h + dh + table[key + off] - table[key]
-                except KeyError:  # a line order no search has read yet
+                except (KeyError, TypeError):  # a line order no search has read yet
                     child_h = h + dh + _conflict_of(table, key + off) - _conflict_of(table, key)
                 if child_h > room:
                     if child_h - room < mn:
@@ -507,13 +508,12 @@ def ida_star(
                         return -1
                 regs[s] = key + off
                 if more:
-                    for s2, o2 in more:
-                        regs[s2] += o2
+                    s2, o2 = more
+                    regs[s2] += o2
                 r = dfs(j, room - 1, d, child_h)
                 regs[s] = key
                 if more:
-                    for s2, o2 in more:
-                        regs[s2] -= o2
+                    regs[s2] -= o2
                 tiles[j] = t
             if r < mn:
                 if r < 0:

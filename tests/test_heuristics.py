@@ -212,7 +212,8 @@ class TestConflictTable:
             keys.add(key)
             assert _conflict_of(table, key) == line_conflicts(codes) == 2 * fewest_leavers(codes), codes
         assert len(keys) == self.COUNTS[length] == line_key_count(length)
-        assert len(table) <= self.COUNTS[length]
+        filled = table.values() if isinstance(table, dict) else table
+        assert sum(value is not None for value in filled) == self.COUNTS[length]
 
     def test_line_conflicts_on_long_lines(self):
         """Patience sorting against the brute-force count on lines of up to
@@ -232,7 +233,15 @@ class TestConflictTable:
 
     @pytest.mark.parametrize("length", range(2, 9))
     def test_table_is_a_plain_dict(self, length):
-        assert type(_conflict_table(length)) is dict
+        """An exact built-in, unfilled: a list of a slot per key up to 5
+        cells, and past them a plain dict."""
+        table = _conflict_table(length)
+        if length <= 5:
+            assert type(table) is list
+            assert table == [None] * (length + 1) ** length
+        else:
+            assert type(table) is dict
+            assert not table
 
     # Moves and IDA* expansions of the default heuristic, read when each
     # table was a dict subclass that filled a key on its first read.
@@ -249,15 +258,21 @@ class TestConflictTable:
         """Rows and columns of unequal length, and 8-cell rows, fill their
         tables as the search misses keys, each with its conflicts."""
         for length in range(2, 9):
-            _table(_conflict_table, length).clear()
+            table = _table(_conflict_table, length)
+            if isinstance(table, dict):
+                table.clear()
+            else:
+                table[:] = [None] * len(table)
         for (width, height, steps, seed), pinned in self.SOLVES.items():
             result = ida_star(scramble(width, height, steps, seed)[0])
             assert (format_moves(result.moves), result.nodes_expanded) == pinned
         for length in range(2, 9):
             table = _table(_conflict_table, length)
-            assert bool(table) == (length in (2, 3, 5, 8))  # the solved lines' lengths
-            assert len(table) <= line_key_count(length)
-            for key, value in table.items():
+            items = table.items() if isinstance(table, dict) else enumerate(table)
+            filled = {key: value for key, value in items if value is not None}
+            assert bool(filled) == (length in (2, 3, 5, 8))  # the solved lines' lengths
+            assert len(filled) <= line_key_count(length)
+            for key, value in filled.items():
                 assert 0 <= key < (length + 1) ** length
                 codes = [key // (length + 1) ** (length - 1 - i) % (length + 1)
                          for i in range(length)]

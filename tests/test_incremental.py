@@ -6,7 +6,8 @@ tile at ``j`` into the blank at ``z`` reads ``row[t]`` from
 table's store key: an int is the change of h; an entry
 ``(dh, s, off, T, more)`` adds ``dh + T[regs[s] + off] - T[regs[s]]``
 (a conflict table's key is filled when missing, as the search fills it)
-and shifts ``regs[s]`` by ``off`` and each ``regs[s2]`` by ``o2``.
+and shifts ``regs[s]`` by ``off``, and ``regs[s2]`` by ``o2`` when
+``more`` is a pair ``(s2, o2)``.
 Random walks compare that running value, and the registers, with the
 heuristic rebuilt on the whole board at every step; then they walk back
 to the start and find the registers as they were.
@@ -55,8 +56,9 @@ walks = st.sampled_from(SHAPES).flatmap(
 
 
 def read(table, key: int) -> int:
-    """A PDB index's entry, or a conflict table's, filled when missing."""
-    return _conflict_of(table, key) if table.__class__ is dict else table[key]
+    """A PDB index's entry, or a conflict table's (a list or a dict),
+    filled when missing."""
+    return _conflict_of(table, key) if table.__class__ in (list, dict) else table[key]
 
 
 def slide(terms, state, blank: int, j: int, t: int) -> None:
@@ -69,7 +71,8 @@ def slide(terms, state, blank: int, j: int, t: int) -> None:
             dh, s, off, table, more = entry
             entry = dh + read(table, regs[s] + off) - read(table, regs[s])
             regs[s] += off
-            for s2, o2 in more:
+            if more:
+                s2, o2 = more
                 regs[s2] += o2
         state[i] = (h + entry, regs)
 
@@ -149,3 +152,26 @@ def test_node_counts_pinned(name):
         ida_star(scramble(4, 4, 20, i)[0], heuristic).nodes_expanded for i in range(200)
     )
     assert total == PINNED_NODES[name]
+
+
+@pytest.mark.parametrize("width, height", [(2, 2), (3, 3), (3, 4), (4, 4)])
+def test_register_entries_carry_at_most_one_more_pair(width, height):
+    """A tile lies in at most one crossed line and one along line, so a
+    linear-conflict entry's ``more`` is ``()`` or one flat ``(s2, o2)``
+    pair on another register; a pattern database's is always ``()``."""
+    board = Board.goal(width, height)
+    for heuristic in ("linear-conflict", three_tile_patterns(width, height)):
+        _, steps, regs = _check_heuristic(heuristic, board)(board)
+        entries = [e for per_cell in _table(*steps) for _, _, row in per_cell[-1]
+                   for e in row if not isinstance(e, int)]
+        assert entries
+        pairs = 0
+        for _, s, _, _, more in entries:
+            if heuristic == "linear-conflict" and more:
+                s2, o2 = more
+                assert s2 != s and 0 <= s2 < len(regs) and isinstance(o2, int)
+                pairs += 1
+            else:
+                assert more == ()
+        # A tile both crosses and runs along a slide's lines somewhere.
+        assert bool(pairs) == (heuristic == "linear-conflict")
