@@ -204,8 +204,12 @@ def _echo_layer(distance: int, placements: int, states: int) -> None:
               help="Print layer=D placements=P states=S on stderr after each BFS layer.")
 def pdb_build(width, height, tiles, out_path, progress):
     """Build a pattern database and write it to disk."""
+    tokens = tiles.replace(",", " ").split()
     try:
-        labels = [int(tok) for tok in tiles.replace(",", " ").split()]
+        # ASCII digits only, as Board.parse reads tiles: no sign, '_' or other scripts.
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError(tiles)
+        labels = [int(tok) for tok in tokens]
     except ValueError:
         _fail(f"invalid tile list {tiles!r}", EXIT_INPUT)
     db = build_pdb(width, height, labels, progress=_echo_layer if progress else None)

@@ -8,10 +8,14 @@ kept per shape and size in the per-shape store (``board._table``),
 records each region's size and its cost-1 slides. A layer maps each
 region to one int whose bit ``o`` is tile order ``o``, so a slide
 carries all k! orders at once: an OR when it keeps the order, else a
-few mask-and-shift ops per adjacent swap first. The build holds the
-table, indexed ``set * k! + order``, one visited int per region and one
-placed int per set, and then writes the table in rank order. Nothing
-holds a byte per state.
+few mask-and-shift ops per adjacent swap first. Up to k = 4 a layer
+moves all the orders that slides of one kind carry as one packed int,
+a field per slide (:func:`_layers`). The build settles each layer's new
+placements as one int of bits, ORed into the bit planes of their
+entries, and holds the planes, one visited int per region and one
+placed int per set; after the last layer the planes become the table,
+indexed ``set * k! + order``, which is then written in rank order.
+Nothing holds a byte per state.
 
 The layers come from :func:`_layers`, which
 :func:`~permpuzzle.solvability.reachable_states` also runs, with every
@@ -29,7 +33,7 @@ import sys
 from array import array
 from collections import defaultdict
 from itertools import compress, repeat
-from operator import and_, rshift
+from operator import and_, mul, rshift
 
 from .board import _blank_steps, _table
 from .pattern_db import UNREACHED, PatternDatabase, _check_bytes, _check_pattern, rank_weights
@@ -84,8 +88,10 @@ def _regions(width: int, height: int, k: int):
     ``shifted``, each the child region. A shifted slide moves the tile
     from position ``pa`` of the sorted cells to ``pz``, a run of
     adjacent swaps: its orders go through the :func:`_swap_moves` of
-    each, listed in ``kinds[shift_ids[e]]``. Returns ``(start, cmax,
-    size, plain, plain_at, shifted, shift_ids, shifted_at, kinds)``;
+    each, listed in ``kinds[shift_ids[e]]``. ``field`` is the ``array``
+    code whose items hold k! orders shifted by the widest swap, the one
+    at p = 0, or '' when none does (k > 4). Returns ``(start, cmax, size,
+    plain, plain_at, shifted, shift_ids, shifted_at, kinds, field)``;
     only ``start`` depends on the tiles: ``start(home)`` is the goal's
     region for the pattern whose home cells are ``home``, the blank on
     the last cell.
@@ -170,7 +176,9 @@ def _regions(width: int, height: int, k: int):
     def start(home):
         return region_of(set_of(home), n - 1)
 
-    return start, cmax, size, plain, plain_at, shifted, shift_ids, shifted_at, kinds
+    bits = math.factorial(k) + swaps[0][0] if swaps else 0
+    field = next((code for code in "BHIQ" if 0 < bits <= 8 * array(code).itemsize), "")
+    return start, cmax, size, plain, plain_at, shifted, shift_ids, shifted_at, kinds, field
 
 
 def _layers(tables, home):
@@ -183,12 +191,27 @@ def _layers(tables, home):
     is the caller's to read until it asks for the next one. The search
     holds three such lists, the visited one among them, and the slide
     tables; it ends after the last non-empty layer.
+
+    When the tables' ``field`` is an ``array`` code (k <= 4), a layer
+    first lists, for each kind of shifted slide, the orders and child
+    region of every such slide out of it, in two arrays. Each kind's
+    orders then go through its swaps once, as one int of byte-aligned
+    fields, and come back with one ``array`` read: a few big-int ops per
+    kind and layer in place of a few per slide. On its own that took the
+    four 4-4-4-3 builds from 154 to 117 ms in-process (medians of 30
+    alternating rounds). Wider fields keep one chain of swaps per slide:
+    packed as bytes, they took a 5-tile 4x4 build 24% less time, but a
+    6-tile one 26% more and the 5x2 8-tile one 3.3 times as long, whose
+    fields are 1,224 and 71,280 bits wide.
     """
-    start, _, size, plain, plain_at, shifted, shift_ids, shifted_at, kinds = tables
+    start, _, size, plain, plain_at, shifted, shift_ids, shifted_at, kinds, field = tables
     regions = range(len(size))
     frontier = [0] * len(size)
     frontier[start(home)] = 1  # the goal's order, the identity, is 0
     seen = frontier.copy()
+    # Per kind, the orders and the child region of each of its slides in a layer.
+    batches = [(array(field), array(shifted.typecode)) for _ in kinds] if field else []
+    one = (1).to_bytes(array(field).itemsize, "little") if field else b""
     while any(frontier):
         yield frontier
         reached = [0] * len(size)
@@ -196,11 +219,28 @@ def _layers(tables, home):
             orders = frontier[x]
             for y in plain[plain_at[x] : plain_at[x + 1]]:
                 reached[y] |= orders
-            for e in range(shifted_at[x], shifted_at[x + 1]):
-                moved = orders
-                for shift, masks, amounts in kinds[shift_ids[e]]:
-                    moved = sum(map(rshift, map(and_, repeat(moved << shift), masks), amounts))
-                reached[shifted[e]] |= moved
+            if field:
+                for e in range(shifted_at[x], shifted_at[x + 1]):
+                    sources, targets = batches[shift_ids[e]]
+                    sources.append(orders)
+                    targets.append(shifted[e])
+            else:
+                for e in range(shifted_at[x], shifted_at[x + 1]):
+                    moved = orders
+                    for shift, masks, amounts in kinds[shift_ids[e]]:
+                        moved = sum(map(rshift, map(and_, repeat(moved << shift), masks), amounts))
+                    reached[shifted[e]] |= moved
+        for chain, (sources, targets) in zip(kinds, batches):
+            if targets:
+                ones = int.from_bytes(one * len(targets), "little")
+                packed = int.from_bytes(sources, "little")
+                for shift, masks, amounts in chain:
+                    fields = map(mul, masks, repeat(ones))  # each mask in every field
+                    packed = sum(map(rshift, map(and_, repeat(packed << shift), fields), amounts))
+                packed = array(field, packed.to_bytes(len(one) * len(targets), "little"))
+                for y, orders in zip(targets, packed):
+                    reached[y] |= orders
+                del sources[:], targets[:]
         for y in compress(regions, reached):
             reached[y] &= ~seen[y]
             seen[y] |= reached[y]
@@ -228,14 +268,21 @@ def build_pdb(
     until no layer queues a state, so only placements that cannot occur
     from the goal keep 0xFF.
 
+    A layer settles what it reaches first: per set, the orders no layer
+    placed before, written as one int of k!-bit fields, each rounded up
+    to whole bytes. That int is ORed into each bit plane ``b`` whose bit
+    the layer's entry has; after the last layer the planes and the
+    placed sets become the entries, a block at a time (:func:`_entries`).
+
     The build is charged P(n,k)·(n+2) bytes, and ``ResourceLimitError``
     is raised before allocating when that passes
     ``pattern_db.DEFAULT_MAX_BYTES``, read at the call. The
     charge is not a bound on what the build holds: on small shapes
-    ``tracemalloc`` peaks above it (223,687 bytes against 166,320 for
-    ``build_pdb(3, 4, [1, 2, 4, 5])``). ``progress(distance, placements,
-    states)``, if given, receives the running settled counts after each
-    layer, ``states`` counting (placement, blank cell) pairs.
+    ``tracemalloc`` peaks above it (235-237 KB against 166,320 bytes for
+    ``build_pdb(3, 4, [1, 2, 4, 5])`` from an empty store).
+    ``progress(distance, placements, states)``, if given, receives the
+    running settled counts after each layer, ``states`` counting
+    (placement, blank cell) pairs.
     """
     tiles = tuple(sorted(pattern_tiles))
     _check_pattern(width, height, tiles)
@@ -248,31 +295,62 @@ def build_pdb(
     fact = math.factorial(k)
     tables = _table(_regions, width, height, k)
     cmax, size = tables[1:3]
-    dist = bytearray([UNREACHED]) * table_len
-    placed = [0] * math.comb(n, k)
-    placements = states = 0
+    sets, stride = math.comb(n, k), -(-fact // 8)
+    placed = [0] * sets
+    # Bit ``set * 8 * stride + order`` of planes[b] is bit b of that entry.
+    planes, placements, states = [0] * 8, 0, 0
     for d, frontier in enumerate(_layers(tables, [t - 1 for t in tiles])):
-        # A new placement's 0xFF byte ANDed with the level becomes the level;
-        # the bit string puts order o at byte k! - 1 - o, read big-endian.
-        levels = bytes.maketrans(b"01", bytes([UNREACHED, min(d, 0xFE)]))
+        fresh, last = bytearray(sets * stride), None
         for x in compress(range(len(size)), frontier):
             orders, s = frontier[x], x // cmax
             states += size[x] * orders.bit_count()
             new = orders & ~placed[s]
             if new:
                 placed[s] |= new
-                placements += new.bit_count()
-                mask = f"{new:0{fact}b}".encode().translate(levels)
-                old = dist[s * fact : s * fact + fact]
-                entries = int.from_bytes(old, "little") & int.from_bytes(mask, "big")
-                dist[s * fact : s * fact + fact] = entries.to_bytes(fact, "little")
+                if s == last:  # another region of the same set
+                    new |= int.from_bytes(fresh[at], "little")
+                at, last = slice(s * stride, s * stride + stride), s
+                fresh[at] = new.to_bytes(stride, "little")
+        new = int.from_bytes(fresh, "little")
+        del fresh
+        placements += new.bit_count()
+        for b in range(8):
+            if min(d, 0xFE) >> b & 1:
+                planes[b] |= new
         if progress is not None:
             progress(d, placements, states)
-    del placed, frontier
-
+    del frontier, new
+    settled = int.from_bytes(b"".join(p.to_bytes(stride, "little") for p in placed), "little")
+    rows = [(UNREACHED, ~settled & ((1 << 8 * sets * stride) - 1))]
+    rows += [(1 << b, plane) for b, plane in enumerate(planes) if plane]
+    del placed, settled, planes
+    dist = _entries(rows, sets * stride)
+    del rows
+    if 8 * stride != fact:  # k <= 3: drop each set's padding
+        dist = b"".join(dist[at : at + fact] for at in range(0, len(dist), 8 * stride))
     table = _rank_order(dist, n, k)
     del dist
     return PatternDatabase(width, height, tiles, bytes(table))
+
+
+def _entries(rows, nbytes: int) -> bytearray:
+    """The ``8 * nbytes`` entries that ``rows`` hold as bits: each row is
+    ``(value, mask)``, and entry ``i`` is the OR of the values of the rows
+    whose mask has bit ``i`` set. Each mask turns into bytes in place, one
+    at a time, and each bit into a byte through its binary digit, 2^15
+    entries at a time, so the copies beside the entries stay small."""
+    onehot, block = bytes.maketrans(b"01", b"\0\1"), 1 << 12
+    for i, (value, mask) in enumerate(rows):
+        rows[i] = value, mask.to_bytes(nbytes, "little")
+    dist = bytearray(8 * nbytes)
+    for lo in range(0, nbytes, block):
+        entries = 0
+        for value, raw in rows:
+            bits = raw[lo : lo + block]
+            digits = format(int.from_bytes(bits, "little"), f"0{8 * len(bits)}b")
+            entries |= int.from_bytes(digits.encode().translate(onehot), "big") * value
+        dist[8 * lo : 8 * (lo + block)] = entries.to_bytes(8 * len(bits), "little")
+    return dist
 
 
 def _rank_order(dist: bytearray, n: int, k: int) -> bytearray:
@@ -287,7 +365,9 @@ def _rank_order(dist: bytearray, n: int, k: int) -> bytearray:
     yields ``w[sigma[.]]`` with sigma in lexicographic order, and
     ``product()`` the digits ``j + e_j`` in the same order. Each term is
     packed as k! fixed-width fields of one int, so a set's k! ranks take
-    k multiplications.
+    k multiplications, and the next set of a run that differs only in
+    its last cell one addition. A run's ranks come back with one
+    ``array`` read and go to the table in one loop over its entries.
     """
     fact = math.factorial(k)
     weights, code = rank_weights(n, k), _uint_code(len(dist))
@@ -302,12 +382,14 @@ def _rank_order(dist: bytearray, n: int, k: int) -> bytearray:
     table = bytearray([UNREACHED]) * len(dist)
     nbytes = fact * array(code).itemsize
     base = 0
-    for cells in itertools.combinations(range(n), k):
-        ranks = first
-        for j, c in enumerate(cells):
-            ranks += (c - j) * columns[j]
-        ranks = array(code, ranks.to_bytes(nbytes, sys.byteorder))
-        for rank, entry in zip(ranks, dist[base : base + fact]):
+    # combinations() lists the sets that differ in their last cell only
+    # one after another, and each step of that cell adds the last column.
+    for prefix in itertools.combinations(range(n - 1), k - 1):
+        cells = prefix + (prefix[-1] + 1 if prefix else 0,)
+        ranks = first + sum((c - j) * column for j, (c, column) in enumerate(zip(cells, columns)))
+        run = itertools.accumulate(repeat(columns[-1], n - 1 - cells[-1]), initial=ranks)
+        ranks = array(code, b"".join(r.to_bytes(nbytes, sys.byteorder) for r in run))
+        for rank, entry in zip(ranks, dist[base : base + len(ranks)]):
             table[rank] = entry
-        base += fact
+        base += len(ranks)
     return table

@@ -324,6 +324,18 @@ class TestPdbBuild:
         )
         assert result.exit_code == 2
 
+    # Tokens that int() reads but Board.parse does not: '_' between digits,
+    # a sign and a digit of another script. On 4x4 each would name a tile.
+    @pytest.mark.parametrize("tiles", ["1_0", "+3", "\u0663", "1,+2", "-0", "9" * 5000])
+    def test_tiles_are_ascii_digits_only(self, runner, tmp_path, tiles):
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["pdb-build", "-w", "4", "-h", "4", "--tiles", tiles, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == f"error: invalid tile list {tiles!r}\n"
+        assert not out.exists()
+
     def test_one_wide_exits_two(self, runner, tmp_path):
         out = tmp_path / "o"
         result = runner.invoke(

@@ -143,12 +143,16 @@ class TestBuild:
         "tiles, digest",
         [
             ((1, 2, 5, 6), "9d9d2304ca726402af2e1dee923e16e04303bbf83b8c264e0e2c82d240895405"),
+            ((3, 4, 7, 8), "53a02d9b1b39bfbc0be0d9037b58c338617dfe889610502a7990c91f980071bc"),
+            ((9, 10, 13, 14), "354c94aeabd09e6df81b136a7bc3fa05a73b00e511463c9bc82902b7d7166809"),
             ((11, 12, 15), "44e4fcaa72eeeb6a662c89cca24c3388c9466f15790f1379445f3f05d7293fb0"),
         ],
-        ids=["1,2,5,6", "11,12,15"],
+        ids=["1,2,5,6", "3,4,7,8", "9,10,13,14", "11,12,15"],
     )
     def test_4x4_table_digest_pinned(self, tiles, digest):
-        # Read from the dict-based builder these tables were first made with.
+        # The benchmark's 4-4-4-3 partition. {1,2,5,6} and {11,12,15} were
+        # read from the dict-based builder these tables were first made with,
+        # the other two from the builder that wrote one byte per settled set.
         assert hashlib.sha256(build_pdb(4, 4, tiles).table).hexdigest() == digest
 
     # Every tile but the blank: one free cell, so each layer settles as many
@@ -192,9 +196,9 @@ class TestBuild:
         assert calls == [(d, p, p) for d, p in enumerate(settled)]
 
     def test_4x4_progress_pinned(self):
-        calls = []
-        build_pdb(4, 4, [1, 2, 5, 6], progress=lambda *layer: calls.append(layer))
-        assert calls == [
+        """Every 4-4-4-3 build's progress calls; the three 2x2 blocks settle
+        alike, layer by layer."""
+        block = [
             (0, 1, 12), (1, 5, 38), (2, 22, 220), (3, 76, 800), (4, 249, 2498),
             (5, 669, 6390), (6, 1597, 16197), (7, 3347, 35925), (8, 6623, 74736),
             (9, 11801, 136814), (10, 19104, 224381), (11, 26906, 318395),
@@ -202,6 +206,18 @@ class TestBuild:
             (15, 43172, 517300), (16, 43623, 523266), (17, 43679, 524142),
             (18, 43680, 524160),
         ]
+        three = [
+            (0, 1, 1), (1, 3, 27), (2, 11, 107), (3, 39, 447), (4, 118, 1388),
+            (5, 308, 3736), (6, 646, 8106), (7, 1152, 14732), (8, 1780, 22990),
+            (9, 2386, 30940), (10, 2853, 37025), (11, 3137, 40695), (12, 3282, 42594),
+            (13, 3346, 43470), (14, 3360, 43676), (15, 3360, 43680),
+        ]
+        partition = [((1, 2, 5, 6), block), ((3, 4, 7, 8), block), ((9, 10, 13, 14), block),
+                     ((11, 12, 15), three)]
+        for tiles, layers in partition:
+            calls = []
+            build_pdb(4, 4, tiles, progress=lambda *layer: calls.append(layer))
+            assert calls == layers, tiles
 
     # Non-square shapes where tile sets split the free cells into several
     # blank regions and slides move a tile past one to four others. Read from
