@@ -5,12 +5,13 @@ blank region) states. The blank's cost-0 region is a component of the
 cells the pattern leaves free, which depends only on the set of pattern
 cells: C(n,k) sets, against P(n,k) placements. One pass over the sets,
 kept per shape and size in the per-shape store (``board._table``),
-records each region's size and its cost-1 slides. A layer maps each
-region to one int whose bit ``o`` is tile order ``o``, so a slide
-carries all k! orders at once: an OR when it keeps the order, else a
-few mask-and-shift ops per adjacent swap first. Up to k = 4 a layer
-moves all the orders that slides of one kind carry as one packed int,
-a field per slide (:func:`_layers`). The build settles each layer's new
+numbers their regions consecutively, a run per set, and records each
+region's set, size and cost-1 slides. A layer maps each region to one
+int whose bit ``o`` is tile order ``o``, so a slide carries all k!
+orders at once: an OR when it keeps the order, else a few
+mask-and-shift ops per adjacent swap first. Up to k = 4 a layer moves
+all the orders that slides of one kind carry as one packed int, a field
+per slide (:func:`_layers`). The build settles each layer's new
 placements as one int of bits, ORed into the bit planes of their
 entries, and holds the planes, one visited int per region and one
 placed int per set; after the last layer the planes become the table,
@@ -77,24 +78,27 @@ def _regions(width: int, height: int, k: int):
     :func:`~permpuzzle.solvability.reachable_states`. Both read them
     through the per-shape store (``board._table``), so each shape and
     size is built once per process, whatever runs between its users.
-    They are far smaller than the build charge that admits them: 0.25 MB
-    for 4x4 with k = 4, 2.2 MB with k = 6.
+    They are far smaller than the build charge that admits them: 0.13 MB
+    for 4x4 with k = 4, 0.72 MB with k = 6 (``tracemalloc``, held after
+    the call).
 
     Sets are numbered in ``itertools.combinations`` order. A set's free
-    cells split into components, the blank's cost-0 regions, numbered by
-    their smallest cell; ``cmax`` is the most any set has. Region
-    ``x = set * cmax + component`` owns ``size[x]`` cells and the cost-1
-    slides out of it, ``plain[plain_at[x]:plain_at[x + 1]]`` and likewise
-    ``shifted``, each the child region. A shifted slide moves the tile
-    from position ``pa`` of the sorted cells to ``pz``, a run of
-    adjacent swaps: its orders go through the :func:`_swap_moves` of
-    each, listed in ``kinds[shift_ids[e]]``. ``field`` is the ``array``
-    code whose items hold k! orders shifted by the widest swap, the one
-    at p = 0, or '' when none does (k > 4). Returns ``(start, cmax, size,
-    plain, plain_at, shifted, shift_ids, shifted_at, kinds, field)``;
-    only ``start`` depends on the tiles: ``start(home)`` is the goal's
-    region for the pattern whose home cells are ``home``, the blank on
-    the last cell.
+    cells split into components, the blank's cost-0 regions. Regions are
+    numbered consecutively, set by set, and a set's by their smallest
+    cell, so every number names a real region: 2,442 of them for 4x4 with
+    k = 4, 16,412 with k = 6. Region ``x`` belongs to set ``owner[x]``,
+    owns ``size[x]`` cells and the cost-1 slides out of it,
+    ``plain[plain_at[x]:plain_at[x + 1]]`` and likewise ``shifted``, each
+    the child region. A shifted slide moves the tile from position ``pa``
+    of the sorted cells to ``pz``, a run of adjacent swaps: its orders go
+    through the :func:`_swap_moves` of each, listed in
+    ``kinds[shift_ids[e]]``. ``field`` is the ``array`` code whose items
+    hold k! orders shifted by the widest swap, the one at p = 0, or ''
+    when none does (k > 4). Returns ``(start, owner, size, plain,
+    plain_at, shifted, shift_ids, shifted_at, kinds, field)``; only
+    ``start`` depends on the tiles: ``start(home)`` is the goal's region
+    for the pattern whose home cells are ``home``, the blank on the last
+    cell.
     """
     n = width * height
     sets = math.comb(n, k)
@@ -124,31 +128,27 @@ def _regions(width: int, height: int, k: int):
     def set_of(cells):
         return sets - 1 - sum(map(operator.getitem, at, cells))
 
-    # The component masks of every set that has two or more.
-    split, cmax = {}, 1
-    for s, cells in enumerate(itertools.combinations(range(n), k)):
-        found = components(full ^ sum(1 << c for c in cells))
-        if len(found) > 1:
-            split[s] = found
-            cmax = max(cmax, len(found))
+    code = _uint_code(sets * (n - k))  # a set has at most n - k regions
+
+    # Every set's components, by smallest cell; set s's are regions first[s] on.
+    found = [components(full ^ sum(1 << c for c in cells))
+             for cells in itertools.combinations(range(n), k)]
+    first = array(code, itertools.accumulate(map(len, found), initial=0))
+    owner = array(code, itertools.chain.from_iterable(map(repeat, range(sets), map(len, found))))
 
     def region_of(s, cell):
-        comp = 0
-        if s in split:
-            while not split[s][comp] >> cell & 1:
-                comp += 1
-        return s * cmax + comp
+        comps, comp = found[s], 0
+        while not comps[comp] >> cell & 1:
+            comp += 1
+        return first[s] + comp
 
-    code = _uint_code(sets * cmax)
-    size = array("H", bytes(2 * sets * cmax))
+    size = array("H", map(int.bit_count, itertools.chain.from_iterable(found)))
     plain, shifted, shift_ids = array(code), array(code), array("B")
     plain_at, shifted_at = array(code, [0]), array(code, [0])
     swaps = [_swap_moves(k, p) for p in range(k - 1)]
     shift_of, kinds = {}, []
     for s, cells in enumerate(itertools.combinations(range(n), k)):
-        found = split.get(s) or [full ^ sum(1 << c for c in cells)]
-        for comp, region in enumerate(found):
-            size[s * cmax + comp] = region.bit_count()
+        for region in found[s]:
             for pa, a in enumerate(cells):
                 for z in neighbours[a]:
                     if not region >> z & 1:
@@ -169,16 +169,15 @@ def _regions(width: int, height: int, k: int):
                     shift_ids.append(shift_of[pa, pz])
             plain_at.append(len(plain))
             shifted_at.append(len(shifted))
-        for _ in range(len(found), cmax):
-            plain_at.append(len(plain))
-            shifted_at.append(len(shifted))
 
     def start(home):
-        return region_of(set_of(home), n - 1)
+        # The home set's components again, so that no mask outlives the build.
+        comps = components(full ^ sum(1 << c for c in home))
+        return first[set_of(home)] + [region >> n - 1 & 1 for region in comps].index(1)
 
     bits = math.factorial(k) + swaps[0][0] if swaps else 0
     field = next((code for code in "BHIQ" if 0 < bits <= 8 * array(code).itemsize), "")
-    return start, cmax, size, plain, plain_at, shifted, shift_ids, shifted_at, kinds, field
+    return start, owner, size, plain, plain_at, shifted, shift_ids, shifted_at, kinds, field
 
 
 def _layers(tables, home):
@@ -278,8 +277,8 @@ def build_pdb(
     is raised before allocating when that passes
     ``pattern_db.DEFAULT_MAX_BYTES``, read at the call. The
     charge is not a bound on what the build holds: on small shapes
-    ``tracemalloc`` peaks above it (235-237 KB against 166,320 bytes for
-    ``build_pdb(3, 4, [1, 2, 4, 5])`` from an empty store).
+    ``tracemalloc`` peaks above it (53.3 KB against 33,264 bytes for
+    ``build_pdb(3, 3, [1, 2, 3, 4])`` from an empty store).
     ``progress(distance, placements, states)``, if given, receives the
     running settled counts after each layer, ``states`` counting
     (placement, blank cell) pairs.
@@ -294,7 +293,7 @@ def build_pdb(
 
     fact = math.factorial(k)
     tables = _table(_regions, width, height, k)
-    cmax, size = tables[1:3]
+    owner, size = tables[1:3]
     sets, stride = math.comb(n, k), -(-fact // 8)
     placed = [0] * sets
     # Bit ``set * 8 * stride + order`` of planes[b] is bit b of that entry.
@@ -302,7 +301,7 @@ def build_pdb(
     for d, frontier in enumerate(_layers(tables, [t - 1 for t in tiles])):
         fresh, last = bytearray(sets * stride), None
         for x in compress(range(len(size)), frontier):
-            orders, s = frontier[x], x // cmax
+            orders, s = frontier[x], owner[x]
             states += size[x] * orders.bit_count()
             new = orders & ~placed[s]
             if new:

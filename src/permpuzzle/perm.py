@@ -37,6 +37,17 @@ class Parity(Enum):
 _PARITIES = (Parity.EVEN, Parity.ODD)
 
 
+def _point(tok: str) -> int:
+    """A point written in ASCII digits, as a board's tiles are: ``int``
+    alone would also take a sign, underscores and other scripts' digits."""
+    try:
+        if tok.isascii() and tok.isdigit():
+            return int(tok)
+    except ValueError:  # past int()'s digit limit
+        pass
+    raise ParseError(f"invalid point {tok!r}")
+
+
 def cycle_parity(images) -> Parity:
     """Sign of the permutation sending point i to ``images[i-1]``: the
     parity of (n - number of cycles, fixed points included). ``images``
@@ -106,7 +117,9 @@ class Permutation:
         Cycle notation: parenthesized groups of whitespace-separated
         points; omitted points are fixed, singletons are allowed. The
         empty string is the identity. Two-line notation: two rows of
-        ``degree`` integers, each row a permutation of 1..degree.
+        ``degree`` integers, each row a permutation of 1..degree. A point
+        is ASCII digits, leading zeros allowed; anything else raises
+        ``ParseError``.
         """
         if degree < 1:
             raise ValueError("degree must be at least 1")
@@ -140,10 +153,7 @@ class Permutation:
                 raise ParseError("malformed cycle notation: empty cycle")
             points = []
             for tok in tokens:
-                try:
-                    p = int(tok)
-                except ValueError:
-                    raise ParseError(f"invalid point {tok!r}") from None
+                p = _point(tok)
                 if not 1 <= p <= degree:
                     raise ParseError(f"point {p} outside 1..{degree}")
                 if used[p]:
@@ -165,12 +175,7 @@ class Permutation:
             )
         parsed = []
         for row in rows:
-            values = []
-            for tok in row.split():
-                try:
-                    values.append(int(tok))
-                except ValueError:
-                    raise ParseError(f"invalid point {tok!r}") from None
+            values = [_point(tok) for tok in row.split()]
             if len(values) != degree:
                 raise ParseError(
                     f"row has {len(values)} entries, expected {degree}"

@@ -315,6 +315,20 @@ class TestBuild:
                 assert reachable_states(3, 3) == EnumerationReport(count=181440, max_depth=31)
         assert region_builds == [(4, 4, 4), (3, 3, 8), (4, 4, 3)]
 
+    @pytest.mark.parametrize(
+        "width, height, k, regions",
+        [(3, 3, 4, 230), (2, 4, 3, 92), (4, 4, 3, 632), (4, 4, 4, 2442), (5, 2, 8, 77)],
+    )
+    def test_every_region_number_is_a_real_region(self, width, height, k, regions):
+        """Regions are numbered consecutively, set by set: each holds a cell,
+        each set owns a non-empty run of them, and every free cell of every
+        set lies in exactly one."""
+        n, sets = width * height, math.comb(width * height, k)
+        _, owner, size = pdb_build._regions(width, height, k)[:3]
+        assert len(size) == len(owner) == regions
+        assert min(size) >= 1 and sum(size) == sets * (n - k)
+        assert list(owner) == sorted(owner) and set(owner) == set(range(sets))
+
     @pytest.mark.parametrize("k", range(2, 7))
     def test_swap_moves_exchange_adjacent_tiles(self, k):
         """Bit o, sigma's lexicographic rank, moves to the rank of sigma with

@@ -227,6 +227,21 @@ class TestParse:
         with pytest.raises(ParseError, match="invalid point"):
             Permutation.parse("(1 x)", 3)
 
+    # Tokens that int() reads but a point is not: a sign, '_' between
+    # digits, digits of another script; and one past int()'s digit limit.
+    @pytest.mark.parametrize(
+        "point", ["+1", "-1", "1_0", "\u0967", "1" * 5000],
+        ids=["plus", "minus", "underscore", "devanagari", "5000-digits"],
+    )
+    def test_points_are_ascii_digits_only(self, point):
+        for text, degree in ((f"({point} 2)", 10), (f"{point} 2\n2 1", 2), (f"1 2\n2 {point}", 2)):
+            with pytest.raises(ParseError, match="invalid point"):
+                Permutation.parse(text, degree)
+
+    def test_leading_zeros_accepted(self):
+        assert Permutation.parse("(01 002)", 3) == Permutation.transposition(3, 1, 2)
+        assert Permutation.parse("01 2\n2 001", 2) == Permutation.transposition(2, 1, 2)
+
 
 class TestFormat:
     def test_fig3_cycle_golden(self):
