@@ -14,7 +14,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import IllegalMoveError, ParseError
-from .perm import Permutation
+from .perm import Permutation, _check_bijection
 
 __all__ = [
     "Move",
@@ -209,13 +209,7 @@ class Board:
         n = self.width * self.height
         if len(cells) != n:
             raise ValueError(f"expected {n} cells, got {len(cells)}")
-        seen = bytearray(n + 1)
-        for v in cells:
-            if type(v) is not int or not 1 <= v <= n:  # bool is an int subclass
-                raise ValueError(f"tile label {v!r} outside 1..{n}")
-            if seen[v]:
-                raise ValueError(f"tile label {v} appears twice")
-            seen[v] = 1
+        _check_bijection(cells, n, "tile label")
         # 1-based position of the blank, kept in sync by construction.
         object.__setattr__(self, "blank_index", cells.index(n) + 1)
 

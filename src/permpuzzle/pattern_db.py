@@ -291,22 +291,20 @@ def pdb_heuristic(board: Board, databases) -> int:
 
 
 def save_pdb(db: PatternDatabase, destination) -> None:
-    """Write the bit-exact on-disk form atomically; ``load_pdb`` inverts it."""
-    header = _HEAD.pack(MAGIC, VERSION, db.width, db.height, len(db.pattern_tiles))
-    payload = (
-        header
-        + bytes(db.pattern_tiles)
-        + struct.pack("<Q", len(db.table))
-        + db.table
-    )
+    """Write the bit-exact on-disk form atomically, holding no second copy
+    of the table; ``load_pdb`` inverts it."""
+    head = _HEAD.pack(MAGIC, VERSION, db.width, db.height, len(db.pattern_tiles))
+    head += bytes(db.pattern_tiles) + struct.pack("<Q", len(db.table))
     # Write a sibling temp file, then rename it over the destination, so
-    # a failed write never leaves a partial or clobbered file behind.
+    # a failed write never leaves a partial or clobbered file behind. The
+    # head and the table are written apart, so no joined copy is made.
     destination = os.fspath(destination)
     temp = f"{destination}.{os.urandom(4).hex()}.tmp"
     fh = open(temp, "xb")
     try:
         with fh:
-            fh.write(payload)
+            fh.write(head)
+            fh.write(db.table)
         os.replace(temp, destination)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -3,6 +3,16 @@
 Points are 1-based at the API boundary. A permutation is stored as the
 tuple of images of 1..n; composition follows the left-action convention:
 ``(a * b)(x) = a(b(x))``, i.e. ``b`` acts first.
+
+One helper does each job. :func:`_check_bijection` is the one check
+that values hold each of 1..n at most once, as ints; a
+:class:`Permutation`'s images, a :class:`CycleDecomposition`'s points
+and a board's tile labels all pass through it. :func:`_cycled` is the
+one place cycles are written into images, and :func:`_canonical` the
+one canonical cycle walk. A :class:`CycleDecomposition` is valid
+exactly when it is the canonical decomposition of the bijection its
+cycles describe: every point of 1..n once, each cycle from its least
+point, cycles in order of that point, fixed points as 1-cycles.
 """
 
 from __future__ import annotations
@@ -48,6 +58,46 @@ def _point(tok: str) -> int:
     raise ParseError(f"invalid point {tok!r}")
 
 
+def _check_bijection(values, n: int, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` unless each of ``values`` is
+    an int in 1..n and none appears twice; whether they cover 1..n is
+    the caller's count."""
+    seen = bytearray(n + 1)
+    for v in values:
+        if type(v) is not int or not 1 <= v <= n:  # bool is an int subclass
+            raise ValueError(f"{what} {v!r} outside 1..{n}")
+        if seen[v]:
+            raise ValueError(f"{what} {v} appears twice")
+        seen[v] = 1
+
+
+def _cycled(n: int, cycles) -> list[int]:
+    """The images of 1..n that send each point of a cycle to the next
+    and its last point to its first; points in no cycle stay fixed.
+    The cycles must be disjoint, non-empty and within 1..n."""
+    images = list(range(1, n + 1))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:]):
+            images[a - 1] = b
+        images[cycle[-1] - 1] = cycle[0]
+    return images
+
+
+def _canonical(images) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the bijection sending i to ``images[i-1]``, each
+    from its least point, in order of that point, fixed points as
+    1-cycles. ``images`` must hold 1..n once each."""
+    step, out = [0, *images], []  # step[p] is p's image, or 0 once p is walked
+    for start in range(1, len(step)):
+        cycle, p = [], start
+        while step[p]:
+            cycle.append(p)
+            step[p], p = 0, step[p]
+        if cycle:
+            out.append(tuple(cycle))
+    return tuple(out)
+
+
 def cycle_parity(images) -> Parity:
     """Sign of the permutation sending point i to ``images[i-1]``: the
     parity of (n - number of cycles, fixed points included). ``images``
@@ -73,16 +123,9 @@ class Permutation:
         # Every constructor path validates the bijection property.
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
-        n = len(images)
-        if n < 1:
+        if not images:
             raise ValueError("degree must be at least 1")
-        seen = bytearray(n + 1)
-        for v in images:
-            if type(v) is not int or not 1 <= v <= n:  # bool is an int subclass
-                raise ValueError(f"image {v!r} outside 1..{n}")
-            if seen[v]:
-                raise ValueError(f"value {v} appears twice; not a bijection")
-            seen[v] = 1
+        _check_bijection(images, len(images), "image")
 
     @property
     def degree(self) -> int:
@@ -95,8 +138,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         """The permutation fixing every point of {1..n}."""
-        if n < 1:
-            raise ValueError("degree must be at least 1")
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
@@ -106,9 +147,7 @@ class Permutation:
             raise ValueError(f"points {i}, {j} must lie in 1..{n}")
         if i == j:
             raise ValueError("a transposition needs two distinct points")
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return cls(tuple(images))
+        return cls(_cycled(n, ((i, j),)))
 
     @classmethod
     def parse(cls, text: str, degree: int) -> "Permutation":
@@ -132,20 +171,19 @@ class Permutation:
 
     @classmethod
     def _parse_cycles(cls, text: str, degree: int) -> "Permutation":
-        images = list(range(1, degree + 1))
-        used = bytearray(degree + 1)
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch != "(":
-                raise ParseError(f"malformed cycle notation: unexpected {ch!r}")
-            close = text.find(")", i + 1)
-            if close < 0:
-                raise ParseError("malformed cycle notation: unclosed '('")
-            body = text[i + 1 : close]
+        used, cycles = bytearray(degree + 1), []
+        # Each ')' ends a group; the last piece is the text after the last ')'.
+        groups = text.split(")")
+        last = len(groups) - 1
+        for k, group in enumerate(groups):
+            lead, bracket, body = group.partition("(")
+            if lead.strip() or not (bracket or k == last):
+                # Text before a group's '(', or a ')' that no '(' opened.
+                raise ParseError(f"malformed cycle notation: unexpected {(lead.strip() or ')')[0]!r}")
+            if k == last:
+                if bracket:
+                    raise ParseError("malformed cycle notation: unclosed '('")
+                break
             if "(" in body:
                 raise ParseError("malformed cycle notation: nested '('")
             tokens = body.split()
@@ -160,11 +198,8 @@ class Permutation:
                     raise ParseError(f"point {p} repeated")
                 used[p] = 1
                 points.append(p)
-            for a, b in zip(points, points[1:]):
-                images[a - 1] = b
-            images[points[-1] - 1] = points[0]
-            i = close + 1
-        return cls(tuple(images))
+            cycles.append(points)
+        return cls(_cycled(degree, cycles))
 
     @classmethod
     def _parse_two_line(cls, text: str, degree: int) -> "Permutation":
@@ -194,9 +229,9 @@ class Permutation:
     # ------------------------------------------------------------------
 
     def apply(self, x: int) -> int:
-        """Image of point ``x`` (1-based)."""
-        if not 1 <= x <= len(self.images):
-            raise ValueError(f"point {x} outside 1..{len(self.images)}")
+        """Image of point ``x`` (1-based), an int as every point is."""
+        if type(x) is not int or not 1 <= x <= len(self.images):
+            raise ValueError(f"point {x!r} outside 1..{len(self.images)}")
         return self.images[x - 1]
 
     __call__ = apply
@@ -229,23 +264,15 @@ class Permutation:
         return cycle_parity(self.images)
 
     def cycles(self) -> "CycleDecomposition":
-        """Canonical disjoint-cycle decomposition, fixed points included."""
-        images = self.images
-        n = len(images)
-        seen = bytearray(n + 1)
-        out: list[tuple[int, ...]] = []
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = 1
-            p = images[start - 1]
-            while p != start:
-                cycle.append(p)
-                seen[p] = 1
-                p = images[p - 1]
-            out.append(tuple(cycle))
-        return CycleDecomposition(n, tuple(out))
+        """Canonical disjoint-cycle decomposition, fixed points included.
+
+        Its slots are set with no second check, as
+        ``board._trusted_board`` sets a board's: :func:`_canonical`'s
+        walk is canonical by construction."""
+        dec = object.__new__(CycleDecomposition)
+        object.__setattr__(dec, "degree", len(self.images))
+        object.__setattr__(dec, "cycles", _canonical(self.images))
+        return dec
 
     # ------------------------------------------------------------------
     # Notation
@@ -270,40 +297,31 @@ class CycleDecomposition:
     """Disjoint cycles partitioning {1..n}, in canonical order.
 
     Each cycle starts with its smallest point; cycles are sorted by first
-    point; fixed points appear as singletons.
+    point; fixed points appear as singletons. The constructor accepts
+    exactly such cycles (as tuples or lists, stored as tuples) and raises
+    ``ValueError`` on anything else.
     """
 
     degree: int
     cycles: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        cycles = tuple(map(tuple, self.cycles))
+        object.__setattr__(self, "cycles", cycles)
         n = self.degree
-        seen = bytearray(n + 1)
-        previous_first = 0
-        for cycle in self.cycles:
-            if not cycle:
-                raise ValueError("empty cycle")
-            if cycle[0] != min(cycle):
-                raise ValueError(f"cycle {cycle} does not start at its minimum")
-            if cycle[0] <= previous_first:
-                raise ValueError("cycles not sorted by first point")
-            previous_first = cycle[0]
-            for p in cycle:
-                if not 1 <= p <= n:
-                    raise ValueError(f"point {p} outside 1..{n}")
-                if seen[p]:
-                    raise ValueError(f"point {p} appears twice")
-                seen[p] = 1
-        if sum(len(c) for c in self.cycles) != n:
+        if n < 1:
+            raise ValueError("degree must be at least 1")
+        if not all(cycles):
+            raise ValueError("empty cycle")
+        points = [p for cycle in cycles for p in cycle]
+        _check_bijection(points, n, "point")
+        if len(points) != n:
             raise ValueError("cycles do not cover every point")
+        if _canonical(_cycled(n, cycles)) != cycles:
+            raise ValueError("cycles are not the canonical decomposition")
 
     def to_permutation(self) -> Permutation:
-        images = list(range(1, self.degree + 1))
-        for cycle in self.cycles:
-            for a, b in zip(cycle, cycle[1:]):
-                images[a - 1] = b
-            images[cycle[-1] - 1] = cycle[0]
-        return Permutation(tuple(images))
+        return Permutation(_cycled(self.degree, self.cycles))
 
     def __str__(self) -> str:
         return "".join(

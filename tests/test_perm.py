@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -167,6 +169,68 @@ class TestCycles:
             CycleDecomposition(3, ((1, 2),))
         with pytest.raises(ValueError):
             CycleDecomposition(3, ((1, 2), (2, 3)))
+
+    def test_decomposition_points_are_ints(self):
+        # True would pass a range check as the point 1, and a str would
+        # fail it with a TypeError.
+        with pytest.raises(ValueError, match="point True outside 1..2"):
+            CycleDecomposition(2, ((True, 2),))
+        with pytest.raises(ValueError, match="point '2' outside 1..3"):
+            CycleDecomposition(3, ((1, "2"), (3,)))
+
+    def test_decomposition_degree_at_least_one(self):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            CycleDecomposition(0, ())
+
+    def test_decomposition_empty_cycle_rejected(self):
+        with pytest.raises(ValueError, match="empty cycle"):
+            CycleDecomposition(2, ((1, 2), ()))
+
+    def test_decomposition_stores_lists_as_tuples(self):
+        dec = CycleDecomposition(3, ([1, 2], [3]))
+        assert dec.cycles == ((1, 2), (3,))
+        assert dec == Permutation.parse("(1 2)", 3).cycles()
+        assert hash(dec) == hash(Permutation.parse("(1 2)", 3).cycles())
+
+    def test_apply_points_are_ints(self):
+        p = Permutation((2, 1, 3))
+        with pytest.raises(ValueError, match="point True outside 1..3"):
+            p.apply(True)
+        with pytest.raises(ValueError, match="point 1.0 outside 1..3"):
+            p.apply(1.0)
+
+
+def _variants(cycles):
+    """Non-canonical variants of canonical ``cycles``: its longest cycle
+    rotated (when it has two points or more), its first cycle with a
+    repeated point, its cycles in reverse order (when there are two or
+    more), and its first cycle dropped."""
+    longest = max(cycles, key=len)
+    k = cycles.index(longest)
+    if len(longest) > 1:
+        yield cycles[:k] + (longest[1:] + longest[:1],) + cycles[k + 1 :]
+    yield (cycles[0] + cycles[0][:1],) + cycles[1:]
+    if len(cycles) > 1:
+        yield cycles[::-1]
+    yield cycles[1:]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_permutation_round_trips(n):
+    """Every permutation of degree 1-7 (5,913 in all) re-parses from both
+    notations, rebuilds from its cycles, and has the sign that its cycle
+    count gives; each non-canonical variant of its cycles is refused."""
+    for images in itertools.permutations(range(1, n + 1)):
+        p = Permutation(images)
+        for style in ("cycle", "two-line"):
+            assert Permutation.parse(p.format(style), n) == p
+        dec = p.cycles()
+        assert dec.to_permutation() == p
+        assert CycleDecomposition(n, dec.cycles) == dec
+        assert p.sign() is Parity.of(n - len(dec.cycles))
+        for cycles in _variants(dec.cycles):
+            with pytest.raises(ValueError):
+                CycleDecomposition(n, cycles)
 
 
 class TestParse:
