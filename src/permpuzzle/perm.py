@@ -4,15 +4,16 @@ Points are 1-based at the API boundary. A permutation is stored as the
 tuple of images of 1..n; composition follows the left-action convention:
 ``(a * b)(x) = a(b(x))``, i.e. ``b`` acts first.
 
-One helper does each job. :func:`_check_bijection` is the one check
-that values hold each of 1..n at most once, as ints; a
-:class:`Permutation`'s images, a :class:`CycleDecomposition`'s points
-and a board's tile labels all pass through it. :func:`_cycled` is the
-one place cycles are written into images, and :func:`_canonical` the
-one canonical cycle walk. A :class:`CycleDecomposition` is valid
-exactly when it is the canonical decomposition of the bijection its
-cycles describe: every point of 1..n once, each cycle from its least
-point, cycles in order of that point, fixed points as 1-cycles.
+One helper does each job. :func:`_check_degree` is the one check of a
+degree, and :func:`_check_bijection` the one check that values hold
+each of 1..n at most once, as ints; a :class:`Permutation`'s images, a
+:class:`CycleDecomposition`'s points and a board's tile labels all pass
+through it. :func:`_cycled` is the one place cycles are written into
+images, and :func:`_canonical` the one canonical cycle walk. A
+:class:`CycleDecomposition` is valid exactly when it is the canonical
+decomposition of the bijection its cycles describe: every point of 1..n
+once, each cycle from its least point, cycles in order of that point,
+fixed points as 1-cycles.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ def _point(tok: str) -> int:
     except ValueError:  # past int()'s digit limit
         pass
     raise ParseError(f"invalid point {tok!r}")
+
+
+def _check_degree(n) -> None:
+    """Raise ``ValueError`` unless ``n`` is an int, not a bool, of at
+    least 1."""
+    if type(n) is not int:  # bool is an int subclass
+        raise ValueError(f"degree must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError("degree must be at least 1")
 
 
 def _check_bijection(values, n: int, what: str) -> None:
@@ -123,8 +133,7 @@ class Permutation:
         # Every constructor path validates the bijection property.
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
-        if not images:
-            raise ValueError("degree must be at least 1")
+        _check_degree(len(images))
         _check_bijection(images, len(images), "image")
 
     @property
@@ -138,11 +147,13 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         """The permutation fixing every point of {1..n}."""
+        _check_degree(n)
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def transposition(cls, n: int, i: int, j: int) -> "Permutation":
         """The 2-cycle (i j) on {1..n}."""
+        _check_degree(n)
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"points {i}, {j} must lie in 1..{n}")
         if i == j:
@@ -160,8 +171,7 @@ class Permutation:
         is ASCII digits, leading zeros allowed; anything else raises
         ``ParseError``.
         """
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
+        _check_degree(degree)
         stripped = text.strip()
         if not stripped:
             return cls.identity(degree)
@@ -309,8 +319,7 @@ class CycleDecomposition:
         cycles = tuple(map(tuple, self.cycles))
         object.__setattr__(self, "cycles", cycles)
         n = self.degree
-        if n < 1:
-            raise ValueError("degree must be at least 1")
+        _check_degree(n)
         if not all(cycles):
             raise ValueError("empty cycle")
         points = [p for cycle in cycles for p in cycle]

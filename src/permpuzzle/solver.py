@@ -24,8 +24,11 @@ backs out. ``T`` is a PDB index or a linear-conflict table; the latter
 holds only the line keys read so far, in a list of None slots or a plain
 ``dict``, so on a ``TypeError`` or ``KeyError`` both reads go through
 ``heuristics._conflict_of``, which fills the key (a key shifted only
-through ``more`` is unread until a later slide crosses its line). The
-goal test is ``h == 0 and tiles == goal``.
+through ``more`` is unread until a later slide crosses its line).
+
+A node tests the goal once, on entry, before it counts as an
+expansion: ``h == 0 and tiles == goal``. The move into it is recorded
+by its parent, as the search backs out.
 
 Each node is passed its ``room``, the bound less its children's g, so
 a child fits when its h is at most ``room``, and returns the least
@@ -33,8 +36,8 @@ amount by which a child overflowed, which the next iteration adds to
 the bound. The board is one list written in place: the blank's own
 cell is never read, because the move back into it is left out, so a
 move writes only the slid tile into the blank's cell, and its undo
-only the tile back into its own; the blank's label is written only
-before a goal test.
+only the tile back into its own; a node whose h is 0 writes the blank's
+label into its own cell, just before its goal test.
 
 Every table a search reads lives in one store, ``board._TABLES``,
 filled by ``board._table`` after the parity and goal checks: the step
@@ -459,15 +462,21 @@ def ida_star(
     def dfs(blank: int, room: int, last: int, h: int) -> int:
         """Returns -1 when the goal was reached (path holds the moves),
         else the least amount by which a child's f overflowed the bound.
-        ``room`` is the bound less the children's g, so a child fits
-        when its h is at most ``room``. ``last`` is the direction the
-        blank moved to reach ``blank`` (-1 at the root), and
-        ``steps[blank][last]`` leaves out the move that undoes it, so
-        nothing reads ``tiles[blank]``, which may hold a stale tile: a
-        move writes only the slid tile into ``blank``, its undo only the
-        tile back into ``j``, and ``n`` goes into ``j`` only before the
-        goal test."""
+        The goal test comes first, before the node counts as an
+        expansion: at h 0, ``n`` goes into ``blank`` and a goal returns
+        -1, and the parent appends the move into it. ``room`` is the
+        bound less the children's g, so a child fits when its h is at
+        most ``room``. ``last`` is the direction the blank moved to
+        reach ``blank`` (-1 at the root), and ``steps[blank][last]``
+        leaves out the move that undoes it, so nothing else reads
+        ``tiles[blank]``, which may hold a stale tile: a move writes only
+        the slid tile into ``blank``, its undo only the tile back into
+        ``j``."""
         nonlocal nodes, due
+        if h == 0:
+            tiles[blank] = n
+            if tiles == goal_tiles:
+                return -1
         nodes += 1
         if nodes >= due:
             due = budget.spend(nodes)
@@ -482,11 +491,6 @@ def ida_star(
                         mn = child_h - room
                     continue
                 tiles[blank] = t
-                if child_h == 0:
-                    tiles[j] = n
-                    if tiles == goal_tiles:
-                        path.append(d)
-                        return -1
                 r = dfs(j, room - 1, d, child_h)
                 tiles[j] = t
             else:
@@ -501,11 +505,6 @@ def ida_star(
                         mn = child_h - room
                     continue
                 tiles[blank] = t
-                if child_h == 0:
-                    tiles[j] = n
-                    if tiles == goal_tiles:
-                        path.append(d)
-                        return -1
                 regs[s] = key + off
                 if more:
                     s2, o2 = more

@@ -11,6 +11,17 @@ from conftest import FIG3_CYCLES
 
 FIG3_IMAGES = (3, 2, 13, 9, 6, 7, 12, 5, 10, 11, 8, 4, 15, 14, 1, 16)
 
+DEGREE_NOT_INT = [
+    (Permutation.parse, ("(1)", True)),
+    (Permutation.parse, ("", True)),
+    (Permutation.identity, (True,)),
+    (CycleDecomposition, (True, ((1,),))),
+    (CycleDecomposition, (2.0, ((1,), (2,)))),
+    (Permutation.parse, ("(1 2)", 2.0)),
+    (Permutation.transposition, (3.0, 1, 2)),
+    (Permutation.identity, (2.0,)),
+]
+
 perms = st.integers(min_value=1, max_value=16).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))
 ).map(lambda xs: Permutation(tuple(xs)))
@@ -177,6 +188,13 @@ class TestCycles:
             CycleDecomposition(2, ((True, 2),))
         with pytest.raises(ValueError, match="point '2' outside 1..3"):
             CycleDecomposition(3, ((1, "2"), (3,)))
+
+    @pytest.mark.parametrize("make, args", DEGREE_NOT_INT,
+                             ids=[f"{make.__qualname__}{args}" for make, args in DEGREE_NOT_INT])
+    def test_degree_must_be_an_int(self, make, args):
+        # bool is an int subclass; neither it nor a float is a degree.
+        with pytest.raises(ValueError, match="degree must be an int"):
+            make(*args)
 
     def test_decomposition_degree_at_least_one(self):
         with pytest.raises(ValueError, match="degree must be at least 1"):

@@ -11,6 +11,7 @@ import pytest
 from permpuzzle import (
     MOVE_ORDER,
     Board,
+    Move,
     PatternHeuristic,
     ResourceLimitError,
     SearchLimits,
@@ -423,6 +424,19 @@ class TestIdaStar:
                     ida_star(b, "manhattan", SearchLimits(max_nodes=cap))
                 except ResourceLimitError as exc:
                     assert manhattan(b) <= exc.lower_bound <= dist_3x3[cells]
+
+    @pytest.mark.parametrize("heuristic", ["manhattan", "linear-conflict", "pdb"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_goal_is_never_an_expansion(self, heuristic, k, pdb_pair_3x3):
+        # k moves out, the k nodes on the path are expanded and the goal
+        # below them is only tested: a cap of k solves, k - 1 stops at k.
+        h = pdb_pair_3x3 if heuristic == "pdb" else heuristic
+        b = Board.goal(3, 3).apply_sequence([Move.UP, Move.LEFT][:k])
+        result = ida_star(b, h, SearchLimits(max_nodes=k))
+        assert (result.length, result.nodes_expanded) == (k, k)
+        with pytest.raises(ResourceLimitError) as exc:
+            ida_star(b, h, SearchLimits(max_nodes=k - 1))
+        assert (exc.value.nodes_expanded, exc.value.lower_bound) == (k, k)
 
     def test_time_limit(self, dist_3x3):
         cells = max(dist_3x3, key=dist_3x3.get)
