@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 from .errors import IllegalMoveError, ParseError
 from .perm import Permutation, _check_bijection
@@ -60,12 +59,16 @@ _BLANK_TOKENS = ("0", "_")
 
 # Every per-shape table, keyed by its builder and shape, such as
 # ``(_blank_steps, 4, 4)``: the move and step tables, Manhattan's goal
-# tables, linear conflict's lines and conflict tables, the pattern
-# build's region tables and the exact oracle's goal balls; and keyed by
-# the shape and its databases' tiles and tables, a pattern heuristic's
-# indexes, step table and the first equal tuple of tiles and tables
-# (``pattern_db._same``). :func:`_table` fills it, and an entry, once
-# stored, is never replaced or dropped.
+# tables, linear conflict's lines, the pattern build's region tables and
+# the exact oracle's goal balls; keyed by its builder and a line length
+# or cell count, linear conflict's conflict tables and :meth:`Board.parse`'s
+# token labels; and keyed by the shape and its databases' tiles and
+# tables, a pattern heuristic's indexes, step table and the first equal
+# tuple of tiles and tables (``pattern_db._same``). It is the package's
+# only per-shape state, so clearing it frees every table. :func:`_table`
+# fills it, and an entry, once stored, is never replaced or dropped.
+# Every table is complete when stored but one: the conflict table of
+# lines over 5 cells, which adds each key on its first read.
 _TABLES: dict = {}
 _NEVER = 1 << 62  # a step of work or an expansion no build or search reaches
 
@@ -134,15 +137,10 @@ def check_dimensions(width: int, height: int) -> None:
         raise ValueError("board dimensions must be at least 2x2")
 
 
-@lru_cache(maxsize=None)
-def _goal_cells(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
-@lru_cache(maxsize=None)
 def _token_labels(n: int) -> dict[str, int]:
     """The canonical spelling of each of 1..n-1, plus ``0`` and ``_`` for
-    the blank, mapped to its label: :meth:`Board.parse`'s fast path."""
+    the blank, mapped to its label: :meth:`Board.parse`'s fast path, kept
+    in the table store."""
     labels = {str(v): v for v in range(1, n)}
     for tok in _BLANK_TOKENS:
         labels[tok] = n
@@ -244,7 +242,7 @@ class Board:
         n = width * height
         # Canonical tokens, each label once, are a valid board; anything
         # else (a leading zero, or an error to name) takes the full loop.
-        labels = _token_labels(n)
+        labels = _table(_token_labels, n)
         cells = [labels.get(tok, 0) for row in rows for tok in row]
         if 0 in cells or len(set(cells)) != n:
             cells = _parse_cells(rows, n)
@@ -280,7 +278,7 @@ class Board:
     # ------------------------------------------------------------------
 
     def is_goal(self) -> bool:
-        return self.cells == _goal_cells(self.width * self.height)
+        return self.cells == tuple(range(1, self.width * self.height + 1))
 
     def legal_moves(self) -> set[Move]:
         """The 2-4 directions the blank may travel from here."""

@@ -9,13 +9,15 @@ Pattern databases own theirs in :mod:`.pattern_db`.
 Linear conflict reads each goal line as an integer key: the line's
 codes (see :func:`line_conflicts`) as a base ``length + 1`` number, which
 indexes a conflict table shared by every line of that length (Korf &
-Taylor 1996's per-line tables). A table is a list of a slot per key
-for lines of at most 5 cells, else a plain ``dict`` of the keys read so
-far, so the search's reads take CPython's specialised subscript path; a
-read that misses raises ``TypeError`` (an unfilled slot is None) or
-``KeyError``, and :func:`_conflict_of` fills the key. The search carries
-the keys in its registers, one per goal row and column, and a slide
-shifts them by constants from the step table, so a node computes no key.
+Taylor 1996's per-line tables). Every table answers every key it is
+asked for (:func:`_conflict_table`): a line of at most 5 cells has a
+complete list, filled when it is made, and a longer line a ``dict``
+that fills a key on its first read. Reads of the latter take CPython's
+generic subscript, not the specialised one of an exact ``dict``, which
+costs 5-13% more time per node on 8x2, 6x6, 7x7 and 10x10 boards and
+4-7% on 150x2 and 2x150. The search carries the keys in its registers,
+one per goal row and column, and a slide shifts them by constants from
+the step table, so a node computes no key.
 
 Both heuristics read tables of O(n) entries (:func:`goal_tables`): a
 tile's code on a line is its goal column (row) + 1, so no line keeps
@@ -38,6 +40,7 @@ import gc
 import math
 from bisect import bisect_left
 from functools import partial
+from itertools import product
 
 from . import pattern_db
 from .board import _TABLES, Board, _blank_steps, _row_steps, _table, _untimed
@@ -118,9 +121,19 @@ def line_conflicts(codes) -> int:
     return 2 * (len(coords) - len(tails))
 
 
-# id(table) -> its line length, set as each table is made, so an id that
-# a freed table leaves and a later table takes maps to the later length.
-_LENGTHS: dict[int, int] = {}
+class _LongLines(dict):
+    """The conflict table of lines longer than 5 cells, which fills
+    itself: a key read for the first time is decoded into its codes and
+    stored with their :func:`line_conflicts`."""
+
+    def __init__(self, length: int):
+        self.length = length
+
+    def __missing__(self, key: int) -> int:
+        base = self.length + 1
+        codes = [key // base ** i % base for i in range(self.length - 1, -1, -1)]
+        value = self[key] = line_conflicts(codes)
+        return value
 
 
 def _conflict_table(length: int) -> list | dict:
@@ -129,35 +142,18 @@ def _conflict_table(length: int) -> list | dict:
 
     It maps a line key, the line's codes read as a base ``length + 1``
     number, first cell most significant, to :func:`line_conflicts` of
-    those codes; :func:`_conflict_of` fills a key on its first read. When
-    every key fits in 2^16 slots, lines of at most 5 cells (625 slots for
-    4), it is a list of ``(length + 1) ** length`` slots, each None until
-    filled, so the search's ``table[key]`` reads take CPython 3.11's
+    those codes, and answers every key from the start. A line of at most
+    5 cells gets a complete list, one slot per key, filled when it is
+    made (625 slots in 0.6 ms for 4 cells, 7,776 in 8.5 ms for 5, on a
+    2-vCPU VM), so the search's ``table[key]`` reads take CPython's
     specialised list subscript. A longer line's keys cannot all have a
-    slot, so its table is an exact ``dict`` holding only the keys of real
-    lines read so far, at most one per sequence of distinct nonzero
-    codes: 13,327 for 6 cells. An exact ``dict`` keeps the specialised
-    dict subscript, which a subclass with ``__missing__`` forgoes.
+    slot (117,649 for 6 cells), so its table is a :class:`_LongLines`
+    dict that stores each key on its first read, at most one per
+    sequence of distinct nonzero codes: 13,327 for 6 cells.
     """
-    slots = (length + 1) ** length
-    table = [None] * slots if slots <= 1 << 16 else {}
-    _LENGTHS[id(table)] = length
-    return table
-
-
-def _conflict_of(table: list | dict, key: int) -> int:
-    """``table[key]`` for a :func:`_conflict_table`, computed and stored
-    when missing."""
-    value = table[key] if table.__class__ is list else table.get(key)
-    if value is None:
-        length = _LENGTHS[id(table)]
-        base = length + 1
-        codes = [0] * length
-        rest = key
-        for i in range(length - 1, -1, -1):
-            rest, codes[i] = divmod(rest, base)
-        value = table[key] = line_conflicts(codes)
-    return value
+    if length <= 5:
+        return [line_conflicts(codes) for codes in product(range(length + 1), repeat=length)]
+    return _LongLines(length)
 
 
 def linear_conflict(board: Board) -> int:
@@ -180,7 +176,7 @@ def _linear_conflict(board: Board):
         key = 0
         for t in tiles[cells]:
             key = key * base + (along[t] + 1 if home[t] == i else 0)
-        total += _conflict_of(conflicts, key)
+        total += conflicts[key]
         keys.append(key)
     return total, keys
 

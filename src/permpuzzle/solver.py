@@ -20,11 +20,12 @@ is the change of h;
 ``(dh, s, off, T, more)`` gives ``h + dh + T[regs[s] + off] -
 T[regs[s]]`` and adds ``off`` to ``regs[s]``, and ``o2`` to ``regs[s2]``
 when ``more`` is a pair ``(s2, o2)`` (else ``()``), until the search
-backs out. ``T`` is a PDB index or a linear-conflict table; the latter
-holds only the line keys read so far, in a list of None slots or a plain
-``dict``, so on a ``TypeError`` or ``KeyError`` both reads go through
-``heuristics._conflict_of``, which fills the key (a key shifted only
-through ``more`` is unread until a later slide crosses its line).
+backs out. ``T`` is a PDB index or a linear-conflict table, and either
+answers every key: a conflict table is a complete list for lines of at
+most 5 cells, and a longer line's is a ``dict`` that fills a key on its
+first read (``heuristics._conflict_table``), so every read is a plain
+``T[key]``; on the latter it takes CPython's generic subscript, 5-13%
+more time per node on 8x2 to 10x10 boards than an exact ``dict``.
 
 A node tests the goal once, on entry, before it counts as an
 expansion: ``h == 0 and tiles == goal``. The move into it is recorded
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 
 from .board import _NEVER, MOVE_ORDER, Board, Move, _offsets, _row_steps, _table, _untimed
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
-from .heuristics import INCREMENTAL, _conflict_of
+from .heuristics import INCREMENTAL
 from .pattern_db import PatternDatabase, PatternHeuristic, _databases
 from .solvability import DEFAULT_MAX_STATES, certificate, is_solvable
 
@@ -496,10 +497,7 @@ def ida_star(
             else:
                 dh, s, off, table, more = e
                 key = regs[s]
-                try:
-                    child_h = h + dh + table[key + off] - table[key]
-                except (KeyError, TypeError):  # a line order no search has read yet
-                    child_h = h + dh + _conflict_of(table, key + off) - _conflict_of(table, key)
+                child_h = h + dh + table[key + off] - table[key]
                 if child_h > room:
                     if child_h - room < mn:
                         mn = child_h - room

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -98,6 +99,21 @@ class TestParseFormat:
     @given(boards)
     def test_round_trip(self, b):
         assert Board.parse(b.format()) == b
+
+    def test_clearing_the_store_frees_what_parse_and_goal_test_read(self, empty_store):
+        """Parsing a 300x300 board and testing it for the goal keep no
+        table outside the per-shape store, so clearing it frees them all;
+        its token labels alone take megabytes."""
+        text = Board.goal(300, 300).format()
+        tracemalloc.start()
+        try:
+            assert Board.parse(text).is_goal()
+            empty_store.clear()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
 
 
 class TestInputHardening:

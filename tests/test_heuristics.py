@@ -22,7 +22,6 @@ from permpuzzle import (
 from permpuzzle import heuristics
 from permpuzzle.board import _blank_steps, _table, format_moves
 from permpuzzle.heuristics import (
-    _conflict_of,
     _conflict_table,
     _lines,
     _step_table,
@@ -193,6 +192,11 @@ def fewest_leavers(codes) -> int:
     return 0
 
 
+def key_codes(key: int, length: int) -> list[int]:
+    """The codes of a line key, first cell first."""
+    return [key // (length + 1) ** (length - 1 - i) % (length + 1) for i in range(length)]
+
+
 def line_key_count(length: int) -> int:
     """How many code sequences a line of ``length`` cells can hold."""
     return sum(math.comb(length, k) * math.perm(length, k) for k in range(length + 1))
@@ -210,10 +214,10 @@ class TestConflictTable:
             for code in codes:
                 key = key * (length + 1) + code
             keys.add(key)
-            assert _conflict_of(table, key) == line_conflicts(codes) == 2 * fewest_leavers(codes), codes
+            assert table[key] == line_conflicts(codes) == 2 * fewest_leavers(codes), codes
         assert len(keys) == self.COUNTS[length] == line_key_count(length)
-        filled = table.values() if isinstance(table, dict) else table
-        assert sum(value is not None for value in filled) == self.COUNTS[length]
+        if length > 5:  # a self-filling table holds the keys read, no more
+            assert len(table) == self.COUNTS[length]
 
     def test_line_conflicts_on_long_lines(self):
         """Patience sorting against the brute-force count on lines of up to
@@ -233,15 +237,20 @@ class TestConflictTable:
 
     @pytest.mark.parametrize("length", range(2, 9))
     def test_table_is_a_plain_dict(self, length):
-        """An exact built-in, unfilled: a list of a slot per key up to 5
-        cells, and past them a plain dict."""
+        """Up to 5 cells, a list of every key's conflicts; past them, a
+        dict that starts empty and stores each key on its first read."""
         table = _conflict_table(length)
         if length <= 5:
             assert type(table) is list
-            assert table == [None] * (length + 1) ** length
+            assert len(table) == (length + 1) ** length
+            for key, value in enumerate(table):
+                assert value == line_conflicts(key_codes(key, length)), key
         else:
-            assert type(table) is dict
+            assert isinstance(table, dict)
             assert not table
+            key = (2 * (length + 1) + 1) * (length + 1) ** (length - 2)  # codes 2, 1, 0, ...
+            assert table[key] == 2
+            assert table == {key: 2}
 
     # Moves and IDA* expansions of the default heuristic, read when each
     # table was a dict subclass that filled a key on its first read.
@@ -255,27 +264,21 @@ class TestConflictTable:
     }
 
     def test_search_fills_only_real_line_keys(self):
-        """Rows and columns of unequal length, and 8-cell rows, fill their
-        tables as the search misses keys, each with its conflicts."""
-        for length in range(2, 9):
-            table = _table(_conflict_table, length)
-            if isinstance(table, dict):
-                table.clear()
-            else:
-                table[:] = [None] * len(table)
+        """Rows and columns of unequal length, and 8-cell rows, whose
+        conflict table fills as the search reads keys, each with its
+        conflicts."""
+        for length in range(6, 9):
+            _table(_conflict_table, length).clear()
         for (width, height, steps, seed), pinned in self.SOLVES.items():
             result = ida_star(scramble(width, height, steps, seed)[0])
             assert (format_moves(result.moves), result.nodes_expanded) == pinned
-        for length in range(2, 9):
+        for length in range(6, 9):
             table = _table(_conflict_table, length)
-            items = table.items() if isinstance(table, dict) else enumerate(table)
-            filled = {key: value for key, value in items if value is not None}
-            assert bool(filled) == (length in (2, 3, 5, 8))  # the solved lines' lengths
-            assert len(filled) <= line_key_count(length)
-            for key, value in filled.items():
+            assert bool(table) == (length == 8)  # the only solved line over 5 cells
+            assert len(table) <= line_key_count(length)
+            for key, value in table.items():
                 assert 0 <= key < (length + 1) ** length
-                codes = [key // (length + 1) ** (length - 1 - i) % (length + 1)
-                         for i in range(length)]
+                codes = key_codes(key, length)
                 coords = [c for c in codes if c]
                 assert len(set(coords)) == len(coords), codes
                 assert value == line_conflicts(codes), codes

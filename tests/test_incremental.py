@@ -5,9 +5,9 @@ tile at ``j`` into the blank at ``z`` reads ``row[t]`` from
 ``_table(*steps)[z][-1]``'s ``(d, j, row)``, ``steps`` being the step
 table's store key: an int is the change of h; an entry
 ``(dh, s, off, T, more)`` adds ``dh + T[regs[s] + off] - T[regs[s]]``
-(a conflict table's key is filled when missing, as the search fills it)
-and shifts ``regs[s]`` by ``off``, and ``regs[s2]`` by ``o2`` when
-``more`` is a pair ``(s2, o2)``.
+(every PDB index and conflict table answers every key) and shifts
+``regs[s]`` by ``off``, and ``regs[s2]`` by ``o2`` when ``more`` is a
+pair ``(s2, o2)``.
 Random walks compare that running value, and the registers, with the
 heuristic rebuilt on the whole board at every step; then they walk back
 to the start and find the registers as they were.
@@ -30,7 +30,6 @@ from permpuzzle import (
     scramble,
 )
 from permpuzzle.board import _table
-from permpuzzle.heuristics import _conflict_of
 from permpuzzle.solver import _check_heuristic
 
 # (width, height): 2x4 and 4x2 keep rows and columns of unequal length.
@@ -55,12 +54,6 @@ walks = st.sampled_from(SHAPES).flatmap(
 )
 
 
-def read(table, key: int) -> int:
-    """A PDB index's entry, or a conflict table's (a list or a dict),
-    filled when missing."""
-    return _conflict_of(table, key) if table.__class__ in (list, dict) else table[key]
-
-
 def slide(terms, state, blank: int, j: int, t: int) -> None:
     """Move tile ``t`` from ``j`` into ``blank`` in every ``(h, regs)`` of
     ``state``, reading each heuristic's own step table."""
@@ -69,7 +62,7 @@ def slide(terms, state, blank: int, j: int, t: int) -> None:
         h, regs = state[i]
         if not isinstance(entry, int):
             dh, s, off, table, more = entry
-            entry = dh + read(table, regs[s] + off) - read(table, regs[s])
+            entry = dh + table[regs[s] + off] - table[regs[s]]
             regs[s] += off
             if more:
                 s2, o2 = more
