@@ -1,6 +1,6 @@
 """Optimal solvers: an exact BFS oracle for small boards, described in
-:func:`bfs_optimal`, whose goal ball keeps each state's path home as one
-int (:func:`_goal_ball`), and IDA* search.
+:func:`bfs_optimal`, whose goal ball keeps each rim state's path home as
+one int (:func:`_goal_ball`), and IDA* search.
 
 IDA* runs depth-first with an f = g + h threshold raised to the smallest
 overflowing value each iteration; with the admissible heuristics offered
@@ -79,8 +79,9 @@ HEURISTIC_NAMES = tuple(INCREMENTAL)
 
 _INF = 1 << 30
 # States in the oracle's goal ball: whole layers from the goal are kept
-# while they total at most this many (3x3: radius 18, 26,931 states).
-BALL_STATES = 1 << 15
+# while they total at most this many. Radius 20 on 3x3 (54,802 states),
+# 14 on 4x4, 16 on 3x4 and 4x3, 18 on 2x8 and 8x2; all of 2x4 and 4x2.
+BALL_STATES = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +198,8 @@ class _PackedBFS:
     blank as 0, through a :func:`_goal_ball` step table on a board
     ``width`` cells wide. A visited map sends each state to its blank's
     last direction, or to a negative value where a walk back stops: -1
-    at a root, minus a path code home in a goal ball (:func:`_goal_ball`).
+    at a root and at the goal, minus a path code home on a goal ball's
+    rim (:func:`_goal_ball`).
     ``nodes`` counts expansions; when it
     reaches ``due``, ``spend(nodes)`` gives the next due: a query's
     :meth:`_Budget.spend`, or a build's :meth:`_Budget.tick`."""
@@ -245,9 +247,10 @@ class _PackedBFS:
     def unwind(self, state: int, blank: int, d: int, seen: dict) -> tuple[list[int], int]:
         """``(dirs, stop)``: the directions from ``state`` back to
         ``stop``, the first state whose value in ``seen`` is negative (a
-        root, or a goal ball's state), last move first: ``d``, then
-        those in ``seen``; each step moves the blank back, the opposite
-        way, ``d ^ 1``."""
+        root, a goal ball's rim state, or the goal), last move first:
+        ``d``, then those in ``seen``; each step moves the blank back, the
+        opposite way, ``d ^ 1``. From inside a goal ball the walk takes
+        at most its radius in steps."""
         dirs = []
         while d >= 0:
             dirs.append(d)
@@ -266,14 +269,23 @@ def _goal_ball(width: int, height: int, tick=_untimed):
 
     ``steps`` is :func:`~permpuzzle.board._row_steps` with ``(1 << 4z) |
     (1 << 4j)`` as the row of the blank's move from cell ``z`` to cell
-    ``j``. ``ball`` maps every state within ``radius`` moves of the goal
-    to minus its path code, whole layers while they total at most
-    :data:`BALL_STATES`, and ``rim`` is the layer at ``radius``. A path
-    code is a leading 1, then the blank's directions home as octal
-    digits, first move first: the goal's is 1, and a state's is its
-    parent's with its own first move home, the opposite of its last
-    move, put in front, written over that last move once its layer is
-    whole. Every query reads the same objects and none writes them.
+    ``j``. ``ball`` holds every state within ``radius`` moves of the
+    goal, whole layers while they total at most :data:`BALL_STATES`, and
+    ``rim`` is the layer at ``radius``. A rim state maps to minus its
+    path code: a leading 1, then the blank's directions home as octal
+    digits, first move first. Every other state maps to its blank's last
+    direction from its parent, a shared small int, and the goal to -1,
+    the empty path's code, so a walk home from any ball state follows
+    directions to a code: at most ``radius`` steps from inside. The
+    build codes each new layer from its parents' codes, the parent's
+    code with the child's first move home, the opposite of its last
+    move, put in front; then sets the parents back to their directions.
+    The layer that would pass the ceiling is expanded in slices of 1024
+    states and stops at the first slice that passes it; the states it
+    found are deleted. On 3x3 (radius 20, 54,802 states) the table holds
+    6.4 MB once built and peaks at 7.5 MB during the build, its step
+    tables included (tracemalloc, CPython 3.11). Every query reads the
+    same objects and none writes them.
     """
     n = width * height
     steps = _row_steps(width, height, lambda z, d, j: (1 << 4 * z) | (1 << 4 * j))
@@ -281,11 +293,17 @@ def _goal_ball(width: int, height: int, tick=_untimed):
     offsets = bfs.offsets
     goal = bfs.pack(range(1, n + 1))
     ball = {goal: -1}
-    frontier, radius = [(goal, n - 1, -1)], 0
+    rim, radius = [(goal, n - 1, -1)], 0
     while True:
-        layer, _ = bfs.expand(frontier, ball)
-        if not layer or len(ball) > BALL_STATES:
-            break
+        layer = []
+        for i in range(0, len(rim), 1024):
+            layer += bfs.expand(rim[i:i + 1024], ball)[0]
+            if len(ball) > BALL_STATES:
+                for state, _, _ in layer:
+                    del ball[state]
+                return steps, ball, radius, rim
+        if not layer:
+            return steps, ball, radius, rim
         # A code ``radius`` digits long gains the digit m in front by
         # adding (8 - 1 + m) << 3·radius.
         grow = [(7 + (d ^ 1)) << 3 * radius for d in range(4)]
@@ -298,12 +316,9 @@ def _goal_ball(width: int, height: int, tick=_untimed):
             parent = child ^ ((child >> 4 * prev) & 15) * ((1 << 4 * j) | (1 << 4 * prev))
             ball[child] = ball[parent] - grow[d]
         bfs.nodes, bfs.due = work, due
-        frontier, radius = layer, radius + 1
-    if layer:  # past the ceiling
-        for state, _, _ in layer:
-            del ball[state]
-        ball = dict(ball)  # the copy drops the deleted slots
-    return steps, ball, radius, frontier
+        for state, _, d in rim:
+            ball[state] = d
+        rim, radius = layer, radius + 1
 
 
 def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResult:
@@ -313,29 +328,32 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
 
     The exact oracle, for boards of up to 16 cells (a board is one int,
     4 bits per cell); the default ceiling of one million expansions
-    covers everything up to 9 cells, and 4x4 boards to about 36 moves.
-    The goal's ball, every state within radius R of the goal as whole
-    BFS layers of at most 2^15 states, each mapped to its path home as
-    one int (:func:`_goal_ball`), is built once per shape, on its first
-    query, and kept in the per-shape table store with IDA*'s step
-    tables. Its expansions count against no query's ``max_nodes``; its
-    build time falls within that first query's ``max_time``, read at
-    its first step of work and every 2048th, and ``elapsed``. A
-    deadline that passes during the build raises with
+    covers everything up to 9 cells, and 4x4 boards to about 36 moves (a
+    36-move one took 923,915; most 36- and 37-move ones pass it). The
+    goal's ball, every state within radius R of the goal as whole BFS
+    layers of at most 2^16 states (R is 20 on 3x3, 14 on 4x4), each rim
+    state mapped to its path home as one int and every other state to
+    its blank's last direction (:func:`_goal_ball`), is built once per
+    shape, on its first query, and kept in the per-shape table store
+    with IDA*'s step tables. Its expansions count against no query's
+    ``max_nodes``; its build time falls within that first query's
+    ``max_time``, read at its first step of work and every 2048th, and
+    ``elapsed``. A deadline that passes during the build raises with
     ``nodes_expanded`` 0 and ``lower_bound`` 1, and the next query
     builds the ball again. Once stored, a query reads the ball with one
     dict read and no clock read. One ball grows from ``board`` and one
     from the goal's ball's outer layer, its rim, into a per-query copy,
     a whole layer of the side with the smaller frontier at a time (ties
-    go to the start's side), so a deep board costs no more than it
-    would with no ball. The first child found in the other
-    side's ball is the meet, and a board inside the goal's ball is the
-    meet before any layer. The answer undoes the start side's recorded
-    moves from the meet back to the board; then, only when the goal's
-    side grew past its ball, walks the goal side's moves from the meet
-    back to a ball state; then reads that state's path home from the
-    ball. A slide is one multiply-xor by a constant of a per-shape step
-    table that never makes the move back to a parent.
+    go to the start's side), so a deep board costs no more than it would
+    with no ball. The first child found in the other side's ball is the
+    meet, and a board inside the goal's ball is the meet before any
+    layer. The answer undoes the start side's recorded moves from the
+    meet back to the board; then walks the goal side's moves from the
+    meet back to a coded state: a rim state, reached in one step per
+    layer the goal's side grew past the ball; the meet itself when it
+    lies on the rim; the goal, from a board inside the ball; then reads
+    that state's path home. A slide is one multiply-xor by a constant of
+    a per-shape step table that never makes the move back to a parent.
 
     ``nodes_expanded`` counts the states expanded in the query, on
     either side. A :class:`ResourceLimitError` carries ``lower_bound``:
@@ -344,7 +362,7 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     expands nothing, so it reads the limits once, against its exact
     length. The limits bound a query's expansions and time but not its
     memory, which holds both sides' visited maps and frontiers: one 4x4
-    query 36 moves out peaked at 207 MB RSS.
+    query 36 moves out peaked at 262 MB RSS.
     """
     budget = _Budget("BFS", limits, DEFAULT_MAX_STATES)
     if (done := budget.admit(board)) is not None:
@@ -369,13 +387,16 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
         budget.depth(bfs.nodes)
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         if side and maps[1] is ball:
-            maps[1] = dict(ball)
+            # ``copy`` clones the table, the build's deleted slots too,
+            # where ``dict`` inserts every key again (0.7 against 3.5 ms
+            # on 4x4).
+            maps[1] = ball.copy()
         frontiers[side], meet = bfs.expand(frontiers[side], maps[side], maps[1 - side])
         budget.bound += 1
 
     # The start's ball up to the meeting state, which both maps hold;
-    # then, when the goal's side grew past the ball, its moves from there
-    # undone back to a ball state; then that state's path code home.
+    # then the goal side's moves from there undone back to a coded state
+    # (none when the meet is one); then that state's path code home.
     child, blank, _ = meet
     dirs, _ = bfs.unwind(child, blank, maps[0][child], maps[0])
     dirs.reverse()

@@ -236,7 +236,7 @@ class TestConflictTable:
             assert line_conflicts(codes) == 2 * fewest_leavers(codes), codes
 
     @pytest.mark.parametrize("length", range(2, 9))
-    def test_table_is_a_plain_dict(self, length):
+    def test_table_answers_every_key(self, length):
         """Up to 5 cells, a list of every key's conflicts; past them, a
         dict that starts empty and stores each key on its first read."""
         table = _conflict_table(length)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -226,6 +227,17 @@ def first_move_home(value) -> int:
     return MOVE_ORDER.index(path_home(value)[0])
 
 
+def walk_home(ball, board: Board) -> list[Move]:
+    """The moves home a goal ball gives ``board``: while its state maps
+    to a direction, the blank's move that undoes it; then the path the
+    code it reaches spells."""
+    moves = []
+    while (value := ball[_PackedBFS.pack(board.cells)]) >= 0:
+        moves.append(MOVE_ORDER[value ^ 1])
+        board = board.apply_move(moves[-1])
+    return moves + path_home(value)
+
+
 class TestGoalBall:
     @staticmethod
     def check_whole_layers(width, height, size, radius, ceiling):
@@ -255,14 +267,14 @@ class TestGoalBall:
         self.check_whole_layers(width, height, size, radius, 1 << 14)
 
     @pytest.mark.parametrize("width, height, size, radius", [
-        (2, 2, 12, 6), (3, 2, 360, 21), (3, 3, 26931, 18), (2, 4, 20160, 36), (4, 2, 20160, 36),
+        (2, 2, 12, 6), (3, 2, 360, 21), (3, 3, 54802, 20), (2, 4, 20160, 36), (4, 2, 20160, 36),
     ])
     def test_whole_layers_within_the_default_ceiling(self, width, height, size, radius):
         self.check_whole_layers(width, height, size, radius, BALL_STATES)
 
     @pytest.mark.parametrize("width, height, size, radius", [
-        (4, 4, 31044, 13), (3, 4, 31783, 15), (4, 3, 31783, 15),
-        (2, 8, 23284, 16), (8, 2, 23284, 16),
+        (4, 4, 61865, 14), (3, 4, 55998, 16), (4, 3, 55998, 16),
+        (2, 8, 64217, 18), (8, 2, 64217, 18),
     ])
     def test_larger_shapes_pinned(self, width, height, size, radius):
         # Read from the build, with no exact distances: the rim is the
@@ -274,20 +286,41 @@ class TestGoalBall:
         past, _ = _PackedBFS(steps, width).expand(rim, dict(ball))
         assert size <= BALL_STATES < size + len(past)
 
+    def test_3x3_ball_memory(self, empty_store):
+        # Built from an empty store, with its step tables: 6.4 MB held and
+        # a 7.5 MB peak on CPython 3.11. The earlier layout, a path code on
+        # every state, held 7.8 MB and peaked at 12.0 MB at this ceiling.
+        tracemalloc.start()
+        try:
+            table = _goal_ball(3, 3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table[1]) == 54802
+        assert held < 7_000_000
+        assert peak < 8_500_000
+
 
 class TestPathCodes:
     @pytest.mark.parametrize("width, height", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 4)])
     def test_every_code_replays_home_in_its_layers_moves(self, width, height):
-        # Every state the ball keeps, each found by an independent search
-        # from the goal, spells a path that solves it in exactly its
-        # distance: the goal's code is 1, its path empty.
-        _, ball, r, _ = _table(_goal_ball, width, height)
+        # Only the rim and the goal hold codes; every other state holds
+        # its blank's last direction, an int from 0 to 3. Every state the
+        # ball keeps, each found by an independent search from the goal,
+        # walks home in exactly its distance: its directions up to a coded
+        # state, then that code. The goal's code is 1, its path empty.
+        _, ball, r, rim = _table(_goal_ball, width, height)
+        goal = _PackedBFS.pack(range(1, width * height + 1))
+        assert ball[goal] == -1
+        assert {s for s, v in ball.items() if v < 0} == {s for s, _, _ in rim} | {goal}
+        assert all(v < 4 for v in ball.values())
         dist = exact_distances(width, height, max_depth=r)
         assert len(dist) == len(ball)
         for cells, d in dist.items():
-            moves = path_home(ball[_PackedBFS.pack(cells)])
+            board = Board(width, height, cells)
+            moves = walk_home(ball, board)
             assert len(moves) == d
-            assert verify_sequence(Board(width, height, cells), moves).solved
+            assert verify_sequence(board, moves).solved
 
 
 class TestVerifySequence:

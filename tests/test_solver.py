@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import time
 from functools import partial
@@ -75,16 +76,16 @@ class TestBfsOptimal:
         assert exc.value.nodes_expanded is not None
 
     def test_expired_deadline_stops_a_short_search(self):
-        # Solved in 282 expansions, under the 2048 between clock reads. The
-        # board lies 26 moves out, past the goal's ball of radius 18, so the
-        # bound before the first layer is 0 + 18 + 1. The ball is built
+        # Solved in few expansions, under the 2048 between clock reads. The
+        # board lies 26 moves out, past the goal's ball of radius 20, so the
+        # bound before the first layer is 0 + 20 + 1. The ball is built
         # first: a deadline already past would stop its build instead.
         b, _ = scramble(3, 3, 60, 2)
         _table(solver._goal_ball, 3, 3)
         with pytest.raises(ResourceLimitError) as exc:
             bfs_optimal(b, SearchLimits(max_time=0.0))
         assert exc.value.nodes_expanded == 1
-        assert exc.value.lower_bound == 19
+        assert exc.value.lower_bound == 21
 
     def test_depth_limit(self):
         b, _ = scramble(3, 3, 40, 2)
@@ -110,19 +111,20 @@ class TestBfsOptimal:
             assert verify_sequence(b, result.moves).solved
 
     def test_exact_at_the_goal_balls_edge(self, dist_3x3):
-        # The 3x3 goal ball has radius 18: boards 17 and 18 moves out
-        # unwind from it with no expansion, boards 19 and 20 out meet it
+        # The 3x3 goal ball has radius 20: boards 19 moves out walk home
+        # through the ball's directions, boards 20 out read their rim
+        # code, both with no expansion; boards 21 and 22 out meet the rim
         # from their first or second layer.
         checked = 0
         for cells, d in dist_3x3.items():
-            if 17 <= d <= 20:
+            if 19 <= d <= 22:
                 b = Board(3, 3, cells)
                 result = bfs_optimal(b)
                 assert result.length == d
-                assert (result.nodes_expanded == 0) == (d <= 18)
+                assert (result.nodes_expanded == 0) == (d <= 20)
                 assert verify_sequence(b, result.moves).solved
                 checked += 1
-        assert checked == 43038
+        assert checked == 68933
 
     @pytest.mark.parametrize("d", [1, 2, 16, 17, 20, 21, 31])
     def test_depth_limit_is_exact(self, d, dist_3x3, solvable_3x3_states):
@@ -143,7 +145,7 @@ class TestBfsOptimal:
                     assert 1 <= exc.lower_bound <= dist_3x3[cells]
 
     def test_goal_ball_is_built_outside_the_limits(self, dist_3x3, empty_store):
-        # The shape's first query builds its ball, 26,931 states, under a
+        # The shape's first query builds its ball, 54,802 states, under a
         # cap of no expansions; a board inside it unwinds with none.
         cells = next(c for c, d in dist_3x3.items() if d == 16)
         result = bfs_optimal(Board(3, 3, cells), SearchLimits(max_nodes=0))
@@ -167,18 +169,20 @@ class TestBfsOptimal:
         assert (exc.value.nodes_expanded, exc.value.lower_bound) == (0, 1)
         assert len(reads) == 1 + 3
         assert (solver._goal_ball, 4, 4) not in empty_store
-        # With no deadline in reach, the build's 62,087 steps of work, its
-        # 31,044 expansions and the 31,043 states it codes, read the clock
-        # 31 times, the query's 5,763 expansions three times, then the end;
-        # the ball is kept, and the next query reads only its own.
+        # With no deadline in reach, the build's 94,956 steps of work, its
+        # 33,092 expansions (the ball to radius 13, then two slices of the
+        # rim at 14 before the ball passes the ceiling) and the 61,864
+        # states it codes, read the clock 47 times, the query's 2,845
+        # expansions twice, then the end; the ball is kept, and the next
+        # query reads only its own.
         reads.clear()
         result = bfs_optimal(board, SearchLimits(max_time=float("inf")))
-        assert result.nodes_expanded == 5763
-        assert len(reads) == 1 + 31 + 3 + 1
+        assert result.nodes_expanded == 2845
+        assert len(reads) == 1 + 47 + 2 + 1
         assert (solver._goal_ball, 4, 4) in empty_store
         reads.clear()
-        assert bfs_optimal(board, SearchLimits(max_time=float("inf"))).nodes_expanded == 5763
-        assert len(reads) == 1 + 3 + 1
+        assert bfs_optimal(board, SearchLimits(max_time=float("inf"))).nodes_expanded == 2845
+        assert len(reads) == 1 + 2 + 1
 
     def test_expired_deadline_stops_a_board_inside_the_ball(self, dist_3x3):
         # No expansion reads the clock, so it is read once before the
@@ -200,14 +204,14 @@ class TestBfsOptimal:
             assert verify_sequence(b, result.moves).solved
 
     def test_deep_4x4_grows_the_goal_side(self):
-        # 34 moves out, 21 past the 4x4 ball's radius of 13. Searched from
+        # 34 moves out, 20 past the 4x4 ball's radius of 14. Searched from
         # the start alone it passes the default million-expansion cap; the
         # goal's side grows from the ball's rim once the start's frontier
         # outgrows it, as the bidirectional search before the ball did
         # (393,384 expansions there).
         b, _ = scramble(4, 4, 36, 46)
         result = bfs_optimal(b)
-        assert (result.length, result.nodes_expanded) == (34, 377884)
+        assert (result.length, result.nodes_expanded) == (34, 362340)
         assert result.length == ida_star(b).length
         assert verify_sequence(b, result.moves).solved
 
@@ -215,7 +219,7 @@ class TestBfsOptimal:
         # Read from this implementation; a change is a behaviour change.
         rng = random.Random(4)
         boards = [Board(3, 3, c) for c in rng.sample(solvable_3x3_states, 5)]
-        assert [bfs_optimal(b).nodes_expanded for b in boards] == [5, 1, 41, 15, 15]
+        assert [bfs_optimal(b).nodes_expanded for b in boards] == [1, 0, 11, 3, 3]
 
     # Read from the search that starts the goal side from its ball: which
     # optimal path the meet picks is pinned too.
@@ -230,7 +234,7 @@ class TestBfsOptimal:
         (2, 4): ["D D L U R U L D R U U L D D D R U U L D D R"],
         (4, 2): ["R D L U R R D L U R R D L L L U R R D L U R R D"],
         (4, 4): [
-            "U U R D D D L L L U R D R R",
+            "D L L U R D R U U U R D D D",
             "L D D R U U R R U L D R D D",
             "R R D L D R R U L U R D D D",
             "L D L U U R U L D D R D R R",
@@ -240,7 +244,7 @@ class TestBfsOptimal:
     }
     # Expansions of the boards above with tile 15 on the last cell, whose
     # packed states use all 64 bits.
-    PINNED_FULL_WIDTH_NODES = {(4, 4): 1, (8, 2): 4, (2, 8): 73}
+    PINNED_FULL_WIDTH_NODES = {(4, 4): 0, (8, 2): 0, (2, 8): 19}
     # The lengths of the paths the earlier bidirectional search pinned.
     PINNED_LENGTHS = {
         (3, 3): [21, 19, 24, 22, 22], (2, 4): [22], (4, 2): [24],
@@ -297,12 +301,30 @@ class TestBfsOptimal:
             "R U U L D R R U L L D D R U R D L U L U R R D D",
         ] + moves[3, 3][3:]
         moves[2, 4] = ["D D L U U R D L U R U L D D D R U U L D D R"]
+        moves[4, 4] = ["U U R D D D L L L U R D R R"] + moves[4, 4][1:]
         results = {shape: [bfs_optimal(b) for b in bs] for shape, bs in boards.items()}
         assert {s: [format_moves(r.moves) for r in rs] for s, rs in results.items()} == moves
         assert [r.nodes_expanded for r in results[3, 3]] == [928, 576, 1875, 1342, 1241]
         assert {s: results[s][-1].nodes_expanded for s in self.PINNED_FULL_WIDTH_NODES} == {
             (4, 4): 470, (8, 2): 722, (2, 8): 2214,
         }
+
+    def test_rim_codes_change_no_answer(self, ball_states, dist_3x3, solvable_3x3_states):
+        # Under the earlier ceiling of 2^15 states (radius 18), the moves
+        # and expansions are those read from the ball that held a path
+        # code on every state: every state at most 18 moves out, then
+        # 2,000 sampled farther ones.
+        ball_states(1 << 15)
+        near = [c for c in solvable_3x3_states if dist_3x3[c] <= 18]
+        far = [c for c in solvable_3x3_states if dist_3x3[c] > 18]
+        digest, nodes = hashlib.sha256(), 0
+        for cells in near + random.Random("rim-codes/far").sample(far, 2000):
+            result = bfs_optimal(Board(3, 3, cells))
+            assert result.length == dist_3x3[cells]
+            nodes += result.nodes_expanded
+            digest.update(format_moves(result.moves).encode() + b"\n")
+        assert (len(near), nodes) == (26931, 100927)
+        assert digest.hexdigest() == "a7c8bb699ee99133d21574aae1a727cebe5021d8bdee9491811ff46a14d3615a"
 
     @pytest.mark.parametrize("states", [40, 1000])
     def test_exact_from_a_small_goal_ball(self, states, ball_states, dist_3x3):
@@ -316,17 +338,17 @@ class TestBfsOptimal:
             assert verify_sequence(b, result.moves).solved
 
     def test_node_cap_pinned(self, solvable_3x3_states):
-        # The first pinned board (5 nodes, length 21): the cap is checked
+        # The third pinned board (11 nodes, length 24): the cap is checked
         # on every expansion, and the bound is the start's radius plus the
-        # goal ball's, 18, plus one. A cap one below the count stops the
+        # goal ball's, 20, plus one. A cap one below the count stops the
         # last layer, whose bound is the length itself.
-        board = Board(3, 3, random.Random(4).sample(solvable_3x3_states, 1)[0])
+        board = Board(3, 3, random.Random(4).sample(solvable_3x3_states, 5)[2])
         pins = []
-        for cap in (0, 1, 3, 4):
+        for cap in (0, 1, 3, 10):
             with pytest.raises(ResourceLimitError, match=f"BFS exceeded {cap} expansions") as exc:
                 bfs_optimal(board, SearchLimits(max_nodes=cap))
             pins.append((exc.value.nodes_expanded, exc.value.lower_bound))
-        assert pins == [(1, 19), (2, 20), (4, 20), (5, 21)]
+        assert pins == [(1, 21), (2, 22), (4, 23), (11, 24)]
 
 
 class TestIdaStar:
@@ -495,7 +517,7 @@ class TestIdaStar:
 
         monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=perf_counter))
         # IDA* and the oracle read the same clock: the start and the end,
-        # plus expansions 1, 2049, ..., 30721 and 1, 2049, 4097. The 4x4
+        # plus expansions 1, 2049, ..., 30721 and 1, 2049. The 4x4
         # goal ball and Manhattan step table are built first, with no
         # deadline: their builds read the clock too
         # (test_deadline_read_while_the_goal_ball_is_built).
@@ -503,7 +525,7 @@ class TestIdaStar:
         _table(_step_table, 4, 4, False)
         for search, board, nodes, clock_reads in [
             (partial(ida_star, heuristic="manhattan"), scramble(4, 4, 40, 7)[0], 32549, 2 + 16),
-            (bfs_optimal, scramble(4, 4, 30, 0)[0], 5763, 2 + 3),
+            (bfs_optimal, scramble(4, 4, 30, 0)[0], 2845, 2 + 2),
         ]:
             reads.clear()
             result = search(board, limits=SearchLimits(max_time=float("inf")))
