@@ -5,12 +5,15 @@ U/D/L/R give the direction the blank travels. Summary output is stable
 ``key=value`` text.
 
 Exit codes: 0 success (or solvable), 1 unsolvable (or failed verify),
-2 input error, 3 resource limit. The group's handler, :class:`_Commands`,
-maps the library's errors to them by type, for every command:
+2 input error, 3 resource limit or out of memory. The group's handler,
+:class:`_Commands`, maps the library's errors to them by type, for
+every command:
 
 - :class:`UnsolvableError`: its certificate's lines on stderr, exit 1;
 - :class:`ResourceLimitError`: ``error: <msg>`` on stderr, then
   ``lower_bound=<n>`` when the limit error proved a bound, exit 3;
+- ``MemoryError``, an allocation the interpreter could not make before
+  any ceiling refused it: ``error: out of memory`` on stderr, exit 3;
 - any other ``ValueError`` (:class:`ParseError`, :class:`IllegalMoveError`,
   the library's argument checks): ``error: <msg>`` on stderr, exit 2.
 
@@ -81,6 +84,8 @@ class _Commands(click.Group):
             if exc.lower_bound is not None:
                 click.echo(f"lower_bound={exc.lower_bound}", err=True)
             sys.exit(EXIT_RESOURCE)
+        except MemoryError:
+            _fail("out of memory", EXIT_RESOURCE)
         except ValueError as exc:
             _fail(str(exc), EXIT_INPUT)
 
@@ -94,7 +99,7 @@ def main():
     Boards are read from a file or standard input (-); the blank is
     written as 0 or _. Move tokens U/D/L/R name the direction the blank
     travels. Exit codes: 0 success or solvable, 1 unsolvable or failed
-    verify, 2 input error, 3 resource limit.
+    verify, 2 input error, 3 resource limit or out of memory.
     """
 
 

@@ -14,9 +14,10 @@ all the orders that slides of one kind carry as one packed int, a field
 per slide (:func:`_layers`). The build settles each layer's new
 placements as one int of bits, ORed into the bit planes of their
 entries, and holds the planes, one visited int per region and one
-placed int per set; after the last layer the planes become the table,
-indexed ``set * k! + order``, which is then written in rank order.
-Nothing holds a byte per state.
+placed int per set. After the last layer the planes stream out as
+entries in ``set * k! + order`` order, a block at a time, straight into
+their ranks in the table: no table in that order is built. Nothing
+holds a byte per state.
 
 The layers come from :func:`_layers`, which
 :func:`~permpuzzle.solvability.reachable_states` also runs, with every
@@ -259,19 +260,23 @@ def build_pdb(
     across a pattern tile costs one. The blank's cost-0 regions are the
     components of the cells the pattern leaves free, so the search runs
     over (tile set, tile order, region) states, where every move costs
-    one, a layer at a time. A placement's index is ``set * k! + order``:
-    ``set`` numbers the tile sets in ``itertools.combinations`` order and
-    ``order`` is the lexicographic rank of sigma, the pattern tile on
-    each cell of the set in ascending cell order. The first layer to
-    settle a placement gives its entry, capped at 0xFE; the search runs
-    until no layer queues a state, so only placements that cannot occur
-    from the goal keep 0xFF.
+    one, a layer at a time. The search numbers a placement
+    ``set * k! + order``, not by its rank: ``set`` numbers the tile sets
+    in ``itertools.combinations`` order and ``order`` is the
+    lexicographic rank of sigma, the pattern tile on each cell of the
+    set in ascending cell order. The first layer to settle a placement
+    gives its entry, capped at 0xFE; the search runs until no layer
+    queues a state, so only placements that cannot occur from the goal
+    keep 0xFF.
 
     A layer settles what it reaches first: per set, the orders no layer
     placed before, written as one int of k!-bit fields, each rounded up
     to whole bytes. That int is ORed into each bit plane ``b`` whose bit
-    the layer's entry has; after the last layer the planes and the
-    placed sets become the entries, a block at a time (:func:`_entries`).
+    the layer's entry has. After the last layer the planes and the
+    placed sets become a stream of entries, a block at a time
+    (:func:`_entries`), less each set's padding when k! is not a whole
+    number of bytes, and :func:`_rank_order` writes each entry to its
+    rank as the stream reaches it: the only byte table is the result.
 
     The build is charged P(n,k)·(n+2) bytes, and ``ResourceLimitError``
     is raised before allocating when that passes
@@ -322,38 +327,37 @@ def build_pdb(
     settled = int.from_bytes(b"".join(p.to_bytes(stride, "little") for p in placed), "little")
     rows = [(UNREACHED, ~settled & ((1 << 8 * sets * stride) - 1))]
     rows += [(1 << b, plane) for b, plane in enumerate(planes) if plane]
-    del placed, settled, planes
-    dist = _entries(rows, sets * stride)
-    del rows
-    if 8 * stride != fact:  # k <= 3: drop each set's padding
-        dist = b"".join(dist[at : at + fact] for at in range(0, len(dist), 8 * stride))
-    table = _rank_order(dist, n, k)
-    del dist
+    entries = itertools.chain.from_iterable(_entries(rows, sets * stride))
+    del placed, settled, planes, rows
+    if 8 * stride != fact:  # k <= 3: skip each set's padding
+        entries = compress(entries, itertools.cycle([1] * fact + [0] * (8 * stride - fact)))
+    table = _rank_order(entries, n, k)
+    del entries  # and with it the rows that the last block was cut from
     return PatternDatabase(width, height, tiles, bytes(table))
 
 
-def _entries(rows, nbytes: int) -> bytearray:
-    """The ``8 * nbytes`` entries that ``rows`` hold as bits: each row is
-    ``(value, mask)``, and entry ``i`` is the OR of the values of the rows
-    whose mask has bit ``i`` set. Each mask turns into bytes in place, one
-    at a time, and each bit into a byte through its binary digit, 2^15
-    entries at a time, so the copies beside the entries stay small."""
+def _entries(rows, nbytes: int):
+    """The ``8 * nbytes`` entries that ``rows`` hold as bits, yielded in
+    blocks of 2^15 ``bytes``: each row is ``(value, mask)``, and entry
+    ``i`` is the OR of the values of the rows whose mask has bit ``i``
+    set. Each mask turns into bytes in place, one at a time, and each
+    bit into a byte through its binary digit, a block at a time, so
+    nothing beside the rows holds more than a block."""
     onehot, block = bytes.maketrans(b"01", b"\0\1"), 1 << 12
     for i, (value, mask) in enumerate(rows):
         rows[i] = value, mask.to_bytes(nbytes, "little")
-    dist = bytearray(8 * nbytes)
     for lo in range(0, nbytes, block):
         entries = 0
         for value, raw in rows:
             bits = raw[lo : lo + block]
             digits = format(int.from_bytes(bits, "little"), f"0{8 * len(bits)}b")
             entries |= int.from_bytes(digits.encode().translate(onehot), "big") * value
-        dist[8 * lo : 8 * (lo + block)] = entries.to_bytes(8 * len(bits), "little")
-    return dist
+        yield entries.to_bytes(8 * len(bits), "little")
 
 
-def _rank_order(dist: bytearray, n: int, k: int) -> bytearray:
-    """``dist``, indexed by ``set * k! + order``, re-indexed by rank.
+def _rank_order(entries, n: int, k: int) -> bytearray:
+    """The table of the k-tile pattern on n cells: the iterable
+    ``entries``, listed by ``set * k! + order``, written in rank order.
 
     Put tile sigma[j] on a set's j-th smallest cell. Tile i's rank digit
     is its cell less the number of tiles before i on cells below it, so
@@ -366,10 +370,11 @@ def _rank_order(dist: bytearray, n: int, k: int) -> bytearray:
     packed as k! fixed-width fields of one int, so a set's k! ranks take
     k multiplications, and the next set of a run that differs only in
     its last cell one addition. A run's ranks come back with one
-    ``array`` read and go to the table in one loop over its entries.
+    ``array`` read and take the run's entries from the stream in one
+    loop, ranks first, so the stream is read no further than the run.
     """
-    fact = math.factorial(k)
-    weights, code = rank_weights(n, k), _uint_code(len(dist))
+    fact, size = math.factorial(k), math.perm(n, k)
+    weights, code = rank_weights(n, k), _uint_code(size)
     flat = array(code, itertools.chain.from_iterable(itertools.permutations(weights)))
     columns = [int.from_bytes(flat[j::k], sys.byteorder) for j in range(k)]
     del flat
@@ -378,9 +383,8 @@ def _rank_order(dist: bytearray, n: int, k: int) -> bytearray:
     first = array(code, (sum(map(operator.mul, f, w)) - label_sum
                          for f, w in zip(digits, itertools.permutations(weights))))
     first = int.from_bytes(first, sys.byteorder)
-    table = bytearray([UNREACHED]) * len(dist)
+    table = bytearray([UNREACHED]) * size
     nbytes = fact * array(code).itemsize
-    base = 0
     # combinations() lists the sets that differ in their last cell only
     # one after another, and each step of that cell adds the last column.
     for prefix in itertools.combinations(range(n - 1), k - 1):
@@ -388,7 +392,6 @@ def _rank_order(dist: bytearray, n: int, k: int) -> bytearray:
         ranks = first + sum((c - j) * column for j, (c, column) in enumerate(zip(cells, columns)))
         run = itertools.accumulate(repeat(columns[-1], n - 1 - cells[-1]), initial=ranks)
         ranks = array(code, b"".join(r.to_bytes(nbytes, sys.byteorder) for r in run))
-        for rank, entry in zip(ranks, dist[base : base + len(ranks)]):
+        for rank, entry in zip(ranks, entries):
             table[rank] = entry
-        base += len(ranks)
     return table

@@ -638,6 +638,8 @@ class TestErrorContract:
         "parse": (ParseError("x"), 2, "error: x\n"),
         "limit": (ResourceLimitError("x"), 3, "error: x\n"),
         "bound": (ResourceLimitError("x", lower_bound=7), 3, "error: x\nlower_bound=7\n"),
+        # An allocation that fails before any ceiling refused it, no traceback.
+        "memory": (MemoryError(), 3, "error: out of memory\n"),
         "unsolvable": (UnsolvableError("x", certificate=LLOYD), 1,
                        "\n".join(LLOYD.lines()) + "\n"),
     }

@@ -303,7 +303,7 @@ class TestGoalBall:
 
 class TestPathCodes:
     @pytest.mark.parametrize("width, height", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 4)])
-    def test_every_code_replays_home_in_its_layers_moves(self, width, height):
+    def test_every_ball_state_walks_home_in_its_distance(self, width, height):
         # Only the rim and the goal hold codes; every other state holds
         # its blank's last direction, an int from 0 to 3. Every state the
         # ball keeps, each found by an independent search from the goal,

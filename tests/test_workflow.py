@@ -20,12 +20,12 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 # Steps left out: the install needs the network, the two pytest steps
 # would run these tests again, and the others take 3 s or more each on
-# a 2-vCPU VM (every step replayed here takes under 2 s, about 3 s in
-# all).
+# a 2-vCPU VM. Every step replayed here takes under 2 s but the 6-tile
+# pattern database step, 4-5 s, kept because it holds the only pins
+# of the two 6-tile tables' files, tables and progress lines.
 LEFT_OUT = {
     "Install",
     "Console script solve smoke test",
-    "4x4 6-tile pattern database digests and progress (2-3 s each on a 2-vCPU VM)",
     "Exact oracle on every 3x3 state (about 8 s on a 2-vCPU VM)",
     "Criterion-8 node totals under Manhattan and 4-4-4-3 (about 10 s on a 2-vCPU VM)",
     "Tier-1 tests",
