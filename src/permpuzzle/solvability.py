@@ -68,6 +68,14 @@ def blank_distance(board: Board) -> int:
     return (board.height - 1 - row) + (board.width - 1 - col)
 
 
+_new_certificate = object.__new__
+# The slots' own setters, which the frozen dataclass's __setattr__ refuses.
+_set_config, _set_distance, _set_blank_parity, _set_solvable = (
+    SolvabilityCertificate.__dict__[name].__set__
+    for name in ("config_parity", "blank_distance", "blank_parity", "solvable")
+)
+
+
 def certificate(board: Board) -> SolvabilityCertificate:
     """The parity certificate of ``board``, in O(n).
 
@@ -76,17 +84,19 @@ def certificate(board: Board) -> SolvabilityCertificate:
     That relies on :class:`Board`'s invariant: every board holds 1..n
     exactly once, proven when it was made (by the public constructor,
     :meth:`Board.parse`, or a slide of the blank such as
-    :meth:`Board.apply_move`).
+    :meth:`Board.apply_move`). The certificate is built as
+    ``board._trusted_board`` builds a board: through its slots' setters,
+    with no frozen ``__init__``.
     """
     config_parity = cycle_parity(board.cells)
     distance = blank_distance(board)
     blank_parity = Parity.of(distance)
-    return SolvabilityCertificate(
-        config_parity=config_parity,
-        blank_distance=distance,
-        blank_parity=blank_parity,
-        solvable=config_parity is blank_parity,
-    )
+    cert = _new_certificate(SolvabilityCertificate)
+    _set_config(cert, config_parity)
+    _set_distance(cert, distance)
+    _set_blank_parity(cert, blank_parity)
+    _set_solvable(cert, config_parity is blank_parity)
+    return cert
 
 
 def is_solvable(board: Board) -> bool:

@@ -1,6 +1,7 @@
 """Optimal solvers: an exact BFS oracle for small boards, described in
-:func:`bfs_optimal`, whose goal ball keeps each rim state's path home as
-one int (:func:`_goal_ball`), and IDA* search.
+:func:`bfs_optimal`, whose goal ball keeps the path home of every fourth
+layer and of its rim as one int each, and every other state's last move
+in a sorted array (:func:`_goal_ball`), and IDA* search.
 
 IDA* runs depth-first with an f = g + h threshold raised to the smallest
 overflowing value each iteration; with the admissible heuristics offered
@@ -56,9 +57,13 @@ and stores nothing.
 
 from __future__ import annotations
 
+import heapq
 import sys
 import time
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from .board import _NEVER, MOVE_ORDER, Board, Move, _offsets, _row_steps, _table, _untimed
 from .errors import PuzzleError, ResourceLimitError, UnsolvableError
@@ -79,9 +84,9 @@ HEURISTIC_NAMES = tuple(INCREMENTAL)
 
 _INF = 1 << 30
 # States in the oracle's goal ball: whole layers from the goal are kept
-# while they total at most this many. Radius 20 on 3x3 (54,802 states),
-# 14 on 4x4, 16 on 3x4 and 4x3, 18 on 2x8 and 8x2; all of 2x4 and 4x2.
-BALL_STATES = 1 << 16
+# while they total at most this many. Radius 23 on 3x3 (116,088 states),
+# 15 on 4x4, 17 on 3x4 and 4x3, 19 on 2x8 and 8x2; all of 2x4 and 4x2.
+BALL_STATES = 1 << 17
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,25 +200,22 @@ class _Budget:
 class _PackedBFS:
     """Breadth-first layers of ``(state, blank, last)`` over boards packed
     4 bits per cell, label ``l`` on cell ``c`` as ``l << 4c`` and the
-    blank as 0, through a :func:`_goal_ball` step table on a board
-    ``width`` cells wide. A visited map sends each state to its blank's
-    last direction, or to a negative value where a walk back stops: -1
-    at a root and at the goal, minus a path code home on a goal ball's
-    rim (:func:`_goal_ball`).
-    ``nodes`` counts expansions; when it
-    reaches ``due``, ``spend(nodes)`` gives the next due: a query's
-    :meth:`_Budget.spend`, or a build's :meth:`_Budget.tick`."""
+    blank as 0 (:meth:`pack`), through a :func:`_goal_ball` step table on
+    a board ``width`` cells wide: the two sides of an oracle query. A
+    visited map sends each state to its blank's last direction, or to a
+    negative value where a walk back stops: -1 at a root, minus a path
+    code home on a goal ball's rim (:func:`_goal_ball`). ``nodes`` counts
+    expansions; when it reaches ``due``, ``spend(nodes)`` gives the next
+    due: the query's :meth:`_Budget.spend`."""
 
     def __init__(self, steps, width: int, spend=_untimed, due: int = 0):
         self.steps, self.offsets, self.spend, self.due, self.nodes = steps, _offsets(width), spend, due, 0
 
     @staticmethod
     def pack(cells) -> int:
-        n = len(cells)
-        state = 0
-        for cell, label in enumerate(cells):
-            state |= (label % n) << (4 * cell)
-        return state
+        # The hex digits, last cell first: one C call each for the table,
+        # the reversal and the parse.
+        return int(bytes(cells).translate(_table(_hex_digits, len(cells)))[::-1], 16)
 
     def expand(self, frontier, seen: dict, other: dict | None = None):
         """Grow the ball ``seen`` maps by one layer.
@@ -247,10 +249,9 @@ class _PackedBFS:
     def unwind(self, state: int, blank: int, d: int, seen: dict) -> tuple[list[int], int]:
         """``(dirs, stop)``: the directions from ``state`` back to
         ``stop``, the first state whose value in ``seen`` is negative (a
-        root, a goal ball's rim state, or the goal), last move first:
-        ``d``, then those in ``seen``; each step moves the blank back, the
-        opposite way, ``d ^ 1``. From inside a goal ball the walk takes
-        at most its radius in steps."""
+        root, or a goal ball's rim state), last move first: ``d``, then
+        those in ``seen``; each step moves the blank back, the opposite
+        way, ``d ^ 1``."""
         dirs = []
         while d >= 0:
             dirs.append(d)
@@ -261,64 +262,137 @@ class _PackedBFS:
         return dirs, state
 
 
+def _hex_digits(n: int) -> bytes:
+    """A ``bytes.translate`` table for boards of ``n`` cells: each label
+    1..n-1 to its hex digit, and the blank's, ``n``, to ``0``."""
+    return bytes(b"0123456789abcdef"[label % n] for label in range(256))
+
+
 def _goal_ball(width: int, height: int, tick=_untimed):
-    """``(steps, ball, radius, rim)`` for the shape: a builder for the
-    per-shape store (``board._table``), which calls ``tick`` at the
-    ball's first expansion and every 2048th step of work after it, each
-    expansion and each coded state a step.
+    """``(steps, ball, inner, lasts, rim, below, radius)`` for the shape: a
+    builder for the per-shape store (``board._table``), which calls
+    ``tick`` at the build's first expansion and every 2048th step of work
+    after it, each expansion and each state sorted into ``inner`` a step.
 
     ``steps`` is :func:`~permpuzzle.board._row_steps` with ``(1 << 4z) |
     (1 << 4j)`` as the row of the blank's move from cell ``z`` to cell
-    ``j``. ``ball`` holds every state within ``radius`` moves of the
-    goal, whole layers while they total at most :data:`BALL_STATES`, and
-    ``rim`` is the layer at ``radius``. A rim state maps to minus its
-    path code: a leading 1, then the blank's directions home as octal
-    digits, first move first. Every other state maps to its blank's last
-    direction from its parent, a shared small int, and the goal to -1,
-    the empty path's code, so a walk home from any ball state follows
-    directions to a code: at most ``radius`` steps from inside. The
-    build codes each new layer from its parents' codes, the parent's
-    code with the child's first move home, the opposite of its last
-    move, put in front; then sets the parents back to their directions.
-    The layer that would pass the ceiling is expanded in slices of 1024
-    states and stops at the first slice that passes it; the states it
-    found are deleted. On 3x3 (radius 20, 54,802 states) the table holds
-    6.4 MB once built and peaks at 7.5 MB during the build, its step
-    tables included (tracemalloc, CPython 3.11). Every query reads the
-    same objects and none writes them.
+    ``j``. The ball is every state within ``radius`` moves of the goal,
+    whole layers while they total at most :data:`BALL_STATES`. The dict
+    ``ball`` maps the states a walk home stops on to minus their path
+    code (a leading 1, then the blank's directions home as octal digits,
+    first move first): the goal, to -1; every layer whose distance is a
+    multiple of 4; then, last, the rim, the layer at ``radius``. Every
+    other state is in ``inner``, a sorted ``array('Q')`` read by
+    ``bisect``, and the byte at its index in ``lasts`` is its blank's
+    last direction from its parent, so a walk home takes at most 3 steps
+    to a code. ``rim`` holds each rim state's blank cell, a byte each,
+    in the order of its entries in ``ball``, and ``below``, an
+    ``array('Q')`` that ``inner`` or ``ball`` holds too, the states of
+    the layer inside the rim.
+
+    The build expands a layer at a time, held as its states in the order
+    found and one int each: code << 8 | blank << 4 | inward bits, a bit
+    ``1 << d`` for each direction ``d`` that leads one layer in. A
+    state's children lie one layer in or out, since each move flips the
+    blank's parity, so the moves its inward bits name are skipped and
+    every child it makes is new or already in the next layer, where the
+    move back sets an inward bit: no earlier layer is searched. A child's
+    code is its parent's with its first move home put in front. The
+    layer that would pass the ceiling stops there and is dropped. Each
+    finished layer is kept as its sorted states and directions, or, when
+    coded, as its states and codes; ``ball`` is built from the latter at
+    the end, rim last, and ``inner`` merged from the former. On 3x3
+    (radius 23, 116,088 states) the table holds 5.1 MB once built and
+    peaks at 6.0 MB during the build; on 4x4 (radius 15, 122,707 states)
+    8.1 and 9.7 MB, its step tables included (tracemalloc, CPython
+    3.11). Every query reads the same objects and none writes them.
     """
     n = width * height
     steps = _row_steps(width, height, lambda z, d, j: (1 << 4 * z) | (1 << 4 * j))
-    bfs = _PackedBFS(steps, width, tick)
-    offsets = bfs.offsets
-    goal = bfs.pack(range(1, n + 1))
-    ball = {goal: -1}
-    rim, radius = [(goal, n - 1, -1)], 0
+    goal = _PackedBFS.pack(range(1, n + 1))
+    layer, values = array("Q", [goal]), [1 << 8 | (n - 1) << 4]
+    # Each coded layer's states and minus their codes, in the order
+    # found, and each other layer's states sorted with their directions.
+    coded, runs = [(layer, [-1])], []
+    size, radius, work, due = 1, 0, 0, 0
     while True:
-        layer = []
-        for i in range(0, len(rim), 1024):
-            layer += bfs.expand(rim[i:i + 1024], ball)[0]
-            if len(ball) > BALL_STATES:
-                for state, _, _ in layer:
-                    del ball[state]
-                return steps, ball, radius, rim
-        if not layer:
-            return steps, ball, radius, rim
-        # A code ``radius`` digits long gains the digit m in front by
-        # adding (8 - 1 + m) << 3·radius.
-        grow = [(7 + (d ^ 1)) << 3 * radius for d in range(4)]
-        work, due = bfs.nodes, bfs.due
-        for child, j, d in layer:
+        # A state's moves out, by its int's low byte: for each direction d
+        # its inward bits leave, the child's cell times 4, the slide, the
+        # mask that turns the state's int with its low byte cleared into
+        # the child's, and the move back as an inward bit. The mask puts
+        # the child's first move home, m = d ^ 1, in front of a code
+        # ``radius`` digits long by turning its leading 1 into the digits
+        # 1, m, and sets the child's blank and inward bit. (One ``^``
+        # sizes the int exactly, where ``+`` leaves room for a carry.)
+        lead = 1 << 3 * radius + 8
+        outward = [[(4 * j, slide, lead ^ (8 + (d ^ 1)) * lead | j << 4 | 1 << (d ^ 1), 1 << (d ^ 1))
+                    for d, j, slide in steps[low >> 4][-1] if not low >> d & 1]
+                   for low in range(n << 4)]
+        found = {}
+        for state, value in zip(layer, values):
             work += 1
             if work >= due:
                 due = tick(work)
-            prev = j + offsets[d ^ 1]
-            parent = child ^ ((child >> 4 * prev) & 15) * ((1 << 4 * j) | (1 << 4 * prev))
-            ball[child] = ball[parent] - grow[d]
-        bfs.nodes, bfs.due = work, due
-        for state, _, d in rim:
-            ball[state] = d
-        rim, radius = layer, radius + 1
+            code = value & -256
+            for shift, slide, mask, back in outward[value & 255]:
+                child = state ^ ((state >> shift) & 15) * slide
+                if child in found:
+                    found[child] |= back
+                else:
+                    found[child] = code ^ mask
+            if size + len(found) > BALL_STATES:
+                found = None
+                break
+        if not found:
+            break
+        del layer, values
+        size, radius = size + len(found), radius + 1
+        layer, values = array("Q", found), list(found.values())
+        if radius % 4:
+            # The first digit of a code ``radius`` digits long, the blank's
+            # first move home, undoes its last.
+            shift, states = 3 * radius + 5, array("Q", sorted(found))
+            runs.append((states, bytes([found[s] >> shift & 7 ^ 1 for s in states])))
+        else:
+            coded.append((layer, [-(v >> 8) for v in values]))
+        del found
+    rim = bytes([v >> 4 & 15 for v in values])
+    if radius % 4:
+        # Each rim state's code replaces its value, so the two never both
+        # fill memory.
+        for i, value in enumerate(values):
+            values[i] = -(value >> 8)
+        coded.append((layer, values))
+        runs.pop()
+    # The states of the layer inside the rim, none at radius 0.
+    below = coded[-2][0] if radius % 4 == 1 else runs[-1][0] if runs else array("Q")
+    del layer, values
+    ball = {}
+    for states, codes in coded:
+        ball.update(zip(states, codes))
+    del coded
+    inner, lasts = array("Q"), bytearray()
+    for state, d in heapq.merge(*[zip(*run) for run in runs]):
+        work += 1
+        if work >= due:
+            due = tick(work)
+        inner.append(state)
+        lasts.append(d)
+    return steps, ball, inner, bytes(lasts), rim, below, radius
+
+
+def _rim_side(ball: dict, rim: bytes, below):
+    """The goal side's visited map and frontier, the first time it grows
+    past the ball: the states of the layer inside the rim, ``below``, so
+    that they count as seen (their value, 0, is never read: no walk back
+    reaches them), and each rim state mapped to minus its code, as in
+    ``ball``; the rim as frontier entries ``(state, blank, -1)``, in the
+    order found. A move back inwards finds a state already seen, so no
+    move is left out."""
+    first = len(ball) - len(rim)
+    seen = dict.fromkeys(below, 0)
+    seen.update(islice(ball.items(), first, None))
+    return seen, [(state, blank, -1) for state, blank in zip(islice(ball, first, None), rim)]
 
 
 def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResult:
@@ -328,32 +402,37 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
 
     The exact oracle, for boards of up to 16 cells (a board is one int,
     4 bits per cell); the default ceiling of one million expansions
-    covers everything up to 9 cells, and 4x4 boards to about 36 moves (a
-    36-move one took 923,915; most 36- and 37-move ones pass it). The
+    covers everything up to 9 cells, and 4x4 boards to about 36 moves
+    (``scramble(4, 4, 40, 44)``, 36 moves out, takes 887,539; some
+    36-move boards pass it). The
     goal's ball, every state within radius R of the goal as whole BFS
-    layers of at most 2^16 states (R is 20 on 3x3, 14 on 4x4), each rim
-    state mapped to its path home as one int and every other state to
-    its blank's last direction (:func:`_goal_ball`), is built once per
-    shape, on its first query, and kept in the per-shape table store
-    with IDA*'s step tables. Its expansions count against no query's
-    ``max_nodes``; its build time falls within that first query's
-    ``max_time``, read at its first step of work and every 2048th, and
-    ``elapsed``. A deadline that passes during the build raises with
-    ``nodes_expanded`` 0 and ``lower_bound`` 1, and the next query
-    builds the ball again. Once stored, a query reads the ball with one
-    dict read and no clock read. One ball grows from ``board`` and one
-    from the goal's ball's outer layer, its rim, into a per-query copy,
-    a whole layer of the side with the smaller frontier at a time (ties
-    go to the start's side), so a deep board costs no more than it would
-    with no ball. The first child found in the other side's ball is the
-    meet, and a board inside the goal's ball is the meet before any
-    layer. The answer undoes the start side's recorded moves from the
-    meet back to the board; then walks the goal side's moves from the
-    meet back to a coded state: a rim state, reached in one step per
-    layer the goal's side grew past the ball; the meet itself when it
-    lies on the rim; the goal, from a board inside the ball; then reads
-    that state's path home. A slide is one multiply-xor by a constant of
-    a per-shape step table that never makes the move back to a parent.
+    layers of at most 2^17 states (R is 23 on 3x3, 15 on 4x4), with a
+    path home coded on every fourth layer and on its rim and the blank's
+    last direction kept for every other state (:func:`_goal_ball`), is
+    built once per shape, on its first query, and kept in the per-shape
+    table store with IDA*'s step tables. Its expansions count against no
+    query's ``max_nodes``; its build time falls within that first
+    query's ``max_time``, read at its first step of work and every
+    2048th, and ``elapsed``. A deadline that passes during the build
+    raises with ``nodes_expanded`` 0 and ``lower_bound`` 1, and the next
+    query builds the ball again. Once stored, a query reads the ball with
+    one dict read and no clock read.
+
+    A board inside the ball walks home with no expansion: at most 3 of
+    its directions, each read by ``bisect``, to a coded state, then that
+    state's code. From a board outside it, one ball grows from ``board``
+    and one from the goal's ball's outer layer, its rim, a whole layer of
+    the side with the smaller frontier at a time (ties go to the start's
+    side), so a deep board costs no more than it would with no ball. The
+    goal's side first grows into a map of its own that holds the rim and
+    the layer inside it (:func:`_rim_side`); the ball is never written.
+    The first child found in the other side's ball is the meet: on the
+    rim, while the goal's side has not grown. The answer undoes the start
+    side's recorded moves from the meet back to the board; then walks the
+    goal side's moves from the meet back to the rim, one step per layer
+    the goal's side grew past the ball, and reads that rim state's code.
+    A slide is one multiply-xor by a constant of a per-shape step table
+    that never makes the move back to a parent.
 
     ``nodes_expanded`` counts the states expanded in the query, on
     either side. A :class:`ResourceLimitError` carries ``lower_bound``:
@@ -361,22 +440,45 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
     optimal length is proven to reach. A board inside the goal's ball
     expands nothing, so it reads the limits once, against its exact
     length. The limits bound a query's expansions and time but not its
-    memory, which holds both sides' visited maps and frontiers: one 4x4
-    query 36 moves out peaked at 262 MB RSS.
+    memory, which holds both sides' visited maps and frontiers: that
+    36-move query peaked at 259 MB RSS in its own process, its ball
+    built first.
     """
     budget = _Budget("BFS", limits, DEFAULT_MAX_STATES)
     if (done := budget.admit(board)) is not None:
         return done
     if board.size > 16:
         raise ResourceLimitError(f"packed-state BFS supports at most 16 cells, got {board.size}")
-    steps, ball, radius, rim = _table(_goal_ball, board.width, board.height, tick=budget.tick)
-    bfs = _PackedBFS(steps, board.width, budget.spend, budget.due)
+    steps, ball, inner, lasts, rim, below, radius = _table(
+        _goal_ball, board.width, board.height, tick=budget.tick
+    )
+    start, blank = _PackedBFS.pack(board.cells), board.blank_index - 1
 
-    start, blank = bfs.pack(board.cells), board.blank_index - 1
-    # The goal's side grows into a copy; the shape's ball is never written.
+    # Inside the ball: the blank's moves home to a coded state, then its
+    # code. Only the start can be missing from the ball.
+    offsets, dirs, state, cell = _offsets(board.width), [], start, blank
+    while (code := ball.get(state)) is None:
+        i = bisect_left(inner, state)
+        if i == len(inner) or inner[i] != state:
+            break
+        dirs.append(d := lasts[i] ^ 1)
+        prev = cell + offsets[d]
+        state ^= ((state >> 4 * prev) & 15) * ((1 << 4 * cell) | (1 << 4 * prev))
+        cell = prev
+    else:
+        dirs += oct(-code)[3:]  # past "0o1"
+        # No expansion read the limits: read them against the exact length.
+        budget.bound = len(dirs)
+        budget.depth(0)
+        budget.spend(0)
+        return budget.answer(dirs, 0)
+
+    bfs = _PackedBFS(steps, board.width, budget.spend, budget.due)
     maps = [{start: -1}, ball]
+    # The goal side's frontier stands as its rim bytes, one per state,
+    # until that side first grows.
     frontiers = [[(start, blank, -1)], rim]
-    meet = (start, blank, -1) if start in ball else None
+    meet = None
     # Before each layer the two balls share no state, so the optimal
     # length is at least both radii plus one.
     budget.bound = radius + 1
@@ -387,16 +489,13 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
         budget.depth(bfs.nodes)
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         if side and maps[1] is ball:
-            # ``copy`` clones the table, the build's deleted slots too,
-            # where ``dict`` inserts every key again (0.7 against 3.5 ms
-            # on 4x4).
-            maps[1] = ball.copy()
+            maps[1], frontiers[1] = _rim_side(ball, rim, below)
         frontiers[side], meet = bfs.expand(frontiers[side], maps[side], maps[1 - side])
         budget.bound += 1
 
     # The start's ball up to the meeting state, which both maps hold;
-    # then the goal side's moves from there undone back to a coded state
-    # (none when the meet is one); then that state's path code home.
+    # then the goal side's moves from there undone back to the rim (none
+    # when the meet is on it); then that rim state's path code home.
     child, blank, _ = meet
     dirs, _ = bfs.unwind(child, blank, maps[0][child], maps[0])
     dirs.reverse()
@@ -405,12 +504,7 @@ def bfs_optimal(board: Board, limits: SearchLimits | None = None) -> SearchResul
         tail, stop = bfs.unwind(child, blank, code, maps[1])
         dirs += [e ^ 1 for e in tail]
         code = maps[1][stop]
-    dirs += oct(-code)[3:]  # past "0o1"
-    if not bfs.nodes:
-        # No expansion read the limits: read them against the exact length.
-        budget.bound = len(dirs)
-        budget.depth(0)
-        budget.spend(0)
+    dirs += oct(-code)[3:]
     return budget.answer(dirs, bfs.nodes)
 
 

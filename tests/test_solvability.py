@@ -22,7 +22,7 @@ from permpuzzle import (
 
 from permpuzzle import solver
 from permpuzzle.board import _table
-from permpuzzle.solver import BALL_STATES, _goal_ball, _PackedBFS
+from permpuzzle.solver import BALL_STATES, _goal_ball, _PackedBFS, _rim_side
 
 from oracles import exact_distances, inversion_sign
 
@@ -223,19 +223,16 @@ def path_home(value) -> list[Move]:
     return [MOVE_ORDER[int(digit)] for digit in code[3:]]
 
 
-def first_move_home(value) -> int:
-    return MOVE_ORDER.index(path_home(value)[0])
-
-
-def walk_home(ball, board: Board) -> list[Move]:
-    """The moves home a goal ball gives ``board``: while its state maps
-    to a direction, the blank's move that undoes it; then the path the
+def walk_home(ball, lasts: dict, board: Board) -> tuple[list[Move], list[Move]]:
+    """The moves home a goal ball gives ``board``, in two parts: while its
+    state has no code, the blank's move that undoes its last direction
+    (``lasts`` maps each uncoded state to it); then the path that the
     code it reaches spells."""
     moves = []
-    while (value := ball[_PackedBFS.pack(board.cells)]) >= 0:
-        moves.append(MOVE_ORDER[value ^ 1])
+    while (code := ball.get(_PackedBFS.pack(board.cells))) is None:
+        moves.append(MOVE_ORDER[lasts[_PackedBFS.pack(board.cells)] ^ 1])
         board = board.apply_move(moves[-1])
-    return moves + path_home(value)
+    return moves, path_home(code)
 
 
 class TestGoalBall:
@@ -243,16 +240,21 @@ class TestGoalBall:
     def check_whole_layers(width, height, size, radius, ceiling):
         # Exactly the states within the radius, and one more layer would
         # pass the ceiling unless the component is already whole.
-        _, ball, r, rim = _table(_goal_ball, width, height)
+        _, ball, inner, lasts, rim, below, r = _table(_goal_ball, width, height)
         dist = exact_distances(width, height)
-        assert (len(ball), r) == (size, radius)
-        assert set(ball) == {_PackedBFS.pack(c) for c, d in dist.items() if d <= r}
-        assert {state for state, _, _ in rim} == {
-            _PackedBFS.pack(c) for c, d in dist.items() if d == r
-        }
-        # Each rim entry is a frontier entry: the blank's nibble is 0, and
-        # the first move of the state's path code home undoes its last.
-        assert all((state >> 4 * j) & 15 == 0 and first_move_home(ball[state]) == d ^ 1 for state, j, d in rim)
+        packed = {_PackedBFS.pack(c): d for c, d in dist.items()}
+        assert (len(ball) + len(inner), r) == (size, radius)
+        # Codes on the goal, on every fourth layer and on the rim, which
+        # comes last; every other state is sorted into ``inner``.
+        assert set(ball) == {s for s, d in packed.items() if d <= r and (d % 4 == 0 or d == r)}
+        assert list(inner) == sorted(s for s, d in packed.items() if d < r and d % 4)
+        assert len(lasts) == len(inner)
+        rim_states = list(ball)[len(ball) - len(rim):]
+        assert len(rim) == sum(1 for d in dist.values() if d == r)
+        assert {packed[s] for s in rim_states} == {r}
+        # Each rim byte is the cell of the blank, whose nibble is 0.
+        assert all((state >> 4 * blank) & 15 == 0 for state, blank in zip(rim_states, rim))
+        assert sorted(below) == sorted(s for s, d in packed.items() if d == r - 1)
         assert size <= ceiling
         next_size = sum(1 for d in dist.values() if d <= r + 1)
         assert next_size > ceiling or next_size == len(dist)
@@ -267,60 +269,120 @@ class TestGoalBall:
         self.check_whole_layers(width, height, size, radius, 1 << 14)
 
     @pytest.mark.parametrize("width, height, size, radius", [
-        (2, 2, 12, 6), (3, 2, 360, 21), (3, 3, 54802, 20), (2, 4, 20160, 36), (4, 2, 20160, 36),
+        (2, 2, 12, 6), (3, 2, 360, 21), (3, 3, 116088, 23), (2, 4, 20160, 36), (4, 2, 20160, 36),
     ])
     def test_whole_layers_within_the_default_ceiling(self, width, height, size, radius):
         self.check_whole_layers(width, height, size, radius, BALL_STATES)
+
+    @staticmethod
+    def check_larger_shape(width, height, size, radius, ceiling):
+        # Read from the build, with no exact distances: the layer past the
+        # rim, which the goal's side of a query grows from the rim and the
+        # layer inside it, holds no ball state and would take the ball
+        # over the ceiling.
+        steps, ball, inner, _, rim, below, r = _table(_goal_ball, width, height)
+        assert (len(ball) + len(inner), r) == (size, radius)
+        seen, frontier = _rim_side(ball, rim, below)
+        past, _ = _PackedBFS(steps, width).expand(frontier, seen)
+        assert not {state for state, _, _ in past} & (set(ball) | set(inner))
+        assert size <= ceiling < size + len(past)
 
     @pytest.mark.parametrize("width, height, size, radius", [
         (4, 4, 61865, 14), (3, 4, 55998, 16), (4, 3, 55998, 16),
         (2, 8, 64217, 18), (8, 2, 64217, 18),
     ])
-    def test_larger_shapes_pinned(self, width, height, size, radius):
-        # Read from the build, with no exact distances: the rim is the
-        # ball's layer at the radius, and the layer past it would take
-        # the ball over the ceiling.
-        steps, ball, r, rim = _table(_goal_ball, width, height)
-        assert (len(ball), r) == (size, radius)
-        assert all(first_move_home(ball[state]) == d ^ 1 for state, _, d in rim)
-        past, _ = _PackedBFS(steps, width).expand(rim, dict(ball))
-        assert size <= BALL_STATES < size + len(past)
+    def test_larger_shapes_pinned(self, monkeypatch, empty_store, width, height, size, radius):
+        # Under the earlier ceiling of 2^16 states, where the earlier
+        # layouts pinned the same sizes and radii.
+        monkeypatch.setattr(solver, "BALL_STATES", 1 << 16)
+        self.check_larger_shape(width, height, size, radius, 1 << 16)
 
-    def test_3x3_ball_memory(self, empty_store):
-        # Built from an empty store, with its step tables: 6.4 MB held and
-        # a 7.5 MB peak on CPython 3.11. The earlier layout, a path code on
-        # every state, held 7.8 MB and peaked at 12.0 MB at this ceiling.
+    @pytest.mark.parametrize("width, height, size, radius", [
+        (4, 4, 122707, 15), (3, 4, 97800, 17), (4, 3, 97800, 17),
+        (2, 8, 104949, 19), (8, 2, 104949, 19),
+    ])
+    def test_larger_shapes_pinned_at_the_default_ceiling(self, width, height, size, radius):
+        self.check_larger_shape(width, height, size, radius, BALL_STATES)
+
+    @staticmethod
+    def traced_build(width, height):
+        """The shape's ball, built from an empty store with its step
+        tables, and the bytes it holds and its build's peak."""
         tracemalloc.start()
         try:
-            table = _goal_ball(3, 3)
+            table = _goal_ball(width, height)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(table[1]) == 54802
+        return table, held, peak
+
+    def test_3x3_ball_memory(self, empty_store):
+        # 5.1 MB held and a 6.0 MB peak on CPython 3.11, at radius 23. At
+        # radius 20, the earlier layout, which kept every state in one
+        # dict, held 6.4 MB and peaked at 7.5 MB.
+        table, held, peak = self.traced_build(3, 3)
+        assert (len(table[1]), len(table[2])) == (42583, 73505)
         assert held < 7_000_000
         assert peak < 8_500_000
 
+    def test_4x4_ball_memory(self, empty_store):
+        # 8.1 MB held and a 9.7 MB peak on CPython 3.11, at radius 15. At
+        # radius 14, the earlier layout held 8.3 MB and peaked at 9.9 MB.
+        table, held, peak = self.traced_build(4, 4)
+        assert (len(table[1]), len(table[2])) == (69121, 53586)
+        assert held < 9_200_000
+        assert peak < 11_000_000
+
 
 class TestPathCodes:
-    @pytest.mark.parametrize("width, height", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 4)])
+    SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2), (4, 4)]
+
+    @pytest.mark.parametrize("width, height", SHAPES)
     def test_every_ball_state_walks_home_in_its_distance(self, width, height):
-        # Only the rim and the goal hold codes; every other state holds
-        # its blank's last direction, an int from 0 to 3. Every state the
-        # ball keeps, each found by an independent search from the goal,
-        # walks home in exactly its distance: its directions up to a coded
-        # state, then that code. The goal's code is 1, its path empty.
-        _, ball, r, rim = _table(_goal_ball, width, height)
+        # Only the goal, every fourth layer and the rim hold codes; every
+        # other state holds its blank's last direction, from 0 to 3. Every
+        # state within the radius, each found by an independent search
+        # from the goal, walks home in exactly its distance: its
+        # directions up to a coded state, then that code. The goal's code
+        # is 1, its path empty.
+        _, ball, inner, lasts, _, _, r = _table(_goal_ball, width, height)
         goal = _PackedBFS.pack(range(1, width * height + 1))
         assert ball[goal] == -1
-        assert {s for s, v in ball.items() if v < 0} == {s for s, _, _ in rim} | {goal}
-        assert all(v < 4 for v in ball.values())
+        assert all(v < 0 for v in ball.values())
+        assert max(lasts, default=0) < 4
         dist = exact_distances(width, height, max_depth=r)
-        assert len(dist) == len(ball)
+        assert len(dist) == len(ball) + len(inner)
+        lasts = dict(zip(inner, lasts))
         for cells, d in dist.items():
             board = Board(width, height, cells)
-            moves = walk_home(ball, board)
-            assert len(moves) == d
-            assert verify_sequence(board, moves).solved
+            steps, coded = walk_home(ball, lasts, board)
+            assert len(steps) == (0 if d == r else d % 4)
+            assert len(steps + coded) == d
+            assert verify_sequence(board, steps + coded).solved
+
+    @pytest.mark.parametrize("width, height", SHAPES)
+    def test_every_ball_state_answers_reading_at_most_3_uncoded_states(
+        self, monkeypatch, width, height
+    ):
+        # The oracle answers every state within the radius with no
+        # expansion and in its exact distance; ``bisect`` finds each
+        # uncoded state it reads: one per layer down to a multiple of 4,
+        # none on the rim.
+        r = _table(_goal_ball, width, height)[-1]
+        reads, real = [], solver.bisect_left
+
+        def bisect_left(a, x):
+            reads.append(x)
+            return real(a, x)
+
+        monkeypatch.setattr(solver, "bisect_left", bisect_left)
+        for cells, d in exact_distances(width, height, max_depth=r).items():
+            board = Board(width, height, cells)
+            reads.clear()
+            result = bfs_optimal(board)
+            assert (result.length, result.nodes_expanded) == (d, 0)
+            assert len(reads) == (0 if d == r else d % 4) <= 3
+            assert verify_sequence(board, result.moves).solved
 
 
 class TestVerifySequence:

@@ -77,15 +77,15 @@ class TestBfsOptimal:
 
     def test_expired_deadline_stops_a_short_search(self):
         # Solved in few expansions, under the 2048 between clock reads. The
-        # board lies 26 moves out, past the goal's ball of radius 20, so the
-        # bound before the first layer is 0 + 20 + 1. The ball is built
+        # board lies 26 moves out, past the goal's ball of radius 23, so the
+        # bound before the first layer is 0 + 23 + 1. The ball is built
         # first: a deadline already past would stop its build instead.
         b, _ = scramble(3, 3, 60, 2)
         _table(solver._goal_ball, 3, 3)
         with pytest.raises(ResourceLimitError) as exc:
             bfs_optimal(b, SearchLimits(max_time=0.0))
         assert exc.value.nodes_expanded == 1
-        assert exc.value.lower_bound == 21
+        assert exc.value.lower_bound == 24
 
     def test_depth_limit(self):
         b, _ = scramble(3, 3, 40, 2)
@@ -111,22 +111,22 @@ class TestBfsOptimal:
             assert verify_sequence(b, result.moves).solved
 
     def test_exact_at_the_goal_balls_edge(self, dist_3x3):
-        # The 3x3 goal ball has radius 20: boards 19 moves out walk home
-        # through the ball's directions, boards 20 out read their rim
-        # code, both with no expansion; boards 21 and 22 out meet the rim
-        # from their first or second layer.
+        # The 3x3 goal ball has radius 23: boards 22 moves out walk home
+        # through two directions to a coded layer, boards 23 out read their
+        # rim code, both with no expansion; boards 24 and 25 out meet the
+        # rim from their first or second layer.
         checked = 0
         for cells, d in dist_3x3.items():
-            if 19 <= d <= 22:
+            if 22 <= d <= 25:
                 b = Board(3, 3, cells)
                 result = bfs_optimal(b)
                 assert result.length == d
-                assert (result.nodes_expanded == 0) == (d <= 20)
+                assert (result.nodes_expanded == 0) == (d <= 23)
                 assert verify_sequence(b, result.moves).solved
                 checked += 1
-        assert checked == 68933
+        assert checked == 83801
 
-    @pytest.mark.parametrize("d", [1, 2, 16, 17, 20, 21, 31])
+    @pytest.mark.parametrize("d", [1, 2, 16, 17, 20, 21, 22, 23, 24, 31])
     def test_depth_limit_is_exact(self, d, dist_3x3, solvable_3x3_states):
         cells = next(c for c in solvable_3x3_states if dist_3x3[c] == d)
         b = Board(3, 3, cells)
@@ -145,7 +145,7 @@ class TestBfsOptimal:
                     assert 1 <= exc.lower_bound <= dist_3x3[cells]
 
     def test_goal_ball_is_built_outside_the_limits(self, dist_3x3, empty_store):
-        # The shape's first query builds its ball, 54,802 states, under a
+        # The shape's first query builds its ball, 116,088 states, under a
         # cap of no expansions; a board inside it unwinds with none.
         cells = next(c for c, d in dist_3x3.items() if d == 16)
         result = bfs_optimal(Board(3, 3, cells), SearchLimits(max_nodes=0))
@@ -169,20 +169,20 @@ class TestBfsOptimal:
         assert (exc.value.nodes_expanded, exc.value.lower_bound) == (0, 1)
         assert len(reads) == 1 + 3
         assert (solver._goal_ball, 4, 4) not in empty_store
-        # With no deadline in reach, the build's 94,956 steps of work, its
-        # 33,092 expansions (the ball to radius 13, then two slices of the
-        # rim at 14 before the ball passes the ceiling) and the 61,864
-        # states it codes, read the clock 47 times, the query's 2,845
-        # expansions twice, then the end; the ball is kept, and the next
-        # query reads only its own.
+        # With no deadline in reach, the build's 119,668 steps of work, its
+        # 66,082 expansions (the ball to radius 14, then the first 4,217
+        # rim states at 15 before the layer past it passes the ceiling)
+        # and the 53,586 states it sorts into its array, read the clock 59
+        # times, the query's 1,384 expansions once, then the end; the ball
+        # is kept, and the next query reads only its own.
         reads.clear()
         result = bfs_optimal(board, SearchLimits(max_time=float("inf")))
-        assert result.nodes_expanded == 2845
-        assert len(reads) == 1 + 47 + 2 + 1
+        assert result.nodes_expanded == 1384
+        assert len(reads) == 1 + 59 + 1 + 1
         assert (solver._goal_ball, 4, 4) in empty_store
         reads.clear()
-        assert bfs_optimal(board, SearchLimits(max_time=float("inf"))).nodes_expanded == 2845
-        assert len(reads) == 1 + 2 + 1
+        assert bfs_optimal(board, SearchLimits(max_time=float("inf"))).nodes_expanded == 1384
+        assert len(reads) == 1 + 1 + 1
 
     def test_expired_deadline_stops_a_board_inside_the_ball(self, dist_3x3):
         # No expansion reads the clock, so it is read once before the
@@ -204,14 +204,14 @@ class TestBfsOptimal:
             assert verify_sequence(b, result.moves).solved
 
     def test_deep_4x4_grows_the_goal_side(self):
-        # 34 moves out, 20 past the 4x4 ball's radius of 14. Searched from
+        # 34 moves out, 19 past the 4x4 ball's radius of 15. Searched from
         # the start alone it passes the default million-expansion cap; the
         # goal's side grows from the ball's rim once the start's frontier
         # outgrows it, as the bidirectional search before the ball did
         # (393,384 expansions there).
         b, _ = scramble(4, 4, 36, 46)
         result = bfs_optimal(b)
-        assert (result.length, result.nodes_expanded) == (34, 362340)
+        assert (result.length, result.nodes_expanded) == (34, 331519)
         assert result.length == ida_star(b).length
         assert verify_sequence(b, result.moves).solved
 
@@ -219,7 +219,7 @@ class TestBfsOptimal:
         # Read from this implementation; a change is a behaviour change.
         rng = random.Random(4)
         boards = [Board(3, 3, c) for c in rng.sample(solvable_3x3_states, 5)]
-        assert [bfs_optimal(b).nodes_expanded for b in boards] == [1, 0, 11, 3, 3]
+        assert [bfs_optimal(b).nodes_expanded for b in boards] == [0, 0, 1, 0, 0]
 
     # Read from the search that starts the goal side from its ball: which
     # optimal path the meet picks is pinned too.
@@ -244,7 +244,7 @@ class TestBfsOptimal:
     }
     # Expansions of the boards above with tile 15 on the last cell, whose
     # packed states use all 64 bits.
-    PINNED_FULL_WIDTH_NODES = {(4, 4): 0, (8, 2): 0, (2, 8): 19}
+    PINNED_FULL_WIDTH_NODES = {(4, 4): 0, (8, 2): 0, (2, 8): 9}
     # The lengths of the paths the earlier bidirectional search pinned.
     PINNED_LENGTHS = {
         (3, 3): [21, 19, 24, 22, 22], (2, 4): [22], (4, 2): [24],
@@ -326,6 +326,23 @@ class TestBfsOptimal:
         assert (len(near), nodes) == (26931, 100927)
         assert digest.hexdigest() == "a7c8bb699ee99133d21574aae1a727cebe5021d8bdee9491811ff46a14d3615a"
 
+    def test_sorted_inner_layers_change_no_answer(self, ball_states, dist_3x3, solvable_3x3_states):
+        # Under the earlier ceiling of 2^16 states (radius 20), the moves
+        # and expansions are those read from the ball that kept every
+        # state in one dict: every state at most 20 moves out, then 2,000
+        # sampled farther ones.
+        ball_states(1 << 16)
+        near = [c for c in solvable_3x3_states if dist_3x3[c] <= 20]
+        far = [c for c in solvable_3x3_states if dist_3x3[c] > 20]
+        digest, nodes = hashlib.sha256(), 0
+        for cells in near + random.Random("rim-codes/far").sample(far, 2000):
+            result = bfs_optimal(Board(3, 3, cells))
+            assert result.length == dist_3x3[cells]
+            nodes += result.nodes_expanded
+            digest.update(format_moves(result.moves).encode() + b"\n")
+        assert (len(near), nodes) == (54802, 42027)
+        assert digest.hexdigest() == "85d5846c9aaaa790dc13b528d285dc685a3d8200143e3fa6aae70c623f952101"
+
     @pytest.mark.parametrize("states", [40, 1000])
     def test_exact_from_a_small_goal_ball(self, states, ball_states, dist_3x3):
         # A small ball leaves the start's frontier to outgrow its rim on
@@ -337,18 +354,19 @@ class TestBfsOptimal:
             assert result.length == dist_3x3[cells]
             assert verify_sequence(b, result.moves).solved
 
-    def test_node_cap_pinned(self, solvable_3x3_states):
-        # The third pinned board (11 nodes, length 24): the cap is checked
-        # on every expansion, and the bound is the start's radius plus the
-        # goal ball's, 20, plus one. A cap one below the count stops the
-        # last layer, whose bound is the length itself.
-        board = Board(3, 3, random.Random(4).sample(solvable_3x3_states, 5)[2])
+    def test_node_cap_pinned(self, dist_3x3):
+        # A board 31 moves out (110 nodes): the cap is checked on every
+        # expansion, and the bound is the start's radius plus the goal
+        # ball's, 23, plus one. A cap one below the count stops the last
+        # layer, whose bound is the length itself.
+        board = Board(3, 3, min(c for c, d in dist_3x3.items() if d == 31))
+        assert bfs_optimal(board).nodes_expanded == 110
         pins = []
-        for cap in (0, 1, 3, 10):
+        for cap in (0, 1, 4, 109):
             with pytest.raises(ResourceLimitError, match=f"BFS exceeded {cap} expansions") as exc:
                 bfs_optimal(board, SearchLimits(max_nodes=cap))
             pins.append((exc.value.nodes_expanded, exc.value.lower_bound))
-        assert pins == [(1, 21), (2, 22), (4, 23), (11, 24)]
+        assert pins == [(1, 24), (2, 25), (5, 26), (110, 31)]
 
 
 class TestIdaStar:
@@ -517,7 +535,7 @@ class TestIdaStar:
 
         monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=perf_counter))
         # IDA* and the oracle read the same clock: the start and the end,
-        # plus expansions 1, 2049, ..., 30721 and 1, 2049. The 4x4
+        # plus expansions 1, 2049, ..., 30721 and 1. The 4x4
         # goal ball and Manhattan step table are built first, with no
         # deadline: their builds read the clock too
         # (test_deadline_read_while_the_goal_ball_is_built).
@@ -525,7 +543,7 @@ class TestIdaStar:
         _table(_step_table, 4, 4, False)
         for search, board, nodes, clock_reads in [
             (partial(ida_star, heuristic="manhattan"), scramble(4, 4, 40, 7)[0], 32549, 2 + 16),
-            (bfs_optimal, scramble(4, 4, 30, 0)[0], 2845, 2 + 2),
+            (bfs_optimal, scramble(4, 4, 30, 0)[0], 1384, 2 + 1),
         ]:
             reads.clear()
             result = search(board, limits=SearchLimits(max_time=float("inf")))

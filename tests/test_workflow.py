@@ -26,7 +26,7 @@ WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 LEFT_OUT = {
     "Install",
     "Console script solve smoke test",
-    "Exact oracle on every 3x3 state (about 8 s on a 2-vCPU VM)",
+    "Exact oracle on every 3x3 state (about 7 s on a 2-vCPU VM)",
     "Criterion-8 node totals under Manhattan and 4-4-4-3 (about 10 s on a 2-vCPU VM)",
     "Tier-1 tests",
     "Benchmark harness tests",
